@@ -3,7 +3,8 @@
 Checkpoint format (all little-endian): magic "ODD2D\\0" (6 bytes), version
 uint32, n uint32, then t, epsilon, odd_sign as float64, then the spectral
 coefficients of rho-1, u1, u2 as row-major (k1 outer) (re, im) float64
-pairs.  Round trips are bit-exact.
+pairs.  Round trips are bit-exact.  Reading rejects a file whose numbers
+are not all finite or whose coefficients are not those of real fields.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +23,10 @@ from .spectral import (
     SpectralScalar,
     SpectralVector,
     biot_savart,
+    check_real,
     dealias,
-    inverse_transform,
+    sup_norm,
+    sup_norm_vector,
     zero_scalar,
 )
 
@@ -54,23 +58,21 @@ _SCENARIO_KEYS = {
 }
 
 
+@dataclass(frozen=True)
 class RunConfig:
-    def __init__(self, grid_n, t_end, scenario, dt=None, epsilon=0.0,
-                 odd_sign=1.0, s=2.5, output_dir="out", observe_every=10,
-                 checkpoint_every=0, seed=0, cfl_safety=0.5, vacuum_floor=1e-6):
-        self.grid_n = grid_n
-        self.dt = dt
-        self.t_end = t_end
-        self.epsilon = epsilon
-        self.odd_sign = odd_sign
-        self.s = s
-        self.scenario = scenario
-        self.output_dir = output_dir
-        self.observe_every = observe_every
-        self.checkpoint_every = checkpoint_every
-        self.seed = seed
-        self.cfl_safety = cfl_safety
-        self.vacuum_floor = vacuum_floor
+    grid_n: int
+    t_end: float
+    scenario: dict
+    dt: float | None = None
+    epsilon: float = 0.0
+    odd_sign: float = 1.0
+    s: float = 2.5
+    output_dir: str = "out"
+    observe_every: int = 10
+    checkpoint_every: int = 0
+    seed: int = 0
+    cfl_safety: float = 0.5
+    vacuum_floor: float = 1e-6
 
 
 def _type_ok(value, expected):
@@ -113,6 +115,10 @@ def validate_config(data: dict) -> RunConfig:
         raise ValidationError("checkpoint_every must be >= 0")
     if not (0 < data.get("cfl_safety", 0.5) <= 1):
         raise ValidationError("cfl_safety must lie in (0, 1]")
+    if not (0 < data.get("vacuum_floor", 1e-6) < 1):
+        raise ValidationError("vacuum_floor must lie in (0, 1)")
+    if not data.get("s", 2.5) > 1:
+        raise ValidationError("s must be > 1 (the continuation monitor needs s > 1)")
 
     scen = data["scenario"]
     name = scen.get("name")
@@ -160,44 +166,37 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _hermitian_part(c: np.ndarray) -> np.ndarray:
+    """0.5 * (c(k) + conj(c(-k))): the coefficients of the real part."""
+    neg = -np.arange(c.shape[0]) % c.shape[0]
+    return 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))
+
+
 def random_scalar(grid: Grid, seed: int, stream: int, band: int,
-                  sup_amplitude: float, envelope_rate: float = 0.0) -> SpectralScalar:
+                  sup_amplitude: float) -> SpectralScalar:
     """Mean-zero real field with |k|_inf <= band, normalized to the given
-    sup amplitude; optional exponential envelope exp(-rate*|k|)."""
+    sup amplitude."""
     rng = _stream(seed, stream)
     size = 2 * band + 1
     noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    idx = np.arange(-band, band + 1) % grid.n
     c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    idx = np.arange(-band, band + 1)
-    for i, k1 in enumerate(idx):
-        for j, k2 in enumerate(idx):
-            w = np.exp(-envelope_rate * np.hypot(k1, k2)) if envelope_rate else 1.0
-            c[k1 % grid.n, k2 % grid.n] = noise[i, j] * w
-    # hermitianize and strip the mean
-    ch = np.zeros_like(c)
-    for k1 in idx:
-        for k2 in idx:
-            ch[k1 % grid.n, k2 % grid.n] = 0.5 * (
-                c[k1 % grid.n, k2 % grid.n] + np.conj(c[-k1 % grid.n, -k2 % grid.n]))
-    ch[0, 0] = 0.0
-    f = SpectralScalar(grid, ch)
-    phys = inverse_transform(f)
-    sup = float(np.max(np.abs(phys)))
+    c[np.ix_(idx, idx)] = noise
+    c = _hermitian_part(c)
+    c[0, 0] = 0.0
+    f = SpectralScalar(grid, c)
+    sup = sup_norm(f)
     if sup == 0.0:
         return f
-    return SpectralScalar(grid, ch * (sup_amplitude / sup))
+    return SpectralScalar(grid, c * (sup_amplitude / sup))
 
 
 def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
-                           sup_amplitude: float,
-                           envelope_rate: float = 0.0) -> SpectralVector:
+                           sup_amplitude: float) -> SpectralVector:
     """Divergence-free field with sup magnitude sup_amplitude, via the
     stream function of a random band-limited vorticity."""
-    om = random_scalar(grid, seed, stream, band, 1.0, envelope_rate)
-    u = biot_savart(om)
-    a = inverse_transform(u.x1)
-    b = inverse_transform(u.x2)
-    sup = float(np.max(np.sqrt(a * a + b * b)))
+    u = biot_savart(random_scalar(grid, seed, stream, band, 1.0))
+    sup = sup_norm_vector(u)
     scale = sup_amplitude / sup if sup > 0 else 0.0
     return SpectralVector(u.x1 * scale, u.x2 * scale, divergence_free=True)
 
@@ -273,8 +272,11 @@ def write_checkpoint(state: FlowState, path: str) -> None:
 
 
 def read_checkpoint(path: str) -> FlowState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path!r}: {exc.strerror}") from exc
     if len(blob) < 6 + 8 + 24:
         raise ValidationError(f"checkpoint {path!r} is truncated")
     if blob[:6] != MAGIC:
@@ -289,6 +291,8 @@ def read_checkpoint(path: str) -> FlowState:
     if len(blob) != need:
         raise ValidationError(
             f"checkpoint {path!r} has {len(blob)} bytes, expected {need}")
+    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8", offset=14))):
+        raise ValidationError(f"checkpoint {path!r} holds non-finite numbers")
     grid = Grid(n)
     fields = []
     for _ in range(3):
@@ -296,6 +300,7 @@ def read_checkpoint(path: str) -> FlowState:
         offset += n * n * 16
         coeffs = (pairs[0::2] + 1j * pairs[1::2]).reshape(n, n)
         fields.append(SpectralScalar(grid, coeffs.copy()))
+        check_real(fields[-1])
     return FlowState(t, fields[0],
                      SpectralVector(fields[1], fields[2], divergence_free=True),
                      epsilon=epsilon, odd_sign=odd_sign)

@@ -1,12 +1,14 @@
 """Command-line interface: run, verify, twin, sweep-eps, norms.
 
-Exit codes: 0 success, 1 validation/config error, 2 runtime abort
-(vacuum breach, NaN, solver failure).
+Exit codes: 0 success, 1 validation/config error (including a bad or
+missing checkpoint), 2 runtime abort (vacuum breach, NaN, solver failure,
+failed identity check).  Every package error ends in one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -14,7 +16,13 @@ import numpy as np
 
 from . import app_io, diagnostics
 from .dynamics import good_unknowns
-from .errors import ConvergenceError, RuntimeAbort, ValidationError
+from .errors import (
+    GridMismatchError,
+    HermitianSymmetryError,
+    MeanModeError,
+    OddflowError,
+    ValidationError,
+)
 from .littlewood_paley import besov_norm, sobolev_norm
 from .spectral import l2_norm
 from .stepping import StepperConfig, cfl_dt, run as integrate
@@ -83,7 +91,7 @@ def cmd_twin(args) -> int:
     scfg = _stepper_config(cfg)
     if scfg.dt is None:
         # twins must share the step sequence, so freeze dt from the base state
-        scfg.dt = cfg.cfl_safety * cfl_dt(state, scfg) * 0.9
+        scfg = dataclasses.replace(scfg, dt=cfg.cfl_safety * cfl_dt(state, scfg) * 0.9)
     grid = state.grid
     band = args.band or max(2, grid.n // 16)
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
@@ -196,10 +204,11 @@ def cli(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, HermitianSymmetryError, GridMismatchError,
+            MeanModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeAbort, ConvergenceError) as exc:
+    except OddflowError as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return 2
 

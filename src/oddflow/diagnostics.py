@@ -3,21 +3,34 @@ twin-run stability functionals, and eps-sweep convergence studies."""
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 
-from .dynamics import Fields, FlowState, good_unknowns, residual_omega, residual_theta
+from .dynamics import (
+    Fields,
+    FlowState,
+    density_bounds,
+    good_unknowns,
+    residual_omega,
+    residual_theta,
+)
 from .errors import ValidationError
 from .littlewood_paley import sobolev_norm, sobolev_norm_vector
 from .pressure import PressureSolution, solve_pressure
 from .spectral import (
+    Grid,
     SpectralScalar,
     SpectralVector,
     dealias,
     gradient,
     inverse_transform,
     laplacian,
+    leray_project,
     l2_norm,
     l2_norm_vector,
+    resample,
     sup_norm,
     sup_norm_vector,
 )
@@ -42,19 +55,14 @@ class DiagnosticsRecord:
     def values(self):
         return [getattr(self, name) for name in DIAGNOSTIC_FIELDS]
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in DIAGNOSTIC_FIELDS}
 
-
+@dataclasses.dataclass(frozen=True)
 class StabilityRecord:
     """Difference energies of a twin run at one time."""
 
-    __slots__ = ("t", "D", "Theta")
-
-    def __init__(self, t, D, Theta):
-        self.t = t
-        self.D = D
-        self.Theta = Theta
+    t: float
+    D: float
+    Theta: float
 
 
 def kinetic_energy(state: FlowState) -> float:
@@ -66,7 +74,7 @@ def kinetic_energy(state: FlowState) -> float:
 
 
 def conservation_report(state: FlowState) -> DiagnosticsRecord:
-    rmin, rmax = _rho_bounds(state)
+    rmin, rmax = density_bounds(state)
     return DiagnosticsRecord(
         t=state.t,
         kinetic=kinetic_energy(state),
@@ -74,11 +82,6 @@ def conservation_report(state: FlowState) -> DiagnosticsRecord:
         rho_min=rmin,
         rho_max=rmax,
     )
-
-
-def _rho_bounds(state: FlowState):
-    dev = inverse_transform(dealias(state.rho_dev), check_hermitian=False)
-    return float(1.0 + np.min(dev)), float(1.0 + np.max(dev))
 
 
 def energy_functionals(state: FlowState, s: float,
@@ -90,7 +93,6 @@ def energy_functionals(state: FlowState, s: float,
     if s <= 0:
         raise ValidationError("energy functionals need s > 0")
     if s <= 2:
-        import warnings
         warnings.warn(f"s = {s} is below the well-posedness range s > 2",
                       RuntimeWarning, stacklevel=2)
     gu = unknowns if unknowns is not None else good_unknowns(state, check=False)
@@ -133,25 +135,20 @@ def continuation_monitor(state: FlowState, pressure_solution: PressureSolution,
 
 def _grad_u_sup(state: FlowState, oversample: bool) -> float:
     """Sup of the pointwise Frobenius norm of grad u."""
-    fl = Fields(state)
-    if not oversample:
-        d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
-        return float(np.max(np.sqrt(d1u1**2 + d2u1**2 + d1u2**2 + d2u2**2)))
-    from .spectral import _oversampled
     g = state.grid
+    fine = Grid(2 * g.n) if oversample else g
     comps = [
-        _oversampled(SpectralScalar(g, 1j * kk * dealias(cc).coeffs))
+        inverse_transform(resample(SpectralScalar(g, 1j * kk * dealias(cc).coeffs), fine))
         for cc, kk in ((state.u.x1, g.k1), (state.u.x1, g.k2),
                        (state.u.x2, g.k1), (state.u.x2, g.k2))
     ]
     return float(np.max(np.sqrt(sum(c * c for c in comps))))
 
 
-def observe(state: FlowState, s: float,
-            pressure_tol: float = 1e-11, include_residuals: bool = True) -> DiagnosticsRecord:
+def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     """Full diagnostics row for one state (solves the pressure afresh)."""
     fl = Fields(state)
-    psol = solve_pressure(state, fields=fl, tol=pressure_tol)
+    psol = solve_pressure(state, fields=fl)
     gu = good_unknowns(state, check=False)
     E, F, G = energy_functionals(state, s, unknowns=gu)
     M, Mt = continuation_monitor(state, psol, s)
@@ -159,9 +156,8 @@ def observe(state: FlowState, s: float,
     rec.E, rec.F, rec.G = E, F, G
     rec.M_integrand, rec.Mtilde_integrand = M, Mt
     rec.pressure_iterations = psol.iterations
-    if include_residuals:
-        rec.theta_residual = residual_theta(state, psol.grad_pi)
-        rec.omega_residual = residual_omega(state, psol)
+    rec.theta_residual = residual_theta(state, psol.grad_pi)
+    rec.omega_residual = residual_omega(state, psol)
     return rec
 
 
@@ -182,8 +178,7 @@ def norm_equivalence_ratios(state: FlowState, s: float) -> tuple[float, float]:
 # twin-run stability
 
 
-def stability_record(state_a: FlowState, state_b: FlowState,
-                     check_identity: bool = True) -> StabilityRecord:
+def stability_record(state_a: FlowState, state_b: FlowState) -> StabilityRecord:
     """D and Theta difference energies of two states at equal times.
 
     D     = ||d rho||^2 + ||Lap d rho||^2 + ||d u||^2 + ||d omega||^2
@@ -198,17 +193,16 @@ def stability_record(state_a: FlowState, state_b: FlowState,
     dtheta = ga.theta - gb.theta
     deta = ga.eta - gb.eta
 
-    if check_identity:
-        lhs = laplacian(dealias(drho))
-        rhs = deta - dtheta
-        err = l2_norm(lhs - rhs)
-        scale = max(l2_norm(lhs), l2_norm(rhs), 1.0)
-        if err > 1e-10 * scale:
-            raise ValidationError(
-                f"Lap(d rho) = d eta - d theta violated by {err / scale:.3e}")
+    lap = laplacian(dealias(drho))
+    rhs = deta - dtheta
+    err = l2_norm(lap - rhs)
+    scale = max(l2_norm(lap), l2_norm(rhs), 1.0)
+    if err > 1e-10 * scale:
+        raise ValidationError(
+            f"Lap(d rho) = d eta - d theta violated by {err / scale:.3e}")
 
     nrho = l2_norm(drho)
-    nlap = l2_norm(laplacian(dealias(drho)))
+    nlap = l2_norm(lap)
     nu = l2_norm_vector(du)
     nom = l2_norm(domega)
     nth = l2_norm(dtheta)
@@ -223,8 +217,6 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
                        observe_every: int = 1) -> list[StabilityRecord]:
     """Run the base and perturbed trajectories side by side and collect the
     difference energies D(t), Theta(t)."""
-    from .spectral import leray_project
-
     up, _ = leray_project(u_perturbation)  # keep the perturbed state admissible
     pert = FlowState(initial.t, initial.rho_dev + rho_perturbation,
                      initial.u + up, initial.epsilon, initial.odd_sign)
@@ -263,14 +255,8 @@ def epsilon_sweep(initial: FlowState, config: StepperConfig,
         raise ValidationError("eps values must be >= 0")
     finals = []
     for eps in eps_list:
-        cfg = StepperConfig(dt=config.dt, t_end=config.t_end,
-                            cfl_safety=config.cfl_safety, epsilon=eps,
-                            vacuum_floor=config.vacuum_floor,
-                            pressure_tol=config.pressure_tol,
-                            pressure_max_iter=config.pressure_max_iter,
-                            include_odd=config.include_odd)
         st = FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign)
-        finals.append(run(st, cfg))
+        finals.append(run(st, dataclasses.replace(config, epsilon=eps)))
     table = []
     for (e1, f1), (e2, f2) in zip(zip(eps_list, finals), zip(eps_list[1:], finals[1:])):
         table.append({

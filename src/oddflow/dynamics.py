@@ -17,6 +17,8 @@ vacuum floor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import CancellationIdentityError, GridMismatchError, RuntimeAbort
@@ -75,13 +77,11 @@ class FlowState:
                          self.epsilon, self.odd_sign)
 
 
+@dataclass(frozen=True)
 class GoodUnknowns:
-    __slots__ = ("omega", "eta", "theta")
-
-    def __init__(self, omega, eta, theta):
-        self.omega = omega
-        self.eta = eta
-        self.theta = theta
+    omega: SpectralScalar
+    eta: SpectralScalar
+    theta: SpectralScalar
 
 
 class Fields:
@@ -103,7 +103,7 @@ class Fields:
     @property
     def rho_phys(self) -> np.ndarray:
         def build():
-            dev = inverse_transform(dealias(self.state.rho_dev), check_hermitian=False)
+            dev = inverse_transform(dealias(self.state.rho_dev))
             rho = 1.0 + dev
             if float(np.min(rho)) < self.vacuum_floor:
                 raise RuntimeAbort(
@@ -119,8 +119,7 @@ class Fields:
 
     @property
     def inv_rho_phys(self) -> np.ndarray:
-        return self._get("inv_rho_phys",
-                         lambda: inverse_transform(self.inv_rho, check_hermitian=False))
+        return self._get("inv_rho_phys", lambda: inverse_transform(self.inv_rho))
 
     @property
     def log_rho(self) -> SpectralScalar:
@@ -130,24 +129,24 @@ class Fields:
     def grad_log_rho_phys(self):
         def build():
             G = gradient(self.log_rho)
-            return (inverse_transform(G.x1, check_hermitian=False),
-                    inverse_transform(G.x2, check_hermitian=False))
+            return (inverse_transform(G.x1),
+                    inverse_transform(G.x2))
         return self._get("grad_log_rho_phys", build)
 
     @property
     def grad_inv_rho_phys(self):
         def build():
             G = gradient(self.inv_rho)
-            return (inverse_transform(G.x1, check_hermitian=False),
-                    inverse_transform(G.x2, check_hermitian=False))
+            return (inverse_transform(G.x1),
+                    inverse_transform(G.x2))
         return self._get("grad_inv_rho_phys", build)
 
     @property
     def grad_rho_phys(self):
         def build():
             G = gradient(dealias(self.state.rho_dev))
-            return (inverse_transform(G.x1, check_hermitian=False),
-                    inverse_transform(G.x2, check_hermitian=False))
+            return (inverse_transform(G.x1),
+                    inverse_transform(G.x2))
         return self._get("grad_rho_phys", build)
 
     # --- velocity ----------------------------------------------------
@@ -155,8 +154,8 @@ class Fields:
     def u_phys(self):
         def build():
             u = self.state.u
-            return (inverse_transform(dealias(u.x1), check_hermitian=False),
-                    inverse_transform(dealias(u.x2), check_hermitian=False))
+            return (inverse_transform(dealias(u.x1)),
+                    inverse_transform(dealias(u.x2)))
         return self._get("u_phys", build)
 
     @property
@@ -168,7 +167,7 @@ class Fields:
             c1 = dealias(u.x1).coeffs
             c2 = dealias(u.x2).coeffs
             return tuple(
-                inverse_transform(SpectralScalar(g, 1j * kk * cc), check_hermitian=False)
+                inverse_transform(SpectralScalar(g, 1j * kk * cc))
                 for cc, kk in ((c1, g.k1), (c1, g.k2), (c2, g.k1), (c2, g.k2))
             )
         return self._get("grad_u_phys", build)
@@ -179,8 +178,7 @@ class Fields:
 
     @property
     def omega_phys(self) -> np.ndarray:
-        return self._get("omega_phys",
-                         lambda: inverse_transform(dealias(self.omega), check_hermitian=False))
+        return self._get("omega_phys", lambda: inverse_transform(dealias(self.omega)))
 
     # --- assembled nonlinear terms ------------------------------------
     @property
@@ -212,12 +210,8 @@ class Fields:
         def build():
             D = vector_bilaplacian(SpectralVector(dealias(self.state.u.x1),
                                                   dealias(self.state.u.x2)))
-            h1 = product_physical(
-                self.inv_rho_phys * inverse_transform(D.x1, check_hermitian=False),
-                self.grid)
-            h2 = product_physical(
-                self.inv_rho_phys * inverse_transform(D.x2, check_hermitian=False),
-                self.grid)
+            h1 = product_physical(self.inv_rho_phys * inverse_transform(D.x1), self.grid)
+            h2 = product_physical(self.inv_rho_phys * inverse_transform(D.x2), self.grid)
             return SpectralVector(h1, h2)
         return self._get("hyper", build)
 
@@ -235,7 +229,7 @@ class Fields:
 
 
 def density_bounds(state: FlowState) -> tuple[float, float]:
-    dev = inverse_transform(dealias(state.rho_dev), check_hermitian=False)
+    dev = inverse_transform(dealias(state.rho_dev))
     return float(1.0 + np.min(dev)), float(1.0 + np.max(dev))
 
 
@@ -264,8 +258,7 @@ def odd_stress_divergence(state: FlowState, check: bool = True) -> SpectralVecto
         r1, r2 = fl.grad_rho_phys
         expanded = []
         for comp, (da, db) in ((lap_up.x1, (-d1u2, -d2u2)), (lap_up.x2, (d1u1, d2u1))):
-            t1 = product_physical(
-                rho * inverse_transform(comp, check_hermitian=False), g)
+            t1 = product_physical(rho * inverse_transform(comp), g)
             t2 = product_physical(r1 * da + r2 * db, g)
             expanded.append(t1 + t2)
         exp_vec = SpectralVector(expanded[0], expanded[1]) * state.odd_sign
@@ -287,19 +280,17 @@ def bilinear_B(v: SpectralVector, alpha: SpectralScalar, check: bool = True) -> 
     a = dealias(alpha)
     v1 = dealias(v.x1)
     v2 = dealias(v.x2)
-    a12 = inverse_transform(SpectralScalar(g, -g.k1 * g.k2 * a.coeffs),
-                            check_hermitian=False)
-    a11_22 = inverse_transform(SpectralScalar(g, (-g.k1**2 + g.k2**2) * a.coeffs),
-                               check_hermitian=False)
-    d1v1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * v1.coeffs), check_hermitian=False)
-    d2v1 = inverse_transform(SpectralScalar(g, 1j * g.k2 * v1.coeffs), check_hermitian=False)
-    d1v2 = inverse_transform(SpectralScalar(g, 1j * g.k1 * v2.coeffs), check_hermitian=False)
+    a12 = inverse_transform(SpectralScalar(g, -g.k1 * g.k2 * a.coeffs))
+    a11_22 = inverse_transform(SpectralScalar(g, (-g.k1**2 + g.k2**2) * a.coeffs))
+    d1v1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * v1.coeffs))
+    d2v1 = inverse_transform(SpectralScalar(g, 1j * g.k2 * v1.coeffs))
+    d1v2 = inverse_transform(SpectralScalar(g, 1j * g.k1 * v2.coeffs))
     out = product_physical(a12 * (d1v2 + d2v1) + d1v1 * a11_22, g)
 
     if check:
-        ga1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * a.coeffs), check_hermitian=False)
-        ga2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * a.coeffs), check_hermitian=False)
-        d2v2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * v2.coeffs), check_hermitian=False)
+        ga1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * a.coeffs))
+        ga2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * a.coeffs))
+        d2v2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * v2.coeffs))
         # (grad alpha . grad) v_perp with v_perp = (-v2, v1)
         w1 = product_physical(-(ga1 * d1v2 + ga2 * d2v2), g)
         w2 = product_physical(ga1 * d1v1 + ga2 * d2v1, g)
@@ -321,8 +312,8 @@ def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
     G = gradient(usq)
-    g1 = inverse_transform(G.x1, check_hermitian=False)
-    g2 = inverse_transform(G.x2, check_hermitian=False)
+    g1 = inverse_transform(G.x1)
+    g2 = inverse_transform(G.x2)
     r1, r2 = fl.grad_rho_phys
     left = product_physical(-r2 * g1 + r1 * g2, g)
 
@@ -330,8 +321,8 @@ def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
         d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
         A = product_physical(d1u1 * r1 + d1u2 * r2, g)  # d1u . grad rho
         B = product_physical(d2u1 * r1 + d2u2 * r2, g)
-        t1 = product_physical(u2 * inverse_transform(A, check_hermitian=False), g)
-        t2 = product_physical(u1 * inverse_transform(B, check_hermitian=False), g)
+        t1 = product_physical(u2 * inverse_transform(A), g)
+        t2 = product_physical(u1 * inverse_transform(B), g)
         right = -2.0 * (t1 - t2)
         err = l2_norm(left - right)
         scale = max(l2_norm(left), l2_norm(right), 1.0)
@@ -358,8 +349,8 @@ def good_unknowns(state: FlowState, check: bool = True) -> GoodUnknowns:
 
     if check:
         gp = perp_gradient(dealias(state.rho_dev))
-        gp1 = inverse_transform(gp.x1, check_hermitian=False)
-        gp2 = inverse_transform(gp.x2, check_hermitian=False)
+        gp1 = inverse_transform(gp.x1)
+        gp2 = inverse_transform(gp.x2)
         expanded = product_physical(rho * fl.omega_phys, g) + \
             product_physical(gp1 * u1 + gp2 * u2, g)
         err = l2_norm(eta - expanded)
@@ -399,8 +390,8 @@ def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
     sigma = state.odd_sign
     eps = state.epsilon
 
-    p1 = inverse_transform(grad_pi.x1, check_hermitian=False)
-    p2 = inverse_transform(grad_pi.x2, check_hermitian=False)
+    p1 = inverse_transform(grad_pi.x1)
+    p2 = inverse_transform(grad_pi.x2)
     press = SpectralVector(product_physical(fl.inv_rho_phys * p1, g),
                            product_physical(fl.inv_rho_phys * p2, g))
     rhs = -1.0 * fl.advection - press
@@ -422,8 +413,8 @@ def theta_rhs(state: FlowState, fields: Fields | None = None,
 
     gu = good_unknowns(state, check=check)
     th = dealias(gu.theta)
-    t1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * th.coeffs), check_hermitian=False)
-    t2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * th.coeffs), check_hermitian=False)
+    t1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * th.coeffs))
+    t2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * th.coeffs))
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
 
@@ -437,8 +428,8 @@ def theta_rhs(state: FlowState, fields: Fields | None = None,
         # transport of Lap rho does not cancel against the odd stress when
         # the sign is flipped while theta keeps its +1 definition
         lr = laplacian(dealias(state.rho_dev))
-        l1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * lr.coeffs), check_hermitian=False)
-        l2_ = inverse_transform(SpectralScalar(g, 1j * g.k2 * lr.coeffs), check_hermitian=False)
+        l1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * lr.coeffs))
+        l2_ = inverse_transform(SpectralScalar(g, 1j * g.k2 * lr.coeffs))
         u_grad_lap = product_physical(u1 * l1 + u2 * l2_, g)
         dt_lap = laplacian(density_rhs(state, fl))
         rhs = rhs + (sigma - 1.0) * (dt_lap + u_grad_lap)
@@ -460,8 +451,8 @@ def omega_rhs(state: FlowState, pressure_solution, fields: Fields | None = None,
     eps = state.epsilon
 
     om = dealias(fl.omega)
-    o1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * om.coeffs), check_hermitian=False)
-    o2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * om.coeffs), check_hermitian=False)
+    o1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * om.coeffs))
+    o2 = inverse_transform(SpectralScalar(g, 1j * g.k2 * om.coeffs))
     u1, u2 = fl.u_phys
     L1, L2 = fl.grad_log_rho_phys
     I1, I2 = fl.grad_inv_rho_phys
@@ -470,27 +461,27 @@ def omega_rhs(state: FlowState, pressure_solution, fields: Fields | None = None,
 
     eps_terms = zero_scalar(g)
     if eps > 0.0:
-        b_om = inverse_transform(bilaplacian(om), check_hermitian=False)
+        b_om = inverse_transform(bilaplacian(om))
         eps_terms = eps_terms + product_physical(fl.inv_rho_phys * b_om, g)
         D = vector_bilaplacian(SpectralVector(dealias(state.u.x1), dealias(state.u.x2)))
-        D1 = inverse_transform(D.x1, check_hermitian=False)
-        D2 = inverse_transform(D.x2, check_hermitian=False)
+        D1 = inverse_transform(D.x1)
+        D2 = inverse_transform(D.x2)
         # grad_perp(1/rho) = (-d2, d1)(1/rho)
         eps_terms = eps_terms + product_physical(-I2 * D1 + I1 * D2, g)
 
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
     Dp = pressure_solution.grad_pi_minus_rho_omega
-    d1 = inverse_transform(Dp.x1, check_hermitian=False)
-    d2 = inverse_transform(Dp.x2, check_hermitian=False)
+    d1 = inverse_transform(Dp.x1)
+    d2 = inverse_transform(Dp.x2)
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
     rewritten = -1.0 * trans - press - sigma * bil - eps * eps_terms
 
     if identity_tol is not None:
         P = pressure_solution.grad_pi
-        p1 = inverse_transform(P.x1, check_hermitian=False)
-        p2 = inverse_transform(P.x2, check_hermitian=False)
+        p1 = inverse_transform(P.x1)
+        p2 = inverse_transform(P.x2)
         trans_raw = product_physical(u1 * o1 + u2 * o2, g)
         press_raw = product_physical(-I2 * p1 + I1 * p2, g)
         raw = -1.0 * trans_raw - press_raw - sigma * bil - eps * eps_terms
@@ -514,9 +505,9 @@ def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
     g = state.grid
     drho = density_rhs(state, fl)
     du = momentum_rhs(state, grad_pi, fields=fl)
-    dr_p = inverse_transform(drho, check_hermitian=False)
-    du1 = inverse_transform(du.x1, check_hermitian=False)
-    du2 = inverse_transform(du.x2, check_hermitian=False)
+    dr_p = inverse_transform(drho)
+    du1 = inverse_transform(du.x1)
+    du2 = inverse_transform(du.x2)
     u1, u2 = fl.u_phys
     rho = fl.rho_phys
     m1 = product_physical(dr_p * u1 + rho * du1, g)

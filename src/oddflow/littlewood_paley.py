@@ -156,7 +156,7 @@ def sobolev_norm_vector(F, s: float, backend: str = "multiplier") -> float:
 
 
 def _lp_physical(f: SpectralScalar, p: float) -> float:
-    phys = inverse_transform(f, check_hermitian=False)
+    phys = inverse_transform(f)
     if p == np.inf:
         return float(np.max(np.abs(phys)))
     h2 = (2.0 * np.pi / f.grid.n) ** 2

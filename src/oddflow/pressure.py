@@ -10,6 +10,8 @@ reductions, so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.fft as _fft
 
@@ -34,20 +36,16 @@ DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 500
 
 
+@dataclass(frozen=True)
 class PressureSolution:
     """grad(pi), the regular part grad(pi - sign*rho*omega), and solver
     metadata for one state."""
 
-    __slots__ = ("grad_pi", "grad_pi_minus_rho_omega", "iterations", "residual",
-                 "odd_sign")
-
-    def __init__(self, grad_pi, grad_pi_minus_rho_omega, iterations, residual,
-                 odd_sign=1.0):
-        self.grad_pi = grad_pi
-        self.grad_pi_minus_rho_omega = grad_pi_minus_rho_omega
-        self.iterations = iterations
-        self.residual = residual
-        self.odd_sign = odd_sign
+    grad_pi: SpectralVector
+    grad_pi_minus_rho_omega: SpectralVector
+    iterations: int
+    residual: float
+    odd_sign: float = 1.0
 
 
 def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
@@ -59,7 +57,7 @@ def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
     if F.grid != grid:
         raise ValidationError("coefficient and source on different grids")
     a_band = dealias(a)
-    a_phys = inverse_transform(a_band, check_hermitian=False)
+    a_phys = inverse_transform(a_band)
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
         raise ValidationError(
@@ -169,7 +167,7 @@ def commutator_rho_laplacian(state: FlowState, fields: Fields | None = None) -> 
     fl = fields if fields is not None else Fields(state)
     g = state.grid
     dev_phys = fl.rho_phys - 1.0
-    lap_om = inverse_transform(laplacian(dealias(fl.omega)), check_hermitian=False)
+    lap_om = inverse_transform(laplacian(dealias(fl.omega)))
     t1 = product_physical(dev_phys * lap_om, g)
     t2 = laplacian(product_physical(dev_phys * fl.omega_phys, g))
     return t1 - t2
@@ -183,7 +181,7 @@ def commutator_expanded(state: FlowState, fields: Fields | None = None) -> Spect
     om = fl.omega_phys
     w1 = product_physical(om * r1, g)
     w2 = product_physical(om * r2, g)
-    lap_rho = inverse_transform(laplacian(dealias(state.rho_dev)), check_hermitian=False)
+    lap_rho = inverse_transform(laplacian(dealias(state.rho_dev)))
     return -2.0 * divergence(SpectralVector(w1, w2)) + product_physical(om * lap_rho, g)
 
 
@@ -202,8 +200,8 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
 
     # Phi_1 = -grad(log rho) . grad(pi)
     L1, L2 = fl.grad_log_rho_phys
-    p1 = inverse_transform(pressure_solution.grad_pi.x1, check_hermitian=False)
-    p2 = inverse_transform(pressure_solution.grad_pi.x2, check_hermitian=False)
+    p1 = inverse_transform(pressure_solution.grad_pi.x1)
+    p2 = inverse_transform(pressure_solution.grad_pi.x2)
     phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
@@ -211,7 +209,7 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
     G = fl.advection + sigma * fl.odd_transport
     if state.epsilon > 0.0:
         G = G + state.epsilon * fl.hyper
-    divG = inverse_transform(divergence(G), check_hermitian=False)
+    divG = inverse_transform(divergence(G))
     phi2 = product_physical(fl.rho_phys * divG, g)
 
     phi3 = commutator_rho_laplacian(state, fl)

@@ -8,6 +8,11 @@ Coefficients are amplitudes of exp(i k.x), so coeff(0,0) is the mean of the
 field and the L2 norm satisfies ||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2.
 Wavenumbers run over {-n/2+1, ..., n/2} per axis and the Nyquist mode n/2 is
 forced to zero in every stored field, which keeps derivatives symmetric.
+Every field is real, so its coefficients are Hermitian-symmetric,
+coeff(-k) = conj(coeff(k)).  Realness is checked where data enters the
+program, not on each transform: forward_transform rejects complex samples
+and read_checkpoint applies check_real to every field it loads; every other
+field is built from these by operations that keep the symmetry.
 All reductions (norms, inner products) go through numpy's fixed-order
 pairwise summation, so results do not depend on the FFT worker count.
 """
@@ -164,31 +169,40 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
     return SpectralScalar(grid, coeffs)
 
 
-def inverse_transform(f: SpectralScalar, check_hermitian: bool = True) -> np.ndarray:
-    """Coefficients -> real samples; rejects broken Hermitian symmetry."""
+def inverse_transform(f: SpectralScalar) -> np.ndarray:
+    """Coefficients -> real samples (the imaginary part is dropped unchecked)."""
     n = f.grid.n
     phys = _fft.ifft2(f.coeffs * (n**2), workers=fft_workers())
-    if check_hermitian:
-        scale = max(1.0, float(np.max(np.abs(phys.real)))) if phys.size else 1.0
-        residue = float(np.max(np.abs(phys.imag)))
-        if residue > 1e-10 * scale:
-            raise HermitianSymmetryError(
-                f"imaginary residue {residue:.3e} exceeds 1e-10 (corrupted field)"
-            )
     return np.ascontiguousarray(phys.real)
 
 
-def scalar_from_samples(grid: Grid, samples: np.ndarray) -> SpectralScalar:
-    """Alias of forward_transform with the argument order used internally."""
-    return forward_transform(grid, samples)
+def check_real(f: SpectralScalar) -> None:
+    """Raise HermitianSymmetryError unless f's samples are real, that is,
+    their imaginary residue is at most 1e-10 * max(1, max |real part|)."""
+    phys = _fft.ifft2(f.coeffs * (f.grid.n**2), workers=fft_workers())
+    scale = max(1.0, float(np.max(np.abs(phys.real))))
+    residue = float(np.max(np.abs(phys.imag)))
+    if residue > 1e-10 * scale:
+        raise HermitianSymmetryError(
+            f"imaginary residue {residue:.3e} exceeds 1e-10 (corrupted field)"
+        )
+
+
+def resample(f: SpectralScalar, grid: Grid) -> SpectralScalar:
+    """The same Fourier modes on another grid: zero-padded on a finer grid,
+    truncated to the modes below the coarse Nyquist on a coarser one."""
+    if grid == f.grid:
+        return f
+    half = min(f.grid.n, grid.n) // 2
+    src = np.r_[:half, f.grid.n - half:f.grid.n]
+    dst = np.r_[:half, grid.n - half:grid.n]
+    c = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    c[np.ix_(dst, dst)] = f.coeffs[np.ix_(src, src)]
+    return SpectralScalar(grid, c)
 
 
 def zero_scalar(grid: Grid) -> SpectralScalar:
     return SpectralScalar(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
-
-
-def zero_vector(grid: Grid) -> SpectralVector:
-    return SpectralVector(zero_scalar(grid), zero_scalar(grid), divergence_free=True)
 
 
 def constant_scalar(grid: Grid, value: float) -> SpectralScalar:
@@ -249,10 +263,6 @@ def vector_bilaplacian(F: SpectralVector) -> SpectralVector:
 def perp(F: SpectralVector) -> SpectralVector:
     """Rotate by +90 degrees: (a1, a2) -> (-a2, a1)."""
     return SpectralVector(-F.x2, F.x1)
-
-
-def mean_value(f: SpectralScalar) -> float:
-    return float(f.coeffs[0, 0].real)
 
 
 def _require_mean_zero(f: SpectralScalar, what: str):
@@ -321,8 +331,8 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     """
     _check_same_grid(f, g)
     grid = f.grid
-    a = inverse_transform(dealias(f), check_hermitian=False)
-    b = inverse_transform(dealias(g), check_hermitian=False)
+    a = inverse_transform(dealias(f))
+    b = inverse_transform(dealias(g))
     return dealias(forward_transform(grid, a * b))
 
 
@@ -352,42 +362,16 @@ def inner_product_vector(F: SpectralVector, G: SpectralVector) -> float:
 
 def sup_norm(f: SpectralScalar, oversample: bool = False) -> float:
     """Max |f| on the collocation grid (optionally on a 2x finer grid)."""
-    if not oversample:
-        return float(np.max(np.abs(inverse_transform(f, check_hermitian=False))))
-    g = f.grid
-    n, m = g.n, 2 * g.n
-    big = np.zeros((m, m), dtype=np.complex128)
-    half = n // 2
-    big[:half, :half] = f.coeffs[:half, :half]
-    big[:half, m - half:] = f.coeffs[:half, n - half:]
-    big[m - half:, :half] = f.coeffs[n - half:, :half]
-    big[m - half:, m - half:] = f.coeffs[n - half:, n - half:]
-    phys = _fft.ifft2(big * (m**2), workers=fft_workers()).real
-    return float(np.max(np.abs(phys)))
+    f = resample(f, Grid(2 * f.grid.n)) if oversample else f
+    return float(np.max(np.abs(inverse_transform(f))))
 
 
 def sup_norm_vector(F: SpectralVector, oversample: bool = False) -> float:
     """Max pointwise Euclidean magnitude of a vector field."""
-    if not oversample:
-        a = inverse_transform(F.x1, check_hermitian=False)
-        b = inverse_transform(F.x2, check_hermitian=False)
-        return float(np.max(np.sqrt(a * a + b * b)))
-    # oversampled components share one padded grid
-    va = _oversampled(F.x1)
-    vb = _oversampled(F.x2)
-    return float(np.max(np.sqrt(va * va + vb * vb)))
-
-
-def _oversampled(f: SpectralScalar) -> np.ndarray:
-    g = f.grid
-    n, m = g.n, 2 * g.n
-    big = np.zeros((m, m), dtype=np.complex128)
-    half = n // 2
-    big[:half, :half] = f.coeffs[:half, :half]
-    big[:half, m - half:] = f.coeffs[:half, n - half:]
-    big[m - half:, :half] = f.coeffs[n - half:, :half]
-    big[m - half:, m - half:] = f.coeffs[n - half:, n - half:]
-    return _fft.ifft2(big * (m**2), workers=fft_workers()).real
+    grid = Grid(2 * F.grid.n) if oversample else F.grid
+    a = inverse_transform(resample(F.x1, grid))
+    b = inverse_transform(resample(F.x2, grid))
+    return float(np.max(np.sqrt(a * a + b * b)))
 
 
 def max_divergence_ratio(F: SpectralVector) -> float:

@@ -11,17 +11,17 @@ re-projected divergence-free at the end of the step.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Fields, FlowState, density_rhs, momentum_rhs
+from .dynamics import Fields, FlowState, density_bounds, density_rhs, momentum_rhs
 from .errors import RuntimeAbort
 from .pressure import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_pressure
 from .spectral import (
     SpectralScalar,
     SpectralVector,
     dealias,
-    inverse_transform,
     leray_project,
     sup_norm_vector,
 )
@@ -29,32 +29,26 @@ from .spectral import (
 CFL_CAP = 1e6
 
 
+@dataclass(frozen=True)
 class StepperConfig:
-    """Time-integration parameters; scheme is fixed to erk4_if."""
+    """Time-integration parameters of the RK4 integrating-factor stepper."""
 
-    def __init__(self, dt: float | None = None, t_end: float = 0.0,
-                 cfl_safety: float = 0.5, epsilon: float = 0.0,
-                 vacuum_floor: float = 1e-6, scheme: str = "erk4_if",
-                 pressure_tol: float = DEFAULT_TOL,
-                 pressure_max_iter: int = DEFAULT_MAX_ITER,
-                 include_odd: bool = True):
-        if scheme != "erk4_if":
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if dt is not None and dt <= 0:
+    dt: float | None = None  # None means auto-CFL
+    t_end: float = 0.0
+    cfl_safety: float = 0.5
+    epsilon: float = 0.0
+    vacuum_floor: float = 1e-6
+    pressure_tol: float = DEFAULT_TOL
+    pressure_max_iter: int = DEFAULT_MAX_ITER
+    include_odd: bool = True
+
+    def __post_init__(self):
+        if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if t_end < 0:
+        if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
-        if not (0 < cfl_safety <= 1):
+        if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
-        self.dt = dt  # None means auto-CFL
-        self.t_end = float(t_end)
-        self.cfl_safety = float(cfl_safety)
-        self.epsilon = float(epsilon)
-        self.vacuum_floor = float(vacuum_floor)
-        self.scheme = scheme
-        self.pressure_tol = pressure_tol
-        self.pressure_max_iter = pressure_max_iter
-        self.include_odd = include_odd
 
 
 def linear_factor(k_sq: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
@@ -113,15 +107,10 @@ def _check_finite(state: FlowState):
 
 
 def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> FlowState:
-    """One erk4_if step of size dt (default config.dt)."""
+    """One RK4 integrating-factor step of size dt (default config.dt)."""
     h = config.dt if dt is None else dt
     if h is None or h <= 0:
         raise ValueError("step needs a positive dt")
-    bound = cfl_dt(state, config)
-    if h > bound:
-        warnings.warn(
-            f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
-            RuntimeWarning, stacklevel=2)
 
     g = state.grid
     eps = state.epsilon
@@ -155,7 +144,7 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     out = FlowState(t + h, r_new, u_new, eps, sigma)
     _check_finite(out)
-    rho_min = 1.0 + float(np.min(inverse_transform(dealias(r_new), check_hermitian=False)))
+    rho_min, _ = density_bounds(out)
     if rho_min < config.vacuum_floor:
         raise RuntimeAbort(
             f"vacuum breach: min rho = {rho_min:.3e} at t = {out.t:.6f}",
@@ -167,7 +156,9 @@ def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
     """Integrate to t_end, calling each observer as observer(state, step_index).
 
     Observers fire on the initial state (index 0) and after every step; the
-    trajectory is deterministic for a given configuration.
+    trajectory is deterministic for a given configuration.  The CFL bound is
+    computed once per step: it sets an automatic dt, and a fixed dt above it
+    draws a RuntimeWarning.
     """
     state = initial
     if state.epsilon != config.epsilon:
@@ -180,11 +171,12 @@ def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
 
     index = 0
     while state.t < config.t_end - 1e-14:
-        if config.dt is not None:
-            h = config.dt
-        else:
-            h = config.cfl_safety * cfl_dt(state, config)
+        bound = cfl_dt(state, config)
+        h = config.cfl_safety * bound if config.dt is None else config.dt
         h = min(h, config.t_end - state.t)
+        if h > bound:
+            warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
+                          RuntimeWarning, stacklevel=2)
         state = step(state, config, dt=h)
         index += 1
         for obs in observers:

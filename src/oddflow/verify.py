@@ -5,9 +5,11 @@ split consistency.  Used by the `verify` CLI subcommand and by the tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .app_io import _stream
+from .app_io import _hermitian_part, _stream
 from .dynamics import (
     Fields,
     FlowState,
@@ -37,11 +39,14 @@ from .spectral import (
     dealias,
     inner_product_vector,
     inverse_laplacian,
-    inverse_transform,
     divergence,
     leray_project,
     l2_norm,
     l2_norm_vector,
+    resample,
+    sup_norm,
+    sup_norm_vector,
+    zero_scalar,
 )
 
 
@@ -56,10 +61,9 @@ def random_band_scalar(grid: Grid, seed: int, stream: int, band: int,
     mask = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band)
     c = np.where(mask, noise * env, 0.0)
     c[0, 0] = 0.0
-    c = 0.5 * (c + np.conj(c[(-np.arange(n)) % n][:, (-np.arange(n)) % n]))
+    c = _hermitian_part(c)
     f = SpectralScalar(grid, c)
-    phys = inverse_transform(f)
-    sup = float(np.max(np.abs(phys)))
+    sup = sup_norm(f)
     return SpectralScalar(grid, c * (sup_amplitude / sup)) if sup > 0 else f
 
 
@@ -88,33 +92,10 @@ def make_state(grid: Grid, seed: int, profile: str = "half_band",
     else:
         raise ValueError(f"unknown profile {profile!r}")
     u = biot_savart(om)
-    a = inverse_transform(u.x1)
-    b = inverse_transform(u.x2)
-    sup = float(np.max(np.sqrt(a * a + b * b)))
+    sup = sup_norm_vector(u)
     if sup > 0:
         u = u * (1.0 / sup)
     return FlowState(0.0, rho, u, epsilon=epsilon, odd_sign=odd_sign)
-
-
-def embed_state(state: FlowState, grid: Grid) -> FlowState:
-    """Re-discretize a state on a finer grid (same spectral coefficients)."""
-    if grid.n < state.grid.n:
-        raise ValueError("embedding only goes to finer grids")
-
-    def embed(f: SpectralScalar) -> SpectralScalar:
-        src = f.grid
-        c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        half = src.n // 2
-        c[:half, :half] = f.coeffs[:half, :half]
-        c[:half, grid.n - half:] = f.coeffs[:half, src.n - half:]
-        c[grid.n - half:, :half] = f.coeffs[src.n - half:, :half]
-        c[grid.n - half:, grid.n - half:] = f.coeffs[src.n - half:, src.n - half:]
-        return SpectralScalar(grid, c)
-
-    return FlowState(state.t, embed(state.rho_dev),
-                     SpectralVector(embed(state.u.x1), embed(state.u.x2),
-                                    divergence_free=state.u.divergence_free),
-                     state.epsilon, state.odd_sign)
 
 
 def restrict_state(state: FlowState, grid: Grid) -> FlowState:
@@ -124,15 +105,7 @@ def restrict_state(state: FlowState, grid: Grid) -> FlowState:
         raise ValueError("restriction only goes to coarser grids")
 
     def restrict(f: SpectralScalar) -> SpectralScalar:
-        src = f.grid
-        c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        half = grid.n // 2
-        c[:half, :half] = f.coeffs[:half, :half]
-        c[:half, grid.n - half:] = f.coeffs[:half, src.n - half:]
-        c[grid.n - half:, :half] = f.coeffs[src.n - half:, :half]
-        c[grid.n - half:, grid.n - half:] = f.coeffs[src.n - half:, src.n - half:]
-        out = SpectralScalar(grid, c)
-        return dealias(SpectralScalar(grid, out.coeffs * grid.keep_mask))
+        return dealias(SpectralScalar(grid, resample(f, grid).coeffs * grid.keep_mask))
 
     return FlowState(state.t, restrict(state.rho_dev),
                      SpectralVector(restrict(state.u.x1), restrict(state.u.x2),
@@ -149,22 +122,21 @@ def spectral_trend_state(seed: int, n_master: int = 256) -> FlowState:
                              sup_amplitude=0.2)
     om = random_band_scalar(grid, seed, 1, cut - 1, power=5.5)
     u = biot_savart(om)
-    a = inverse_transform(u.x1)
-    b = inverse_transform(u.x2)
-    sup = float(np.max(np.sqrt(a * a + b * b)))
+    sup = sup_norm_vector(u)
     if sup > 0:
         u = u * (1.0 / sup)
     return FlowState(0.0, rho, u)
 
 
+@dataclass(frozen=True)
 class CheckResult:
-    __slots__ = ("name", "value", "bound", "passed")
+    name: str
+    value: float
+    bound: float
 
-    def __init__(self, name, value, bound):
-        self.name = name
-        self.value = float(value)
-        self.bound = float(bound)
-        self.passed = bool(value <= bound)
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -236,8 +208,6 @@ def suite_pressure_split(grid: Grid, seed: int, count: int = 5) -> list[CheckRes
 
 def suite_homogeneous_gradient(grid: Grid, seed: int) -> list[CheckResult]:
     """For rho = 1 the odd stress is a pure gradient with potential -omega."""
-    from .spectral import zero_scalar
-
     st = make_state(grid, seed, "half_band")
     st = FlowState(0.0, zero_scalar(grid), st.u, odd_sign=st.odd_sign)
     stress = odd_stress_divergence(st, check=False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,12 +6,24 @@ import pytest
 
 from oddflow import app_io
 from oddflow.cli import cli
-from oddflow.errors import ValidationError
+from oddflow.errors import (
+    CancellationIdentityError,
+    GridMismatchError,
+    HermitianSymmetryError,
+    MeanModeError,
+    OddflowError,
+    ValidationError,
+)
 from oddflow.spectral import (
+    Grid,
+    SpectralScalar,
+    check_real,
     curl,
     inverse_transform,
     max_divergence_ratio,
+    sup_norm,
 )
+from oddflow.stepping import StepperConfig, step
 from oddflow.verify import make_state
 
 
@@ -72,6 +85,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match="band"):
             app_io.load_config(write_json(tmp_path, data))
 
+    @pytest.mark.parametrize("key,value", [
+        ("vacuum_floor", -1.0), ("vacuum_floor", 0.0), ("vacuum_floor", 1.0),
+        ("s", 0.5), ("s", 1.0),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must"):
+            app_io.load_config(write_json(tmp_path, minimal_config(**{key: value})))
+
 
 class TestScenarios:
     def test_steady_shear_curl(self, tmp_path):
@@ -113,6 +134,67 @@ class TestScenarios:
         assert abs(np.max(np.abs(dev)) - 0.4) < 1e-12
 
 
+def _random_scalar_loops(grid, seed, stream, band, sup_amplitude):
+    """Reference: random_scalar with the coefficients placed and made
+    Hermitian one mode at a time."""
+    rng = app_io._stream(seed, stream)
+    size = 2 * band + 1
+    noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    n = grid.n
+    c = np.zeros((n, n), dtype=np.complex128)
+    idx = np.arange(-band, band + 1)
+    for i, k1 in enumerate(idx):
+        for j, k2 in enumerate(idx):
+            c[k1 % n, k2 % n] = noise[i, j]
+    ch = np.zeros_like(c)
+    for k1 in idx:
+        for k2 in idx:
+            ch[k1 % n, k2 % n] = 0.5 * (c[k1 % n, k2 % n] + np.conj(c[-k1 % n, -k2 % n]))
+    ch[0, 0] = 0.0
+    return ch * (sup_amplitude / sup_norm(SpectralScalar(grid, ch)))
+
+
+class TestRealFields:
+    """Realness is checked only where data enters; the fields the program
+    builds itself must satisfy it."""
+
+    @pytest.mark.parametrize("scenario", [
+        {"name": "steady_shear"},
+        {"name": "density_wave", "a": 0.5},
+        {"name": "random_bandlimited", "a": 0.5},
+    ])
+    def test_scenario_initial_states(self, tmp_path, scenario):
+        cfg = app_io.load_config(write_json(tmp_path, minimal_config(scenario=scenario)))
+        st = app_io.init_scenario(cfg)
+        for f in (st.rho_dev, st.u.x1, st.u.x2):
+            check_real(f)
+
+    @pytest.mark.parametrize("profile", ["half_band", "full_band"])
+    def test_make_state_profiles(self, grid64, profile):
+        st = make_state(grid64, 3, profile)
+        for f in (st.rho_dev, st.u.x1, st.u.x2):
+            check_real(f)
+
+    def test_density_wave_after_two_steps(self, tmp_path):
+        data = minimal_config(scenario={"name": "density_wave", "a": 0.5})
+        st = app_io.init_scenario(app_io.load_config(write_json(tmp_path, data)))
+        cfg = StepperConfig(dt=0.01, t_end=1.0)
+        st = step(step(st, cfg), cfg)
+        for f in (st.rho_dev, st.u.x1, st.u.x2):
+            check_real(f)
+
+    def test_random_streams_pinned(self):
+        g = Grid(64)
+        rho = app_io.random_scalar(g, 2026, 2, 4, 1e-3)
+        assert hashlib.sha256(rho.coeffs.tobytes()).hexdigest()[:16] == "91eec1b2b65a1508"
+        u = app_io.random_divergence_free(g, 2026, 3, 4, 1e-3)
+        blob = u.x1.coeffs.tobytes() + u.x2.coeffs.tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "3aa85573395f6a27"
+        for n, band, seed in ((16, 2, 0), (32, 1, 5), (64, 8, 7)):
+            got = app_io.random_scalar(Grid(n), seed, 1, band, 0.4).coeffs
+            assert got.tobytes() == _random_scalar_loops(Grid(n), seed, 1, band, 0.4).tobytes()
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, grid64):
         st = make_state(grid64, 3, "full_band", epsilon=1e-3)
@@ -144,6 +226,17 @@ class TestCheckpoints:
         blob[6] += 1  # version + 1
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValidationError, match="version"):
+            app_io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [14, 38 + 16 * 5])  # t, a coefficient
+    def test_non_finite_rejected(self, tmp_path, grid64, offset):
+        st = make_state(grid64, 6, "half_band")
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(st, path)
+        blob = bytearray(open(path, "rb").read())
+        blob[offset:offset + 8] = np.float64(np.nan).tobytes()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValidationError, match="non-finite"):
             app_io.read_checkpoint(path)
 
     def test_truncated(self, tmp_path, grid64):
@@ -223,6 +316,43 @@ class TestCli:
         assert cli(["norms", path, "--s", "2.5"]) == 0
         out = capsys.readouterr().out
         assert "rho-1" in out and "theta" in out
+
+    def _assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_norms_nan_checkpoint(self, tmp_path, grid64, capsys):
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(make_state(grid64, 8, "half_band"), path)
+        blob = bytearray(open(path, "rb").read())
+        blob[-8:] = np.float64(np.nan).tobytes()
+        open(path, "wb").write(bytes(blob))
+        assert cli(["norms", path]) == 1
+        self._assert_one_line_error(capsys)
+
+    def test_norms_broken_symmetry_checkpoint(self, tmp_path, grid64, capsys):
+        st = make_state(grid64, 8, "half_band")
+        st.rho_dev.coeffs[2, 1] += 0.1  # no matching change at (-2, -1)
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(st, path)
+        assert cli(["norms", path]) == 1
+        self._assert_one_line_error(capsys)
+
+    def test_norms_missing_checkpoint(self, tmp_path, capsys):
+        assert cli(["norms", str(tmp_path / "missing.bin")]) == 1
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("exc,code", [
+        (HermitianSymmetryError, 1), (GridMismatchError, 1), (MeanModeError, 1),
+        (CancellationIdentityError, 2), (OddflowError, 2),
+    ])
+    def test_package_errors_end_in_one_line(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc("injected failure")
+        monkeypatch.setattr("oddflow.cli.cmd_verify", fail)
+        assert cli(["verify"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "injected failure" in err, err
 
     def test_twin_subcommand(self, tmp_path):
         out = tmp_path / "out"

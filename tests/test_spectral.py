@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from oddflow import app_io
+from oddflow.dynamics import FlowState
 from oddflow.errors import GridMismatchError, HermitianSymmetryError, MeanModeError
 from oddflow.spectral import (
     Grid,
     SpectralScalar,
     SpectralVector,
     biot_savart,
+    check_real,
     constant_scalar,
     curl,
     dealias,
@@ -100,11 +103,16 @@ class TestTransforms:
         with pytest.raises(GridMismatchError):
             forward_transform(grid16, np.zeros((8, 8)))
 
-    def test_broken_hermitian_symmetry(self, grid16):
+    def test_broken_hermitian_symmetry(self, grid16, tmp_path):
         f = zero_scalar(grid16)
         f.coeffs[1, 0] = 1.0  # no conjugate partner
         with pytest.raises(HermitianSymmetryError):
-            inverse_transform(f)
+            check_real(f)
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(
+            FlowState(0.0, f, SpectralVector(zero_scalar(grid16), zero_scalar(grid16))), path)
+        with pytest.raises(HermitianSymmetryError):
+            app_io.read_checkpoint(path)
 
     def test_plancherel(self, grid32):
         f = random_band_field(grid32, 11)
