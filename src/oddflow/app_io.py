@@ -10,6 +10,7 @@ are not all finite or whose coefficients are not those of real fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .spectral import (
     biot_savart,
     check_real,
     dealias,
+    dealias_vector,
     sup_norm,
     sup_norm_vector,
     zero_scalar,
@@ -97,6 +99,9 @@ def validate_config(data: dict) -> RunConfig:
     for key, value in data.items():
         if not _type_ok(value, _TOP_KEYS[key]):
             raise ValidationError(f"config key {key!r} has the wrong type")
+    for key, value in [*data.items(), *data["scenario"].items()]:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"config key {key!r} must be finite, got {value}")
 
     n = data["grid_n"]
     if n < 8 or n % 2 != 0:
@@ -186,9 +191,7 @@ def random_scalar(grid: Grid, seed: int, stream: int, band: int,
     c[0, 0] = 0.0
     f = SpectralScalar(grid, c)
     sup = sup_norm(f)
-    if sup == 0.0:
-        return f
-    return SpectralScalar(grid, c * (sup_amplitude / sup))
+    return f if sup == 0.0 else f * (sup_amplitude / sup)
 
 
 def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
@@ -197,8 +200,7 @@ def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
     stream function of a random band-limited vorticity."""
     u = biot_savart(random_scalar(grid, seed, stream, band, 1.0))
     sup = sup_norm_vector(u)
-    scale = sup_amplitude / sup if sup > 0 else 0.0
-    return SpectralVector(u.x1 * scale, u.x2 * scale, divergence_free=True)
+    return u * (sup_amplitude / sup if sup > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def _steady_shear(grid: Grid) -> tuple[SpectralScalar, SpectralVector]:
     u2 = zero_scalar(grid)
     u2.coeffs[1 % grid.n, 0] = -0.5j   # sin(x1)
     u2.coeffs[-1 % grid.n, 0] = 0.5j
-    return zero_scalar(grid), SpectralVector(zero_scalar(grid), u2, divergence_free=True)
+    return zero_scalar(grid), SpectralVector(zero_scalar(grid), u2)
 
 
 def _density_wave(grid: Grid, a: float) -> tuple[SpectralScalar, SpectralVector]:
@@ -248,9 +250,8 @@ def init_scenario(config: RunConfig) -> FlowState:
             float(scen.get("u_amplitude", 1.0)), config.seed)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
-    return FlowState(0.0, dealias(rho), SpectralVector(
-        dealias(u.x1), dealias(u.x2), divergence_free=True),
-        epsilon=config.epsilon, odd_sign=config.odd_sign)
+    return FlowState(0.0, dealias(rho), dealias_vector(u),
+                     epsilon=config.epsilon, odd_sign=config.odd_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +302,7 @@ def read_checkpoint(path: str) -> FlowState:
         coeffs = (pairs[0::2] + 1j * pairs[1::2]).reshape(n, n)
         fields.append(SpectralScalar(grid, coeffs.copy()))
         check_real(fields[-1])
-    return FlowState(t, fields[0],
-                     SpectralVector(fields[1], fields[2], divergence_free=True),
+    return FlowState(t, fields[0], SpectralVector(fields[1], fields[2]),
                      epsilon=epsilon, odd_sign=odd_sign)
 
 

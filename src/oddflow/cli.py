@@ -99,13 +99,10 @@ def cmd_twin(args) -> int:
     records = diagnostics.twin_run_stability(state, scfg, drho, du,
                                              observe_every=cfg.observe_every)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    lines = ["t,D,Theta"]
-    for rec in records:
-        lines.append(",".join(app_io.format_number(v)
-                              for v in (rec.t, rec.D, rec.Theta)))
     path = os.path.join(cfg.output_dir, "twin.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(app_io.diagnostics_csv([(r.t, r.D, r.Theta) for r in records],
+                                        ("t", "D", "Theta")))
     print(f"D(0) = {records[0].D:.6e}  D(T) = {records[-1].D:.6e}  -> {path}")
     return 0
 
@@ -120,17 +117,15 @@ def cmd_sweep_eps(args) -> int:
     scfg = _stepper_config(cfg)
     table = diagnostics.epsilon_sweep(state, scfg, eps_list)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    lines = ["eps_high,eps_low,u_distance,rho_distance"]
     print(f"{'eps_high':>12} {'eps_low':>12} {'|du|_L2':>14} {'|drho|_L2':>14}")
     for row in table:
         print(f"{row['eps_high']:12.3e} {row['eps_low']:12.3e} "
               f"{row['u_distance']:14.6e} {row['rho_distance']:14.6e}")
-        lines.append(",".join(app_io.format_number(v) for v in
-                              (row["eps_high"], row["eps_low"],
-                               row["u_distance"], row["rho_distance"])))
+    columns = ("eps_high", "eps_low", "u_distance", "rho_distance")
     path = os.path.join(cfg.output_dir, "sweep_eps.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(app_io.diagnostics_csv([[row[c] for c in columns] for row in table],
+                                        columns))
     print(f"table -> {path}")
     return 0
 

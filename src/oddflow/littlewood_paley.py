@@ -15,6 +15,7 @@ multipliers, so S_j f = sum of blocks below j holds exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -71,15 +72,9 @@ class DyadicPartition:
         return self.block_mults[j + 1]
 
 
-_partition_cache: dict[int, DyadicPartition] = {}
-
-
+@functools.cache
 def build_partition(grid: Grid) -> DyadicPartition:
-    part = _partition_cache.get(grid.n)
-    if part is None:
-        part = DyadicPartition(grid)
-        _partition_cache[grid.n] = part
-    return part
+    return DyadicPartition(grid)
 
 
 def partition_of_unity_error(part: DyadicPartition) -> float:
@@ -91,7 +86,7 @@ def partition_of_unity_error(part: DyadicPartition) -> float:
 
 def dyadic_block(f: SpectralScalar, j: int) -> SpectralScalar:
     part = build_partition(f.grid)
-    return SpectralScalar(f.grid, f.coeffs * part.block_multiplier(j))
+    return f * part.block_multiplier(j)
 
 
 def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
@@ -99,7 +94,7 @@ def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
     part = build_partition(f.grid)
     if j < 0 or j > part.j_max + 1:
         raise ValidationError(f"cutoff index {j} outside [0, {part.j_max + 1}]")
-    return SpectralScalar(f.grid, f.coeffs * part.low_mults[j])
+    return f * part.low_mults[j]
 
 
 class DyadicDecomposition:
@@ -109,9 +104,7 @@ class DyadicDecomposition:
         part = build_partition(f.grid)
         self.grid = f.grid
         self.j_max = part.j_max
-        self.blocks = [
-            SpectralScalar(f.grid, f.coeffs * m) for m in part.block_mults
-        ]
+        self.blocks = [f * m for m in part.block_mults]
 
     def block(self, j: int) -> SpectralScalar:
         if j < -1 or j > self.j_max:
@@ -119,10 +112,7 @@ class DyadicDecomposition:
         return self.blocks[j + 1]
 
     def reconstruct(self) -> SpectralScalar:
-        out = self.blocks[0].coeffs.copy()
-        for b in self.blocks[1:]:
-            out += b.coeffs
-        return SpectralScalar(self.grid, out)
+        return sum(self.blocks[1:], self.blocks[0])
 
 
 def decompose(f: SpectralScalar) -> DyadicDecomposition:

@@ -21,7 +21,6 @@ from .littlewood_paley import build_partition
 from .spectral import (
     SpectralScalar,
     SpectralVector,
-    curl,
     dealias,
     dealias_vector,
     divergence,
@@ -29,6 +28,7 @@ from .spectral import (
     inverse_transform,
     laplacian,
     l2_norm_vector,
+    physical,
     product_physical,
 )
 
@@ -200,8 +200,7 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
 
     # Phi_1 = -grad(log rho) . grad(pi)
     L1, L2 = fl.grad_log_rho_phys
-    p1 = inverse_transform(pressure_solution.grad_pi.x1)
-    p2 = inverse_transform(pressure_solution.grad_pi.x2)
+    p1, p2 = physical(pressure_solution.grad_pi)
     phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
@@ -216,15 +215,6 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
 
     phi = phi1 + phi2 - sigma * phi3
 
-    part = build_partition(g)
-    low_mult = part.block_multiplier(-1)
+    low_mult = build_partition(g).block_multiplier(-1)
     high_mult = (1.0 - low_mult) * g.inv_k_sq
-    direct = pressure_solution.grad_pi_minus_rho_omega
-
-    out = []
-    for comp in (0, 1):
-        kk = g.k1 if comp == 0 else g.k2
-        hi = 1j * kk * (high_mult * phi.coeffs)
-        lo = low_mult * (direct.x1.coeffs if comp == 0 else direct.x2.coeffs)
-        out.append(SpectralScalar(g, hi + lo))
-    return SpectralVector(out[0], out[1])
+    return gradient(phi * high_mult) + pressure_solution.grad_pi_minus_rho_omega * low_mult

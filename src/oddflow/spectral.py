@@ -112,22 +112,21 @@ class SpectralScalar:
 
 
 class SpectralVector:
-    """Pair of scalar components; divergence_free is advisory."""
+    """Pair of scalar components."""
 
-    __slots__ = ("x1", "x2", "divergence_free")
+    __slots__ = ("x1", "x2")
 
-    def __init__(self, x1: SpectralScalar, x2: SpectralScalar, divergence_free: bool = False):
+    def __init__(self, x1: SpectralScalar, x2: SpectralScalar):
         _check_same_grid(x1, x2)
         self.x1 = x1
         self.x2 = x2
-        self.divergence_free = divergence_free
 
     @property
     def grid(self) -> Grid:
         return self.x1.grid
 
     def copy(self) -> "SpectralVector":
-        return SpectralVector(self.x1.copy(), self.x2.copy(), self.divergence_free)
+        return SpectralVector(self.x1.copy(), self.x2.copy())
 
     def __add__(self, other):
         return SpectralVector(self.x1 + other.x1, self.x2 + other.x2)
@@ -136,12 +135,12 @@ class SpectralVector:
         return SpectralVector(self.x1 - other.x1, self.x2 - other.x2)
 
     def __mul__(self, c):
-        return SpectralVector(self.x1 * c, self.x2 * c, self.divergence_free)
+        return SpectralVector(self.x1 * c, self.x2 * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralVector(-self.x1, -self.x2, self.divergence_free)
+        return SpectralVector(-self.x1, -self.x2)
 
 
 def _check_same_grid(a, b):
@@ -174,6 +173,11 @@ def inverse_transform(f: SpectralScalar) -> np.ndarray:
     n = f.grid.n
     phys = _fft.ifft2(f.coeffs * (n**2), workers=fft_workers())
     return np.ascontiguousarray(phys.real)
+
+
+def physical(F: SpectralVector) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of both components of a vector field."""
+    return inverse_transform(F.x1), inverse_transform(F.x2)
 
 
 def check_real(f: SpectralScalar) -> None:
@@ -229,7 +233,6 @@ def perp_gradient(f: SpectralScalar) -> SpectralVector:
     return SpectralVector(
         SpectralScalar(g, -1j * g.k2 * f.coeffs),
         SpectralScalar(g, 1j * g.k1 * f.coeffs),
-        divergence_free=True,
     )
 
 
@@ -253,11 +256,11 @@ def bilaplacian(f: SpectralScalar) -> SpectralScalar:
 
 
 def vector_laplacian(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(laplacian(F.x1), laplacian(F.x2), F.divergence_free)
+    return SpectralVector(laplacian(F.x1), laplacian(F.x2))
 
 
 def vector_bilaplacian(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(bilaplacian(F.x1), bilaplacian(F.x2), F.divergence_free)
+    return SpectralVector(bilaplacian(F.x1), bilaplacian(F.x2))
 
 
 def perp(F: SpectralVector) -> SpectralVector:
@@ -288,7 +291,7 @@ def biot_savart(omega: SpectralScalar) -> SpectralVector:
     psi = omega.coeffs * g.inv_k_sq  # (-Lap)^{-1} omega
     u1 = SpectralScalar(g, 1j * g.k2 * psi)
     u2 = SpectralScalar(g, -1j * g.k1 * psi)
-    return SpectralVector(u1, u2, divergence_free=True)
+    return SpectralVector(u1, u2)
 
 
 def leray_project(F: SpectralVector) -> tuple[SpectralVector, SpectralVector]:
@@ -303,7 +306,6 @@ def leray_project(F: SpectralVector) -> tuple[SpectralVector, SpectralVector]:
     p_part = SpectralVector(
         SpectralScalar(g, F.x1.coeffs - q1),
         SpectralScalar(g, F.x2.coeffs - q2),
-        divergence_free=True,
     )
     q_part = SpectralVector(SpectralScalar(g, q1), SpectralScalar(g, q2))
     return p_part, q_part
@@ -320,7 +322,7 @@ def dealias(f: SpectralScalar) -> SpectralScalar:
 
 
 def dealias_vector(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(dealias(F.x1), dealias(F.x2), F.divergence_free)
+    return SpectralVector(dealias(F.x1), dealias(F.x2))
 
 
 def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
@@ -349,6 +351,13 @@ def l2_norm(f: SpectralScalar) -> float:
 def l2_norm_vector(F: SpectralVector) -> float:
     s = np.sum(np.abs(F.x1.coeffs) ** 2) + np.sum(np.abs(F.x2.coeffs) ** 2)
     return 2.0 * np.pi * float(np.sqrt(s))
+
+
+def mismatch(a, b) -> float:
+    """Relative gap ||a - b|| / max(||a||, ||b||, 1) of two scalar fields or
+    of two vector fields."""
+    norm = l2_norm_vector if isinstance(a, SpectralVector) else l2_norm
+    return norm(a - b) / max(norm(a), norm(b), 1.0)
 
 
 def inner_product(f: SpectralScalar, g: SpectralScalar) -> float:

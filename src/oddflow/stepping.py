@@ -18,13 +18,7 @@ import numpy as np
 from .dynamics import Fields, FlowState, density_bounds, density_rhs, momentum_rhs
 from .errors import RuntimeAbort
 from .pressure import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_pressure
-from .spectral import (
-    SpectralScalar,
-    SpectralVector,
-    dealias,
-    leray_project,
-    sup_norm_vector,
-)
+from .spectral import dealias_vector, leray_project, sup_norm_vector
 
 CFL_CAP = 1e6
 
@@ -82,21 +76,9 @@ def _stage_rhs(state: FlowState, config: StepperConfig):
     rhs_u = momentum_rhs(state, psol.grad_pi, fields=fl,
                          include_odd=config.include_odd)
     if state.epsilon > 0.0:
-        g = state.grid
-        stiff = state.epsilon * g.k_sq**2
-        rhs_u = SpectralVector(
-            SpectralScalar(g, rhs_u.x1.coeffs + stiff * dealias(state.u.x1).coeffs),
-            SpectralScalar(g, rhs_u.x2.coeffs + stiff * dealias(state.u.x2).coeffs),
-        )
+        rhs_u = rhs_u + dealias_vector(state.u) * (state.epsilon * state.grid.k_sq**2)
     rhs_rho = density_rhs(state, fl)
     return rhs_rho, rhs_u
-
-
-def _apply_factor(u: SpectralVector, fac: np.ndarray) -> SpectralVector:
-    g = u.grid
-    return SpectralVector(SpectralScalar(g, fac * u.x1.coeffs),
-                          SpectralScalar(g, fac * u.x2.coeffs),
-                          u.divergence_free)
 
 
 def _check_finite(state: FlowState):
@@ -124,22 +106,19 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     kr1, ku1 = _stage_rhs(state, config)
 
     r_a = r0 + (h / 2.0) * kr1
-    u_a = _apply_factor(u0 + (h / 2.0) * ku1, E)
+    u_a = (u0 + (h / 2.0) * ku1) * E
     kr2, ku2 = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma), config)
 
     r_b = r0 + (h / 2.0) * kr2
-    u_b = _apply_factor(u0, E) + (h / 2.0) * ku2
+    u_b = u0 * E + (h / 2.0) * ku2
     kr3, ku3 = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma), config)
 
     r_c = r0 + h * kr3
-    u_c = _apply_factor(u0, E2) + h * _apply_factor(ku3, E)
+    u_c = u0 * E2 + h * (ku3 * E)
     kr4, ku4 = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma), config)
 
     r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-    u_new = (_apply_factor(u0, E2)
-             + (h / 6.0) * (_apply_factor(ku1, E2)
-                            + 2.0 * _apply_factor(ku2 + ku3, E)
-                            + ku4))
+    u_new = u0 * E2 + (h / 6.0) * (ku1 * E2 + 2.0 * ((ku2 + ku3) * E) + ku4)
     u_new, _ = leray_project(u_new)
 
     out = FlowState(t + h, r_new, u_new, eps, sigma)

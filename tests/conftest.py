@@ -28,8 +28,7 @@ def shear_state_fields(grid):
     u2 = zero_scalar(grid)
     u2.coeffs[1, 0] = -0.5j
     u2.coeffs[-1, 0] = 0.5j
-    return zero_scalar(grid), SpectralVector(zero_scalar(grid), u2,
-                                             divergence_free=True)
+    return zero_scalar(grid), SpectralVector(zero_scalar(grid), u2)
 
 
 def dft_oracle(samples):

@@ -41,8 +41,7 @@ class TestConservationReport:
 
     def test_rest(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         assert conservation_report(st).kinetic == 0.0
 
     def test_density_bounds(self, grid64):
@@ -67,8 +66,7 @@ class TestEnergyFunctionals:
 
     def test_rest_zero(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         E, F, G = energy_functionals(st, 2.5)
         assert E == 0.0 and F == 0.0 and G == 0.0
 
@@ -101,8 +99,7 @@ class TestNormEquivalenceRatios:
     def test_zero_state(self, grid64):
         from oddflow.diagnostics import norm_equivalence_ratios
         st = FlowState(0.0, zero_scalar(grid64),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         assert norm_equivalence_ratios(st, 2.5) == (0.0, 0.0)
 
 
@@ -116,8 +113,7 @@ class TestContinuationMonitor:
 
     def test_rest_zero(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         psol = solve_pressure(st)
         M, Mt = continuation_monitor(st, psol, 2.5)
         assert M == 0.0 and Mt == 0.0

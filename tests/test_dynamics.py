@@ -85,8 +85,7 @@ class TestOddStress:
 
     def test_zero_velocity(self, grid64):
         st = FlowState(0.0, forward_transform(grid64, 0.3 * np.cos(grid64.x1)),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         assert l2_norm_vector(odd_stress_divergence(st)) == 0.0
 
     def test_odd_sign_flips(self, grid64):
@@ -168,8 +167,7 @@ class TestGoodUnknowns:
     def test_rest_state(self, grid64):
         rho = forward_transform(grid64, 0.5 * np.cos(grid64.x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         gu = good_unknowns(st)
         assert l2_norm(gu.eta) < 1e-14
         assert np.max(np.abs(inverse_transform(gu.theta) - 0.5 * np.cos(grid64.x2))) < 1e-13
@@ -198,8 +196,7 @@ class TestMomentumRhs:
     def test_rest_state(self, grid64):
         rho = forward_transform(grid64, 0.25 * np.cos(grid64.x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         psol = solve_pressure(st)
         assert l2_norm_vector(psol.grad_pi) < 1e-13
         assert l2_norm_vector(momentum_rhs(st, psol.grad_pi)) < 1e-13
@@ -224,8 +221,7 @@ class TestThetaOmegaRhs:
     def test_theta_rest(self, grid64):
         rho = forward_transform(grid64, 0.25 * np.cos(grid64.x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         assert l2_norm(theta_rhs(st)) < 1e-14
 
     def test_theta_eps_decay(self, grid64):
@@ -296,8 +292,7 @@ class TestResiduals:
     def test_rest_residual_zero(self, grid64):
         rho = forward_transform(grid64, 0.2 * np.cos(grid64.x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         psol = solve_pressure(st)
         assert residual_omega(st, psol) == 0.0
 

@@ -93,6 +93,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{key} must"):
             app_io.load_config(write_json(tmp_path, minimal_config(**{key: value})))
 
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", float("nan")), ("t_end", float("inf")),
+        ("dt", float("nan")), ("dt", float("inf")),
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("u_amplitude", float("nan")), ("u_amplitude", float("inf")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        data = minimal_config()
+        if key == "u_amplitude":
+            data["scenario"] = {"name": "random_bandlimited", "a": 0.3, key: value}
+        else:
+            data[key] = value
+        with pytest.raises(ValidationError, match=f"{key}' must be finite"):
+            app_io.load_config(write_json(tmp_path, data))
+
 
 class TestScenarios:
     def test_steady_shear_curl(self, tmp_path):
@@ -320,6 +335,12 @@ class TestCli:
     def _assert_one_line_error(self, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key,value", [("t_end", float("nan")), ("dt", float("inf"))])
+    def test_run_non_finite_config(self, tmp_path, capsys, key, value):
+        data = minimal_config(output_dir=str(tmp_path / "out"), **{key: value})
+        assert cli(["run", "--config", write_json(tmp_path, data)]) == 1
+        self._assert_one_line_error(capsys)
 
     def test_norms_nan_checkpoint(self, tmp_path, grid64, capsys):
         path = str(tmp_path / "state.bin")

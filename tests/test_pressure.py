@@ -115,8 +115,7 @@ class TestSolvePressure:
     def test_zero_velocity(self, grid64):
         rho = forward_transform(grid64, 0.3 * np.cos(grid64.x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         ps = solve_pressure(st)
         assert l2_norm_vector(ps.grad_pi) < 1e-13
 
@@ -160,8 +159,7 @@ class TestPressureSplit:
     def test_zero_velocity(self, grid64):
         rho = forward_transform(grid64, 0.3 * np.cos(grid64.x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         ps = solve_pressure(st)
         via = pressure_split_via_phi(st, ps)
         assert l2_norm_vector(via) < 1e-12

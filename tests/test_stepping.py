@@ -37,8 +37,7 @@ class TestLinearFactor:
 class TestCfl:
     def test_rest_state_capped(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
-                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64),
-                                      divergence_free=True))
+                       SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         assert cfl_dt(st) == 1e6
 
     def test_unit_shear_bound(self):
@@ -79,8 +78,7 @@ class TestStep:
     def test_rest_state(self, grid64):
         rho = forward_transform(grid64, 0.2 * np.cos(grid64.x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
-                                                zero_scalar(grid64),
-                                                divergence_free=True))
+                                                zero_scalar(grid64)))
         out = step(st, StepperConfig(dt=0.01, t_end=1.0))
         assert l2_norm(out.rho_dev - st.rho_dev) < 1e-14
         assert l2_norm_vector(out.u) < 1e-14
