@@ -67,19 +67,20 @@ class StabilityRecord:
     Theta: float
 
 
-def kinetic_energy(state: FlowState) -> float:
+def kinetic_energy(state: FlowState, fields: Fields | None = None) -> float:
     """||sqrt(rho) u||_{L2}^2 evaluated on the grid."""
-    fl = Fields(state)
+    fl = fields if fields is not None else Fields(state)
     u1, u2 = fl.u_phys
     h2 = (2.0 * np.pi / state.grid.n) ** 2
     return float(np.sum(fl.rho_phys * (u1 * u1 + u2 * u2)) * h2)
 
 
-def conservation_report(state: FlowState) -> DiagnosticsRecord:
+def conservation_report(state: FlowState,
+                        fields: Fields | None = None) -> DiagnosticsRecord:
     rmin, rmax = density_bounds(state)
     return DiagnosticsRecord(
         t=state.t,
-        kinetic=kinetic_energy(state),
+        kinetic=kinetic_energy(state, fields),
         rho_l2=l2_norm(state.rho_dev),
         rho_min=rmin,
         rho_max=rmax,
@@ -148,15 +149,15 @@ def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     """Full diagnostics row for one state (solves the pressure afresh)."""
     fl = Fields(state)
     psol = solve_pressure(state, fields=fl)
-    gu = good_unknowns(state, check=False)
+    gu = good_unknowns(state, check=False, fields=fl)
     E, F, G = energy_functionals(state, s, unknowns=gu)
     M, Mt = continuation_monitor(state, psol, s)
-    rec = conservation_report(state)
+    rec = conservation_report(state, fl)
     rec.E, rec.F, rec.G = E, F, G
     rec.M_integrand, rec.Mtilde_integrand = M, Mt
     rec.pressure_iterations = psol.iterations
-    rec.theta_residual = residual_theta(state, psol.grad_pi)
-    rec.omega_residual = residual_omega(state, psol)
+    rec.theta_residual = residual_theta(state, psol.grad_pi, fields=fl)
+    rec.omega_residual = residual_omega(state, psol, fields=fl)
     return rec
 
 

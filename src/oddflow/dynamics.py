@@ -95,6 +95,12 @@ class Fields:
         self.grid = state.grid
         self.vacuum_floor = vacuum_floor
 
+    def release(self) -> None:
+        """Drop every cached array; a later read recomputes it."""
+        for name, attr in vars(Fields).items():
+            if isinstance(attr, cached_property):
+                self.__dict__.pop(name, None)
+
     # --- density -----------------------------------------------------
     @cached_property
     def rho_phys(self) -> np.ndarray:
@@ -255,10 +261,11 @@ def bilinear_B(v: SpectralVector, alpha: SpectralScalar, check: bool = True) -> 
     return out
 
 
-def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
+def trilinear_T(state: FlowState, check: bool = True,
+                fields: Fields | None = None) -> SpectralScalar:
     """grad_perp(rho) . grad(|u|^2), checked against the expanded cubic form
     -2 (u2 d1u.grad rho - u1 d2u.grad rho)."""
-    fl = Fields(state)
+    fl = fields if fields is not None else Fields(state)
     g = state.grid
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
@@ -278,13 +285,14 @@ def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
     return left
 
 
-def good_unknowns(state: FlowState, check: bool = True) -> GoodUnknowns:
+def good_unknowns(state: FlowState, check: bool = True,
+                  fields: Fields | None = None) -> GoodUnknowns:
     """omega = curl u, eta = curl(rho u), theta = eta - Lap rho.
 
     eta is built as the curl of the dealiased momentum and cross-checked
     against rho*omega + grad_perp(rho).u.
     """
-    fl = Fields(state)
+    fl = fields if fields is not None else Fields(state)
     g = state.grid
     u1, u2 = fl.u_phys
     rho = fl.rho_phys
@@ -352,12 +360,12 @@ def theta_rhs(state: FlowState, fields: Fields | None = None,
     g = state.grid
     sigma = state.odd_sign
 
-    gu = good_unknowns(state, check=check)
+    gu = good_unknowns(state, check=check, fields=fl)
     t1, t2 = physical(gradient(dealias(gu.theta)))
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
 
-    tri = trilinear_T(state, check=check)
+    tri = trilinear_T(state, check=check, fields=fl)
     bil = bilinear_B(state.u, state.rho_dev, check=check)
 
     rhs = -1.0 * adv + 0.5 * tri + sigma * bil
@@ -425,9 +433,10 @@ def omega_rhs(state: FlowState, pressure_solution, fields: Fields | None = None,
 # residual verifiers (two independent assemblies of the same time derivative)
 
 
-def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
+def residual_theta(state: FlowState, grad_pi: SpectralVector,
+                   fields: Fields | None = None) -> float:
     """||theta_rhs - product-rule assembly|| / max(||a||, ||b||, 1)."""
-    fl = Fields(state)
+    fl = fields if fields is not None else Fields(state)
     a = theta_rhs(state, fields=fl, check=False)
 
     g = state.grid
@@ -443,9 +452,10 @@ def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
     return mismatch(a, b)
 
 
-def residual_omega(state: FlowState, pressure_solution) -> float:
+def residual_omega(state: FlowState, pressure_solution,
+                   fields: Fields | None = None) -> float:
     """||omega_rhs - curl(momentum_rhs)|| / max(||a||, ||b||, 1)."""
-    fl = Fields(state)
+    fl = fields if fields is not None else Fields(state)
     a = omega_rhs(state, pressure_solution, fields=fl, check=False)
     b = curl(momentum_rhs(state, pressure_solution.grad_pi, fields=fl))
     return mismatch(a, b)

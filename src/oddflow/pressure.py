@@ -4,12 +4,19 @@ regular combination grad(pi - sign*rho*omega).
 The elliptic problem -div(a grad Pi) = div F is solved by conjugate
 gradients on the mean-zero scalar potential, preconditioned by the exact
 inverse Laplacian; curl-freeness of the returned gradient is exact because
-the unknown is the potential.  Solves are cold-started and use fixed-order
-reductions, so identical inputs give bit-identical results.
+the unknown is the potential.  Every field is real, so the CG runs on the
+rfft2 half-spectrum (columns k2 = 0..n/2): the operator costs two irfft2
+and two rfft2 per iteration, and inner products and norms weight the
+self-conjugate columns k2 = 0 and n/2 by 1 and every other column by 2,
+which gives the full-spectrum L2 values (Plancherel for real fields), so
+the tolerance keeps its meaning.  The potential is expanded to the full
+Hermitian spectrum once, after the loop.  Solves are cold-started and use
+fixed-order reductions, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +26,19 @@ from .dynamics import Fields, FlowState
 from .errors import ConvergenceError, OddflowError, ValidationError
 from .littlewood_paley import build_partition
 from .spectral import (
+    Grid,
     SpectralScalar,
     SpectralVector,
     dealias,
-    dealias_vector,
     divergence,
+    fft_workers,
     gradient,
     inverse_transform,
     laplacian,
     l2_norm_vector,
     physical,
     product_physical,
+    zero_scalar,
 )
 
 DEFAULT_TOL = 1e-11
@@ -48,9 +57,53 @@ class PressureSolution:
     odd_sign: float = 1.0
 
 
+@dataclass(frozen=True)
+class HalfSpectrum:
+    """Per-grid multipliers of the CG on the rfft2 half-spectrum, whose
+    n x (n/2+1) arrays hold the columns k2 = 0, ..., n/2 of a real field.
+
+    ik1 and ik2 are 1j*k1 and 1j*k2 restricted to the dealiased band
+    without the Nyquist modes; inv_lap is (-Lap)^{-1} on that band.  Each
+    column k2 in 1..n/2-1 stands for itself and its conjugate column -k2,
+    so reductions count it twice and the self-conjugate columns k2 = 0 and
+    k2 = n/2 once; with that weight they equal the full-spectrum sums.
+    """
+
+    ik1: np.ndarray
+    ik2: np.ndarray
+    inv_lap: np.ndarray
+    weight: np.ndarray
+
+    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Re sum over the full spectrum of x * conj(y), from half-spectra."""
+        return float(np.sum(np.real(x * np.conj(y)) * self.weight))
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """Full Hermitian n x n spectrum whose columns 0..n/2 are x."""
+        n = x.shape[0]
+        full = np.empty((n, n), dtype=np.complex128)
+        full[:, :n // 2 + 1] = x
+        # coeff(k1, -k2) = conj(coeff(-k1, k2)) for k2 = n/2-1, ..., 1
+        full[:, n // 2 + 1:] = np.conj(np.roll(x[::-1, n // 2 - 1:0:-1], 1, axis=0))
+        return full
+
+
+@functools.cache
+def half_spectrum(grid: Grid) -> HalfSpectrum:
+    """The CG multipliers of this grid, built once."""
+    h = grid.n // 2 + 1
+    band = (grid.dealias_mask & grid.keep_mask)[:, :h]
+    weight = np.full(h, 2.0)
+    weight[0] = weight[-1] = 1.0
+    return HalfSpectrum(1j * grid.k1[:, :h] * band,
+                        1j * grid.k2[:, :h] * band,
+                        grid.inv_k_sq[:, :h] * band, weight)
+
+
 def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
                               tol: float, max_iter: int):
-    """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials.
+    """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
+    run on the half-spectrum.
 
     Returns (Pi, iterations, relative residual)."""
     grid = a.grid
@@ -63,39 +116,28 @@ def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
 
-    k1, k2 = grid.k1, grid.k2
-    mask = grid.dealias_mask & grid.keep_mask
-    n2 = grid.n**2
-
-    from .spectral import fft_workers
+    hs = half_spectrum(grid)
+    ik1, ik2, dot = hs.ik1, hs.ik2, hs.inner
+    shape = (grid.n, grid.n)
     w = fft_workers()
 
     def apply_op(pi_hat):
-        p1 = _fft.ifft2(1j * k1 * pi_hat * n2, workers=w).real
-        p2 = _fft.ifft2(1j * k2 * pi_hat * n2, workers=w).real
-        f1 = _fft.fft2(a_phys * p1, workers=w) / n2
-        f2 = _fft.fft2(a_phys * p2, workers=w) / n2
-        f1[~mask] = 0.0
-        f2[~mask] = 0.0
-        out = -(1j * k1 * f1 + 1j * k2 * f2)
-        out[0, 0] = 0.0
-        return out
+        # norm="forward" puts the 1/n^2 of the amplitude convention on rfft2
+        p1 = _fft.irfft2(ik1 * pi_hat, s=shape, norm="forward", workers=w)
+        p2 = _fft.irfft2(ik2 * pi_hat, s=shape, norm="forward", workers=w)
+        f1 = _fft.rfft2(a_phys * p1, norm="forward", workers=w)
+        f2 = _fft.rfft2(a_phys * p2, norm="forward", workers=w)
+        return -(ik1 * f1 + ik2 * f2)
 
-    b = divergence(dealias_vector(F)).coeffs.copy()
-    b[~mask] = 0.0
-    b[0, 0] = 0.0
-    b_norm = float(np.sqrt(np.sum(np.abs(b) ** 2)))
+    h = grid.n // 2 + 1
+    b = ik1 * F.x1.coeffs[:, :h] + ik2 * F.x2.coeffs[:, :h]
+    b_norm = float(np.sqrt(dot(b, b)))
     if b_norm == 0.0:
-        return SpectralScalar(grid, np.zeros_like(b)), 0, 0.0
-
-    inv_lap = grid.inv_k_sq
-
-    def dot(x, y):
-        return float(np.real(np.sum(x * np.conj(y))))
+        return zero_scalar(grid), 0, 0.0
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = r * inv_lap
+    z = r * hs.inv_lap
     p = z.copy()
     rz = dot(r, z)
     res = 1.0
@@ -109,10 +151,10 @@ def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
         alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
-        res = float(np.sqrt(np.sum(np.abs(r) ** 2))) / b_norm
+        res = float(np.sqrt(dot(r, r))) / b_norm
         if res <= tol:
             break
-        z = r * inv_lap
+        z = r * hs.inv_lap
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -121,7 +163,7 @@ def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
             f"pressure CG did not reach tol {tol:.1e} in {max_iter} iterations "
             f"(residual {res:.3e})")
 
-    pi = SpectralScalar(grid, x)
+    pi = SpectralScalar(grid, hs.expand(x))
     # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
     gp = gradient(pi)
     lhs = a_star * l2_norm_vector(gp)

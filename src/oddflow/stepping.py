@@ -50,10 +50,12 @@ def linear_factor(k_sq: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
     return np.exp(-epsilon * np.asarray(k_sq, dtype=np.float64) ** 2 * dt)
 
 
-def cfl_dt(state: FlowState, config: StepperConfig | None = None) -> float:
+def cfl_dt(state: FlowState, config: StepperConfig | None = None,
+           fields: Fields | None = None) -> float:
     """Advective and stiff-remainder step bounds, capped at 1e6."""
     tiny = 1e-30
-    fl = Fields(state, vacuum_floor=(config.vacuum_floor if config else 1e-6))
+    fl = fields if fields is not None else Fields(
+        state, vacuum_floor=(config.vacuum_floor if config else 1e-6))
     g = state.grid
     k_max = g.n / 2.0
     u_sup = sup_norm_vector(state.u)
@@ -66,10 +68,10 @@ def cfl_dt(state: FlowState, config: StepperConfig | None = None) -> float:
     return float(min(adv, stiff, CFL_CAP))
 
 
-def _stage_rhs(state: FlowState, config: StepperConfig):
+def _stage_rhs(state: FlowState, config: StepperConfig, fields: Fields | None = None):
     """Explicit RHS (with the constant-coefficient eps Lap^2 u removed) and
     the density RHS for one RK stage."""
-    fl = Fields(state, vacuum_floor=config.vacuum_floor)
+    fl = fields if fields is not None else Fields(state, vacuum_floor=config.vacuum_floor)
     psol = solve_pressure(state, fields=fl, tol=config.pressure_tol,
                           max_iter=config.pressure_max_iter,
                           include_odd=config.include_odd)
@@ -88,8 +90,12 @@ def _check_finite(state: FlowState):
                                quantity="NaN/Inf")
 
 
-def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> FlowState:
-    """One RK4 integrating-factor step of size dt (default config.dt)."""
+def step(state: FlowState, config: StepperConfig, dt: float | None = None,
+         fields: Fields | None = None) -> FlowState:
+    """One RK4 integrating-factor step of size dt (default config.dt).
+
+    fields, if given, is the cache of this state built with
+    config.vacuum_floor; the first stage reads it, then releases its arrays."""
     h = config.dt if dt is None else dt
     if h is None or h <= 0:
         raise ValueError("step needs a positive dt")
@@ -103,7 +109,9 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     r0, u0 = state.rho_dev, state.u
 
-    kr1, ku1 = _stage_rhs(state, config)
+    kr1, ku1 = _stage_rhs(state, config, fields)
+    if fields is not None:
+        fields.release()  # stages 2-4 read none of it; do not hold it through them
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
@@ -150,13 +158,14 @@ def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
 
     index = 0
     while state.t < config.t_end - 1e-14:
-        bound = cfl_dt(state, config)
+        fl = Fields(state, vacuum_floor=config.vacuum_floor)
+        bound = cfl_dt(state, config, fields=fl)
         h = config.cfl_safety * bound if config.dt is None else config.dt
         h = min(h, config.t_end - state.t)
         if h > bound:
             warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
                           RuntimeWarning, stacklevel=2)
-        state = step(state, config, dt=h)
+        state = step(state, config, dt=h, fields=fl)
         index += 1
         for obs in observers:
             obs(state, index)

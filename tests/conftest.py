@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oddflow.dynamics import Fields
 from oddflow.spectral import Grid, SpectralVector, forward_transform, zero_scalar
 
 
@@ -17,6 +18,20 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return Grid(64)
+
+
+@pytest.fixture
+def fields_built(monkeypatch):
+    """A one-item list holding the number of dynamics.Fields built so far."""
+    count = [0]
+    init = Fields.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fields, "__init__", counting_init)
+    return count
 
 
 def field(grid, samples):

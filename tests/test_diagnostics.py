@@ -150,6 +150,12 @@ class TestObserve:
         assert rec.theta_residual <= 1e-10
         assert rec.omega_residual <= 1e-10
 
+    def test_one_fields_per_observe(self, grid32, fields_built):
+        st = make_state(grid32, 1, "half_band")
+        fields_built[0] = 0
+        observe(st, 2.5)
+        assert fields_built[0] == 1
+
 
 class TestStabilityRecords:
     def test_zero_perturbation(self, grid64):

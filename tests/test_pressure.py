@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from oddflow.app_io import RunConfig, init_scenario
 from oddflow.dynamics import Fields, FlowState
 from oddflow.errors import ConvergenceError, ValidationError
 from oddflow.pressure import (
     commutator_expanded,
     commutator_rho_laplacian,
+    half_spectrum,
     pressure_split_via_phi,
     solve_elliptic,
     solve_pressure,
 )
 from oddflow.spectral import (
+    Grid,
     SpectralVector,
+    check_real,
     constant_scalar,
     curl,
     forward_transform,
@@ -141,6 +145,36 @@ class TestSolvePressure:
         recon = ps.grad_pi - gradient(rho_omega)
         diff = recon - ps.grad_pi_minus_rho_omega
         assert l2_norm_vector(diff) <= 1e-10 * max(l2_norm_vector(ps.grad_pi), 1)
+
+
+def density_wave(n, a):
+    return init_scenario(RunConfig(
+        grid_n=n, t_end=0.0, scenario={"name": "density_wave", "a": a}))
+
+
+class TestHalfSpectrumCG:
+    @pytest.mark.parametrize("a, iterations", [(0.5, 21), (0.9, 49)])
+    def test_density_wave_iterations(self, a, iterations):
+        assert solve_pressure(density_wave(64, a)).iterations == iterations
+
+    def test_gradients_real_without_nyquist(self):
+        ps = solve_pressure(density_wave(64, 0.9))
+        for vec in (ps.grad_pi, ps.grad_pi_minus_rho_omega):
+            for comp in (vec.x1, vec.x2):
+                check_real(comp)
+                assert np.all(comp.coeffs[32, :] == 0.0)
+                assert np.all(comp.coeffs[:, 32] == 0.0)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_weighted_inner_product_is_full_spectrum_sum(self, n):
+        hs = half_spectrum(Grid(n))
+        rng = np.random.default_rng(n)
+        x, y = (np.fft.fft2(rng.standard_normal((n, n))) for _ in range(2))
+        full = float(np.real(np.sum(x * np.conj(y))))
+        half = hs.inner(x[:, :n // 2 + 1], y[:, :n // 2 + 1])
+        # relative to ||x|| ||y||, the scale Cauchy-Schwarz gives the sum
+        assert abs(half - full) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert np.allclose(hs.expand(x[:, :n // 2 + 1]), x, rtol=0, atol=1e-12)
 
 
 class TestPressureSplit:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oddflow.dynamics import FlowState
+from oddflow.dynamics import Fields, FlowState
 from oddflow.errors import RuntimeAbort
 from oddflow.spectral import (
     SpectralVector,
@@ -116,6 +116,17 @@ class TestStep:
         from oddflow.spectral import max_divergence_ratio
         assert max_divergence_ratio(out.u) < 1e-12
 
+    def test_given_fields_same_bits_then_released(self, grid32):
+        st = make_state(grid32, 5, "half_band")
+        cfg = StepperConfig()
+        fl = Fields(st, vacuum_floor=cfg.vacuum_floor)
+        shared = step(st, cfg, dt=1e-3, fields=fl)
+        own = step(st, cfg, dt=1e-3)
+        for a, b in ((shared.rho_dev, own.rho_dev), (shared.u.x1, own.u.x1),
+                     (shared.u.x2, own.u.x2)):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert set(vars(fl)) == {"state", "grid", "vacuum_floor"}
+
     def test_cfl_warning(self, grid64):
         # one run step of a fixed dt above the CFL bound (1/32 here)
         st = shear(grid64)
@@ -155,6 +166,16 @@ class TestRun:
         assert seen[0] == (0, 0.0)
         assert len(seen) == 6
         assert abs(seen[-1][1] - 0.1) < 1e-12
+
+    def test_one_fields_per_stage(self, grid32, fields_built):
+        """cfl_dt and the first RK stage share one Fields: 4 per step."""
+        st = make_state(grid32, 5, "half_band")
+        fields_built[0] = 0
+        seen = []
+        run(st, StepperConfig(dt=None, t_end=0.05),
+            observers=[lambda s, i: seen.append(i)])
+        steps = len(seen) - 1
+        assert steps > 1 and fields_built[0] == 4 * steps
 
     def test_energy_drift_small(self, grid64):
         from oddflow.diagnostics import kinetic_energy
