@@ -1,10 +1,12 @@
 """Configuration, scenario library, binary checkpoints, and CSV emission.
 
 Checkpoint format (all little-endian): magic "ODD2D\\0" (6 bytes), version
-uint32, n uint32, then t, epsilon, odd_sign as float64, then the spectral
-coefficients of rho-1, u1, u2 as row-major (k1 outer) (re, im) float64
-pairs.  Round trips are bit-exact.  Reading rejects a file whose numbers
-are not all finite or whose coefficients are not those of real fields.
+uint32, n uint32, then t, epsilon, odd_sign as float64, then the full
+n x n spectral coefficients of rho-1, u1, u2 as row-major (k1 outer)
+(re, im) float64 pairs.  Writing expands each stored half-spectrum to the
+full spectrum; reading rejects a file whose numbers are not all finite or
+whose coefficients are not those of real fields, then folds each field to
+its half-spectrum.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowState
-from .errors import ValidationError
+from .dynamics import Fields, FlowState
+from .errors import RuntimeAbort, ValidationError
 from .spectral import (
     Grid,
     SpectralScalar,
@@ -27,8 +29,8 @@ from .spectral import (
     check_real,
     dealias,
     dealias_vector,
-    sup_norm,
-    sup_norm_vector,
+    expand,
+    fold,
     zero_scalar,
 )
 
@@ -171,10 +173,19 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _hermitian_part(c: np.ndarray) -> np.ndarray:
-    """0.5 * (c(k) + conj(c(-k))): the coefficients of the real part."""
-    neg = -np.arange(c.shape[0]) % c.shape[0]
-    return 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))
+def _real_field(grid: Grid, draw: np.ndarray, sup_amplitude: float) -> SpectralScalar:
+    """The mean-zero real field whose full spectrum is the Hermitian part
+    0.5 * (draw(k) + conj(draw(-k))) of a random draw on the whole grid,
+    scaled to the given sup amplitude (kept as it is when it is zero).
+
+    The sup is taken from the samples check_real computes on the full
+    spectrum, so a seed gives the same coefficients whatever the stored form."""
+    neg = -np.arange(grid.n) % grid.n
+    full = 0.5 * (draw + np.conj(draw[np.ix_(neg, neg)]))
+    full[0, 0] = 0.0
+    sup = float(np.max(np.abs(check_real(full))))
+    f = SpectralScalar(grid, fold(full))
+    return f if sup == 0.0 else f * (sup_amplitude / sup)
 
 
 def random_scalar(grid: Grid, seed: int, stream: int, band: int,
@@ -187,11 +198,7 @@ def random_scalar(grid: Grid, seed: int, stream: int, band: int,
     idx = np.arange(-band, band + 1) % grid.n
     c = np.zeros((grid.n, grid.n), dtype=np.complex128)
     c[np.ix_(idx, idx)] = noise
-    c = _hermitian_part(c)
-    c[0, 0] = 0.0
-    f = SpectralScalar(grid, c)
-    sup = sup_norm(f)
-    return f if sup == 0.0 else f * (sup_amplitude / sup)
+    return _real_field(grid, c, sup_amplitude)
 
 
 def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
@@ -199,12 +206,17 @@ def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
     """Divergence-free field with sup magnitude sup_amplitude, via the
     stream function of a random band-limited vorticity."""
     u = biot_savart(random_scalar(grid, seed, stream, band, 1.0))
-    sup = sup_norm_vector(u)
+    a, b = check_real(u.x1), check_real(u.x2)
+    sup = float(np.max(np.sqrt(a * a + b * b)))
     return u * (sup_amplitude / sup if sup > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
 # scenarios
+
+
+# The constructors set the modes k2 >= 0 of the half-spectrum; the conjugate
+# modes k2 < 0 are implied.
 
 
 def _steady_shear(grid: Grid) -> tuple[SpectralScalar, SpectralVector]:
@@ -216,16 +228,11 @@ def _steady_shear(grid: Grid) -> tuple[SpectralScalar, SpectralVector]:
 
 def _density_wave(grid: Grid, a: float) -> tuple[SpectralScalar, SpectralVector]:
     rho = zero_scalar(grid)
-    q = a / 4.0                        # a * cos(x1) cos(x2)
-    n = grid.n
-    for k1, k2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        rho.coeffs[k1 % n, k2 % n] = q
+    rho.coeffs[[1, -1], 1] = a / 4.0     # a * cos(x1) cos(x2)
     om = zero_scalar(grid)
     # omega0 = cos(x1)cos(x2) + 0.5 sin(x1 + 2 x2), band-limited and mean-zero
-    for k1, k2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        om.coeffs[k1 % n, k2 % n] += 0.25
-    om.coeffs[1 % n, 2 % n] += -0.25j
-    om.coeffs[-1 % n, -2 % n] += 0.25j
+    om.coeffs[[1, -1], 1] += 0.25
+    om.coeffs[1, 2] += -0.25j
     return rho, biot_savart(om)
 
 
@@ -237,6 +244,8 @@ def _random_bandlimited(grid: Grid, a: float, band: int, u_amplitude: float,
 
 
 def init_scenario(config: RunConfig) -> FlowState:
+    """The scenario's initial state, rejected (ValidationError) when its
+    truncated rho or 1/rho falls below the vacuum floor on the grid."""
     grid = Grid(config.grid_n)
     scen = config.scenario
     name = scen["name"]
@@ -250,8 +259,14 @@ def init_scenario(config: RunConfig) -> FlowState:
             float(scen.get("u_amplitude", 1.0)), config.seed)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
-    return FlowState(0.0, dealias(rho), dealias_vector(u),
-                     epsilon=config.epsilon, odd_sign=config.odd_sign)
+    state = FlowState(0.0, dealias(rho), dealias_vector(u),
+                      epsilon=config.epsilon, odd_sign=config.odd_sign)
+    try:  # the first pressure solve needs the truncated rho and 1/rho
+        Fields(state, vacuum_floor=config.vacuum_floor).inv_rho_phys
+    except RuntimeAbort as exc:
+        raise ValidationError(
+            f"initial state not resolved on the n = {grid.n} grid: {exc}") from exc
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +279,8 @@ def write_checkpoint(state: FlowState, path: str) -> None:
     header += struct.pack("<ddd", state.t, state.epsilon, state.odd_sign)
     with open(path, "wb") as fh:
         fh.write(header)
-        for field in (state.rho_dev.coeffs, state.u.x1.coeffs, state.u.x2.coeffs):
-            flat = np.ascontiguousarray(field, dtype=np.complex128)
+        for field in (state.rho_dev, state.u.x1, state.u.x2):
+            flat = expand(field.coeffs)
             pairs = np.empty((n * n, 2), dtype="<f8")
             pairs[:, 0] = flat.real.reshape(-1)
             pairs[:, 1] = flat.imag.reshape(-1)
@@ -286,6 +301,8 @@ def read_checkpoint(path: str) -> FlowState:
     if version != VERSION:
         raise ValidationError(
             f"checkpoint {path!r} has unsupported version {version} (expected {VERSION})")
+    if n < 8 or n % 2 != 0:
+        raise ValidationError(f"checkpoint {path!r} has grid size {n} (need even and >= 8)")
     t, epsilon, odd_sign = struct.unpack_from("<ddd", blob, 14)
     offset = 14 + 24
     need = offset + 3 * n * n * 16
@@ -294,14 +311,17 @@ def read_checkpoint(path: str) -> FlowState:
             f"checkpoint {path!r} has {len(blob)} bytes, expected {need}")
     if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8", offset=14))):
         raise ValidationError(f"checkpoint {path!r} holds non-finite numbers")
+    if epsilon < 0 or odd_sign not in (1.0, -1.0):
+        raise ValidationError(
+            f"checkpoint {path!r} has epsilon {epsilon} or odd_sign {odd_sign} out of range")
     grid = Grid(n)
     fields = []
     for _ in range(3):
         pairs = np.frombuffer(blob, dtype="<f8", count=2 * n * n, offset=offset)
         offset += n * n * 16
         coeffs = (pairs[0::2] + 1j * pairs[1::2]).reshape(n, n)
-        fields.append(SpectralScalar(grid, coeffs.copy()))
-        check_real(fields[-1])
+        check_real(coeffs)
+        fields.append(SpectralScalar(grid, fold(coeffs)))
     return FlowState(t, fields[0], SpectralVector(fields[1], fields[2]),
                      epsilon=epsilon, odd_sign=odd_sign)
 

@@ -1,8 +1,11 @@
 """Command-line interface: run, verify, twin, sweep-eps, norms.
 
 Exit codes: 0 success, 1 validation/config error (including a bad or
-missing checkpoint), 2 runtime abort (vacuum breach, NaN, solver failure,
-failed identity check).  Every package error ends in one line on stderr.
+missing checkpoint, or an initial state the grid cannot resolve), 2 runtime
+abort (vacuum breach, NaN, solver failure, failed identity check).  Every
+package error ends in one line on stderr.  An aborted `run` still writes
+the diagnostics rows it collected and its last good state
+(checkpoint_abort.bin).
 """
 
 from __future__ import annotations
@@ -51,25 +54,34 @@ def cmd_run(args) -> int:
             app_io.write_checkpoint(
                 st, os.path.join(cfg.output_dir, f"checkpoint_{idx:06d}.bin"))
 
-    last_index = [0]
+    last = [state, 0]  # the last state that completed its observers, its index
 
     def count(st, idx):
-        last_index[0] = idx
+        last[:] = [st, idx]
 
-    final = integrate(state, scfg, observers=[observer, count])
-    if not observed or observed[-1] != last_index[0]:
+    csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
+
+    def write_rows():
+        csv_text = app_io.diagnostics_csv(rows, diagnostics.DIAGNOSTIC_FIELDS)
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+        if args.emit_dat:
+            with open(os.path.join(cfg.output_dir, "diagnostics.dat"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(app_io.csv_to_dat(csv_text))
+
+    try:
+        final = integrate(state, scfg, observers=[observer, count])
+    except OddflowError:
+        # an aborted run keeps the rows it collected and its last good state
+        write_rows()
+        app_io.write_checkpoint(last[0], os.path.join(cfg.output_dir, "checkpoint_abort.bin"))
+        raise
+    if not observed or observed[-1] != last[1]:
         rows.append(diagnostics.observe(final, cfg.s))
     app_io.write_checkpoint(final, os.path.join(cfg.output_dir, "checkpoint_final.bin"))
-
-    csv_text = app_io.diagnostics_csv(rows, diagnostics.DIAGNOSTIC_FIELDS)
-    csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    if args.emit_dat:
-        with open(os.path.join(cfg.output_dir, "diagnostics.dat"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(app_io.csv_to_dat(csv_text))
-    print(f"integrated to t = {final.t:.6g} ({last_index[0]} steps); "
+    write_rows()
+    print(f"integrated to t = {final.t:.6g} ({last[1]} steps); "
           f"diagnostics in {csv_path}")
     return 0
 

@@ -118,7 +118,13 @@ class Fields:
 
     @cached_property
     def inv_rho_phys(self) -> np.ndarray:
-        return inverse_transform(self.inv_rho)
+        inv = inverse_transform(self.inv_rho)
+        if float(np.min(inv)) < self.vacuum_floor:
+            raise RuntimeAbort(
+                f"minimum {np.min(inv):.3e} of the truncated 1/rho below vacuum "
+                f"floor {self.vacuum_floor:.1e}",
+                t=self.state.t, quantity="min 1/rho")
+        return inv
 
     @cached_property
     def log_rho(self) -> SpectralScalar:

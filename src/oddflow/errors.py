@@ -13,7 +13,7 @@ class GridMismatchError(OddflowError):
     """Operands live on different grids or have the wrong shape."""
 
 
-class HermitianSymmetryError(OddflowError):
+class HermitianSymmetryError(ValidationError):
     """A field claiming to be real-valued has a complex residue."""
 
 

@@ -25,6 +25,7 @@ from .spectral import (
     Grid,
     SpectralScalar,
     dealiased_product,
+    half_vdot,
     inverse_transform,
     l2_norm,
     _check_same_grid,
@@ -128,7 +129,7 @@ def sobolev_norm(f: SpectralScalar, s: float, backend: str = "multiplier") -> fl
     weighted block sum sqrt(sum_j 2^{2js} ||D_j f||^2)."""
     if backend == "multiplier":
         w = (1.0 + f.grid.k_sq) ** s
-        return 2.0 * np.pi * float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+        return 2.0 * np.pi * float(np.sqrt(half_vdot(w * f.coeffs, f.coeffs)))
     if backend == "lp_sum":
         part = build_partition(f.grid)
         total = 0.0

@@ -4,14 +4,13 @@ regular combination grad(pi - sign*rho*omega).
 The elliptic problem -div(a grad Pi) = div F is solved by conjugate
 gradients on the mean-zero scalar potential, preconditioned by the exact
 inverse Laplacian; curl-freeness of the returned gradient is exact because
-the unknown is the potential.  Every field is real, so the CG runs on the
-rfft2 half-spectrum (columns k2 = 0..n/2): the operator costs two irfft2
-and two rfft2 per iteration, and inner products and norms weight the
-self-conjugate columns k2 = 0 and n/2 by 1 and every other column by 2,
-which gives the full-spectrum L2 values (Plancherel for real fields), so
-the tolerance keeps its meaning.  The potential is expanded to the full
-Hermitian spectrum once, after the loop.  Solves are cold-started and use
-fixed-order reductions, so identical inputs give bit-identical results.
+the unknown is the potential.  The CG vectors hold the columns
+k2 = 0..n//3 of the half-spectrum, the dealiased band: one iteration is
+one irfft2 and one rfft2, each over both gradient components stacked,
+with updates in place.  Inner products and norms are spectral.half_vdot,
+the full-spectrum L2 values (Plancherel for real fields), so the
+tolerance keeps its meaning.  Solves are cold-started and use fixed-order
+reductions, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .spectral import (
     divergence,
     fft_workers,
     gradient,
+    half_vdot,
     inverse_transform,
     laplacian,
     l2_norm_vector,
@@ -58,112 +58,93 @@ class PressureSolution:
 
 
 @dataclass(frozen=True)
-class HalfSpectrum:
-    """Per-grid multipliers of the CG on the rfft2 half-spectrum, whose
-    n x (n/2+1) arrays hold the columns k2 = 0, ..., n/2 of a real field.
+class BandMultipliers:
+    """Per-grid multipliers of the CG on the band columns k2 = 0..n//3 of
+    the half-spectrum: ik stacks 1j*k1 and 1j*k2, and inv_lap is
+    (-Lap)^{-1}, both zero outside the dealiased band."""
 
-    ik1 and ik2 are 1j*k1 and 1j*k2 restricted to the dealiased band
-    without the Nyquist modes; inv_lap is (-Lap)^{-1} on that band.  Each
-    column k2 in 1..n/2-1 stands for itself and its conjugate column -k2,
-    so reductions count it twice and the self-conjugate columns k2 = 0 and
-    k2 = n/2 once; with that weight they equal the full-spectrum sums.
-    """
-
-    ik1: np.ndarray
-    ik2: np.ndarray
+    ik: np.ndarray
     inv_lap: np.ndarray
-    weight: np.ndarray
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Re sum over the full spectrum of x * conj(y), from half-spectra."""
-        return float(np.sum(np.real(x * np.conj(y)) * self.weight))
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Full Hermitian n x n spectrum whose columns 0..n/2 are x."""
-        n = x.shape[0]
-        full = np.empty((n, n), dtype=np.complex128)
-        full[:, :n // 2 + 1] = x
-        # coeff(k1, -k2) = conj(coeff(-k1, k2)) for k2 = n/2-1, ..., 1
-        full[:, n // 2 + 1:] = np.conj(np.roll(x[::-1, n // 2 - 1:0:-1], 1, axis=0))
-        return full
 
 
 @functools.cache
-def half_spectrum(grid: Grid) -> HalfSpectrum:
+def band_multipliers(grid: Grid) -> BandMultipliers:
     """The CG multipliers of this grid, built once."""
-    h = grid.n // 2 + 1
-    band = (grid.dealias_mask & grid.keep_mask)[:, :h]
-    weight = np.full(h, 2.0)
-    weight[0] = weight[-1] = 1.0
-    return HalfSpectrum(1j * grid.k1[:, :h] * band,
-                        1j * grid.k2[:, :h] * band,
-                        grid.inv_k_sq[:, :h] * band, weight)
+    m = grid.dealias_cutoff + 1
+    band = (grid.dealias_mask & grid.keep_mask)[:, :m]
+    ik = 1j * np.stack((grid.k1[:, :m], grid.k2[:, :m])) * band
+    return BandMultipliers(ik, grid.inv_k_sq[:, :m] * band)
 
 
-def _solve_elliptic_potential(a: SpectralScalar, F: SpectralVector,
+def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
                               tol: float, max_iter: int):
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
-    run on the half-spectrum.
+    given the grid samples a_phys of the dealiased coefficient a.
 
     Returns (Pi, iterations, relative residual)."""
-    grid = a.grid
-    if F.grid != grid:
-        raise ValidationError("coefficient and source on different grids")
-    a_band = dealias(a)
-    a_phys = inverse_transform(a_band)
+    grid = F.grid
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
 
-    hs = half_spectrum(grid)
-    ik1, ik2, dot = hs.ik1, hs.ik2, hs.inner
-    shape = (grid.n, grid.n)
+    bm = band_multipliers(grid)
+    ik, inv_lap = bm.ik, bm.inv_lap
+    n, m = inv_lap.shape
     w = fft_workers()
 
-    def apply_op(pi_hat):
-        # norm="forward" puts the 1/n^2 of the amplitude convention on rfft2
-        p1 = _fft.irfft2(ik1 * pi_hat, s=shape, norm="forward", workers=w)
-        p2 = _fft.irfft2(ik2 * pi_hat, s=shape, norm="forward", workers=w)
-        f1 = _fft.rfft2(a_phys * p1, norm="forward", workers=w)
-        f2 = _fft.rfft2(a_phys * p2, norm="forward", workers=w)
-        return -(ik1 * f1 + ik2 * f2)
-
-    h = grid.n // 2 + 1
-    b = ik1 * F.x1.coeffs[:, :h] + ik2 * F.x2.coeffs[:, :h]
-    b_norm = float(np.sqrt(dot(b, b)))
+    b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
+    b_norm = float(np.sqrt(half_vdot(b, b)))
     if b_norm == 0.0:
         return zero_scalar(grid), 0, 0.0
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = r * hs.inv_lap
+    z = r * inv_lap
     p = z.copy()
-    rz = dot(r, z)
+    Ap = np.empty_like(b)
+    tmp = np.empty_like(b)
+    # both gradient components on the full half-spectrum width: the columns
+    # past the band stay zero, so irfft2 needs no padded copy per call
+    grad = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
+    rz = half_vdot(r, z)
     res = 1.0
     it = 0
     for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        denom = dot(p, Ap)
+        # Ap = -div(a grad p); norm="forward" puts the 1/n^2 of the
+        # amplitude convention on rfft2
+        np.multiply(ik, p, out=grad[..., :m])
+        g = _fft.irfft2(grad, s=(n, n), norm="forward", workers=w)
+        g *= a_phys
+        f = _fft.rfft2(g, norm="forward", workers=w)
+        np.multiply(ik[0], f[0, :, :m], out=Ap)
+        np.multiply(ik[1], f[1, :, :m], out=tmp)
+        Ap += tmp
+        np.negative(Ap, out=Ap)
+        denom = half_vdot(p, Ap)
         if denom <= 0.0:
             raise ConvergenceError(
                 f"CG broke down at iteration {it}: <p, Ap> = {denom:.3e}")
         alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.sqrt(dot(r, r))) / b_norm
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(Ap, alpha, out=tmp)
+        r -= tmp
+        res = float(np.sqrt(half_vdot(r, r))) / b_norm
         if res <= tol:
             break
-        z = r * hs.inv_lap
-        rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        np.multiply(r, inv_lap, out=z)
+        rz_new = half_vdot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     else:
         raise ConvergenceError(
             f"pressure CG did not reach tol {tol:.1e} in {max_iter} iterations "
             f"(residual {res:.3e})")
 
-    pi = SpectralScalar(grid, hs.expand(x))
+    pi = zero_scalar(grid)
+    pi.coeffs[:, :m] = x
     # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
     gp = gradient(pi)
     lhs = a_star * l2_norm_vector(gp)
@@ -178,7 +159,9 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralVector:
     """Solve -div(a grad Pi) = div F and return the curl-free gradient."""
-    pi, _, _ = _solve_elliptic_potential(a, F, tol, max_iter)
+    if F.grid != a.grid:
+        raise ValidationError("coefficient and source on different grids")
+    pi, _, _ = _solve_elliptic_potential(inverse_transform(dealias(a)), F, tol, max_iter)
     return gradient(pi)
 
 
@@ -192,7 +175,7 @@ def solve_pressure(state: FlowState, fields: Fields | None = None,
     """
     fl = fields if fields is not None else Fields(state)
     F = fl.pressure_source(include_odd=include_odd)
-    pi, iters, res = _solve_elliptic_potential(fl.inv_rho, F, tol, max_iter)
+    pi, iters, res = _solve_elliptic_potential(fl.inv_rho_phys, F, tol, max_iter)
     grad_pi = gradient(pi)
 
     sigma = state.odd_sign if include_odd else 0.0

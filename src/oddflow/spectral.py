@@ -5,16 +5,24 @@ Leray projection and 2/3-rule dealiased products on the square torus
 Conventions
 -----------
 Coefficients are amplitudes of exp(i k.x), so coeff(0,0) is the mean of the
-field and the L2 norm satisfies ||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2.
-Wavenumbers run over {-n/2+1, ..., n/2} per axis and the Nyquist mode n/2 is
-forced to zero in every stored field, which keeps derivatives symmetric.
-Every field is real, so its coefficients are Hermitian-symmetric,
-coeff(-k) = conj(coeff(k)).  Realness is checked where data enters the
-program, not on each transform: forward_transform rejects complex samples
-and read_checkpoint applies check_real to every field it loads; every other
-field is built from these by operations that keep the symmetry.
-All reductions (norms, inner products) go through numpy's fixed-order
-pairwise summation, so results do not depend on the FFT worker count.
+field.  Every field is real, so its full spectrum is Hermitian-symmetric,
+coeff(-k) = conj(coeff(k)), and only its rfft2 half is stored: an
+n x (n/2+1) array whose rows run over k1 in fft order {0, ..., n/2-1,
+-n/2, ..., -1} and whose columns are k2 = 0, ..., n/2.  The Nyquist row
+and column (|k1| = n/2 or k2 = n/2) are zero in every stored field, which
+keeps derivatives symmetric.  Each column 0 < k2 < n/2 stands for itself
+and its conjugate column -k2, so reductions over the spectrum (norms,
+inner products, Sobolev sums) count it twice and the self-conjugate
+columns k2 = 0 and k2 = n/2 once (half_vdot); with that weight
+||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2 over the full spectrum (Plancherel).
+Transforms are rfft2/irfft2 with norm="forward" (the 1/n^2 of the
+amplitude convention on the forward transform).  The full spectrum appears
+only where data enters or leaves the program: expand and fold convert
+between the two forms, check_real transforms a full spectrum and rejects
+a field whose samples are not real, read_checkpoint applies it to every
+field it loads and forward_transform rejects complex samples.
+Reductions are BLAS dot products in a fixed order, so results do not
+depend on the FFT worker count.
 """
 
 from __future__ import annotations
@@ -36,11 +44,15 @@ def fft_workers() -> int:
 
 
 class Grid:
-    """Uniform n x n collocation grid on [0, 2*pi)^2.
+    """Uniform n x n collocation grid on [0, 2*pi)^2 and its half-spectrum
+    wavenumbers.
 
     n must be even and >= 8 (powers of two give the fastest transforms).
-    The 2/3-rule dealias cutoff is floor(n/3): a field is dealiased when
-    coeff(k) = 0 whenever max(|k1|, |k2|) > cutoff.
+    k1, k2, k_sq, inv_k_sq, keep_mask and dealias_mask have the
+    n x (n/2+1) shape of a stored coefficient array, so every per-mode
+    multiplier applies to a field as it is.  The 2/3-rule dealias cutoff is
+    floor(n/3): a field is dealiased when coeff(k) = 0 whenever
+    max(|k1|, |k2|) > cutoff.
     """
 
     def __init__(self, n: int):
@@ -49,21 +61,27 @@ class Grid:
         self.n = int(n)
         self.dealias_cutoff = n // 3
         k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0..n/2-1, -n/2..-1
-        self.k1 = k[:, None] * np.ones((1, n), dtype=np.int64)
-        self.k2 = np.ones((n, 1), dtype=np.int64) * k[None, :]
+        half = np.arange(n // 2 + 1, dtype=np.int64)        # 0..n/2
+        self.k1 = k[:, None] * np.ones((1, half.size), dtype=np.int64)
+        self.k2 = np.ones((n, 1), dtype=np.int64) * half[None, :]
         self.k_sq = (self.k1**2 + self.k2**2).astype(np.float64)
         with np.errstate(divide="ignore"):
             inv = np.where(self.k_sq > 0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
         self.inv_k_sq = inv  # zero at k = 0
-        # Nyquist row/column (k = -n/2 in fft order) is always zeroed.
-        self.keep_mask = (np.abs(self.k1) != n // 2) & (np.abs(self.k2) != n // 2)
+        # Nyquist row (k1 = -n/2) and column (k2 = n/2) are always zeroed.
+        self.keep_mask = (np.abs(self.k1) != n // 2) & (self.k2 != n // 2)
         self.dealias_mask = (
             (np.abs(self.k1) <= self.dealias_cutoff)
-            & (np.abs(self.k2) <= self.dealias_cutoff)
+            & (self.k2 <= self.dealias_cutoff)
         )
         x = np.arange(n) * (2.0 * np.pi / n)
         self.x1 = x[:, None] * np.ones((1, n))
         self.x2 = np.ones((n, 1)) * x[None, :]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of a stored coefficient array."""
+        return self.n, self.n // 2 + 1
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -76,7 +94,8 @@ class Grid:
 
 
 class SpectralScalar:
-    """Real scalar field stored as complex Fourier amplitudes.
+    """Real scalar field stored as its n x (n/2+1) half-spectrum of complex
+    Fourier amplitudes.
 
     Treat instances as immutable: every operation returns a new field.
     """
@@ -84,9 +103,10 @@ class SpectralScalar:
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
-        if coeffs.shape != (grid.n, grid.n):
+        if coeffs.shape != grid.shape:
             raise GridMismatchError(
-                f"coefficient array {coeffs.shape} does not match grid n={grid.n}"
+                f"coefficient array {coeffs.shape} does not match grid n={grid.n} "
+                f"(half-spectrum shape {grid.shape})"
             )
         self.grid = grid
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -151,11 +171,29 @@ def _check_same_grid(a, b):
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms and the full spectrum
+
+
+def _hermitian_column(c: np.ndarray) -> np.ndarray:
+    """Make the column k2 = 0 of a half-spectrum exactly Hermitian, in place:
+    rows -k1 get the conjugates of rows k1 = 1..n/2-1, the values fft2
+    gives.  Conjugates write a zero as +0.
+
+    rfft2 leaves that column Hermitian only to round-off.  irfft2 ignores
+    the anti-Hermitian rest, so no nonlinear term and no pressure solve
+    sees it, while the per-mode linear terms carry it along: left in, it
+    grew by about 2x per RK stage on a steady shear at n = 64."""
+    n = c.shape[0]
+    c[n // 2 + 1:, 0] = np.conj(c[n // 2 - 1:0:-1, 0]) + 0.0
+    return c
+
+
+def _rfft2(samples: np.ndarray) -> np.ndarray:
+    return _hermitian_column(_fft.rfft2(samples, norm="forward", workers=fft_workers()))
 
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
-    """Real n x n samples -> amplitude coefficients (Nyquist zeroed)."""
+    """Real n x n samples -> half-spectrum amplitudes (Nyquist zeroed)."""
     samples = np.asarray(samples)
     if samples.shape != (grid.n, grid.n):
         raise GridMismatchError(
@@ -163,16 +201,16 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
         )
     if np.iscomplexobj(samples):
         raise ValueError("forward_transform expects real samples")
-    coeffs = _fft.fft2(samples, workers=fft_workers()) / (grid.n**2)
-    coeffs[~grid.keep_mask] = 0.0
+    coeffs = _rfft2(samples)
+    coeffs[grid.n // 2] = 0.0
+    coeffs[:, -1] = 0.0
     return SpectralScalar(grid, coeffs)
 
 
 def inverse_transform(f: SpectralScalar) -> np.ndarray:
-    """Coefficients -> real samples (the imaginary part is dropped unchecked)."""
+    """Half-spectrum coefficients -> real n x n samples."""
     n = f.grid.n
-    phys = _fft.ifft2(f.coeffs * (n**2), workers=fft_workers())
-    return np.ascontiguousarray(phys.real)
+    return _fft.irfft2(f.coeffs, s=(n, n), norm="forward", workers=fft_workers())
 
 
 def physical(F: SpectralVector) -> tuple[np.ndarray, np.ndarray]:
@@ -180,16 +218,39 @@ def physical(F: SpectralVector) -> tuple[np.ndarray, np.ndarray]:
     return inverse_transform(F.x1), inverse_transform(F.x2)
 
 
-def check_real(f: SpectralScalar) -> None:
-    """Raise HermitianSymmetryError unless f's samples are real, that is,
-    their imaginary residue is at most 1e-10 * max(1, max |real part|)."""
-    phys = _fft.ifft2(f.coeffs * (f.grid.n**2), workers=fft_workers())
+def expand(half: np.ndarray) -> np.ndarray:
+    """Full Hermitian n x n spectrum whose columns 0..n/2 are half (the
+    conjugates write a zero as +0)."""
+    n = half.shape[0]
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, :n // 2 + 1] = half
+    # coeff(k1, -k2) = conj(coeff(-k1, k2)) for k2 = n/2-1, ..., 1
+    full[:, n // 2 + 1:] = np.conj(np.roll(half[::-1, n // 2 - 1:0:-1], 1, axis=0)) + 0.0
+    return full
+
+
+def fold(full: np.ndarray) -> np.ndarray:
+    """The stored half-spectrum of a real field's full n x n spectrum: its
+    columns k2 = 0..n/2, with an exactly Hermitian column 0."""
+    half = np.array(full[:, :full.shape[0] // 2 + 1], dtype=np.complex128)
+    return _hermitian_column(half)
+
+
+def check_real(f) -> np.ndarray:
+    """Samples of f, a field or a full n x n spectrum, after checking that
+    they are real: raise HermitianSymmetryError unless their imaginary
+    residue is at most 1e-10 * max(1, max |real part|).
+
+    This is the one transform of a full spectrum."""
+    full = expand(f.coeffs) if isinstance(f, SpectralScalar) else f
+    phys = _fft.ifft2(full * (full.shape[0] ** 2), workers=fft_workers())
     scale = max(1.0, float(np.max(np.abs(phys.real))))
     residue = float(np.max(np.abs(phys.imag)))
     if residue > 1e-10 * scale:
         raise HermitianSymmetryError(
             f"imaginary residue {residue:.3e} exceeds 1e-10 (corrupted field)"
         )
+    return np.ascontiguousarray(phys.real)
 
 
 def resample(f: SpectralScalar, grid: Grid) -> SpectralScalar:
@@ -200,13 +261,13 @@ def resample(f: SpectralScalar, grid: Grid) -> SpectralScalar:
     half = min(f.grid.n, grid.n) // 2
     src = np.r_[:half, f.grid.n - half:f.grid.n]
     dst = np.r_[:half, grid.n - half:grid.n]
-    c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    c[np.ix_(dst, dst)] = f.coeffs[np.ix_(src, src)]
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    c[dst, :half] = f.coeffs[src, :half]
     return SpectralScalar(grid, c)
 
 
 def zero_scalar(grid: Grid) -> SpectralScalar:
-    return SpectralScalar(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+    return SpectralScalar(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 def constant_scalar(grid: Grid, value: float) -> SpectralScalar:
@@ -316,9 +377,7 @@ def leray_project(F: SpectralVector) -> tuple[SpectralVector, SpectralVector]:
 
 
 def dealias(f: SpectralScalar) -> SpectralScalar:
-    out = f.coeffs.copy()
-    out[~f.grid.dealias_mask] = 0.0
-    return SpectralScalar(f.grid, out)
+    return SpectralScalar(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
 def dealias_vector(F: SpectralVector) -> SpectralVector:
@@ -332,24 +391,36 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     convolution restricted to that band (no aliasing).
     """
     _check_same_grid(f, g)
-    grid = f.grid
     a = inverse_transform(dealias(f))
     b = inverse_transform(dealias(g))
-    return dealias(forward_transform(grid, a * b))
+    return product_physical(a * b, f.grid)
 
 
 def product_physical(fields_phys: np.ndarray, grid: Grid) -> SpectralScalar:
-    """Forward transform of an already-formed physical product, dealiased."""
-    return dealias(forward_transform(grid, fields_phys))
+    """Forward transform of an already-formed physical product, dealiased
+    (the band excludes the Nyquist modes)."""
+    return SpectralScalar(grid, np.where(grid.dealias_mask, _rfft2(fields_phys), 0.0))
+
+
+def half_vdot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re sum over the full spectrum of x * conj(y), from the columns
+    k2 = 0..m-1 (m <= n/2+1) of half-spectra with n rows (stacked along
+    leading axes or not): every column counts twice except k2 = 0 and,
+    when present, k2 = n/2."""
+    n, m = x.shape[-2:]
+    total = 2.0 * np.vdot(y, x).real - np.vdot(y[..., 0], x[..., 0]).real
+    if m == n // 2 + 1:
+        total -= np.vdot(y[..., -1], x[..., -1]).real
+    return float(total)
 
 
 def l2_norm(f: SpectralScalar) -> float:
     """Physical L2 norm; Plancherel gives (2*pi) * sqrt(sum |fhat|^2)."""
-    return 2.0 * np.pi * float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    return 2.0 * np.pi * float(np.sqrt(half_vdot(f.coeffs, f.coeffs)))
 
 
 def l2_norm_vector(F: SpectralVector) -> float:
-    s = np.sum(np.abs(F.x1.coeffs) ** 2) + np.sum(np.abs(F.x2.coeffs) ** 2)
+    s = half_vdot(F.x1.coeffs, F.x1.coeffs) + half_vdot(F.x2.coeffs, F.x2.coeffs)
     return 2.0 * np.pi * float(np.sqrt(s))
 
 
@@ -362,7 +433,7 @@ def mismatch(a, b) -> float:
 
 def inner_product(f: SpectralScalar, g: SpectralScalar) -> float:
     _check_same_grid(f, g)
-    return (2.0 * np.pi) ** 2 * float(np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
+    return (2.0 * np.pi) ** 2 * half_vdot(f.coeffs, g.coeffs)
 
 
 def inner_product_vector(F: SpectralVector, G: SpectralVector) -> float:

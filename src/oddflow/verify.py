@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .app_io import _hermitian_part, _stream
+from .app_io import _real_field, _stream
 from .dynamics import (
     Fields,
     FlowState,
@@ -45,7 +45,6 @@ from .spectral import (
     l2_norm_vector,
     mismatch,
     resample,
-    sup_norm,
     sup_norm_vector,
     zero_scalar,
 )
@@ -53,19 +52,16 @@ from .spectral import (
 
 def random_band_scalar(grid: Grid, seed: int, stream: int, band: int,
                        power: float = 0.0, sup_amplitude: float = 1.0) -> SpectralScalar:
-    """Mean-zero field with |k|_inf <= band and a |k|^(-power) envelope."""
+    """Mean-zero field with |k|_inf <= band and a |k|^(-power) envelope,
+    drawn on the full spectrum."""
     rng = _stream(seed, stream)
     n = grid.n
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    kmag = np.sqrt(grid.k_sq)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
     env = np.where(kmag > 0, np.maximum(kmag, 1.0) ** (-power), 0.0)
-    mask = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band)
-    c = np.where(mask, noise * env, 0.0)
-    c[0, 0] = 0.0
-    c = _hermitian_part(c)
-    f = SpectralScalar(grid, c)
-    sup = sup_norm(f)
-    return f * (sup_amplitude / sup) if sup > 0 else f
+    mask = (np.abs(k[:, None]) <= band) & (np.abs(k[None, :]) <= band)
+    return _real_field(grid, np.where(mask, noise * env, 0.0), sup_amplitude)
 
 
 def make_state(grid: Grid, seed: int, profile: str = "half_band",

@@ -34,6 +34,14 @@ def fields_built(monkeypatch):
     return count
 
 
+def full_wavenumbers(n):
+    """k1, k2 and |k| on the full n x n spectrum, for test data drawn there
+    and folded to the stored half-spectrum."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    return k1, k2, np.sqrt(k1**2 + k2**2)
+
+
 def field(grid, samples):
     return forward_transform(grid, samples)
 

@@ -86,3 +86,68 @@ def test_detector_flags_numpy_fft_transforms():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_numpy_fft_transforms(path):
     assert numpy_fft_transforms(path.read_text(encoding="utf-8")) == []
+
+
+# Complex-to-complex transforms: a real field has one stored form, its rfft2
+# half-spectrum, and only spectral.check_real transforms a full spectrum.
+C2C_TRANSFORMS = frozenset({"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"})
+C2C_ALLOWED = {("spectral.py", "check_real")}
+
+
+def c2c_transforms(source: str) -> list[tuple[str, str]]:
+    """(transform, enclosing function) for each c2c transform a module calls
+    on a scipy.fft reference (`_fft` or scipy.fft under any alias) or
+    imports from scipy.fft by name."""
+    tree = ast.parse(source)
+    modules = {"_fft"}  # local names bound to scipy.fft
+    direct = {}         # local name -> transform imported by name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "scipy.fft":
+                    modules.add(a.asname or "scipy")
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module == "scipy" and a.name == "fft":
+                    modules.add(a.asname or "fft")
+                elif node.module == "scipy.fft" and a.name in C2C_TRANSFORMS:
+                    direct[a.asname or a.name] = a.name
+
+    def is_fft_module(node):
+        if isinstance(node, ast.Name):
+            return node.id in modules and node.id != "scipy"
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in C2C_TRANSFORMS
+                    and is_fft_module(f.value)):
+                found.append((f.attr, func))
+            elif isinstance(f, ast.Name) and f.id in direct:
+                found.append((direct[f.id], func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_detector_flags_c2c_transforms():
+    source = ("import scipy.fft as _fft\nimport scipy.fft as sf\nimport scipy\n"
+              "from scipy.fft import ifft2 as back\n"
+              "def f(x):\n    _fft.rfft2(x)\n    _fft.fft2(x)\n    return sf.ifftn(x)\n"
+              "def g(x):\n    scipy.fft.fft(x)\n    back(x)\n    return _fft.irfft2(x)\n")
+    assert c2c_transforms(source) == [("fft2", "f"), ("ifftn", "f"), ("fft", "g"),
+                                      ("ifft2", "g")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_c2c_transforms(path):
+    calls = c2c_transforms(path.read_text(encoding="utf-8"))
+    assert [c for c in calls if (path.name, c[1]) not in C2C_ALLOWED] == []

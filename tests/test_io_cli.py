@@ -19,9 +19,9 @@ from oddflow.spectral import (
     SpectralScalar,
     check_real,
     curl,
+    expand,
     inverse_transform,
     max_divergence_ratio,
-    sup_norm,
 )
 from oddflow.stepping import StepperConfig, step
 from oddflow.verify import make_state
@@ -151,7 +151,7 @@ class TestScenarios:
 
 def _random_scalar_loops(grid, seed, stream, band, sup_amplitude):
     """Reference: random_scalar with the coefficients placed and made
-    Hermitian one mode at a time."""
+    Hermitian one mode at a time (full spectrum)."""
     rng = app_io._stream(seed, stream)
     size = 2 * band + 1
     noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -166,7 +166,7 @@ def _random_scalar_loops(grid, seed, stream, band, sup_amplitude):
         for k2 in idx:
             ch[k1 % n, k2 % n] = 0.5 * (c[k1 % n, k2 % n] + np.conj(c[-k1 % n, -k2 % n]))
     ch[0, 0] = 0.0
-    return ch * (sup_amplitude / sup_norm(SpectralScalar(grid, ch)))
+    return ch * (sup_amplitude / np.max(np.abs(check_real(ch))))
 
 
 class TestRealFields:
@@ -200,13 +200,18 @@ class TestRealFields:
 
     def test_random_streams_pinned(self):
         g = Grid(64)
-        rho = app_io.random_scalar(g, 2026, 2, 4, 1e-3)
-        assert hashlib.sha256(rho.coeffs.tobytes()).hexdigest()[:16] == "91eec1b2b65a1508"
+        # hashes of the full spectra with -0 written as +0: the sign of a zero
+        # coefficient follows the arithmetic that produced it, and the parent's
+        # full-spectrum biot_savart left one -0 in u2 that expand writes as +0
+        def digest(*fields):
+            blob = b"".join((expand(f.coeffs) + 0.0).tobytes() for f in fields)
+            return hashlib.sha256(blob).hexdigest()[:16]
+
+        assert digest(app_io.random_scalar(g, 2026, 2, 4, 1e-3)) == "91eec1b2b65a1508"
         u = app_io.random_divergence_free(g, 2026, 3, 4, 1e-3)
-        blob = u.x1.coeffs.tobytes() + u.x2.coeffs.tobytes()
-        assert hashlib.sha256(blob).hexdigest()[:16] == "3aa85573395f6a27"
+        assert digest(u.x1, u.x2) == "c010be73c65caa6d"
         for n, band, seed in ((16, 2, 0), (32, 1, 5), (64, 8, 7)):
-            got = app_io.random_scalar(Grid(n), seed, 1, band, 0.4).coeffs
+            got = expand(app_io.random_scalar(Grid(n), seed, 1, band, 0.4).coeffs)
             assert got.tobytes() == _random_scalar_loops(Grid(n), seed, 1, band, 0.4).tobytes()
 
 
@@ -252,6 +257,19 @@ class TestCheckpoints:
         blob[offset:offset + 8] = np.float64(np.nan).tobytes()
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValidationError, match="non-finite"):
+            app_io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("offset,value", [
+        (10, np.uint32(7)), (10, np.uint32(0)),            # grid size odd, zero
+        (30, np.float64(0.5)), (22, np.float64(-1.0)),     # odd_sign, epsilon
+    ])
+    def test_header_out_of_range(self, tmp_path, grid64, offset, value):
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(make_state(grid64, 6, "half_band"), path)
+        blob = bytearray(open(path, "rb").read())
+        blob[offset:offset + value.nbytes] = value.tobytes()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValidationError):
             app_io.read_checkpoint(path)
 
     def test_truncated(self, tmp_path, grid64):
@@ -316,10 +334,38 @@ class TestCli:
         assert cli(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
     def test_exit_code_runtime_abort(self, tmp_path):
-        data = minimal_config(vacuum_floor=0.9)
+        # dt = 0.3 is far above the CFL bound: the density overshoots mid-run
+        data = minimal_config(dt=0.3, t_end=20.0, output_dir=str(tmp_path / "out"))
         data["scenario"] = {"name": "density_wave", "a": 0.5}
         path = write_json(tmp_path, data)
-        assert cli(["run", "--config", path]) == 2
+        with pytest.warns(RuntimeWarning, match="exceeds the stability estimate"):
+            assert cli(["run", "--config", path]) == 2
+
+    def test_abort_keeps_rows_and_last_state(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        data = minimal_config(dt=0.3, t_end=20.0, observe_every=1, output_dir=str(out))
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        with pytest.warns(RuntimeWarning):
+            assert cli(["run", "--config", write_json(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("abort: ") and err.count("\n") == 1, err
+        rows = (out / "diagnostics.csv").read_text().strip().split("\n")[1:]
+        last = app_io.read_checkpoint(str(out / "checkpoint_abort.bin"))
+        # one row per completed step (index 0 included); the last is the saved state
+        assert len(rows) >= 2 and 0 < last.t < 20.0
+        assert float(rows[-1].split(",")[0]) == last.t
+        assert not (out / "checkpoint_final.bin").exists()
+
+    @pytest.mark.parametrize("extra,scenario", [
+        ({"grid_n": 64}, {"name": "density_wave", "a": 0.99}),   # T[1/rho] < 0
+        ({"vacuum_floor": 0.9}, {"name": "density_wave", "a": 0.5}),
+    ])
+    def test_unresolved_initial_state(self, tmp_path, capsys, extra, scenario):
+        data = minimal_config(output_dir=str(tmp_path / "out"), scenario=scenario, **extra)
+        assert cli(["run", "--config", write_json(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert "initial state not resolved" in err
+        self._assert_one_line_error_text(err)
 
     def test_verify_exit_zero(self):
         assert cli(["verify", "--seed", "7", "--n", "32"]) == 0
@@ -333,7 +379,10 @@ class TestCli:
         assert "rho-1" in out and "theta" in out
 
     def _assert_one_line_error(self, capsys):
-        err = capsys.readouterr().err
+        self._assert_one_line_error_text(capsys.readouterr().err)
+
+    @staticmethod
+    def _assert_one_line_error_text(err):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("key,value", [("t_end", float("nan")), ("dt", float("inf"))])
@@ -353,7 +402,7 @@ class TestCli:
 
     def test_norms_broken_symmetry_checkpoint(self, tmp_path, grid64, capsys):
         st = make_state(grid64, 8, "half_band")
-        st.rho_dev.coeffs[2, 1] += 0.1  # no matching change at (-2, -1)
+        st.rho_dev.coeffs[2, 0] += 0.1  # no matching change at (-2, 0)
         path = str(tmp_path / "state.bin")
         app_io.write_checkpoint(st, path)
         assert cli(["norms", path]) == 1

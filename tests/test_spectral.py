@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from oddflow import app_io
 from oddflow.dynamics import FlowState
@@ -15,6 +16,8 @@ from oddflow.spectral import (
     dealias,
     dealiased_product,
     divergence,
+    expand,
+    fold,
     forward_transform,
     gradient,
     inner_product,
@@ -31,7 +34,7 @@ from oddflow.spectral import (
     zero_scalar,
 )
 
-from conftest import convolution_oracle, dft_oracle
+from conftest import convolution_oracle, dft_oracle, full_wavenumbers
 
 
 def random_band_field(grid, seed, band=None):
@@ -39,12 +42,13 @@ def random_band_field(grid, seed, band=None):
     band = band if band is not None else grid.dealias_cutoff
     c = np.zeros((grid.n, grid.n), complex)
     n = grid.n
-    mask = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band)
+    k1, k2, _ = full_wavenumbers(n)
+    mask = (np.abs(k1) <= band) & (np.abs(k2) <= band)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c[mask] = noise[mask]
     c = 0.5 * (c + np.conj(c[(-np.arange(n)) % n][:, (-np.arange(n)) % n]))
     c[0, 0] = c[0, 0].real
-    return SpectralScalar(grid, c)
+    return SpectralScalar(grid, fold(c))
 
 
 class TestGrid:
@@ -78,9 +82,22 @@ class TestTransforms:
         samples = np.cos(grid16.x1)
         f = forward_transform(grid16, samples)
         oracle = dft_oracle(samples)
-        assert np.max(np.abs(f.coeffs - oracle)) < 1e-13
+        assert np.max(np.abs(f.coeffs - fold(oracle))) < 1e-13
         assert abs(f.coeffs[1, 0] - 0.5) < 1e-14
         assert abs(f.coeffs[-1, 0] - 0.5) < 1e-14
+
+    def test_half_spectrum_is_fft2_half(self, grid32):
+        """Stored coefficients are columns k2 = 0..n/2 of the full fft2
+        spectrum, value for value, with an exactly Hermitian column 0."""
+        samples = np.random.default_rng(5).standard_normal((32, 32))
+        f = forward_transform(grid32, samples)
+        full = scipy.fft.fft2(samples, norm="forward")
+        full[16, :] = full[:, 16] = 0.0  # the Nyquist row and column
+        assert f.coeffs.shape == (32, 17)
+        assert np.array_equal(f.coeffs, full[:, :17])
+        assert np.array_equal(expand(f.coeffs), full)
+        col = f.coeffs[:, 0]
+        assert np.array_equal(col[-np.arange(32) % 32], np.conj(col))
 
     def test_round_trip(self, grid32):
         f = random_band_field(grid32, 3)
@@ -254,9 +271,10 @@ class TestDealiasedProduct:
         f = random_band_field(grid16, 31, band=3)
         g = random_band_field(grid16, 32, band=3)
         prod = dealiased_product(f, g)
-        oracle = convolution_oracle(f.coeffs, g.coeffs, grid16.dealias_cutoff)
+        oracle = convolution_oracle(expand(f.coeffs), expand(g.coeffs),
+                                    grid16.dealias_cutoff)
         scale = max(np.max(np.abs(oracle)), 1.0)
-        assert np.max(np.abs(prod.coeffs - oracle)) < 1e-13 * scale
+        assert np.max(np.abs(expand(prod.coeffs) - oracle)) < 1e-13 * scale
 
     def test_identity_on_band(self, grid16):
         f = constant_scalar(grid16, 1.0)
