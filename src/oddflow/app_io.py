@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Fields, FlowState
+from .dynamics import FlowState, check_vacuum
 from .errors import RuntimeAbort, ValidationError
 from .spectral import (
     Grid,
@@ -261,8 +261,8 @@ def init_scenario(config: RunConfig) -> FlowState:
         raise ValidationError(f"unknown scenario {name!r}")
     state = FlowState(0.0, dealias(rho), dealias_vector(u),
                       epsilon=config.epsilon, odd_sign=config.odd_sign)
-    try:  # the first pressure solve needs the truncated rho and 1/rho
-        Fields(state, vacuum_floor=config.vacuum_floor).inv_rho_phys
+    try:
+        check_vacuum(state, config.vacuum_floor)
     except RuntimeAbort as exc:
         raise ValidationError(
             f"initial state not resolved on the n = {grid.n} grid: {exc}") from exc
@@ -334,8 +334,8 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
-def diagnostics_csv(records, fields) -> str:
-    lines = [",".join(fields)]
+def diagnostics_csv(records, columns) -> str:
+    lines = [",".join(columns)]
     for rec in records:
         vals = rec.values() if hasattr(rec, "values") else rec
         lines.append(",".join(format_number(v) for v in vals))

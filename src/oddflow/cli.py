@@ -1,7 +1,8 @@
 """Command-line interface: run, verify, twin, sweep-eps, norms.
 
-Exit codes: 0 success, 1 validation/config error (including a bad or
-missing checkpoint, or an initial state the grid cannot resolve), 2 runtime
+Exit codes: 0 success, 1 validation/config error (including a bad
+command-line argument, a bad or missing checkpoint, or an initial state the
+grid cannot resolve) and `verify` suites that fail their bounds, 2 runtime
 abort (vacuum breach, NaN, solver failure, failed identity check).  Every
 package error ends in one line on stderr.  An aborted `run` still writes
 the diagnostics rows it collected and its last good state
@@ -35,6 +36,12 @@ from .verify import run_all
 def _stepper_config(cfg: app_io.RunConfig) -> StepperConfig:
     return StepperConfig(dt=cfg.dt, t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
                          epsilon=cfg.epsilon, vacuum_floor=cfg.vacuum_floor)
+
+
+def _argument(ok: bool, name: str, rule: str, value) -> None:
+    """Reject an argument as validate_config rejects a config number."""
+    if not ok:
+        raise ValidationError(f"{name} {rule}, got {value}")
 
 
 def cmd_run(args) -> int:
@@ -87,6 +94,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _argument(args.n >= 32 and args.n % 2 == 0, "--n",
+              "must be even and >= 32 (coarser grids miss the suites' bounds)", args.n)
     results = run_all(n=args.n, seed=args.seed)
     for res in results:
         print(res.line())
@@ -98,14 +107,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_twin(args) -> int:
+    _argument(np.isfinite(args.amplitude), "--amplitude", "must be finite", args.amplitude)
     cfg = app_io.load_config(args.config)
+    cut = cfg.grid_n // 3
+    band = args.band or max(2, cfg.grid_n // 16)
+    _argument(1 <= band <= cut, "--band", f"must lie in the dealiased band [1, {cut}]", band)
     state = app_io.init_scenario(cfg)
     scfg = _stepper_config(cfg)
     if scfg.dt is None:
         # twins must share the step sequence, so freeze dt from the base state
-        scfg = dataclasses.replace(scfg, dt=cfg.cfl_safety * cfl_dt(state, scfg) * 0.9)
+        scfg = dataclasses.replace(scfg, dt=cfg.cfl_safety * cfl_dt(state) * 0.9)
     grid = state.grid
-    band = args.band or max(2, grid.n // 16)
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
     du = app_io.random_divergence_free(grid, cfg.seed, 3, band, args.amplitude)
     records = diagnostics.twin_run_stability(state, scfg, drho, du,
@@ -125,6 +137,7 @@ def cmd_sweep_eps(args) -> int:
         eps_list = [float(tok) for tok in args.eps.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad --eps list {args.eps!r}") from exc
+    _argument(np.all(np.isfinite(eps_list)), "--eps", "values must be finite", args.eps)
     state = app_io.init_scenario(cfg)
     scfg = _stepper_config(cfg)
     table = diagnostics.epsilon_sweep(state, scfg, eps_list)
@@ -143,6 +156,7 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    _argument(np.isfinite(args.s), "--s", "must be finite", args.s)
     state = app_io.read_checkpoint(args.checkpoint)
     s = args.s
     gu = good_unknowns(state, check=False)

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 
 from .dynamics import (
-    Fields,
     FlowState,
     density_bounds,
     good_unknowns,
@@ -67,20 +66,19 @@ class StabilityRecord:
     Theta: float
 
 
-def kinetic_energy(state: FlowState, fields: Fields | None = None) -> float:
+def kinetic_energy(state: FlowState) -> float:
     """||sqrt(rho) u||_{L2}^2 evaluated on the grid."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     u1, u2 = fl.u_phys
     h2 = (2.0 * np.pi / state.grid.n) ** 2
     return float(np.sum(fl.rho_phys * (u1 * u1 + u2 * u2)) * h2)
 
 
-def conservation_report(state: FlowState,
-                        fields: Fields | None = None) -> DiagnosticsRecord:
+def conservation_report(state: FlowState) -> DiagnosticsRecord:
     rmin, rmax = density_bounds(state)
     return DiagnosticsRecord(
         t=state.t,
-        kinetic=kinetic_energy(state, fields),
+        kinetic=kinetic_energy(state),
         rho_l2=l2_norm(state.rho_dev),
         rho_min=rmin,
         rho_max=rmax,
@@ -147,17 +145,16 @@ def _grad_u_sup(state: FlowState, oversample: bool) -> float:
 
 def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     """Full diagnostics row for one state (solves the pressure afresh)."""
-    fl = Fields(state)
-    psol = solve_pressure(state, fields=fl)
-    gu = good_unknowns(state, check=False, fields=fl)
+    psol = solve_pressure(state)
+    gu = good_unknowns(state, check=False)
     E, F, G = energy_functionals(state, s, unknowns=gu)
     M, Mt = continuation_monitor(state, psol, s)
-    rec = conservation_report(state, fl)
+    rec = conservation_report(state)
     rec.E, rec.F, rec.G = E, F, G
     rec.M_integrand, rec.Mtilde_integrand = M, Mt
     rec.pressure_iterations = psol.iterations
-    rec.theta_residual = residual_theta(state, psol.grad_pi, fields=fl)
-    rec.omega_residual = residual_omega(state, psol, fields=fl)
+    rec.theta_residual = residual_theta(state, psol.grad_pi)
+    rec.omega_residual = residual_omega(state, psol)
     return rec
 
 
@@ -239,6 +236,8 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
             raise ValidationError("twin trajectories desynchronized "
                                   f"({sa.t} vs {sb.t}); use a fixed dt")
         records.append(stability_record(sa, sb))
+        sa.drop_fields()  # the lists keep every state, not its grid samples
+        sb.drop_fields()
     return records
 
 

@@ -11,8 +11,8 @@ The good unknowns are omega = curl u, eta = curl(rho u) and
 theta = eta - Lap(rho); theta rides a plain transport equation with the
 trilinear and bilinear sources assembled here.  Every nonlinear term goes
 through 2/3-rule dealiased products; pointwise compositions (log rho, 1/rho)
-are formed on the grid and re-truncated, which requires min rho above the
-vacuum floor.
+are formed on the grid and re-truncated, which requires rho > 0; a run
+also holds every state above its vacuum floor (check_vacuum).
 """
 
 from __future__ import annotations
@@ -45,16 +45,17 @@ from .spectral import (
     zero_scalar,
 )
 
-VACUUM_FLOOR = 1e-6
-
 
 class FlowState:
     """Snapshot (t, rho-1, u, eps, odd sign) of the flow.
 
-    rho_dev stores the deviation rho - 1; u is divergence-free.
+    rho_dev stores the deviation rho - 1; u is divergence-free.  The state
+    owns the cache of its grid samples (fields), built on first read; a
+    state is not mutated once its cache is read, and copy() starts with
+    no cache.
     """
 
-    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign")
+    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "_fields", "__weakref__")
 
     def __init__(self, t: float, rho_dev: SpectralScalar, u: SpectralVector,
                  epsilon: float = 0.0, odd_sign: float = 1.0):
@@ -69,10 +70,22 @@ class FlowState:
         self.u = u
         self.epsilon = float(epsilon)
         self.odd_sign = float(odd_sign)
+        self._fields = None
 
     @property
     def grid(self) -> Grid:
         return self.rho_dev.grid
+
+    @property
+    def fields(self) -> "Fields":
+        """The cache of this state's grid samples and dealiased products."""
+        if self._fields is None:
+            self._fields = Fields(self)
+        return self._fields
+
+    def drop_fields(self) -> None:
+        """Free the cache; a later read of fields rebuilds it."""
+        self._fields = None
 
     def copy(self) -> "FlowState":
         return FlowState(self.t, self.rho_dev.copy(), self.u.copy(),
@@ -86,31 +99,35 @@ class GoodUnknowns:
     theta: SpectralScalar
 
 
+def _above(samples: np.ndarray, floor: float, name: str, t: float) -> np.ndarray:
+    """The samples, or RuntimeAbort when their minimum is not above floor."""
+    low = float(np.min(samples))
+    if not low > floor:
+        raise RuntimeAbort(f"vacuum breach: min {name} = {low:.3e} at t = {t:.6f} "
+                           f"is not above {floor:g}", t=t, quantity=f"min {name}")
+    return samples
+
+
+def check_vacuum(state: FlowState, floor: float) -> None:
+    """RuntimeAbort unless the grid samples of rho and 1/rho exceed floor."""
+    _above(state.fields.rho_phys, floor, "rho", state.t)
+    _above(state.fields.inv_rho_phys, floor, "1/rho", state.t)
+
+
 class Fields:
-    """Lazy per-state cache of the physical samples and dealiased products
-    shared by the RHS assemblies and the pressure solve."""
+    """FlowState.fields: the lazy cache of one state's grid samples and
+    dealiased products.  It holds the state's attributes, not the state, so
+    that no cycle keeps a stage state alive until the cyclic collector runs.
+    rho and 1/rho must be positive; a run's vacuum floor is check_vacuum's."""
 
-    def __init__(self, state: FlowState, vacuum_floor: float = VACUUM_FLOOR):
-        self.state = state
-        self.grid = state.grid
-        self.vacuum_floor = vacuum_floor
-
-    def release(self) -> None:
-        """Drop every cached array; a later read recomputes it."""
-        for name, attr in vars(Fields).items():
-            if isinstance(attr, cached_property):
-                self.__dict__.pop(name, None)
+    def __init__(self, state: FlowState):
+        self.t, self.rho_dev, self.u, self.grid = state.t, state.rho_dev, state.u, state.grid
+        self.epsilon, self.odd_sign = state.epsilon, state.odd_sign
 
     # --- density -----------------------------------------------------
     @cached_property
     def rho_phys(self) -> np.ndarray:
-        rho = 1.0 + inverse_transform(dealias(self.state.rho_dev))
-        if float(np.min(rho)) < self.vacuum_floor:
-            raise RuntimeAbort(
-                f"density minimum {np.min(rho):.3e} below vacuum floor "
-                f"{self.vacuum_floor:.1e}",
-                t=self.state.t, quantity="min rho")
-        return rho
+        return _above(1.0 + inverse_transform(dealias(self.rho_dev)), 0.0, "rho", self.t)
 
     @cached_property
     def inv_rho(self) -> SpectralScalar:
@@ -118,13 +135,7 @@ class Fields:
 
     @cached_property
     def inv_rho_phys(self) -> np.ndarray:
-        inv = inverse_transform(self.inv_rho)
-        if float(np.min(inv)) < self.vacuum_floor:
-            raise RuntimeAbort(
-                f"minimum {np.min(inv):.3e} of the truncated 1/rho below vacuum "
-                f"floor {self.vacuum_floor:.1e}",
-                t=self.state.t, quantity="min 1/rho")
-        return inv
+        return _above(inverse_transform(self.inv_rho), 0.0, "1/rho", self.t)
 
     @cached_property
     def log_rho(self) -> SpectralScalar:
@@ -140,22 +151,22 @@ class Fields:
 
     @cached_property
     def grad_rho_phys(self):
-        return physical(gradient(dealias(self.state.rho_dev)))
+        return physical(gradient(dealias(self.rho_dev)))
 
     # --- velocity ----------------------------------------------------
     @cached_property
     def u_phys(self):
-        return physical(dealias_vector(self.state.u))
+        return physical(dealias_vector(self.u))
 
     @cached_property
     def grad_u_phys(self):
         """(d1u1, d2u1, d1u2, d2u2) on the grid."""
-        u = dealias_vector(self.state.u)
+        u = dealias_vector(self.u)
         return physical(gradient(u.x1)) + physical(gradient(u.x2))
 
     @cached_property
     def omega(self) -> SpectralScalar:
-        return curl(self.state.u)
+        return curl(self.u)
 
     @cached_property
     def omega_phys(self) -> np.ndarray:
@@ -184,7 +195,7 @@ class Fields:
     @cached_property
     def hyper(self) -> SpectralVector:
         """T[(1/rho) Lap^2 u] (without the epsilon factor)."""
-        D1, D2 = physical(vector_bilaplacian(dealias_vector(self.state.u)))
+        D1, D2 = physical(vector_bilaplacian(dealias_vector(self.u)))
         h1 = product_physical(self.inv_rho_phys * D1, self.grid)
         h2 = product_physical(self.inv_rho_phys * D2, self.grid)
         return SpectralVector(h1, h2)
@@ -192,19 +203,17 @@ class Fields:
     def pressure_source(self, include_odd: bool = True) -> SpectralVector:
         """Vector F with -div((1/rho) grad pi) = div F; the -sign*grad(omega)
         contribution of the odd stress is folded in."""
-        sigma = self.state.odd_sign
-        eps = self.state.epsilon
         F = self.advection
         if include_odd:
-            F = F + sigma * self.odd_transport - sigma * gradient(self.omega)
-        if eps > 0.0:
-            F = F + eps * self.hyper
+            F = F + self.odd_sign * self.odd_transport - self.odd_sign * gradient(self.omega)
+        if self.epsilon > 0.0:
+            F = F + self.epsilon * self.hyper
         return F
 
 
 def density_bounds(state: FlowState) -> tuple[float, float]:
-    dev = inverse_transform(dealias(state.rho_dev))
-    return float(1.0 + np.min(dev)), float(1.0 + np.max(dev))
+    rho = state.fields.rho_phys
+    return float(np.min(rho)), float(np.max(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +223,7 @@ def density_bounds(state: FlowState) -> tuple[float, float]:
 def odd_stress_divergence(state: FlowState, check: bool = True) -> SpectralVector:
     """sign * div(rho grad(u_perp)), assembled in divergence form and checked
     against the expansion rho Lap(u_perp) + (grad rho . grad) u_perp."""
-    fl = Fields(state)
+    fl = state.fields
     g = state.grid
     rho = fl.rho_phys
     d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
@@ -267,11 +276,10 @@ def bilinear_B(v: SpectralVector, alpha: SpectralScalar, check: bool = True) -> 
     return out
 
 
-def trilinear_T(state: FlowState, check: bool = True,
-                fields: Fields | None = None) -> SpectralScalar:
+def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
     """grad_perp(rho) . grad(|u|^2), checked against the expanded cubic form
     -2 (u2 d1u.grad rho - u1 d2u.grad rho)."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
@@ -291,14 +299,13 @@ def trilinear_T(state: FlowState, check: bool = True,
     return left
 
 
-def good_unknowns(state: FlowState, check: bool = True,
-                  fields: Fields | None = None) -> GoodUnknowns:
+def good_unknowns(state: FlowState, check: bool = True) -> GoodUnknowns:
     """omega = curl u, eta = curl(rho u), theta = eta - Lap rho.
 
     eta is built as the curl of the dealiased momentum and cross-checked
     against rho*omega + grad_perp(rho).u.
     """
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     u1, u2 = fl.u_phys
     rho = fl.rho_phys
@@ -319,10 +326,10 @@ def good_unknowns(state: FlowState, check: bool = True,
     return GoodUnknowns(omega=omega, eta=eta, theta=theta)
 
 
-def density_rhs(state: FlowState, fields: Fields | None = None) -> SpectralScalar:
+def density_rhs(state: FlowState) -> SpectralScalar:
     """d(rho)/dt = -T[u . grad rho]; the mean mode is pinned to its exact
     value zero (u is divergence-free, so the advection has no k=0 source)."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     u1, u2 = fl.u_phys
     r1, r2 = fl.grad_rho_phys
@@ -332,7 +339,6 @@ def density_rhs(state: FlowState, fields: Fields | None = None) -> SpectralScala
 
 
 def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
-                 fields: Fields | None = None,
                  include_odd: bool = True) -> SpectralVector:
     """du/dt for the velocity form of the momentum equation.
 
@@ -341,7 +347,7 @@ def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
     """
     if grad_pi.grid != state.grid:
         raise GridMismatchError("pressure gradient on a different grid")
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     sigma = state.odd_sign
     eps = state.epsilon
@@ -358,20 +364,19 @@ def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
     return rhs
 
 
-def theta_rhs(state: FlowState, fields: Fields | None = None,
-              check: bool = True) -> SpectralScalar:
+def theta_rhs(state: FlowState, check: bool = True) -> SpectralScalar:
     """d(theta)/dt = -u.grad theta + (1/2) trilinear + sign*B(grad u, Hess rho)
     - eps Lap^2 omega, plus a correction that vanishes for odd_sign = +1."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     sigma = state.odd_sign
 
-    gu = good_unknowns(state, check=check, fields=fl)
+    gu = good_unknowns(state, check=check)
     t1, t2 = physical(gradient(dealias(gu.theta)))
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
 
-    tri = trilinear_T(state, check=check, fields=fl)
+    tri = trilinear_T(state, check=check)
     bil = bilinear_B(state.u, state.rho_dev, check=check)
 
     rhs = -1.0 * adv + 0.5 * tri + sigma * bil
@@ -382,20 +387,19 @@ def theta_rhs(state: FlowState, fields: Fields | None = None,
         # the sign is flipped while theta keeps its +1 definition
         l1, l2_ = physical(gradient(laplacian(dealias(state.rho_dev))))
         u_grad_lap = product_physical(u1 * l1 + u2 * l2_, g)
-        dt_lap = laplacian(density_rhs(state, fl))
+        dt_lap = laplacian(density_rhs(state))
         rhs = rhs + (sigma - 1.0) * (dt_lap + u_grad_lap)
     return rhs
 
 
-def omega_rhs(state: FlowState, pressure_solution, fields: Fields | None = None,
-              check: bool = True) -> SpectralScalar:
+def omega_rhs(state: FlowState, pressure_solution, check: bool = True) -> SpectralScalar:
     """d(omega)/dt assembled from the rewritten transport form.
 
     With check, also assembles the raw form (with grad_perp(1/rho).grad pi)
     and checks that the two agree to 1e-10, which exercises the cancellation
     grad_perp(1/rho).grad(sign*rho*omega) = -sign*grad_perp(log rho).grad omega.
     """
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     sigma = state.odd_sign
     eps = state.epsilon
@@ -439,15 +443,14 @@ def omega_rhs(state: FlowState, pressure_solution, fields: Fields | None = None,
 # residual verifiers (two independent assemblies of the same time derivative)
 
 
-def residual_theta(state: FlowState, grad_pi: SpectralVector,
-                   fields: Fields | None = None) -> float:
+def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
     """||theta_rhs - product-rule assembly|| / max(||a||, ||b||, 1)."""
-    fl = fields if fields is not None else Fields(state)
-    a = theta_rhs(state, fields=fl, check=False)
+    fl = state.fields
+    a = theta_rhs(state, check=False)
 
     g = state.grid
-    drho = density_rhs(state, fl)
-    du = momentum_rhs(state, grad_pi, fields=fl)
+    drho = density_rhs(state)
+    du = momentum_rhs(state, grad_pi)
     dr_p = inverse_transform(drho)
     du1, du2 = physical(du)
     u1, u2 = fl.u_phys
@@ -458,10 +461,8 @@ def residual_theta(state: FlowState, grad_pi: SpectralVector,
     return mismatch(a, b)
 
 
-def residual_omega(state: FlowState, pressure_solution,
-                   fields: Fields | None = None) -> float:
+def residual_omega(state: FlowState, pressure_solution) -> float:
     """||omega_rhs - curl(momentum_rhs)|| / max(||a||, ||b||, 1)."""
-    fl = fields if fields is not None else Fields(state)
-    a = omega_rhs(state, pressure_solution, fields=fl, check=False)
-    b = curl(momentum_rhs(state, pressure_solution.grad_pi, fields=fl))
+    a = omega_rhs(state, pressure_solution, check=False)
+    b = curl(momentum_rhs(state, pressure_solution.grad_pi))
     return mismatch(a, b)

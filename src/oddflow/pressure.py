@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .dynamics import Fields, FlowState
-from .errors import ConvergenceError, OddflowError, ValidationError
+from .dynamics import FlowState
+from .errors import ConvergenceError, OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import build_partition
 from .spectral import (
     Grid,
@@ -81,7 +81,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
     given the grid samples a_phys of the dealiased coefficient a.
 
-    Returns (Pi, iterations, relative residual)."""
+    Returns (Pi, iterations, relative residual); a non-finite residual aborts."""
     grid = F.grid
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
@@ -131,6 +131,8 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
         np.multiply(Ap, alpha, out=tmp)
         r -= tmp
         res = float(np.sqrt(half_vdot(r, r))) / b_norm
+        if not np.isfinite(res):
+            raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
         if res <= tol:
             break
         np.multiply(r, inv_lap, out=z)
@@ -165,15 +167,14 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
     return gradient(pi)
 
 
-def solve_pressure(state: FlowState, fields: Fields | None = None,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                   include_odd: bool = True) -> PressureSolution:
+def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER, include_odd: bool = True) -> PressureSolution:
     """Pressure gradient of the momentum equation for this state.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
     + (eps/rho) Lap^2 u) - sign*Lap(omega) and fills both gradients.
     """
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     F = fl.pressure_source(include_odd=include_odd)
     pi, iters, res = _solve_elliptic_potential(fl.inv_rho_phys, F, tol, max_iter)
     grad_pi = gradient(pi)
@@ -187,9 +188,9 @@ def solve_pressure(state: FlowState, fields: Fields | None = None,
     return PressureSolution(grad_pi, regular, iters, res, odd_sign=sigma)
 
 
-def commutator_rho_laplacian(state: FlowState, fields: Fields | None = None) -> SpectralScalar:
+def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:
     """[rho - 1, Lap] omega = (rho-1)Lap(omega) - Lap((rho-1)omega)."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     dev_phys = fl.rho_phys - 1.0
     lap_om = inverse_transform(laplacian(dealias(fl.omega)))
@@ -198,9 +199,9 @@ def commutator_rho_laplacian(state: FlowState, fields: Fields | None = None) -> 
     return t1 - t2
 
 
-def commutator_expanded(state: FlowState, fields: Fields | None = None) -> SpectralScalar:
+def commutator_expanded(state: FlowState) -> SpectralScalar:
     """-2 div(omega grad rho) + omega Lap rho (equal to the commutator)."""
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     r1, r2 = fl.grad_rho_phys
     om = fl.omega_phys
@@ -210,8 +211,8 @@ def commutator_expanded(state: FlowState, fields: Fields | None = None) -> Spect
     return -2.0 * divergence(SpectralVector(w1, w2)) + product_physical(om * lap_rho, g)
 
 
-def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution,
-                           fields: Fields | None = None) -> SpectralVector:
+def pressure_split_via_phi(state: FlowState,
+                           pressure_solution: PressureSolution) -> SpectralVector:
     """Reassemble grad(pi - sign*rho*omega) from the source decomposition.
 
     High frequencies come from grad((-Lap)^{-1} Phi) with
@@ -219,7 +220,7 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
     + (eps/rho)Lap^2 u) - sign*[rho-1, Lap]omega; the lowest dyadic block is
     copied from the direct difference.
     """
-    fl = fields if fields is not None else Fields(state)
+    fl = state.fields
     g = state.grid
     sigma = state.odd_sign
 
@@ -236,7 +237,7 @@ def pressure_split_via_phi(state: FlowState, pressure_solution: PressureSolution
     divG = inverse_transform(divergence(G))
     phi2 = product_physical(fl.rho_phys * divG, g)
 
-    phi3 = commutator_rho_laplacian(state, fl)
+    phi3 = commutator_rho_laplacian(state)
 
     phi = phi1 + phi2 - sigma * phi3
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from .app_io import _real_field, _stream
 from .dynamics import (
-    Fields,
     FlowState,
     good_unknowns,
     odd_stress_divergence,
@@ -186,14 +185,13 @@ def suite_pressure_split(grid: Grid, seed: int, count: int = 5) -> list[CheckRes
     worst_comm = 0.0
     for i in range(count):
         st = make_state(grid, seed + i, "full_band")
-        fl = Fields(st)
-        psol = solve_pressure(st, fields=fl)
-        via_phi = pressure_split_via_phi(st, psol, fields=fl)
+        psol = solve_pressure(st)
+        via_phi = pressure_split_via_phi(st, psol)
         direct = psol.grad_pi_minus_rho_omega
         err = l2_norm_vector(via_phi - direct) / max(l2_norm_vector(direct), 1.0)
         worst = max(worst, err)
-        c1 = commutator_rho_laplacian(st, fl)
-        c2 = commutator_expanded(st, fl)
+        c1 = commutator_rho_laplacian(st)
+        c2 = commutator_expanded(st)
         worst_comm = max(worst_comm, mismatch(c1, c2))
     return [
         CheckResult("pressure split (direct vs Phi)", worst, 1e-8),

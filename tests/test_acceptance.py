@@ -173,10 +173,8 @@ def test_criterion_06_pressure_split_consistency():
     worst = 0.0
     for seed in range(50):
         st = make_state(grid, seed + 100, "full_band")
-        from oddflow.dynamics import Fields
-        fl = Fields(st)
-        psol = solve_pressure(st, fields=fl)
-        via = pressure_split_via_phi(st, psol, fields=fl)
+        psol = solve_pressure(st)
+        via = pressure_split_via_phi(st, psol)
         direct = psol.grad_pi_minus_rho_omega
         rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
         worst = max(worst, rel)

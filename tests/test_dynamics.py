@@ -236,9 +236,8 @@ class TestThetaOmegaRhs:
         psol = solve_pressure(st)
         out = omega_rhs(st, psol)
         # rho = 1: d(omega)/dt reduces to -u.grad(omega)
-        from oddflow.dynamics import Fields
         from oddflow.spectral import SpectralScalar, dealias, product_physical
-        fl = Fields(st)
+        fl = st.fields
         om = dealias(fl.omega)
         g = grid64
         o1 = inverse_transform(SpectralScalar(g, 1j * g.k1 * om.coeffs))

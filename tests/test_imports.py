@@ -151,3 +151,47 @@ def test_detector_flags_c2c_transforms():
 def test_no_c2c_transforms(path):
     calls = c2c_transforms(path.read_text(encoding="utf-8"))
     assert [c for c in calls if (path.name, c[1]) not in C2C_ALLOWED] == []
+
+
+# A state owns its cache: FlowState.fields builds the one Fields of a state,
+# and no function takes a cache beside the state.
+def cache_beside_state(source: str) -> list[str]:
+    """Functions with a `fields` parameter, and Fields(...) built anywhere
+    but in FlowState.fields."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if "fields" in {p.arg for p in params if p is not None}:
+                found.append(f"{node.name} takes fields (line {node.lineno})")
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "Fields" and scope != ("FlowState", "fields"):
+                found.append(f"Fields built in {'.'.join(scope) or '<module>'} "
+                             f"(line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_detector_flags_cache_beside_state():
+    source = ("class FlowState:\n    @property\n    def fields(self):\n"
+              "        return Fields(self)\n"
+              "def f(state, fields=None):\n    return fields or Fields(state)\n"
+              "def g(state, *, check=True):\n    return dynamics.Fields(state)\n"
+              "cache = Fields(s)\n")
+    assert cache_beside_state(source) == [
+        "f takes fields (line 5)", "Fields built in f (line 6)",
+        "Fields built in g (line 8)", "Fields built in <module> (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_state_owns_its_cache(path):
+    assert cache_beside_state(path.read_text(encoding="utf-8")) == []

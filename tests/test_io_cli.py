@@ -6,6 +6,7 @@ import pytest
 
 from oddflow import app_io
 from oddflow.cli import cli
+from oddflow.dynamics import FlowState
 from oddflow.errors import (
     CancellationIdentityError,
     GridMismatchError,
@@ -20,6 +21,7 @@ from oddflow.spectral import (
     check_real,
     curl,
     expand,
+    forward_transform,
     inverse_transform,
     max_divergence_ratio,
 )
@@ -407,6 +409,39 @@ class TestCli:
         app_io.write_checkpoint(st, path)
         assert cli(["norms", path]) == 1
         self._assert_one_line_error(capsys)
+
+    def test_norms_negative_density_checkpoint(self, tmp_path, grid64, capsys):
+        """rho = 1 - 1.5 cos^2 x1 dips below zero: log rho has no value."""
+        st = make_state(grid64, 8, "half_band")
+        st = FlowState(0.0, forward_transform(grid64, -1.5 * np.cos(grid64.x1) ** 2), st.u)
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(st, path)
+        assert cli(["norms", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("abort: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["norms", "CKPT", "--s", "nan"],
+        ["norms", "CKPT", "--s", "inf"],
+        ["sweep-eps", "--config", "CFG", "--eps", "nan,0"],
+        ["sweep-eps", "--config", "CFG", "--eps", "inf,0"],
+        ["twin", "--config", "CFG", "--amplitude", "nan"],
+        ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "-3"],
+        ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "1000"],
+        ["verify", "--n", "16"],
+    ], ids=" ".join)
+    def test_bad_argument(self, tmp_path, grid16, capsys, argv):
+        """One error line that names the argument (the one before the bad
+        value), exit 1."""
+        data = minimal_config(grid_n=16, t_end=0.01, output_dir=str(tmp_path / "out"))
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        ckpt = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(make_state(grid16, 8, "half_band"), ckpt)
+        paths = {"CFG": write_json(tmp_path, data), "CKPT": ckpt}
+        assert cli([paths.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        self._assert_one_line_error_text(err)
+        assert argv[-2] in err, err
 
     def test_norms_missing_checkpoint(self, tmp_path, capsys):
         assert cli(["norms", str(tmp_path / "missing.bin")]) == 1

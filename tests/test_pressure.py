@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oddflow.app_io import RunConfig, init_scenario
-from oddflow.dynamics import Fields, FlowState
-from oddflow.errors import ConvergenceError, ValidationError
+from oddflow.dynamics import FlowState
+from oddflow.errors import ConvergenceError, RuntimeAbort, ValidationError
 from oddflow.pressure import (
     commutator_expanded,
     commutator_rho_laplacian,
@@ -97,6 +97,15 @@ class TestSolveElliptic:
         with pytest.raises(ConvergenceError):
             solve_elliptic(a, F, tol=1e-13, max_iter=2)
 
+    def test_nan_source_aborts_after_one_iteration(self, grid64):
+        a = constant_scalar(grid64, 1.0) + random_band_scalar(grid64, 1, 96, 5,
+                                                              sup_amplitude=0.4)
+        F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
+                           random_band_scalar(grid64, 1, 98, 10))
+        F.x1.coeffs[3, 2] = np.nan
+        with pytest.raises(RuntimeAbort, match="residual nan at iteration 1$"):
+            solve_elliptic(a, F)
+
     def test_determinism(self, grid64):
         noise = random_band_scalar(grid64, 2, 99, 5, sup_amplitude=0.4)
         a = constant_scalar(grid64, 1.0) + noise
@@ -130,8 +139,7 @@ class TestSolvePressure:
         st = make_state(grid64, 7, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
         ps = solve_pressure(st)
-        fl = Fields(st)
-        adv = fl.advection
+        adv = st.fields.advection
         pi_e = inverse_laplacian(divergence(adv))
         grad_e = gradient(pi_e)
         diff = ps.grad_pi_minus_rho_omega - grad_e
@@ -139,8 +147,8 @@ class TestSolvePressure:
 
     def test_solution_invariants(self, grid64):
         st = make_state(grid64, 8, "full_band")
-        fl = Fields(st)
-        ps = solve_pressure(st, fields=fl)
+        fl = st.fields
+        ps = solve_pressure(st)
         assert l2_norm(curl(ps.grad_pi)) <= 1e-10 * max(l2_norm_vector(ps.grad_pi), 1)
         rho_omega = product_physical(fl.rho_phys * fl.omega_phys, grid64)
         recon = ps.grad_pi - gradient(rho_omega)
@@ -181,13 +189,12 @@ class TestPressureSplit:
     def test_homogeneous_matches_euler_correction(self, grid64):
         st = make_state(grid64, 9, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
-        fl = Fields(st)
-        ps = solve_pressure(st, fields=fl)
-        via = pressure_split_via_phi(st, ps, fields=fl)
+        ps = solve_pressure(st)
+        via = pressure_split_via_phi(st, ps)
         direct = ps.grad_pi_minus_rho_omega
         assert l2_norm_vector(via - direct) <= 1e-9 * max(l2_norm_vector(direct), 1)
         # and the direct difference is the gradient part of -div(u x u)
-        _, q = leray_project(-1.0 * fl.advection)
+        _, q = leray_project(-1.0 * st.fields.advection)
         assert l2_norm_vector(direct - q) <= 1e-9 * max(l2_norm_vector(q), 1)
 
     def test_zero_velocity(self, grid64):
@@ -202,18 +209,16 @@ class TestPressureSplit:
     def test_random_agreement(self, grid64, eps):
         for seed in range(3):
             st = make_state(grid64, 20 + seed, "full_band", epsilon=eps)
-            fl = Fields(st)
-            ps = solve_pressure(st, fields=fl)
-            via = pressure_split_via_phi(st, ps, fields=fl)
+            ps = solve_pressure(st)
+            via = pressure_split_via_phi(st, ps)
             direct = ps.grad_pi_minus_rho_omega
             rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
             assert rel <= 1e-8
 
     def test_negative_odd_sign_agreement(self, grid64):
         st = make_state(grid64, 24, "full_band", odd_sign=-1.0)
-        fl = Fields(st)
-        ps = solve_pressure(st, fields=fl)
-        via = pressure_split_via_phi(st, ps, fields=fl)
+        ps = solve_pressure(st)
+        via = pressure_split_via_phi(st, ps)
         rel = l2_norm_vector(via - ps.grad_pi_minus_rho_omega) / max(
             l2_norm_vector(ps.grad_pi_minus_rho_omega), 1.0)
         assert rel <= 1e-8

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from oddflow.dynamics import Fields, FlowState
+from oddflow.diagnostics import observe
+from oddflow.dynamics import FlowState
 from oddflow.errors import RuntimeAbort
 from oddflow.spectral import (
     SpectralVector,
@@ -96,10 +100,8 @@ class TestStep:
     def test_total_momentum_conserved(self, grid64):
         """The conserved linear quantity for variable density is the
         integral of rho*u (the plain mean of u moves with the flow)."""
-        from oddflow.dynamics import Fields
-
         def momentum(s):
-            fl = Fields(s)
+            fl = s.fields
             u1, u2 = fl.u_phys
             h2 = (2 * np.pi / s.grid.n) ** 2
             return (np.sum(fl.rho_phys * u1) * h2, np.sum(fl.rho_phys * u2) * h2)
@@ -116,16 +118,33 @@ class TestStep:
         from oddflow.spectral import max_divergence_ratio
         assert max_divergence_ratio(out.u) < 1e-12
 
-    def test_given_fields_same_bits_then_released(self, grid32):
+    def test_cache_read_by_observers_same_bits(self, grid32):
+        """A state whose cache observe already read steps to the same bits as
+        a fresh copy of it, and the step frees that cache after stage 1."""
         st = make_state(grid32, 5, "half_band")
+        fresh = st.copy()
+        observe(st, 2.5)
+        assert st._fields is not None and fresh._fields is None
         cfg = StepperConfig()
-        fl = Fields(st, vacuum_floor=cfg.vacuum_floor)
-        shared = step(st, cfg, dt=1e-3, fields=fl)
-        own = step(st, cfg, dt=1e-3)
+        shared = step(st, cfg, dt=1e-3)
+        own = step(fresh, cfg, dt=1e-3)
         for a, b in ((shared.rho_dev, own.rho_dev), (shared.u.x1, own.u.x1),
                      (shared.u.x2, own.u.x2)):
             assert np.array_equal(a.coeffs, b.coeffs)
-        assert set(vars(fl)) == {"state", "grid", "vacuum_floor"}
+        assert st._fields is None
+
+    def test_state_freed_without_cyclic_gc(self, grid32):
+        """A state and its cache form no reference cycle: with the cyclic
+        collector off, dropping the last reference frees the state."""
+        st = make_state(grid32, 5, "half_band")
+        st.fields.inv_rho_phys
+        ref = weakref.ref(st)
+        gc.disable()
+        try:
+            del st
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cfl_warning(self, grid64):
         # one run step of a fixed dt above the CFL bound (1/32 here)
@@ -168,14 +187,15 @@ class TestRun:
         assert abs(seen[-1][1] - 0.1) < 1e-12
 
     def test_one_fields_per_stage(self, grid32, fields_built):
-        """cfl_dt and the first RK stage share one Fields: 4 per step."""
+        """One Fields per state: the initial state's, then 4 per step (stages
+        2-4 and the new state, which the next cfl_dt and stage 1 read)."""
         st = make_state(grid32, 5, "half_band")
         fields_built[0] = 0
         seen = []
         run(st, StepperConfig(dt=None, t_end=0.05),
             observers=[lambda s, i: seen.append(i)])
         steps = len(seen) - 1
-        assert steps > 1 and fields_built[0] == 4 * steps
+        assert steps > 1 and fields_built[0] == 1 + 4 * steps
 
     def test_energy_drift_small(self, grid64):
         from oddflow.diagnostics import kinetic_energy
