@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 validation/config error (including a bad
 command-line argument, a bad or missing checkpoint, or an initial state the
 grid cannot resolve) and `verify` suites that fail their bounds, 2 runtime
 abort (vacuum breach, NaN, solver failure, failed identity check).  Every
-package error ends in one line on stderr.  An aborted `run` still writes
-the diagnostics rows it collected and its last good state
-(checkpoint_abort.bin).
+package error ends in one line on stderr, and every warning is one
+`warning:` line there.  An aborted `run` still writes the diagnostics rows
+it collected and its last good state (checkpoint_abort.bin).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -217,7 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def cli(argv=None) -> int:
+    saved = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
+    try:
+        return _dispatch(argv)
+    finally:
+        warnings.formatwarning = saved
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

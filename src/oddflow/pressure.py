@@ -1,16 +1,47 @@
 """Variable-coefficient elliptic solve for the pressure gradient and the
 regular combination grad(pi - sign*rho*omega).
 
-The elliptic problem -div(a grad Pi) = div F is solved by conjugate
-gradients on the mean-zero scalar potential, preconditioned by the exact
-inverse Laplacian; curl-freeness of the returned gradient is exact because
-the unknown is the potential.  The CG vectors hold the columns
-k2 = 0..n//3 of the half-spectrum, the dealiased band: one iteration is
-one irfft2 and one rfft2, each over both gradient components stacked,
-with updates in place.  Inner products and norms are spectral.half_vdot,
-the full-spectrum L2 values (Plancherel for real fields), so the
-tolerance keeps its meaning.  Solves are cold-started and use fixed-order
-reductions, so identical inputs give bit-identical results.
+The elliptic problem -div(a grad Pi) = div F is solved by preconditioned
+conjugate gradients on the mean-zero scalar potential; curl-freeness of
+the returned gradient is exact because the unknown is the potential.  The
+CG vectors hold the columns k2 = 0..n//3 of the half-spectrum, the
+dealiased band: one operator application is one irfft2 and one rfft2,
+each over both gradient components stacked, with updates in place.  Inner
+products and norms are spectral.half_vdot, the full-spectrum L2 values
+(Plancherel for real fields), and the stopping test is on the
+unpreconditioned residual ||b - Ax|| / ||b||, so the tolerance keeps its
+meaning whichever preconditioner runs.  Solves are cold-started and use
+fixed-order reductions, so identical inputs give bit-identical results.
+
+Preconditioner, chosen once per solve from the solve's own samples of a:
+
+- (-Lap)^{-1}, the exact inverse for constant a;
+- Concus-Golub (SIAM J. Numer. Anal. 10 (1973) 1103-1120),
+  M = P a^{-1/2} (-Lap)^{-1} a^{-1/2}, with P the band projection and the
+  full-width mean-zero (-Lap)^{-1}.  Since -div(a grad) =
+  a^{1/2} (-Lap + q) a^{1/2} with q = Lap(a^{1/2}) / a^{1/2}, the
+  preconditioned operator is I + (-Lap)^{-1} q up to P, and the lowest
+  nonzero |k|^2 on the torus is 1, so sup|q| measures how far M A is from
+  the identity.  One application costs two scalar irfft2/rfft2 pairs,
+  about one operator application, so an iteration costs about twice a
+  plain one.
+
+Concus-Golub runs when max a / min a >= CONTRAST_MIN and then, at the
+cost of one more scalar transform pair, sup|q| < SUP_Q_MAX; otherwise
+(-Lap)^{-1} runs.  Measured with one FFT thread at n = 64 and 128:
+
+- the identity-suite states (contrast 1.16-1.53, sup|q| <= 0.22) take
+  9-12 plain iterations; Concus-Golub takes 6-8 and is slower;
+- density_wave (contrast 3.0 at a = 0.5 and 19 at a = 0.9; sup|q| 1.0
+  and 9.0, steady along its runs) goes from 21 to 8 and from 57 to 12
+  iterations, and its solve from 10 to 8.6 ms and 28 to 12 ms at n = 128;
+- random_bandlimited at a = 0.5 (200 seeds: contrast 2.2-3.0, sup|q|
+  12.6-29.5) takes 14-17 plain iterations and 16-22 Concus-Golub ones,
+  each about twice the price.
+
+So the contrast test alone keeps the suites plain, and sup|q| alone sends
+them to Concus-Golub.  The thresholds sit inside the measured gaps:
+contrast (1.53, 3.0) and sup|q| (9.0, 12.6).
 """
 
 from __future__ import annotations
@@ -43,6 +74,8 @@ from .spectral import (
 
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 500
+CONTRAST_MIN = 2.0  # max a / min a from which Concus-Golub may pay
+SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 
 
 @dataclass(frozen=True)
@@ -60,9 +93,11 @@ class PressureSolution:
 @dataclass(frozen=True)
 class BandMultipliers:
     """Per-grid multipliers of the CG on the band columns k2 = 0..n//3 of
-    the half-spectrum: ik stacks 1j*k1 and 1j*k2, and inv_lap is
-    (-Lap)^{-1}, both zero outside the dealiased band."""
+    the half-spectrum: band is 1 on the mean-zero dealiased band, ik
+    stacks 1j*k1 and 1j*k2, and inv_lap is (-Lap)^{-1}, all zero outside
+    that band."""
 
+    band: np.ndarray
     ik: np.ndarray
     inv_lap: np.ndarray
 
@@ -71,9 +106,46 @@ class BandMultipliers:
 def band_multipliers(grid: Grid) -> BandMultipliers:
     """The CG multipliers of this grid, built once."""
     m = grid.dealias_cutoff + 1
-    band = (grid.dealias_mask & grid.keep_mask)[:, :m]
+    band = (grid.dealias_mask & grid.keep_mask & (grid.k_sq > 0))[:, :m].astype(np.float64)
     ik = 1j * np.stack((grid.k1[:, :m], grid.k2[:, :m])) * band
-    return BandMultipliers(ik, grid.inv_k_sq[:, :m] * band)
+    return BandMultipliers(band, ik, grid.inv_k_sq[:, :m] * band)
+
+
+def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid):
+    """The function z <- M r that the CG applies on the band columns, with
+    M chosen once by the rule in the module docstring; it writes z in
+    place."""
+    bm = band_multipliers(grid)
+    n, m = bm.inv_lap.shape
+    w = fft_workers()
+
+    def inverse_laplacian(r, z):
+        np.multiply(r, bm.inv_lap, out=z)
+
+    if float(np.max(a_phys)) < CONTRAST_MIN * a_star:
+        return inverse_laplacian
+    root = np.sqrt(a_phys)
+    lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root, norm="forward", workers=w),
+                           s=(n, n), norm="forward", workers=w)
+    if not float(np.max(np.abs(lap_root / root))) < SUP_Q_MAX:
+        return inverse_laplacian
+
+    inv_root = 1.0 / root
+    # the full half-spectrum width: the columns past the band stay zero
+    full = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+
+    def concus_golub(r, z):
+        full[:, :m] = r
+        v = _fft.irfft2(full, s=(n, n), norm="forward", workers=w)
+        v *= inv_root
+        f = _fft.rfft2(v, norm="forward", workers=w)
+        f *= grid.inv_k_sq
+        v = _fft.irfft2(f, s=(n, n), norm="forward", workers=w)
+        v *= inv_root
+        f = _fft.rfft2(v, norm="forward", workers=w)
+        np.multiply(f[:, :m], bm.band, out=z)
+
+    return concus_golub
 
 
 def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
@@ -88,9 +160,8 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
 
-    bm = band_multipliers(grid)
-    ik, inv_lap = bm.ik, bm.inv_lap
-    n, m = inv_lap.shape
+    ik = band_multipliers(grid).ik
+    n, m = ik.shape[1:]
     w = fft_workers()
 
     b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
@@ -98,9 +169,11 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     if b_norm == 0.0:
         return zero_scalar(grid), 0, 0.0
 
+    precondition = _preconditioner(a_phys, a_star, grid)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r * inv_lap
+    z = np.empty_like(b)
+    precondition(r, z)
     p = z.copy()
     Ap = np.empty_like(b)
     tmp = np.empty_like(b)
@@ -135,7 +208,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
             raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
         if res <= tol:
             break
-        np.multiply(r, inv_lap, out=z)
+        precondition(r, z)
         rz_new = half_vdot(r, z)
         p *= rz_new / rz
         p += z

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import oddflow
 from oddflow import app_io
 from oddflow.cli import cli
 from oddflow.dynamics import FlowState
@@ -33,6 +38,16 @@ def minimal_config(**extra):
     data = {"grid_n": 32, "t_end": 0.05, "scenario": {"name": "steady_shear"}}
     data.update(extra)
     return data
+
+
+def cli_process(argv):
+    """Exit code and stderr of `oddflow argv` in a fresh interpreter, where
+    warnings reach stderr as they do for a user."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oddflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "from oddflow.cli import main; main()", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stderr
 
 
 def write_json(tmp_path, data, name="cfg.json"):
@@ -458,6 +473,25 @@ class TestCli:
         assert cli(["verify"]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "injected failure" in err, err
+
+    @pytest.mark.parametrize("argv, dt", [
+        (["run"], 0.3),                               # 2 steps, each far above the CFL bound
+        (["sweep-eps", "--eps", "1e-2,0"], 0.005),    # bound 7.6e-4
+    ], ids=["run", "sweep-eps"])
+    def test_warnings_are_one_line(self, tmp_path, argv, dt):
+        data = minimal_config(dt=dt, t_end=2 * dt, output_dir=str(tmp_path / "out"))
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        code, err = cli_process([*argv, "--config", write_json(tmp_path, data)])
+        assert code == 0, err
+        lines = err.splitlines()
+        assert lines and all(
+            ln.startswith(f"warning: dt = {dt:.3e} exceeds the stability estimate ")
+            for ln in lines), err
+
+    def test_warning_format_restored(self):
+        before = warnings.formatwarning
+        assert cli(["verify", "--n", "16"]) == 1
+        assert warnings.formatwarning is before
 
     def test_twin_subcommand(self, tmp_path):
         out = tmp_path / "out"

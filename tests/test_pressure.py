@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oddflow import pressure
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.dynamics import FlowState
 from oddflow.errors import ConvergenceError, RuntimeAbort, ValidationError
@@ -17,6 +18,7 @@ from oddflow.spectral import (
     check_real,
     constant_scalar,
     curl,
+    dealias,
     expand,
     forward_transform,
     gradient,
@@ -33,6 +35,25 @@ from oddflow.spectral import (
 from oddflow.verify import make_state, random_band_scalar
 
 from conftest import shear_state_fields
+
+
+PLAIN, CONCUS_GOLUB = "inverse_laplacian", "concus_golub"
+
+
+def chosen_path(a_phys, grid):
+    return pressure._preconditioner(a_phys, float(np.min(a_phys)), grid).__name__
+
+
+def coefficient(grid, path):
+    """A coefficient whose solve takes the given preconditioner: rough
+    noise of contrast 2.9, or 1 / (1 + 0.9 cos x1 cos x2), the smooth
+    coefficient of density_wave at a = 0.9 (contrast 19, sup|q| 9)."""
+    if path == PLAIN:
+        a = constant_scalar(grid, 1.0) + random_band_scalar(grid, 1, 96, 6, sup_amplitude=0.5)
+    else:
+        a = forward_transform(grid, 1.0 / (1.0 + 0.9 * np.cos(grid.x1) * np.cos(grid.x2)))
+    assert chosen_path(inverse_transform(dealias(a)), grid) == path
+    return a
 
 
 class TestSolveElliptic:
@@ -106,6 +127,20 @@ class TestSolveElliptic:
         with pytest.raises(RuntimeAbort, match="residual nan at iteration 1$"):
             solve_elliptic(a, F)
 
+    def test_non_convergence_concus_golub(self, grid64):
+        F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
+                           random_band_scalar(grid64, 1, 98, 10))
+        with pytest.raises(ConvergenceError, match="in 2 iterations"):
+            solve_elliptic(coefficient(grid64, CONCUS_GOLUB), F, tol=1e-13, max_iter=2)
+
+    @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
+    def test_nan_source_aborts_on_either_path(self, grid64, path):
+        F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
+                           random_band_scalar(grid64, 1, 98, 10))
+        F.x1.coeffs[3, 2] = np.nan
+        with pytest.raises(RuntimeAbort, match="residual nan at iteration 1$"):
+            solve_elliptic(coefficient(grid64, path), F)
+
     def test_determinism(self, grid64):
         noise = random_band_scalar(grid64, 2, 99, 5, sup_amplitude=0.4)
         a = constant_scalar(grid64, 1.0) + noise
@@ -161,10 +196,57 @@ def density_wave(n, a):
         grid_n=n, t_end=0.0, scenario={"name": "density_wave", "a": a}))
 
 
+def random_bandlimited(n, seed):
+    return init_scenario(RunConfig(
+        grid_n=n, t_end=0.0, seed=seed, scenario={"name": "random_bandlimited", "a": 0.5}))
+
+
 class TestHalfSpectrumCG:
-    @pytest.mark.parametrize("a, iterations", [(0.5, 21), (0.9, 49)])
-    def test_density_wave_iterations(self, a, iterations):
-        assert solve_pressure(density_wave(64, a)).iterations == iterations
+    @pytest.mark.parametrize("a, path, iterations", [
+        (0.1, PLAIN, 9),           # contrast 1.22
+        (0.3, PLAIN, 15),          # contrast 1.86, under CONTRAST_MIN
+        (0.5, CONCUS_GOLUB, 8),    # contrast 3.0, sup|q| 1.0; 21 plain
+        (0.9, CONCUS_GOLUB, 14),   # contrast 19, sup|q| 9.0, under SUP_Q_MAX; 49 plain
+    ])
+    def test_density_wave_iterations(self, a, path, iterations):
+        st = density_wave(64, a)
+        assert chosen_path(st.fields.inv_rho_phys, st.grid) == path
+        assert solve_pressure(st).iterations == iterations
+
+    def test_rough_coefficient_stays_plain(self):
+        """random_bandlimited seed 0: contrast 2.7 passes the first test,
+        sup|q| 17.6 is over SUP_Q_MAX."""
+        st = random_bandlimited(64, 0)
+        a_phys = st.fields.inv_rho_phys
+        assert float(np.max(a_phys) / np.min(a_phys)) >= pressure.CONTRAST_MIN
+        assert chosen_path(a_phys, st.grid) == PLAIN
+        assert solve_pressure(st).iterations == 16
+
+    @pytest.mark.parametrize("seed, profile, iterations", [
+        (0, "half_band", 9), (0, "full_band", 12), (2, "full_band", 12)])
+    def test_suite_states_stay_plain(self, seed, profile, iterations):
+        st = make_state(Grid(128), seed, profile)
+        assert chosen_path(st.fields.inv_rho_phys, st.grid) == PLAIN
+        assert solve_pressure(st).iterations == iterations
+
+    @pytest.mark.parametrize("state", [
+        lambda: density_wave(64, 0.9), lambda: density_wave(64, 0.5),
+        lambda: random_bandlimited(64, 0), lambda: make_state(Grid(64), 3, "full_band")],
+        ids=["density_wave-0.9", "density_wave-0.5", "random_bandlimited", "make_state"])
+    def test_paths_agree(self, monkeypatch, state):
+        st = state()
+        fl = st.fields
+        F = fl.pressure_source()
+        pis = []
+        for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
+            monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
+            monkeypatch.setattr(pressure, "SUP_Q_MAX", sup_q_max)
+            pi, _, res = pressure._solve_elliptic_potential(
+                fl.inv_rho_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER)
+            assert res <= pressure.DEFAULT_TOL
+            pis.append(pi.coeffs)
+        plain, cg = pis
+        assert np.linalg.norm(cg - plain) <= 1e-10 * np.linalg.norm(plain)
 
     def test_gradients_real_without_nyquist(self):
         ps = solve_pressure(density_wave(64, 0.9))

@@ -1,6 +1,9 @@
 """Property tests of the two input boundaries: a checkpoint file and a run
 config either load or raise ValidationError, and through the CLI they either
-succeed or exit 1 with one `error:` line, never a traceback."""
+succeed or exit 1 with one `error:` line, never a traceback.  An accepted
+config on a small grid is run for a few steps: it ends in exit 0 with a
+finite CSV, or in exit 1 or 2 with one `error:` or `abort:` line, beside
+any one-line warnings."""
 
 import contextlib
 import io
@@ -8,14 +11,16 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oddflow import app_io
 from oddflow.cli import cli
-from oddflow.errors import ValidationError
+from oddflow.errors import OddflowError, ValidationError
 from oddflow.spectral import Grid
+from oddflow.stepping import cfl_dt
 from oddflow.verify import make_state
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None,
@@ -104,17 +109,66 @@ config_dicts = st.dictionaries(
     config_keys,
     json_values | scenario_dicts | st.integers(0, 70) | st.floats(-1, 2),
     max_size=8)
+# mostly accepted, on grids small enough to run: smooth and rough densities
+# of any contrast, so runs reach both pressure preconditioners
+run_scenarios = (
+    st.fixed_dictionaries({"name": st.just("steady_shear")})
+    | st.fixed_dictionaries({"name": st.just("density_wave"), "a": st.floats(0.01, 0.99)})
+    | st.fixed_dictionaries(
+        {"name": st.just("random_bandlimited"), "a": st.floats(0.01, 0.99)},
+        optional={"band": st.integers(1, 3), "u_amplitude": st.floats(0.1, 10)}))
+run_configs = st.fixed_dictionaries(
+    {"grid_n": st.sampled_from([8, 16, 24]), "t_end": st.floats(0, 1),
+     "scenario": run_scenarios},
+    optional={"dt": st.none() | st.floats(1e-4, 1), "epsilon": st.floats(0, 1e-2),
+              "odd_sign": st.sampled_from([1.0, -1.0]), "vacuum_floor": st.floats(1e-6, 0.5),
+              "observe_every": st.integers(1, 3), "checkpoint_every": st.integers(0, 2),
+              "seed": st.integers(0, 2**16)})
+
+
+RUN_GRID_MAX = 24  # accepted configs with grid_n up to this are run
+RUN_STEPS = 3      # for at most this many initial steps
+
+
+def assert_runs_or_fails(data, work_dir):
+    """Run an accepted config for a few steps through the CLI."""
+    cfg = app_io.validate_config(data)
+    if cfg.grid_n > RUN_GRID_MAX:
+        return
+    try:
+        dt = cfg.dt or cfg.cfl_safety * cfl_dt(app_io.init_scenario(cfg))
+    except OddflowError:
+        dt = 0.0  # the CLI rejects the initial state before the first step
+    out = os.path.join(work_dir, "run")
+    data = dict(data, t_end=min(cfg.t_end, RUN_STEPS * dt), output_dir=out)
+    path = os.path.join(work_dir, "accepted.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out, "diagnostics.csv"))
+    code, err = cli_quiet(["run", "--config", path])
+    rest = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+    if code == 0:
+        assert not rest, err
+        with open(os.path.join(out, "diagnostics.csv"), encoding="utf-8") as fh:
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.size and np.all(np.isfinite(rows))
+    else:
+        prefix = {1: "error: ", 2: "abort: "}[code]
+        assert len(rest) == 1 and rest[0].startswith(prefix), err
 
 
 class TestValidateConfig:
     @PROPERTY
-    @given(data=config_dicts | json_values)
+    @given(data=config_dicts | json_values | run_configs)
     def test_random_config(self, work_dir, data):
         try:
             app_io.validate_config(data)
-            return  # accepted: running it is not part of this property
         except ValidationError:
             pass
+        else:
+            assert_runs_or_fails(data, work_dir)
+            return
         path = os.path.join(work_dir, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
@@ -124,9 +178,10 @@ class TestValidateConfig:
     @PROPERTY
     @given(scenario=scenario_dicts, grid_n=st.sampled_from([8, 16, 17, 32]),
            t_end=st.floats(0, 1) | json_values)
-    def test_random_scenario(self, scenario, grid_n, t_end):
+    def test_random_scenario(self, work_dir, scenario, grid_n, t_end):
         data = {"grid_n": grid_n, "t_end": t_end, "scenario": scenario}
         try:
             app_io.validate_config(data)
         except ValidationError:
-            pass
+            return
+        assert_runs_or_fails(data, work_dir)
