@@ -105,29 +105,30 @@ def validate_config(data: dict) -> RunConfig:
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"config key {key!r} must be finite, got {value}")
 
-    n = data["grid_n"]
+    cfg = RunConfig(**data)
+    n = cfg.grid_n
     if n < 8 or n % 2 != 0:
         raise ValidationError("grid_n must be even and >= 8")
-    if data["t_end"] < 0:
+    if cfg.t_end < 0:
         raise ValidationError("t_end must be >= 0")
-    if data.get("dt") is not None and data["dt"] <= 0:
+    if cfg.dt is not None and cfg.dt <= 0:
         raise ValidationError("dt must be positive (or null for auto-CFL)")
-    if data.get("epsilon", 0.0) < 0:
+    if cfg.epsilon < 0:
         raise ValidationError("epsilon must be >= 0")
-    if data.get("odd_sign", 1.0) not in (1, -1, 1.0, -1.0):
+    if cfg.odd_sign not in (1, -1):
         raise ValidationError("odd_sign must be +1 or -1")
-    if data.get("observe_every", 10) < 1:
+    if cfg.observe_every < 1:
         raise ValidationError("observe_every must be >= 1")
-    if data.get("checkpoint_every", 0) < 0:
+    if cfg.checkpoint_every < 0:
         raise ValidationError("checkpoint_every must be >= 0")
-    if not (0 < data.get("cfl_safety", 0.5) <= 1):
+    if not (0 < cfg.cfl_safety <= 1):
         raise ValidationError("cfl_safety must lie in (0, 1]")
-    if not (0 < data.get("vacuum_floor", 1e-6) < 1):
+    if not (0 < cfg.vacuum_floor < 1):
         raise ValidationError("vacuum_floor must lie in (0, 1)")
-    if not data.get("s", 2.5) > 1:
+    if not cfg.s > 1:
         raise ValidationError("s must be > 1 (the continuation monitor needs s > 1)")
 
-    scen = data["scenario"]
+    scen = cfg.scenario
     name = scen.get("name")
     if name not in SCENARIOS:
         raise ValidationError(f"unknown scenario {name!r} (choose from {SCENARIOS})")
@@ -143,15 +144,17 @@ def validate_config(data: dict) -> RunConfig:
                 f"scenario amplitude a = {a} leaves no vacuum margin "
                 "(need 0 < a < 1 so that rho stays positive)")
     if name == "random_bandlimited":
-        band = scen.get("band", n // 8)
+        band, ua = _bandlimited_options(scen, n)
         if not _type_ok(band, int) or band < 1 or band > n // 8:
             raise ValidationError(f"scenario band must be an int in [1, n/8] = [1, {n // 8}]")
-        ua = scen.get("u_amplitude", 1.0)
         if not _type_ok(ua, float) or ua <= 0:
             raise ValidationError("scenario u_amplitude must be positive")
+    return cfg
 
-    kw = {k: data[k] for k in data}
-    return RunConfig(**kw)
+
+def _bandlimited_options(scenario: dict, n: int) -> tuple:
+    """(band, u_amplitude) of a random_bandlimited scenario, with defaults."""
+    return scenario.get("band", n // 8), scenario.get("u_amplitude", 1.0)
 
 
 def load_config(path: str) -> RunConfig:
@@ -199,6 +202,20 @@ def random_scalar(grid: Grid, seed: int, stream: int, band: int,
     c = np.zeros((grid.n, grid.n), dtype=np.complex128)
     c[np.ix_(idx, idx)] = noise
     return _real_field(grid, c, sup_amplitude)
+
+
+def random_band_scalar(grid: Grid, seed: int, stream: int, band: int,
+                       power: float = 0.0, sup_amplitude: float = 1.0) -> SpectralScalar:
+    """Mean-zero field with |k|_inf <= band and a |k|^(-power) envelope,
+    drawn on the full spectrum."""
+    rng = _stream(seed, stream)
+    n = grid.n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+    env = np.where(kmag > 0, np.maximum(kmag, 1.0) ** (-power), 0.0)
+    mask = (np.abs(k[:, None]) <= band) & (np.abs(k[None, :]) <= band)
+    return _real_field(grid, np.where(mask, noise * env, 0.0), sup_amplitude)
 
 
 def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
@@ -254,9 +271,9 @@ def init_scenario(config: RunConfig) -> FlowState:
     elif name == "density_wave":
         rho, u = _density_wave(grid, float(scen["a"]))
     elif name == "random_bandlimited":
-        rho, u = _random_bandlimited(
-            grid, float(scen["a"]), int(scen.get("band", grid.n // 8)),
-            float(scen.get("u_amplitude", 1.0)), config.seed)
+        band, ua = _bandlimited_options(scen, grid.n)
+        rho, u = _random_bandlimited(grid, float(scen["a"]), int(band), float(ua),
+                                     config.seed)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
     state = FlowState(0.0, dealias(rho), dealias_vector(u),

@@ -36,7 +36,7 @@ from .verify import run_all
 
 def _stepper_config(cfg: app_io.RunConfig) -> StepperConfig:
     return StepperConfig(dt=cfg.dt, t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
-                         epsilon=cfg.epsilon, vacuum_floor=cfg.vacuum_floor)
+                         vacuum_floor=cfg.vacuum_floor)
 
 
 def _argument(ok: bool, name: str, rule: str, value) -> None:

@@ -85,8 +85,7 @@ def conservation_report(state: FlowState) -> DiagnosticsRecord:
     )
 
 
-def energy_functionals(state: FlowState, s: float,
-                       unknowns=None) -> tuple[float, float, float]:
+def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]:
     """E = ||rho-1||_{H^{s+1}} + ||u||_{H^s};
     F = ||rho-1||_{L2} + ||u||_{L2} + ||theta||_{H^{s-1}} + ||omega||_{H^{s-1}};
     G = ||rho-1||^2_{H^s} + ||u||^2_{L2} + ||omega||^2_{H^{s-1}}
@@ -96,7 +95,7 @@ def energy_functionals(state: FlowState, s: float,
     if s <= 2:
         warnings.warn(f"s = {s} is below the well-posedness range s > 2",
                       RuntimeWarning, stacklevel=2)
-    gu = unknowns if unknowns is not None else good_unknowns(state, check=False)
+    gu = good_unknowns(state, check=False)
     rho_hs1 = sobolev_norm(state.rho_dev, s + 1.0)
     rho_hs = sobolev_norm(state.rho_dev, s)
     rho_l2 = l2_norm(state.rho_dev)
@@ -146,8 +145,7 @@ def _grad_u_sup(state: FlowState, oversample: bool) -> float:
 def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     """Full diagnostics row for one state (solves the pressure afresh)."""
     psol = solve_pressure(state)
-    gu = good_unknowns(state, check=False)
-    E, F, G = energy_functionals(state, s, unknowns=gu)
+    E, F, G = energy_functionals(state, s)
     M, Mt = continuation_monitor(state, psol, s)
     rec = conservation_report(state)
     rec.E, rec.F, rec.G = E, F, G
@@ -249,10 +247,8 @@ def epsilon_sweep(initial: FlowState, config: StepperConfig,
         raise ValidationError("eps_list must be strictly decreasing")
     if any(e < 0 for e in eps_list):
         raise ValidationError("eps values must be >= 0")
-    finals = []
-    for eps in eps_list:
-        st = FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign)
-        finals.append(run(st, dataclasses.replace(config, epsilon=eps)))
+    finals = [run(FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign),
+                  config) for eps in eps_list]
     table = []
     for (e1, f1), (e2, f2) in zip(zip(eps_list, finals), zip(eps_list[1:], finals[1:])):
         table.append({

@@ -49,7 +49,9 @@ from .spectral import (
 class FlowState:
     """Snapshot (t, rho-1, u, eps, odd sign) of the flow.
 
-    rho_dev stores the deviation rho - 1; u is divergence-free.  The state
+    rho_dev stores the deviation rho - 1; u is divergence-free.  epsilon and
+    odd_sign are the equation's parameters; odd_sign 0 drops the odd terms,
+    which leaves the non-homogeneous Euler reference system.  The state
     owns the cache of its grid samples (fields), built on first read; a
     state is not mutated once its cache is read, and copy() starts with
     no cache.
@@ -63,8 +65,8 @@ class FlowState:
             raise GridMismatchError("rho and u live on different grids")
         if epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if odd_sign not in (1.0, -1.0, 1, -1):
-            raise ValueError("odd_sign must be +1 or -1")
+        if odd_sign not in (1, 0, -1):
+            raise ValueError("odd_sign must be +1, 0 or -1")
         self.t = float(t)
         self.rho_dev = rho_dev
         self.u = u
@@ -200,12 +202,11 @@ class Fields:
         h2 = product_physical(self.inv_rho_phys * D2, self.grid)
         return SpectralVector(h1, h2)
 
-    def pressure_source(self, include_odd: bool = True) -> SpectralVector:
+    def pressure_source(self) -> SpectralVector:
         """Vector F with -div((1/rho) grad pi) = div F; the -sign*grad(omega)
         contribution of the odd stress is folded in."""
-        F = self.advection
-        if include_odd:
-            F = F + self.odd_sign * self.odd_transport - self.odd_sign * gradient(self.omega)
+        F = self.advection + self.odd_sign * self.odd_transport \
+            - self.odd_sign * gradient(self.omega)
         if self.epsilon > 0.0:
             F = F + self.epsilon * self.hyper
         return F
@@ -338,12 +339,10 @@ def density_rhs(state: FlowState) -> SpectralScalar:
     return -1.0 * out
 
 
-def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
-                 include_odd: bool = True) -> SpectralVector:
+def momentum_rhs(state: FlowState, grad_pi: SpectralVector) -> SpectralVector:
     """du/dt for the velocity form of the momentum equation.
 
-    grad_pi must come from the pressure solve for this same state (or the
-    same state with include_odd=False for the reference integrator).
+    grad_pi must come from the pressure solve for this same state.
     """
     if grad_pi.grid != state.grid:
         raise GridMismatchError("pressure gradient on a different grid")
@@ -355,10 +354,8 @@ def momentum_rhs(state: FlowState, grad_pi: SpectralVector,
     p1, p2 = physical(grad_pi)
     press = SpectralVector(product_physical(fl.inv_rho_phys * p1, g),
                            product_physical(fl.inv_rho_phys * p2, g))
-    rhs = -1.0 * fl.advection - press
-    if include_odd:
-        up = perp(dealias_vector(state.u))
-        rhs = rhs - sigma * (vector_laplacian(up) + fl.odd_transport)
+    up = perp(dealias_vector(state.u))
+    rhs = -1.0 * fl.advection - press - sigma * (vector_laplacian(up) + fl.odd_transport)
     if eps > 0.0:
         rhs = rhs - eps * fl.hyper
     return rhs

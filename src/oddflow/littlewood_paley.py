@@ -24,11 +24,11 @@ from .errors import ValidationError
 from .spectral import (
     Grid,
     SpectralScalar,
+    check_same_grid,
     dealiased_product,
     half_vdot,
     inverse_transform,
     l2_norm,
-    _check_same_grid,
 )
 
 
@@ -200,7 +200,7 @@ def chemin_lerner_norm(series, s: float, q: float, dt: float) -> float:
 
 def paraproduct(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
     """T_u v = sum_j S_{j-1} u * D_j v with dealiased products."""
-    _check_same_grid(u, v)
+    check_same_grid(u, v)
     part = build_partition(u.grid)
     out = None
     for j in range(1, part.j_max + 1):
@@ -211,7 +211,7 @@ def paraproduct(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
 
 def remainder(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
     """R(u, v) = sum over |j-m| <= 1 of D_j u * D_m v."""
-    _check_same_grid(u, v)
+    check_same_grid(u, v)
     part = build_partition(u.grid)
     ub = [dyadic_block(u, j) for j in range(-1, part.j_max + 1)]
     vb = [dyadic_block(v, j) for j in range(-1, part.j_max + 1)]

@@ -87,7 +87,6 @@ class PressureSolution:
     grad_pi_minus_rho_omega: SpectralVector
     iterations: int
     residual: float
-    odd_sign: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -240,25 +239,19 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
     return gradient(pi)
 
 
-def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER, include_odd: bool = True) -> PressureSolution:
+def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
     """Pressure gradient of the momentum equation for this state.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
     + (eps/rho) Lap^2 u) - sign*Lap(omega) and fills both gradients.
     """
     fl = state.fields
-    F = fl.pressure_source(include_odd=include_odd)
-    pi, iters, res = _solve_elliptic_potential(fl.inv_rho_phys, F, tol, max_iter)
+    pi, iters, res = _solve_elliptic_potential(fl.inv_rho_phys, fl.pressure_source(),
+                                               tol, DEFAULT_MAX_ITER)
     grad_pi = gradient(pi)
-
-    sigma = state.odd_sign if include_odd else 0.0
-    if include_odd:
-        rho_omega = product_physical(fl.rho_phys * fl.omega_phys, state.grid)
-        regular = grad_pi - sigma * gradient(rho_omega)
-    else:
-        regular = grad_pi
-    return PressureSolution(grad_pi, regular, iters, res, odd_sign=sigma)
+    rho_omega = product_physical(fl.rho_phys * fl.omega_phys, state.grid)
+    return PressureSolution(grad_pi, grad_pi - state.odd_sign * gradient(rho_omega),
+                            iters, res)
 
 
 def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:

@@ -115,11 +115,11 @@ class SpectralScalar:
         return SpectralScalar(self.grid, self.coeffs.copy())
 
     def __add__(self, other):
-        _check_same_grid(self, other)
+        check_same_grid(self, other)
         return SpectralScalar(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        _check_same_grid(self, other)
+        check_same_grid(self, other)
         return SpectralScalar(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c):
@@ -137,7 +137,7 @@ class SpectralVector:
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1: SpectralScalar, x2: SpectralScalar):
-        _check_same_grid(x1, x2)
+        check_same_grid(x1, x2)
         self.x1 = x1
         self.x2 = x2
 
@@ -163,7 +163,8 @@ class SpectralVector:
         return SpectralVector(-self.x1, -self.x2)
 
 
-def _check_same_grid(a, b):
+def check_same_grid(a, b):
+    """GridMismatchError unless a and b (fields or grids) share one grid."""
     ga = a.grid if hasattr(a, "grid") else a
     gb = b.grid if hasattr(b, "grid") else b
     if ga != gb:
@@ -390,7 +391,7 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     For inputs already inside the retained band the result is the exact
     convolution restricted to that band (no aliasing).
     """
-    _check_same_grid(f, g)
+    check_same_grid(f, g)
     a = inverse_transform(dealias(f))
     b = inverse_transform(dealias(g))
     return product_physical(a * b, f.grid)
@@ -432,7 +433,7 @@ def mismatch(a, b) -> float:
 
 
 def inner_product(f: SpectralScalar, g: SpectralScalar) -> float:
-    _check_same_grid(f, g)
+    check_same_grid(f, g)
     return (2.0 * np.pi) ** 2 * half_vdot(f.coeffs, g.coeffs)
 
 

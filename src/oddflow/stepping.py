@@ -25,14 +25,13 @@ CFL_CAP = 1e6
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-integration parameters of the RK4 integrating-factor stepper."""
+    """Time-integration parameters of the RK4 integrating-factor stepper;
+    the equation's parameters (epsilon, odd sign) belong to the state."""
 
     dt: float | None = None  # None means auto-CFL
     t_end: float = 0.0
     cfl_safety: float = 0.5
-    epsilon: float = 0.0
     vacuum_floor: float = 1e-6
-    include_odd: bool = True
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
@@ -67,8 +66,8 @@ def cfl_dt(state: FlowState) -> float:
 def _stage_rhs(state: FlowState, config: StepperConfig):
     """Explicit RHS (with the constant-coefficient eps Lap^2 u removed) and
     the density RHS for one RK stage, whose state must be above the floor."""
-    psol = solve_pressure(state, include_odd=config.include_odd)
-    rhs_u = momentum_rhs(state, psol.grad_pi, include_odd=config.include_odd)
+    psol = solve_pressure(state)
+    rhs_u = momentum_rhs(state, psol.grad_pi)
     if state.epsilon > 0.0:
         rhs_u = rhs_u + dealias_vector(state.u) * (state.epsilon * state.grid.k_sq**2)
     # checked after the assembly: checking first cost ~40% more page faults
@@ -131,24 +130,24 @@ def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
 
     Observers fire on the initial state (index 0) and after every step, on
     the new state that step held above config.vacuum_floor; the trajectory
-    is deterministic for a given configuration.  The CFL bound is computed once per step: it
-    sets an automatic dt, and a fixed dt above it draws a RuntimeWarning.
+    is deterministic for a given configuration.  The CFL bound is computed
+    once per step: it sets an automatic dt, and the first step whose fixed
+    dt exceeds it draws a RuntimeWarning, once per run.
     """
     state = initial
-    if state.epsilon != config.epsilon:
-        state = FlowState(state.t, state.rho_dev, state.u,
-                          config.epsilon, state.odd_sign)
     for obs in observers:
         obs(state, 0)
     if config.t_end <= state.t:
         return state
 
     index = 0
+    warned = False
     while state.t < config.t_end - 1e-14:
         bound = cfl_dt(state)
         h = config.cfl_safety * bound if config.dt is None else config.dt
         h = min(h, config.t_end - state.t)
-        if h > bound:
+        if h > bound and not warned:
+            warned = True
             warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
                           RuntimeWarning, stacklevel=2)
         state = step(state, config, dt=h)

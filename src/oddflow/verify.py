@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .app_io import _real_field, _stream
+from .app_io import random_band_scalar
 from .dynamics import (
     FlowState,
     good_unknowns,
@@ -47,20 +47,6 @@ from .spectral import (
     sup_norm_vector,
     zero_scalar,
 )
-
-
-def random_band_scalar(grid: Grid, seed: int, stream: int, band: int,
-                       power: float = 0.0, sup_amplitude: float = 1.0) -> SpectralScalar:
-    """Mean-zero field with |k|_inf <= band and a |k|^(-power) envelope,
-    drawn on the full spectrum."""
-    rng = _stream(seed, stream)
-    n = grid.n
-    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
-    env = np.where(kmag > 0, np.maximum(kmag, 1.0) ** (-power), 0.0)
-    mask = (np.abs(k[:, None]) <= band) & (np.abs(k[None, :]) <= band)
-    return _real_field(grid, np.where(mask, noise * env, 0.0), sup_amplitude)
 
 
 def make_state(grid: Grid, seed: int, profile: str = "half_band",
@@ -152,21 +138,21 @@ def suite_bony(grid: Grid, seed: int) -> list[CheckResult]:
     return [CheckResult("Bony reconstruction", err, 1e-12)]
 
 
-def suite_skew(grid: Grid, seed: int, count: int = 10) -> list[CheckResult]:
+def suite_skew(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
-    for i in range(count):
+    for i in range(10):
         st = make_state(grid, seed + i, "full_band")
         stress = odd_stress_divergence(st, check=False)
         val = abs(inner_product_vector(stress, st.u))
         scale = sobolev_norm_vector(st.u, 1.0) ** 2
         worst = max(worst, val / scale)
-    return [CheckResult(f"odd-term skew-symmetry ({count} states)", worst, 1e-12)]
+    return [CheckResult("odd-term skew-symmetry (10 states)", worst, 1e-12)]
 
 
-def suite_residuals(grid: Grid, seed: int, count: int = 5) -> list[CheckResult]:
+def suite_residuals(grid: Grid, seed: int) -> list[CheckResult]:
     worst_half = {"theta": 0.0, "omega": 0.0}
     worst_full = {"theta": 0.0, "omega": 0.0}
-    for i in range(count):
+    for i in range(5):
         for profile, bucket in (("half_band", worst_half), ("full_band", worst_full)):
             st = make_state(grid, seed + i, profile)
             psol = solve_pressure(st)
@@ -180,10 +166,10 @@ def suite_residuals(grid: Grid, seed: int, count: int = 5) -> list[CheckResult]:
     ]
 
 
-def suite_pressure_split(grid: Grid, seed: int, count: int = 5) -> list[CheckResult]:
+def suite_pressure_split(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
     worst_comm = 0.0
-    for i in range(count):
+    for i in range(5):
         st = make_state(grid, seed + i, "full_band")
         psol = solve_pressure(st)
         via_phi = pressure_split_via_phi(st, psol)

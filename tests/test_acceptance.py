@@ -125,11 +125,9 @@ def test_criterion_04_homogeneous_reduction():
     grid = Grid(128)
     u0 = app_io.random_divergence_free(grid, seed=2026, stream=1,
                                        band=grid.n // 8, sup_amplitude=1.0)
-    base = FlowState(0.0, zero_scalar(grid), u0)
-    cfg_odd = StepperConfig(dt=1.0 / 128, t_end=1.0, include_odd=True)
-    cfg_eul = StepperConfig(dt=1.0 / 128, t_end=1.0, include_odd=False)
-    out_odd = run(base, cfg_odd)
-    out_eul = run(base, cfg_eul)
+    cfg = StepperConfig(dt=1.0 / 128, t_end=1.0)
+    out_odd = run(FlowState(0.0, zero_scalar(grid), u0), cfg)
+    out_eul = run(FlowState(0.0, zero_scalar(grid), u0, odd_sign=0), cfg)
     diff = l2_norm_vector(out_odd.u - out_eul.u)
     report(4, "homogeneous reduction to Euler",
            diff <= 1e-8,
@@ -248,7 +246,7 @@ def test_criterion_09_steady_shear_exactness():
     drift = l2_norm_vector(out.u - st.u)
 
     st_eps = FlowState(0.0, rho, u, epsilon=0.1)
-    out_eps = run(st_eps, StepperConfig(dt=None, t_end=1.0, epsilon=0.1))
+    out_eps = run(st_eps, StepperConfig(dt=None, t_end=1.0))
     amp = -2.0 * float(np.imag(out_eps.u.x2.coeffs[1, 0]))
     amp_err = abs(amp - np.exp(-0.1))
 

@@ -224,7 +224,7 @@ class TestEpsilonSweep:
         # that equal eps gives distance zero is checked on the runs directly
         from oddflow.stepping import run
         st = make_state(grid32, 8, "half_band", epsilon=1e-3)
-        cfg = StepperConfig(dt=0.01, t_end=0.02, epsilon=1e-3)
+        cfg = StepperConfig(dt=0.01, t_end=0.02)
         f1 = run(st, cfg)
         f2 = run(st, cfg)
         assert l2_norm_vector(f1.u - f2.u) == 0.0

@@ -56,6 +56,7 @@ class TestFlowState:
             FlowState(0.0, rho, u, epsilon=-1.0)
         with pytest.raises(ValueError):
             FlowState(0.0, rho, u, odd_sign=0.5)
+        assert FlowState(0.0, rho, u, odd_sign=0).odd_sign == 0.0  # the Euler reference
 
     def test_density_bounds(self, grid64):
         st = wave_state(grid64)
@@ -282,8 +283,9 @@ class TestResiduals:
         assert residual_theta(st, psol.grad_pi) <= 1e-8
         assert residual_omega(st, psol) <= 1e-8
 
-    def test_negative_odd_sign(self, grid64):
-        st = make_state(grid64, 71, "half_band", odd_sign=-1.0)
+    @pytest.mark.parametrize("odd_sign", [-1.0, 0.0])
+    def test_negative_odd_sign(self, grid64, odd_sign):
+        st = make_state(grid64, 71, "half_band", odd_sign=odd_sign)
         psol = solve_pressure(st)
         assert residual_theta(st, psol.grad_pi) <= 1e-10
         assert residual_omega(st, psol) <= 1e-10

@@ -195,3 +195,55 @@ def test_detector_flags_cache_beside_state():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_state_owns_its_cache(path):
     assert cache_beside_state(path.read_text(encoding="utf-8")) == []
+
+
+# A module's _-prefixed names are its own: no module under src/oddflow takes
+# one from another oddflow module.
+def private_names_crossed(source: str) -> list[str]:
+    """_-prefixed names imported from an oddflow module (`from .m import _f`)
+    or read off one (`m._f`, with m bound by `from . import m` or
+    `import oddflow.m`)."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to oddflow modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "oddflow"):
+            for a in node.names:
+                if a.name.startswith("_"):
+                    found.append((node.lineno, a.name))
+                elif node.module in (None, "oddflow"):
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "oddflow":
+                    modules.add(a.asname or "oddflow")
+
+    def root(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and root(node.value) in modules):
+            found.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_flags_private_names_across_modules():
+    source = ("from . import app_io, spectral as sp\n"
+              "from .app_io import _stream, random_scalar\n"
+              "from oddflow.spectral import _check_same_grid as same\n"
+              "import oddflow.pressure as press\nimport oddflow.verify\n"
+              "import scipy.fft as _fft\n"
+              "app_io._real_field(g)\nsp._check_same_grid(a, b)\npress._solve(a)\n"
+              "oddflow.verify._x\n_fft.rfft2(x)\nself._fields\nrandom_scalar(g)\n")
+    assert private_names_crossed(source) == [
+        "_stream (line 2)", "_check_same_grid (line 3)", "app_io._real_field (line 7)",
+        "sp._check_same_grid (line 8)", "press._solve (line 9)", "oddflow.verify._x (line 10)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert private_names_crossed(path.read_text(encoding="utf-8")) == []

@@ -104,7 +104,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("vacuum_floor", -1.0), ("vacuum_floor", 0.0), ("vacuum_floor", 1.0),
-        ("s", 0.5), ("s", 1.0),
+        ("s", 0.5), ("s", 1.0), ("odd_sign", 0),
     ])
     def test_out_of_range_rejected(self, tmp_path, key, value):
         with pytest.raises(ValidationError, match=f"^{key} must"):
@@ -278,7 +278,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("offset,value", [
         (10, np.uint32(7)), (10, np.uint32(0)),            # grid size odd, zero
-        (30, np.float64(0.5)), (22, np.float64(-1.0)),     # odd_sign, epsilon
+        (30, np.float64(0.5)), (30, np.float64(0.0)),      # odd_sign
+        (22, np.float64(-1.0)),                            # epsilon
     ])
     def test_header_out_of_range(self, tmp_path, grid64, offset, value):
         path = str(tmp_path / "state.bin")
@@ -474,17 +475,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "injected failure" in err, err
 
-    @pytest.mark.parametrize("argv, dt", [
-        (["run"], 0.3),                               # 2 steps, each far above the CFL bound
-        (["sweep-eps", "--eps", "1e-2,0"], 0.005),    # bound 7.6e-4
+    @pytest.mark.parametrize("argv, dt, count", [
+        (["run"], 0.3, 1),                               # 2 steps, each far above the CFL bound
+        (["sweep-eps", "--eps", "1e-2,5e-3"], 0.005, 2),  # bounds 7.6e-4, 1.5e-3
     ], ids=["run", "sweep-eps"])
-    def test_warnings_are_one_line(self, tmp_path, argv, dt):
+    def test_warnings_are_one_line(self, tmp_path, argv, dt, count):
+        """One warning line per run, on its first step above the bound."""
         data = minimal_config(dt=dt, t_end=2 * dt, output_dir=str(tmp_path / "out"))
         data["scenario"] = {"name": "density_wave", "a": 0.5}
         code, err = cli_process([*argv, "--config", write_json(tmp_path, data)])
         assert code == 0, err
         lines = err.splitlines()
-        assert lines and all(
+        assert len(lines) == count and all(
             ln.startswith(f"warning: dt = {dt:.3e} exceeds the stability estimate ")
             for ln in lines), err
 

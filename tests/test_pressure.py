@@ -297,8 +297,9 @@ class TestPressureSplit:
             rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
             assert rel <= 1e-8
 
-    def test_negative_odd_sign_agreement(self, grid64):
-        st = make_state(grid64, 24, "full_band", odd_sign=-1.0)
+    @pytest.mark.parametrize("odd_sign", [-1.0, 0.0])
+    def test_negative_odd_sign_agreement(self, grid64, odd_sign):
+        st = make_state(grid64, 24, "full_band", odd_sign=odd_sign)
         ps = solve_pressure(st)
         via = pressure_split_via_phi(st, ps)
         rel = l2_norm_vector(via - ps.grad_pi_minus_rho_omega) / max(

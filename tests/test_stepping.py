@@ -74,7 +74,7 @@ class TestStep:
 
     def test_exact_hyperviscous_decay(self, grid64):
         st = shear(grid64, eps=0.1)
-        cfg = StepperConfig(dt=0.01, t_end=1.0, epsilon=0.1)
+        cfg = StepperConfig(dt=0.01, t_end=1.0)
         out = step(st, cfg)
         amp = -2.0 * np.imag(out.u.x2.coeffs[1, 0])
         assert abs(amp - np.exp(-0.001)) <= 1e-9
@@ -166,6 +166,19 @@ class TestStep:
 
 
 class TestRun:
+    def test_one_step_run_matches_step(self, grid64):
+        """run integrates the state's own epsilon: one run step is step's bits."""
+        st = make_state(grid64, 3, "half_band", epsilon=0.1)
+        h = 0.01
+        cfg = StepperConfig(dt=h, t_end=h)
+        with pytest.warns(RuntimeWarning, match="exceeds the stability estimate"):
+            ran = run(st, cfg)  # the stiff bound is 7.7e-5
+        stepped = step(st, cfg, h)
+        assert ran.epsilon == 0.1
+        for a, b in ((ran.rho_dev, stepped.rho_dev), (ran.u.x1, stepped.u.x1),
+                     (ran.u.x2, stepped.u.x2)):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
     def test_t_end_zero_returns_initial(self, grid64):
         st = shear(grid64)
         out = run(st, StepperConfig(dt=0.01, t_end=0.0))
@@ -223,11 +236,9 @@ class TestTemporalOrder:
 
 class TestHomogeneousReduction:
     def test_matches_euler_integrator(self, grid64):
-        """rho = 1: the odd solver and the plain Euler integrator coincide."""
-        st = make_state(grid64, 7, "half_band")
-        st = FlowState(0.0, zero_scalar(grid64), st.u)
-        cfg_odd = StepperConfig(dt=0.01, t_end=0.2, include_odd=True)
-        cfg_eul = StepperConfig(dt=0.01, t_end=0.2, include_odd=False)
-        out_odd = run(st, cfg_odd)
-        out_eul = run(st, cfg_eul)
+        """rho = 1: the odd system and the Euler system (odd_sign 0) coincide."""
+        u = make_state(grid64, 7, "half_band").u
+        cfg = StepperConfig(dt=0.01, t_end=0.2)
+        out_odd = run(FlowState(0.0, zero_scalar(grid64), u), cfg)
+        out_eul = run(FlowState(0.0, zero_scalar(grid64), u, odd_sign=0), cfg)
         assert l2_norm_vector(out_odd.u - out_eul.u) <= 1e-8
