@@ -15,6 +15,8 @@ import json
 import math
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +39,13 @@ from .spectral import (
 MAGIC = b"ODD2D\x00"
 VERSION = 1
 
-SCENARIOS = ("steady_shear", "density_wave", "random_bandlimited")
-
-_TOP_KEYS = {
-    "grid_n": int,
-    "dt": (float, type(None)),
-    "t_end": float,
-    "epsilon": float,
-    "odd_sign": float,
-    "s": float,
-    "scenario": dict,
-    "output_dir": str,
-    "observe_every": int,
-    "checkpoint_every": int,
-    "seed": int,
-    "cfl_safety": float,
-    "vacuum_floor": float,
-}
-
 _SCENARIO_KEYS = {
     "steady_shear": set(),
     "density_wave": {"a"},
     "random_bandlimited": {"a", "band", "u_amplitude"},
 }
+
+SCENARIOS = tuple(_SCENARIO_KEYS)
 
 
 @dataclass(frozen=True)
@@ -79,9 +65,12 @@ class RunConfig:
     vacuum_floor: float = 1e-6
 
 
+_TOP_KEYS = typing.get_type_hints(RunConfig)
+
+
 def _type_ok(value, expected):
-    if isinstance(expected, tuple):
-        return any(_type_ok(value, e) for e in expected)
+    if isinstance(expected, types.UnionType):
+        return any(_type_ok(value, e) for e in expected.__args__)
     if expected is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if expected is int:

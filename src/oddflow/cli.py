@@ -26,6 +26,7 @@ from .errors import (
     HermitianSymmetryError,
     MeanModeError,
     OddflowError,
+    RuntimeAbort,
     ValidationError,
 )
 from .littlewood_paley import besov_norm, sobolev_norm
@@ -168,16 +169,19 @@ def cmd_norms(args) -> int:
         ("omega", gu.omega),
         ("theta", gu.theta),
     ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = [(name, l2_norm(f), sobolev_norm(f, s), sobolev_norm(f, s, "lp_sum"),
+                  besov_norm(f, s, 2, 2), besov_norm(f, s, np.inf, np.inf))
+                 for name, f in quantities]
+    if not np.isfinite([row[1:] for row in table]).all():
+        raise RuntimeAbort(f"checkpoint {args.checkpoint!r} has norms that are not finite")
     print(f"checkpoint t = {state.t:.6g}, n = {state.grid.n}, "
           f"eps = {state.epsilon:g}, odd_sign = {state.odd_sign:+g}")
     hdr = (f"{'field':>8} {'L2':>13} {f'H^{s:g} mult':>13} "
            f"{f'H^{s:g} lp':>13} {f'B^{s:g}_22':>13} {f'B^{s:g}_inf':>13}")
     print(hdr)
-    for name, f in quantities:
-        print(f"{name:>8} {l2_norm(f):13.6e} {sobolev_norm(f, s):13.6e} "
-              f"{sobolev_norm(f, s, 'lp_sum'):13.6e} "
-              f"{besov_norm(f, s, 2, 2):13.6e} "
-              f"{besov_norm(f, s, np.inf, np.inf):13.6e}")
+    for name, *values in table:
+        print(f"{name:>8} " + " ".join(f"{v:13.6e}" for v in values))
     return 0
 
 

@@ -52,9 +52,8 @@ class FlowState:
     rho_dev stores the deviation rho - 1; u is divergence-free.  epsilon and
     odd_sign are the equation's parameters; odd_sign 0 drops the odd terms,
     which leaves the non-homogeneous Euler reference system.  The state
-    owns the cache of its grid samples (fields), built on first read; a
-    state is not mutated once its cache is read, and copy() starts with
-    no cache.
+    owns the cache of its grid samples (fields), built on first read; no
+    code changes a state's fields or arrays, so a caller may keep a state.
     """
 
     __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "_fields", "__weakref__")
@@ -88,10 +87,6 @@ class FlowState:
     def drop_fields(self) -> None:
         """Free the cache; a later read of fields rebuilds it."""
         self._fields = None
-
-    def copy(self) -> "FlowState":
-        return FlowState(self.t, self.rho_dev.copy(), self.u.copy(),
-                         self.epsilon, self.odd_sign)
 
 
 @dataclass(frozen=True)
@@ -247,33 +242,30 @@ def odd_stress_divergence(state: FlowState, check: bool = True) -> SpectralVecto
     return out
 
 
-def bilinear_B(v: SpectralVector, alpha: SpectralScalar, check: bool = True) -> SpectralScalar:
-    """B(grad v, Hess alpha) = d1d2(alpha)(d1v2 + d2v1) + d1v1 (d11 - d22)(alpha).
+def bilinear_B(state: FlowState, alpha: SpectralScalar, check: bool = True) -> SpectralScalar:
+    """B(grad u, Hess alpha) = d1d2(alpha)(d1u2 + d2u1) + d1u1 (d11 - d22)(alpha)
+    for the state's velocity u.
 
-    Agrees with curl((grad alpha . grad) v_perp) when div v = 0; the check
-    failing signals a non-divergence-free v.
+    Agrees with curl((grad alpha . grad) u_perp) when div u = 0; the check
+    failing signals a non-divergence-free u.
     """
-    g = v.grid
+    g = state.grid
     a = dealias(alpha)
-    v_band = dealias_vector(v)
-    grad_v2 = gradient(v_band.x2)
     a12 = inverse_transform(a * (-g.k1 * g.k2))
     a11_22 = inverse_transform(a * (-g.k1**2 + g.k2**2))
-    d1v1, d2v1 = physical(gradient(v_band.x1))
-    d1v2 = inverse_transform(grad_v2.x1)
-    out = product_physical(a12 * (d1v2 + d2v1) + d1v1 * a11_22, g)
+    d1u1, d2u1, d1u2, d2u2 = state.fields.grad_u_phys
+    out = product_physical(a12 * (d1u2 + d2u1) + d1u1 * a11_22, g)
 
     if check:
         ga1, ga2 = physical(gradient(a))
-        d2v2 = inverse_transform(grad_v2.x2)
-        # (grad alpha . grad) v_perp with v_perp = (-v2, v1)
-        w1 = product_physical(-(ga1 * d1v2 + ga2 * d2v2), g)
-        w2 = product_physical(ga1 * d1v1 + ga2 * d2v1, g)
+        # (grad alpha . grad) u_perp with u_perp = (-u2, u1)
+        w1 = product_physical(-(ga1 * d1u2 + ga2 * d2u2), g)
+        w2 = product_physical(ga1 * d1u1 + ga2 * d2u1, g)
         gap = mismatch(out, curl(SpectralVector(w1, w2)))
         if gap > 1e-12:
             raise CancellationIdentityError(
                 f"bilinear form identity mismatch {gap:.3e} "
-                "(is v divergence-free?)")
+                "(is u divergence-free?)")
     return out
 
 
@@ -374,7 +366,7 @@ def theta_rhs(state: FlowState, check: bool = True) -> SpectralScalar:
     adv = product_physical(u1 * t1 + u2 * t2, g)
 
     tri = trilinear_T(state, check=check)
-    bil = bilinear_B(state.u, state.rho_dev, check=check)
+    bil = bilinear_B(state, state.rho_dev, check=check)
 
     rhs = -1.0 * adv + 0.5 * tri + sigma * bil
     if state.epsilon > 0.0:
@@ -407,7 +399,7 @@ def omega_rhs(state: FlowState, pressure_solution, check: bool = True) -> Spectr
     L1, L2 = fl.grad_log_rho_phys
     I1, I2 = fl.grad_inv_rho_phys
 
-    bil = bilinear_B(state.u, fl.log_rho, check=check)
+    bil = bilinear_B(state, fl.log_rho, check=check)
 
     eps_terms = zero_scalar(g)
     if eps > 0.0:

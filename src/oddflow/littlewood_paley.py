@@ -9,13 +9,14 @@ ball and 0 outside B(0,2).  Blocks are the telescoped differences
 
 which sum to chi(2^{-j_max}|k|) = 1 exactly at every grid frequency once
 2^{j_max} * 1.5 exceeds the largest grid |k|; j_max = ceil(log2(n/2))
-achieves that.  Low cutoffs S_j = sum_{m <= j-1} D_m are stored as cumulative
-multipliers, so S_j f = sum of blocks below j holds exactly.
+achieves that.  Low cutoffs S_j = sum_{m <= j-1} D_m are stored as running
+sums of the block multipliers, so S_j f = sum of blocks below j holds exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -44,33 +45,16 @@ def chi_profile(r):
 
 
 class DyadicPartition:
-    """Block multipliers of the dyadic decomposition on one grid."""
+    """The multipliers of the dyadic decomposition on one grid: blocks[j + 1]
+    is D_j for j = -1..j_max, and lows[j + 1] is S_j for j = -1..j_max+1
+    (S_{-1} = 0, S_{j_max+1} = the sum of all blocks)."""
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        n = grid.n
-        self.j_max = int(math.ceil(math.log2(n / 2)))
+        self.j_max = int(math.ceil(math.log2(grid.n / 2)))
         kmag = np.sqrt(grid.k_sq)
-        self.chi = chi_profile(kmag)
-        mults = [chi_profile(2.0 * kmag)]  # j = -1
-        prev = chi_profile(2.0 * kmag)
-        for j in range(0, self.j_max + 1):
-            cur = chi_profile(kmag / 2.0**j)
-            mults.append(cur - prev)
-            prev = cur
-        self.block_mults = mults  # index i holds block j = i - 1
-        # cumulative low-pass multipliers: low_mults[j] = sum of blocks < j
-        self.low_mults = {}
-        acc = np.zeros_like(kmag)
-        self.low_mults[-1] = acc.copy()
-        for j in range(-1, self.j_max + 1):
-            acc = acc + self.block_mults[j + 1]
-            self.low_mults[j + 1] = acc.copy()
-
-    def block_multiplier(self, j: int) -> np.ndarray:
-        if j < -1 or j > self.j_max:
-            raise ValidationError(f"block index {j} outside [-1, {self.j_max}]")
-        return self.block_mults[j + 1]
+        cutoffs = [chi_profile(kmag / 2.0**j) for j in range(-1, self.j_max + 1)]
+        self.blocks = cutoffs[:1] + [cur - prev for prev, cur in zip(cutoffs, cutoffs[1:])]
+        self.lows = list(itertools.accumulate(self.blocks, initial=np.zeros_like(kmag)))
 
 
 @functools.cache
@@ -79,15 +63,19 @@ def build_partition(grid: Grid) -> DyadicPartition:
 
 
 def partition_of_unity_error(part: DyadicPartition) -> float:
-    total = np.zeros_like(part.chi)
-    for m in part.block_mults:
-        total = total + m
-    return float(np.max(np.abs(total - 1.0)))
+    return float(np.max(np.abs(part.lows[-1] - 1.0)))
 
 
 def dyadic_block(f: SpectralScalar, j: int) -> SpectralScalar:
     part = build_partition(f.grid)
-    return f * part.block_multiplier(j)
+    if j < -1 or j > part.j_max:
+        raise ValidationError(f"block index {j} outside [-1, {part.j_max}]")
+    return f * part.blocks[j + 1]
+
+
+def dyadic_blocks(f: SpectralScalar) -> list[SpectralScalar]:
+    """All blocks of f, D_j f at index j + 1."""
+    return [f * m for m in build_partition(f.grid).blocks]
 
 
 def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
@@ -95,29 +83,7 @@ def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
     part = build_partition(f.grid)
     if j < 0 or j > part.j_max + 1:
         raise ValidationError(f"cutoff index {j} outside [0, {part.j_max + 1}]")
-    return f * part.low_mults[j]
-
-
-class DyadicDecomposition:
-    """All blocks of one field, blocks[i] holding block j = i - 1."""
-
-    def __init__(self, f: SpectralScalar):
-        part = build_partition(f.grid)
-        self.grid = f.grid
-        self.j_max = part.j_max
-        self.blocks = [f * m for m in part.block_mults]
-
-    def block(self, j: int) -> SpectralScalar:
-        if j < -1 or j > self.j_max:
-            raise ValidationError(f"block index {j} outside [-1, {self.j_max}]")
-        return self.blocks[j + 1]
-
-    def reconstruct(self) -> SpectralScalar:
-        return sum(self.blocks[1:], self.blocks[0])
-
-
-def decompose(f: SpectralScalar) -> DyadicDecomposition:
-    return DyadicDecomposition(f)
+    return f * part.lows[j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +97,16 @@ def sobolev_norm(f: SpectralScalar, s: float, backend: str = "multiplier") -> fl
         w = (1.0 + f.grid.k_sq) ** s
         return 2.0 * np.pi * float(np.sqrt(half_vdot(w * f.coeffs, f.coeffs)))
     if backend == "lp_sum":
-        part = build_partition(f.grid)
         total = 0.0
-        for j in range(-1, part.j_max + 1):
-            bn = l2_norm(dyadic_block(f, j))
+        for j, block in enumerate(dyadic_blocks(f), start=-1):
+            bn = l2_norm(block)
             total += 4.0**(j * s) * bn * bn
         return float(np.sqrt(total))
     raise ValidationError(f"unknown sobolev backend {backend!r}")
 
 
-def sobolev_norm_vector(F, s: float, backend: str = "multiplier") -> float:
-    a = sobolev_norm(F.x1, s, backend)
-    b = sobolev_norm(F.x2, s, backend)
-    return float(np.hypot(a, b))
+def sobolev_norm_vector(F, s: float) -> float:
+    return float(np.hypot(sobolev_norm(F.x1, s), sobolev_norm(F.x2, s)))
 
 
 def _lp_physical(f: SpectralScalar, p: float) -> float:
@@ -158,11 +121,8 @@ def besov_norm(f: SpectralScalar, s: float, p: float, r: float) -> float:
     """B^s_{p,r} norm: l^r over j of 2^{js} ||D_j f||_{L^p} (physical L^p)."""
     if not (1 <= p) or not (1 <= r):
         raise ValidationError("Besov indices p, r must lie in [1, inf]")
-    part = build_partition(f.grid)
-    terms = []
-    for j in range(-1, part.j_max + 1):
-        terms.append(2.0 ** (j * s) * _lp_physical(dyadic_block(f, j), p))
-    terms = np.asarray(terms)
+    terms = np.asarray([2.0 ** (j * s) * _lp_physical(block, p)
+                        for j, block in enumerate(dyadic_blocks(f), start=-1)])
     if r == np.inf:
         return float(np.max(terms))
     return float(np.sum(terms**r) ** (1.0 / r))
@@ -182,10 +142,10 @@ def chemin_lerner_norm(series, s: float, q: float, dt: float) -> float:
         raise ValidationError("chemin_lerner_norm needs dt > 0")
     if not (1 <= q):
         raise ValidationError("time exponent q must lie in [1, inf]")
-    part = build_partition(series[0].grid)
+    norms = [[l2_norm(block) for block in dyadic_blocks(f)] for f in series]
     total = 0.0
-    for j in range(-1, part.j_max + 1):
-        bn = np.asarray([l2_norm(dyadic_block(f, j)) for f in series])
+    for j, per_time in enumerate(zip(*norms), start=-1):
+        bn = np.asarray(per_time)
         if q == np.inf:
             aj = float(np.max(bn))
         else:
@@ -212,13 +172,11 @@ def paraproduct(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
 def remainder(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
     """R(u, v) = sum over |j-m| <= 1 of D_j u * D_m v."""
     check_same_grid(u, v)
-    part = build_partition(u.grid)
-    ub = [dyadic_block(u, j) for j in range(-1, part.j_max + 1)]
-    vb = [dyadic_block(v, j) for j in range(-1, part.j_max + 1)]
+    ub, vb = dyadic_blocks(u), dyadic_blocks(v)
     out = None
-    for j in range(-1, part.j_max + 1):
-        for m in range(max(-1, j - 1), min(part.j_max, j + 1) + 1):
-            term = dealiased_product(ub[j + 1], vb[m + 1])
+    for i in range(len(ub)):  # list index i holds block i - 1
+        for m in range(max(0, i - 1), min(len(vb), i + 2)):
+            term = dealiased_product(ub[i], vb[m])
             out = term if out is None else out + term
     return out
 

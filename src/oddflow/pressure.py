@@ -307,6 +307,6 @@ def pressure_split_via_phi(state: FlowState,
 
     phi = phi1 + phi2 - sigma * phi3
 
-    low_mult = build_partition(g).block_multiplier(-1)
+    low_mult = build_partition(g).blocks[0]
     high_mult = (1.0 - low_mult) * g.inv_k_sq
     return gradient(phi * high_mult) + pressure_solution.grad_pi_minus_rho_omega * low_mult

@@ -111,9 +111,6 @@ class SpectralScalar:
         self.grid = grid
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
 
-    def copy(self) -> "SpectralScalar":
-        return SpectralScalar(self.grid, self.coeffs.copy())
-
     def __add__(self, other):
         check_same_grid(self, other)
         return SpectralScalar(self.grid, self.coeffs + other.coeffs)
@@ -144,9 +141,6 @@ class SpectralVector:
     @property
     def grid(self) -> Grid:
         return self.x1.grid
-
-    def copy(self) -> "SpectralVector":
-        return SpectralVector(self.x1.copy(), self.x2.copy())
 
     def __add__(self, other):
         return SpectralVector(self.x1 + other.x1, self.x2 + other.x2)
@@ -441,18 +435,20 @@ def inner_product_vector(F: SpectralVector, G: SpectralVector) -> float:
     return inner_product(F.x1, G.x1) + inner_product(F.x2, G.x2)
 
 
-def sup_norm(f: SpectralScalar, oversample: bool = False) -> float:
-    """Max |f| on the collocation grid (optionally on a 2x finer grid)."""
-    f = resample(f, Grid(2 * f.grid.n)) if oversample else f
+def sup_norm(f: SpectralScalar) -> float:
+    """Max |f| on the collocation grid."""
     return float(np.max(np.abs(inverse_transform(f))))
 
 
-def sup_norm_vector(F: SpectralVector, oversample: bool = False) -> float:
+def sup_magnitude(*samples: np.ndarray) -> float:
+    """Max over the grid of the pointwise Euclidean norm of the sampled
+    components (a vector's two, a gradient tensor's four)."""
+    return float(np.max(np.sqrt(sum(c * c for c in samples))))
+
+
+def sup_norm_vector(F: SpectralVector) -> float:
     """Max pointwise Euclidean magnitude of a vector field."""
-    grid = Grid(2 * F.grid.n) if oversample else F.grid
-    a = inverse_transform(resample(F.x1, grid))
-    b = inverse_transform(resample(F.x2, grid))
-    return float(np.max(np.sqrt(a * a + b * b)))
+    return sup_magnitude(*physical(F))
 
 
 def max_divergence_ratio(F: SpectralVector) -> float:

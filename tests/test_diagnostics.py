@@ -11,7 +11,8 @@ from oddflow.diagnostics import (
     stability_record,
     twin_run_stability,
 )
-from oddflow.dynamics import FlowState, good_unknowns
+from oddflow import spectral
+from oddflow.dynamics import FlowState, bilinear_B, good_unknowns
 from oddflow.errors import ValidationError
 from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
@@ -132,12 +133,29 @@ class TestContinuationMonitor:
         grad_term_2 = lam**2
         assert M2 >= M1 + (grad_term_2 - grad_term_1) - 1e-6
 
-    def test_oversampled_option(self, grid64):
-        st = shear(grid64)
+    @pytest.mark.parametrize("name,expected", [("continuation_monitor", 5),
+                                               ("bilinear_B", 2)])
+    def test_inverse_transforms_on_a_warm_cache(self, grid32, monkeypatch, name, expected):
+        """A second call on the same state reads grad u and grad rho from the
+        state's cache: continuation_monitor transforms only Lap rho and the
+        two pressure gradients, bilinear_B only two second derivatives of
+        alpha."""
+        st = make_state(grid32, 2, "half_band")
         psol = solve_pressure(st)
-        M, Mt = continuation_monitor(st, psol, 2.5, oversample=True)
-        assert abs(M - 2.0) < 1e-9
-        assert abs(Mt - 1.0) < 1e-9
+        call = {"continuation_monitor": lambda: continuation_monitor(st, psol, 2.5),
+                "bilinear_B": lambda: bilinear_B(st, st.rho_dev, check=False).coeffs}[name]
+        first = call()
+        count = [0]
+        irfft2 = spectral._fft.irfft2
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(spectral._fft, "irfft2", counting)
+        again = call()
+        assert count[0] == expected
+        assert np.array_equal(again, first)
 
 
 class TestObserve:

@@ -114,26 +114,26 @@ class TestOddStress:
 class TestBilinearForm:
     def test_zero_cases(self, grid64, shear64):
         alpha = forward_transform(grid64, np.cos(grid64.x1))
-        out = bilinear_B(shear64.u, alpha)
+        out = bilinear_B(shear64, alpha)
         assert l2_norm(out) < 1e-13
 
     def test_product_mode(self, grid64, shear64):
         alpha = forward_transform(grid64, np.sin(grid64.x1) * np.sin(grid64.x2))
-        out = bilinear_B(shear64.u, alpha)
+        out = bilinear_B(shear64, alpha)
         expected = np.cos(grid64.x1) ** 2 * np.cos(grid64.x2)
         assert np.max(np.abs(inverse_transform(out) - expected)) < 1e-12
 
     def test_zero_velocity(self, grid64):
         v = SpectralVector(zero_scalar(grid64), zero_scalar(grid64))
         alpha = forward_transform(grid64, np.sin(grid64.x2))
-        assert l2_norm(bilinear_B(v, alpha)) == 0.0
+        assert l2_norm(bilinear_B(FlowState(0.0, zero_scalar(grid64), v), alpha)) == 0.0
 
     def test_non_divergence_free_rejected(self, grid64):
         v = SpectralVector(forward_transform(grid64, np.sin(grid64.x1)),
                            zero_scalar(grid64))
         alpha = forward_transform(grid64, np.sin(grid64.x1 + grid64.x2))
         with pytest.raises(CancellationIdentityError):
-            bilinear_B(v, alpha)
+            bilinear_B(FlowState(0.0, zero_scalar(grid64), v), alpha)
 
 
 class TestTrilinearForm:

@@ -1,7 +1,9 @@
-"""Every name a module under src/oddflow imports is used in that module."""
+"""Static checks of the modules under src/oddflow: imports, transforms, the
+state cache, private names and unused public names."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -247,3 +249,41 @@ def test_detector_flags_private_names_across_modules():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_across_modules(path):
     assert private_names_crossed(path.read_text(encoding="utf-8")) == []
+
+
+# Every public top-level def or class under src/oddflow is used: its name
+# appears somewhere besides its definition, in src/, tests/, perfbench/ or
+# pyproject.toml (where cli.main is the console script).
+ROOT = SRC.parent.parent
+
+
+def unused_public_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """`module: name` for each public top-level def or class of the sources
+    in modules whose name, as a word, occurs only once in all the texts."""
+    texts = [*modules.values(), *others]
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                word = re.compile(rf"\b{node.name}\b")
+                if sum(len(word.findall(t)) for t in texts) == 1:
+                    found.append(f"{module}: {node.name}")
+    return found
+
+
+def test_detector_flags_unused_public_names():
+    modules = {"a.py": "def used():\n    pass\ndef lonely():\n    pass\n"
+                       "class Spare:\n    def method(self):\n        pass\n"
+                       "def _own():\n    pass\ndef caller():\n    return used_twice()\n",
+               "b.py": "def used_twice():\n    pass\n"}
+    others = ["from a import used\n", "[project.scripts]\nx = \"a:caller\"\n"]
+    assert unused_public_names(modules, others) == ["a.py: lonely", "a.py: Spare"]
+
+
+def test_no_unused_public_names():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8")
+              for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    others.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert unused_public_names(modules, others) == []

@@ -436,6 +436,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("abort: ") and err.count("\n") == 1, err
 
+    def test_norms_overflow_checkpoint(self, tmp_path, capsys):
+        """Finite, real coefficients whose norms overflow: exit 2 with one
+        abort line and no table."""
+        data = minimal_config(grid_n=16, t_end=0.0)
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        st = app_io.init_scenario(app_io.validate_config(data))
+        st.u.x1.coeffs[0, 1] = 1e200  # and (0, 15) = (0, -1) by symmetry
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(st, path)
+        assert cli(["norms", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("abort: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("argv", [
         ["norms", "CKPT", "--s", "nan"],
         ["norms", "CKPT", "--s", "inf"],

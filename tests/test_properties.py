@@ -1,7 +1,9 @@
 """Property tests of the two input boundaries: a checkpoint file and a run
 config either load or raise ValidationError, and through the CLI they either
-succeed or exit 1 with one `error:` line, never a traceback.  An accepted
-config on a small grid is run for a few steps: it ends in exit 0 with a
+succeed or exit 1 with one `error:` line, never a traceback.  `norms` on an
+accepted checkpoint prints only finite numbers, or exits 2 with one
+`abort:` line when its norms overflow or its density is not positive.  An
+accepted config on a small grid is run for a few steps: it ends in exit 0 with a
 finite CSV, or in exit 1 or 2 with one `error:` or `abort:` line, beside
 any one-line warnings."""
 
@@ -9,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -41,15 +44,19 @@ def checkpoint_blob(work_dir):
         return fh.read()
 
 
-def cli_quiet(argv):
-    """Exit code and stderr of one CLI call, stdout dropped."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+def cli_output(argv):
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = cli(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_loads_or_rejects(blob, work_dir):
+    """A rejected checkpoint exits 1 with one error line.  An accepted one
+    prints a norm table of finite numbers (exit 0), or exits 2 with one
+    abort line when its norms are not finite or its density not positive.
+    Returns the exit code."""
     path = os.path.join(work_dir, "case.bin")
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -58,11 +65,14 @@ def assert_loads_or_rejects(blob, work_dir):
         accepted = True
     except ValidationError:
         accepted = False
-    code, err = cli_quiet(["norms", path])
-    if accepted:
-        assert code == 0, err
-    else:
+    code, out, err = cli_output(["norms", path])
+    if not accepted:
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    elif code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+    else:
+        assert code == 2 and re.fullmatch(r"abort: .*(not finite|vacuum breach).*\n", err), err
+    return code
 
 
 class TestReadCheckpoint:
@@ -91,6 +101,15 @@ class TestReadCheckpoint:
         blob = bytearray(checkpoint_blob)
         blob[pos] ^= mask
         assert_loads_or_rejects(bytes(blob), work_dir)
+
+    @pytest.mark.parametrize("mask,code", [(0x40, 0), (0x7f, 2), (0xc0, 2)])
+    def test_flips_of_the_density_mean(self, work_dir, checkpoint_blob, mask, code):
+        """Byte 45 is the top byte of the mean of rho - 1, which is 0.0.  The
+        flips make it 2.0 (a finite table), 2^1009 (norms that overflow) or
+        -2.0 (rho = -1, a vacuum breach); each file is accepted."""
+        blob = bytearray(checkpoint_blob)
+        blob[45] ^= mask
+        assert assert_loads_or_rejects(bytes(blob), work_dir) == code
 
 
 json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
@@ -146,7 +165,7 @@ def assert_runs_or_fails(data, work_dir):
         json.dump(data, fh)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out, "diagnostics.csv"))
-    code, err = cli_quiet(["run", "--config", path])
+    code, _, err = cli_output(["run", "--config", path])
     rest = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
     if code == 0:
         assert not rest, err
@@ -172,7 +191,7 @@ class TestValidateConfig:
         path = os.path.join(work_dir, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        code, err = cli_quiet(["run", "--config", path])
+        code, _, err = cli_output(["run", "--config", path])
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
     @PROPERTY
