@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation/config error (including a bad
 command-line argument, a bad or missing checkpoint, or an initial state the
 grid cannot resolve) and `verify` suites that fail their bounds, 2 runtime
-abort (vacuum breach, NaN, solver failure, failed identity check).  Every
+abort (vacuum breach, NaN, solver failure, a non-finite `norms` table).  Every
 package error ends in one line on stderr, and every warning is one
 `warning:` line there.  An aborted `run` still writes the diagnostics rows
 it collected and its last good state (checkpoint_abort.bin).
@@ -161,7 +161,7 @@ def cmd_norms(args) -> int:
     _argument(np.isfinite(args.s), "--s", "must be finite", args.s)
     state = app_io.read_checkpoint(args.checkpoint)
     s = args.s
-    gu = good_unknowns(state, check=False)
+    gu = good_unknowns(state)
     quantities = [
         ("rho-1", state.rho_dev),
         ("u1", state.u.x1),
@@ -171,14 +171,14 @@ def cmd_norms(args) -> int:
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         table = [(name, l2_norm(f), sobolev_norm(f, s), sobolev_norm(f, s, "lp_sum"),
-                  besov_norm(f, s, 2, 2), besov_norm(f, s, np.inf, np.inf))
+                  besov_norm(f, s, np.inf, np.inf))
                  for name, f in quantities]
     if not np.isfinite([row[1:] for row in table]).all():
         raise RuntimeAbort(f"checkpoint {args.checkpoint!r} has norms that are not finite")
     print(f"checkpoint t = {state.t:.6g}, n = {state.grid.n}, "
           f"eps = {state.epsilon:g}, odd_sign = {state.odd_sign:+g}")
     hdr = (f"{'field':>8} {'L2':>13} {f'H^{s:g} mult':>13} "
-           f"{f'H^{s:g} lp':>13} {f'B^{s:g}_22':>13} {f'B^{s:g}_inf':>13}")
+           f"{f'H^{s:g} lp':>13} {f'B^{s:g}_inf':>13}")
     print(hdr)
     for name, *values in table:
         print(f"{name:>8} " + " ".join(f"{v:13.6e}" for v in values))

@@ -91,7 +91,7 @@ def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]
     if s <= 2:
         warnings.warn(f"s = {s} is below the well-posedness range s > 2",
                       RuntimeWarning, stacklevel=2)
-    gu = good_unknowns(state, check=False)
+    gu = good_unknowns(state)
     rho_hs1 = sobolev_norm(state.rho_dev, s + 1.0)
     rho_hs = sobolev_norm(state.rho_dev, s)
     rho_l2 = l2_norm(state.rho_dev)
@@ -172,8 +172,8 @@ def stability_record(state_a: FlowState, state_b: FlowState) -> StabilityRecord:
     """
     drho = state_a.rho_dev - state_b.rho_dev
     du = state_a.u - state_b.u
-    ga = good_unknowns(state_a, check=False)
-    gb = good_unknowns(state_b, check=False)
+    ga = good_unknowns(state_a)
+    gb = good_unknowns(state_b)
     domega = ga.omega - gb.omega
     dtheta = ga.theta - gb.theta
     deta = ga.eta - gb.eta

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CancellationIdentityError, GridMismatchError, RuntimeAbort
+from .errors import GridMismatchError, RuntimeAbort
 from .spectral import (
     Grid,
     SpectralScalar,
@@ -37,12 +37,10 @@ from .spectral import (
     laplacian,
     mismatch,
     perp,
-    perp_gradient,
     physical,
     product_physical,
     vector_bilaplacian,
     vector_laplacian,
-    zero_scalar,
 )
 
 
@@ -216,9 +214,9 @@ def density_bounds(state: FlowState) -> tuple[float, float]:
 # operators from the momentum equation
 
 
-def odd_stress_divergence(state: FlowState, check: bool = True) -> SpectralVector:
-    """sign * div(rho grad(u_perp)), assembled in divergence form and checked
-    against the expansion rho Lap(u_perp) + (grad rho . grad) u_perp."""
+def odd_stress_divergence(state: FlowState) -> SpectralVector:
+    """sign * div(rho grad(u_perp)), assembled in divergence form (equal to
+    the expansion rho Lap(u_perp) + (grad rho . grad) u_perp)."""
     fl = state.fields
     g = state.grid
     rho = fl.rho_phys
@@ -228,75 +226,38 @@ def odd_stress_divergence(state: FlowState, check: bool = True) -> SpectralVecto
     comps = [divergence(SpectralVector(product_physical(rho * da, g),
                                        product_physical(rho * db, g)))
              for da, db in grad_up]
-    out = SpectralVector(*comps) * state.odd_sign
-
-    if check:
-        lap_up = physical(vector_laplacian(perp(dealias_vector(state.u))))
-        r1, r2 = fl.grad_rho_phys
-        expanded = [product_physical(rho * lap, g) + product_physical(r1 * da + r2 * db, g)
-                    for lap, (da, db) in zip(lap_up, grad_up)]
-        gap = mismatch(out, SpectralVector(*expanded) * state.odd_sign)
-        if gap > 1e-12:
-            raise CancellationIdentityError(
-                f"odd stress divergence expansion mismatch {gap:.3e}")
-    return out
+    return SpectralVector(*comps) * state.odd_sign
 
 
-def bilinear_B(state: FlowState, alpha: SpectralScalar, check: bool = True) -> SpectralScalar:
+def bilinear_B(state: FlowState, alpha: SpectralScalar) -> SpectralScalar:
     """B(grad u, Hess alpha) = d1d2(alpha)(d1u2 + d2u1) + d1u1 (d11 - d22)(alpha)
-    for the state's velocity u.
-
-    Agrees with curl((grad alpha . grad) u_perp) when div u = 0; the check
-    failing signals a non-divergence-free u.
-    """
+    for the state's velocity u; equal to curl((grad alpha . grad) u_perp)
+    when div u = 0."""
     g = state.grid
     a = dealias(alpha)
     a12 = inverse_transform(a * (-g.k1 * g.k2))
     a11_22 = inverse_transform(a * (-g.k1**2 + g.k2**2))
     d1u1, d2u1, d1u2, d2u2 = state.fields.grad_u_phys
-    out = product_physical(a12 * (d1u2 + d2u1) + d1u1 * a11_22, g)
-
-    if check:
-        ga1, ga2 = physical(gradient(a))
-        # (grad alpha . grad) u_perp with u_perp = (-u2, u1)
-        w1 = product_physical(-(ga1 * d1u2 + ga2 * d2u2), g)
-        w2 = product_physical(ga1 * d1u1 + ga2 * d2u1, g)
-        gap = mismatch(out, curl(SpectralVector(w1, w2)))
-        if gap > 1e-12:
-            raise CancellationIdentityError(
-                f"bilinear form identity mismatch {gap:.3e} "
-                "(is u divergence-free?)")
-    return out
+    return product_physical(a12 * (d1u2 + d2u1) + d1u1 * a11_22, g)
 
 
-def trilinear_T(state: FlowState, check: bool = True) -> SpectralScalar:
-    """grad_perp(rho) . grad(|u|^2), checked against the expanded cubic form
-    -2 (u2 d1u.grad rho - u1 d2u.grad rho)."""
+def trilinear_T(state: FlowState) -> SpectralScalar:
+    """grad_perp(rho) . grad(|u|^2) (equal to the cubic form
+    -2 (u2 d1u.grad rho - u1 d2u.grad rho))."""
     fl = state.fields
     g = state.grid
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
     g1, g2 = physical(gradient(usq))
     r1, r2 = fl.grad_rho_phys
-    left = product_physical(-r2 * g1 + r1 * g2, g)
-
-    if check:
-        d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
-        A = product_physical(d1u1 * r1 + d1u2 * r2, g)  # d1u . grad rho
-        B = product_physical(d2u1 * r1 + d2u2 * r2, g)
-        t1 = product_physical(u2 * inverse_transform(A), g)
-        t2 = product_physical(u1 * inverse_transform(B), g)
-        gap = mismatch(left, -2.0 * (t1 - t2))
-        if gap > 1e-10:
-            raise CancellationIdentityError(f"trilinear form mismatch {gap:.3e}")
-    return left
+    return product_physical(-r2 * g1 + r1 * g2, g)
 
 
-def good_unknowns(state: FlowState, check: bool = True) -> GoodUnknowns:
+def good_unknowns(state: FlowState) -> GoodUnknowns:
     """omega = curl u, eta = curl(rho u), theta = eta - Lap rho.
 
-    eta is built as the curl of the dealiased momentum and cross-checked
-    against rho*omega + grad_perp(rho).u.
+    eta is built as the curl of the dealiased momentum (equal to
+    rho*omega + grad_perp(rho).u).
     """
     fl = state.fields
     g = state.grid
@@ -305,18 +266,8 @@ def good_unknowns(state: FlowState, check: bool = True) -> GoodUnknowns:
     m1 = product_physical(rho * u1, g)
     m2 = product_physical(rho * u2, g)
     eta = curl(SpectralVector(m1, m2))
-    omega = fl.omega
-
-    if check:
-        gp1, gp2 = physical(perp_gradient(dealias(state.rho_dev)))
-        expanded = product_physical(rho * fl.omega_phys, g) + \
-            product_physical(gp1 * u1 + gp2 * u2, g)
-        gap = mismatch(eta, expanded)
-        if gap > 1e-12:
-            raise CancellationIdentityError(f"eta assembly mismatch {gap:.3e}")
-
     theta = eta - laplacian(dealias(state.rho_dev))
-    return GoodUnknowns(omega=omega, eta=eta, theta=theta)
+    return GoodUnknowns(omega=fl.omega, eta=eta, theta=theta)
 
 
 def density_rhs(state: FlowState) -> SpectralScalar:
@@ -353,22 +304,18 @@ def momentum_rhs(state: FlowState, grad_pi: SpectralVector) -> SpectralVector:
     return rhs
 
 
-def theta_rhs(state: FlowState, check: bool = True) -> SpectralScalar:
+def theta_rhs(state: FlowState) -> SpectralScalar:
     """d(theta)/dt = -u.grad theta + (1/2) trilinear + sign*B(grad u, Hess rho)
     - eps Lap^2 omega, plus a correction that vanishes for odd_sign = +1."""
     fl = state.fields
     g = state.grid
     sigma = state.odd_sign
 
-    gu = good_unknowns(state, check=check)
+    gu = good_unknowns(state)
     t1, t2 = physical(gradient(dealias(gu.theta)))
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
-
-    tri = trilinear_T(state, check=check)
-    bil = bilinear_B(state, state.rho_dev, check=check)
-
-    rhs = -1.0 * adv + 0.5 * tri + sigma * bil
+    rhs = -1.0 * adv + 0.5 * trilinear_T(state) + sigma * bilinear_B(state, state.rho_dev)
     if state.epsilon > 0.0:
         rhs = rhs - state.epsilon * bilaplacian(dealias(fl.omega))
     if sigma != 1.0:
@@ -381,11 +328,9 @@ def theta_rhs(state: FlowState, check: bool = True) -> SpectralScalar:
     return rhs
 
 
-def omega_rhs(state: FlowState, pressure_solution, check: bool = True) -> SpectralScalar:
-    """d(omega)/dt assembled from the rewritten transport form.
-
-    With check, also assembles the raw form (with grad_perp(1/rho).grad pi)
-    and checks that the two agree to 1e-10, which exercises the cancellation
+def omega_rhs(state: FlowState, pressure_solution) -> SpectralScalar:
+    """d(omega)/dt assembled from the rewritten transport form, which rests
+    on the cancellation
     grad_perp(1/rho).grad(sign*rho*omega) = -sign*grad_perp(log rho).grad omega.
     """
     fl = state.fields
@@ -399,33 +344,19 @@ def omega_rhs(state: FlowState, pressure_solution, check: bool = True) -> Spectr
     L1, L2 = fl.grad_log_rho_phys
     I1, I2 = fl.grad_inv_rho_phys
 
-    bil = bilinear_B(state, fl.log_rho, check=check)
-
-    eps_terms = zero_scalar(g)
-    if eps > 0.0:
-        b_om = inverse_transform(bilaplacian(om))
-        eps_terms = eps_terms + product_physical(fl.inv_rho_phys * b_om, g)
-        D1, D2 = physical(vector_bilaplacian(dealias_vector(state.u)))
-        # grad_perp(1/rho) = (-d2, d1)(1/rho)
-        eps_terms = eps_terms + product_physical(-I2 * D1 + I1 * D2, g)
-
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
     d1, d2 = physical(pressure_solution.grad_pi_minus_rho_omega)
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
-    rewritten = -1.0 * trans - press - sigma * bil - eps * eps_terms
-
-    if check:
-        p1, p2 = physical(pressure_solution.grad_pi)
-        trans_raw = product_physical(u1 * o1 + u2 * o2, g)
-        press_raw = product_physical(-I2 * p1 + I1 * p2, g)
-        raw = -1.0 * trans_raw - press_raw - sigma * bil - eps * eps_terms
-        gap = mismatch(rewritten, raw)
-        if gap > 1e-10:
-            raise CancellationIdentityError(
-                f"vorticity transport cancellation mismatch {gap:.3e}")
-    return rewritten
+    rhs = -1.0 * trans - press - sigma * bilinear_B(state, fl.log_rho)
+    if eps > 0.0:
+        # (1/rho) Lap^2 omega + grad_perp(1/rho) . Lap^2 u, grad_perp = (-d2, d1)
+        b_om = inverse_transform(bilaplacian(om))
+        D1, D2 = physical(vector_bilaplacian(dealias_vector(state.u)))
+        rhs = rhs - eps * (product_physical(fl.inv_rho_phys * b_om, g)
+                           + product_physical(-I2 * D1 + I1 * D2, g))
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +366,7 @@ def omega_rhs(state: FlowState, pressure_solution, check: bool = True) -> Spectr
 def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
     """||theta_rhs - product-rule assembly|| / max(||a||, ||b||, 1)."""
     fl = state.fields
-    a = theta_rhs(state, check=False)
+    a = theta_rhs(state)
 
     g = state.grid
     drho = density_rhs(state)
@@ -452,6 +383,6 @@ def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
 
 def residual_omega(state: FlowState, pressure_solution) -> float:
     """||omega_rhs - curl(momentum_rhs)|| / max(||a||, ||b||, 1)."""
-    a = omega_rhs(state, pressure_solution, check=False)
+    a = omega_rhs(state, pressure_solution)
     b = curl(momentum_rhs(state, pressure_solution.grad_pi))
     return mismatch(a, b)

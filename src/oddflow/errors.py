@@ -25,11 +25,6 @@ class ConvergenceError(OddflowError):
     """Iterative solver ran out of iterations before reaching tolerance."""
 
 
-class CancellationIdentityError(OddflowError):
-    """A derived algebraic identity failed beyond its tolerance, which
-    indicates corrupted or out-of-contract inputs."""
-
-
 class RuntimeAbort(OddflowError):
     """Integration aborted (vacuum breach or non-finite values).
 

@@ -1,6 +1,7 @@
 """Seeded identity suites: partition of unity, Bony reconstruction,
-odd-term skew-symmetry, good-unknown equation residuals, and the pressure
-split consistency.  Used by the `verify` CLI subcommand and by the tests.
+odd-term skew-symmetry, good-unknown equation residuals, the pressure
+split consistency, and the algebraic identities under the dynamics
+operators.  Used by the `verify` CLI subcommand and by the tests.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import numpy as np
 from .app_io import random_band_scalar
 from .dynamics import (
     FlowState,
+    bilinear_B,
     good_unknowns,
     odd_stress_divergence,
     residual_omega,
     residual_theta,
+    trilinear_T,
 )
 from .littlewood_paley import (
     bony_reconstruction,
@@ -34,17 +37,25 @@ from .spectral import (
     SpectralScalar,
     SpectralVector,
     biot_savart,
+    curl,
     dealiased_product,
     dealias,
+    dealias_vector,
+    gradient,
     inner_product_vector,
     inverse_laplacian,
+    inverse_transform,
     divergence,
     leray_project,
     l2_norm,
     l2_norm_vector,
     mismatch,
+    perp,
+    physical,
+    product_physical,
     resample,
     sup_norm_vector,
+    vector_laplacian,
     zero_scalar,
 )
 
@@ -142,7 +153,7 @@ def suite_skew(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
     for i in range(10):
         st = make_state(grid, seed + i, "full_band")
-        stress = odd_stress_divergence(st, check=False)
+        stress = odd_stress_divergence(st)
         val = abs(inner_product_vector(stress, st.u))
         scale = sobolev_norm_vector(st.u, 1.0) ** 2
         worst = max(worst, val / scale)
@@ -189,17 +200,75 @@ def suite_homogeneous_gradient(grid: Grid, seed: int) -> list[CheckResult]:
     """For rho = 1 the odd stress is a pure gradient with potential -omega."""
     st = make_state(grid, seed, "half_band")
     st = FlowState(0.0, zero_scalar(grid), st.u, odd_sign=st.odd_sign)
-    stress = odd_stress_divergence(st, check=False)
+    stress = odd_stress_divergence(st)
     p_part, q_part = leray_project(stress)
     rel_p = l2_norm_vector(p_part) / max(l2_norm_vector(stress), 1.0)
     pot = -1.0 * inverse_laplacian(divergence(q_part))  # grad(pot) = q_part
-    gu = good_unknowns(st, check=False)
+    gu = good_unknowns(st)
     target = -st.odd_sign * gu.omega
     pot_err = l2_norm(pot - dealias(target)) / max(l2_norm(target), 1.0)
     return [
         CheckResult("homogeneous odd term: div-free part", rel_p, 1e-12),
         CheckResult("homogeneous odd term: potential = -omega", pot_err, 1e-12),
     ]
+
+
+def identity_checks(state: FlowState) -> list[CheckResult]:
+    """The second route of each algebraic identity under the dynamics
+    operators, against the route the operator takes.  Every grid sample
+    comes from the state's cache."""
+    fl = state.fields
+    g = state.grid
+    rho = fl.rho_phys
+    u1, u2 = fl.u_phys
+    d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
+    r1, r2 = fl.grad_rho_phys
+    rho_omega = product_physical(rho * fl.omega_phys, g)
+
+    # sign * div(rho grad u_perp) = sign * (rho Lap u_perp + (grad rho . grad) u_perp)
+    # with u_perp = (-u2, u1)
+    rho_transport = SpectralVector(product_physical(-(r1 * d1u2 + r2 * d2u2), g),
+                                   product_physical(r1 * d1u1 + r2 * d2u1, g))
+    lap1, lap2 = physical(vector_laplacian(perp(dealias_vector(state.u))))
+    expanded = SpectralVector(product_physical(rho * lap1, g),
+                              product_physical(rho * lap2, g)) + rho_transport
+    stress = mismatch(odd_stress_divergence(state), state.odd_sign * expanded)
+
+    # B(grad u, Hess alpha) = curl((grad alpha . grad) u_perp) when div u = 0;
+    # the state's odd_transport is (grad log rho . grad) u_perp
+    b_rho = mismatch(bilinear_B(state, state.rho_dev), curl(rho_transport))
+    b_log = mismatch(bilinear_B(state, fl.log_rho), curl(fl.odd_transport))
+
+    # grad_perp(rho) . grad(|u|^2) = -2 (u2 d1u.grad rho - u1 d2u.grad rho)
+    d1u_r = inverse_transform(product_physical(d1u1 * r1 + d1u2 * r2, g))
+    d2u_r = inverse_transform(product_physical(d2u1 * r1 + d2u2 * r2, g))
+    cubic = -2.0 * (product_physical(u2 * d1u_r, g) - product_physical(u1 * d2u_r, g))
+    trilinear = mismatch(trilinear_T(state), cubic)
+
+    # eta = curl(rho u) = rho*omega + grad_perp(rho).u, grad_perp = (-d2, d1)
+    eta = mismatch(good_unknowns(state).eta,
+                   rho_omega + product_physical(-r2 * u1 + r1 * u2, g))
+
+    # grad_perp(1/rho).grad(rho*omega) = -grad_perp(log rho).grad(omega),
+    # the cancellation behind omega_rhs's rewritten transport
+    d1, d2 = physical(gradient(rho_omega))
+    o1, o2 = physical(gradient(dealias(fl.omega)))
+    I1, I2 = fl.grad_inv_rho_phys
+    L1, L2 = fl.grad_log_rho_phys
+    cancellation = mismatch(product_physical(-I2 * d1 + I1 * d2, g),
+                            -1.0 * product_physical(-L2 * o1 + L1 * o2, g))
+    return [
+        CheckResult("odd stress expansion", stress, 1e-12),
+        CheckResult("bilinear form B, alpha = rho - 1", b_rho, 1e-12),
+        CheckResult("bilinear form B, alpha = log rho", b_log, 1e-12),
+        CheckResult("trilinear cubic form", trilinear, 1e-10),
+        CheckResult("eta expansion", eta, 1e-12),
+        CheckResult("vorticity cancellation", cancellation, 1e-10),
+    ]
+
+
+def suite_identities(grid: Grid, seed: int) -> list[CheckResult]:
+    return identity_checks(make_state(grid, seed, "half_band"))
 
 
 def run_all(n: int = 64, seed: int = 0) -> list[CheckResult]:
@@ -211,4 +280,5 @@ def run_all(n: int = 64, seed: int = 0) -> list[CheckResult]:
     results += suite_residuals(grid, seed)
     results += suite_pressure_split(grid, seed)
     results += suite_homogeneous_gradient(grid, seed)
+    results += suite_identities(grid, seed)
     return results

@@ -113,7 +113,7 @@ def test_criterion_03_skew_symmetry():
     worst = 0.0
     for seed in range(100):
         st = make_state(grid, seed, "full_band")
-        stress = odd_stress_divergence(st, check=False)
+        stress = odd_stress_divergence(st)
         val = abs(inner_product_vector(stress, st.u))
         worst = max(worst, val / sobolev_norm_vector(st.u, 1.0) ** 2)
     report(3, "odd-term skew-symmetry (100 states)",

@@ -143,7 +143,7 @@ class TestContinuationMonitor:
         st = make_state(grid32, 2, "half_band")
         psol = solve_pressure(st)
         call = {"continuation_monitor": lambda: continuation_monitor(st, psol, 2.5),
-                "bilinear_B": lambda: bilinear_B(st, st.rho_dev, check=False).coeffs}[name]
+                "bilinear_B": lambda: bilinear_B(st, st.rho_dev).coeffs}[name]
         first = call()
         count = [0]
         irfft2 = spectral._fft.irfft2
@@ -189,8 +189,8 @@ class TestStabilityRecords:
         du = biot_savart(du_src)
         pert = FlowState(st.t, st.rho_dev + drho, st.u + du, st.epsilon, st.odd_sign)
         rec = stability_record(st, pert)
-        ga = good_unknowns(st, check=False)
-        gb = good_unknowns(pert, check=False)
+        ga = good_unknowns(st)
+        gb = good_unknowns(pert)
         expected_D = (l2_norm(drho) ** 2
                       + l2_norm(laplacian(drho)) ** 2
                       + l2_norm_vector(du) ** 2

@@ -1,5 +1,5 @@
 """Static checks of the modules under src/oddflow: imports, transforms, the
-state cache, private names and unused public names."""
+state cache, check switches, private names and unused public names."""
 
 import ast
 import pathlib
@@ -157,6 +157,12 @@ def test_no_c2c_transforms(path):
 
 # A state owns its cache: FlowState.fields builds the one Fields of a state,
 # and no function takes a cache beside the state.
+def parameter_names(function: ast.FunctionDef) -> set[str]:
+    a = function.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+    return {p.arg for p in params if p is not None}
+
+
 def cache_beside_state(source: str) -> list[str]:
     """Functions with a `fields` parameter, and Fields(...) built anywhere
     but in FlowState.fields."""
@@ -166,9 +172,7 @@ def cache_beside_state(source: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            if "fields" in {p.arg for p in params if p is not None}:
+            if "fields" in parameter_names(node):
                 found.append(f"{node.name} takes fields (line {node.lineno})")
         if isinstance(node, ast.Call):
             f = node.func
@@ -197,6 +201,30 @@ def test_detector_flags_cache_beside_state():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_state_owns_its_cache(path):
     assert cache_beside_state(path.read_text(encoding="utf-8")) == []
+
+
+# One path per operator: no function takes a `check` switch; the second
+# route of each identity lives in verify.identity_checks.
+def check_switches(source: str) -> list[str]:
+    """Functions with a `check` parameter."""
+    return [f"{node.name} takes check (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "check" in parameter_names(node)]
+
+
+def test_detector_flags_check_switches():
+    source = ("def f(state, check=True):\n    pass\n"
+              "def g(state, *, check: bool = False):\n    pass\n"
+              "class A:\n    def h(self, x, check):\n        pass\n"
+              "def ok(state, checked=True, verify=False):\n    return check(state)\n")
+    assert check_switches(source) == [
+        "f takes check (line 1)", "g takes check (line 3)", "h takes check (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_check_switches(path):
+    assert check_switches(path.read_text(encoding="utf-8")) == []
 
 
 # A module's _-prefixed names are its own: no module under src/oddflow takes

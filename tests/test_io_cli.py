@@ -13,7 +13,6 @@ from oddflow import app_io
 from oddflow.cli import cli
 from oddflow.dynamics import FlowState
 from oddflow.errors import (
-    CancellationIdentityError,
     GridMismatchError,
     HermitianSymmetryError,
     MeanModeError,
@@ -479,7 +478,7 @@ class TestCli:
 
     @pytest.mark.parametrize("exc,code", [
         (HermitianSymmetryError, 1), (GridMismatchError, 1), (MeanModeError, 1),
-        (CancellationIdentityError, 2), (OddflowError, 2),
+        (OddflowError, 2),
     ])
     def test_package_errors_end_in_one_line(self, monkeypatch, capsys, exc, code):
         def fail(args):
