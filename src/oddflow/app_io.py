@@ -336,22 +336,15 @@ def read_checkpoint(path: str) -> FlowState:
 # CSV emission
 
 
-def format_number(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def diagnostics_csv(records, columns) -> str:
     lines = [",".join(columns)]
     for rec in records:
         vals = rec.values() if hasattr(rec, "values") else rec
-        lines.append(",".join(format_number(v) for v in vals))
+        lines.append(",".join(f"{float(v):.17g}" for v in vals))
     return "\n".join(lines) + "\n"
 
 
 def csv_to_dat(csv_text: str) -> str:
     """gnuplot-ready alias: comment header, whitespace separated."""
-    lines = csv_text.strip().split("\n")
-    out = ["# " + " ".join(lines[0].split(","))]
-    for line in lines[1:]:
-        out.append(" ".join(line.split(",")))
-    return "\n".join(out) + "\n"
+    header, *rows = csv_text.strip().split("\n")
+    return "\n".join(["# " + header, *rows]).replace(",", " ") + "\n"

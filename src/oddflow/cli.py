@@ -54,6 +54,7 @@ def cmd_run(args) -> int:
 
     rows = []
     observed = []
+    last = [state, 0]  # the last state that completed its observers, its index
 
     def observer(st, idx):
         if idx % cfg.observe_every == 0:
@@ -62,10 +63,6 @@ def cmd_run(args) -> int:
         if cfg.checkpoint_every and idx > 0 and idx % cfg.checkpoint_every == 0:
             app_io.write_checkpoint(
                 st, os.path.join(cfg.output_dir, f"checkpoint_{idx:06d}.bin"))
-
-    last = [state, 0]  # the last state that completed its observers, its index
-
-    def count(st, idx):
         last[:] = [st, idx]
 
     csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
@@ -80,7 +77,7 @@ def cmd_run(args) -> int:
                 fh.write(app_io.csv_to_dat(csv_text))
 
     try:
-        final = integrate(state, scfg, observers=[observer, count])
+        final = integrate(state, scfg, observers=[observer])
     except OddflowError:
         # an aborted run keeps the rows it collected and its last good state
         write_rows()

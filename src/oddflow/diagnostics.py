@@ -17,7 +17,7 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .littlewood_paley import sobolev_norm, sobolev_norm_vector
-from .pressure import PressureSolution, solve_pressure
+from .pressure import solve_pressure
 from .spectral import (
     SpectralScalar,
     SpectralVector,
@@ -105,8 +105,7 @@ def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]
     return E, F, G
 
 
-def continuation_monitor(state: FlowState, pressure_solution: PressureSolution,
-                         s: float) -> tuple[float, float]:
+def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     """Integrands of the two continuation criteria.
 
     M      = |grad u|^2 + |grad rho|^s + |grad rho|^{s-1} |grad u|
@@ -122,8 +121,8 @@ def continuation_monitor(state: FlowState, pressure_solution: PressureSolution,
     gu_sup = sup_magnitude(*fl.grad_u_phys)
     grho_sup = sup_magnitude(*fl.grad_rho_phys)
     lap_sup = sup_norm(laplacian(dealias(state.rho_dev)))
-    gpi_sup = sup_norm_vector(pressure_solution.grad_pi)
-    greg_sup = sup_norm_vector(pressure_solution.grad_pi_minus_rho_omega)
+    gpi_sup = sup_norm_vector(state.pressure.grad_pi)
+    greg_sup = sup_norm_vector(state.pressure.grad_pi_minus_rho_omega)
     p_exp = s / (s - 1.0)
     M = (gu_sup**2 + grho_sup**s + grho_sup ** (s - 1.0) * gu_sup
          + lap_sup + gpi_sup**p_exp)
@@ -133,16 +132,16 @@ def continuation_monitor(state: FlowState, pressure_solution: PressureSolution,
 
 
 def observe(state: FlowState, s: float) -> DiagnosticsRecord:
-    """Full diagnostics row for one state (solves the pressure afresh)."""
-    psol = solve_pressure(state)
-    E, F, G = energy_functionals(state, s)
-    M, Mt = continuation_monitor(state, psol, s)
+    """Full diagnostics row for one state, from its stored pressure solution
+    (solved here if it holds none, and shared with the next step's stage 1)."""
+    if not state.solved:
+        solve_pressure(state)
     rec = conservation_report(state)
-    rec.E, rec.F, rec.G = E, F, G
-    rec.M_integrand, rec.Mtilde_integrand = M, Mt
-    rec.pressure_iterations = psol.iterations
-    rec.theta_residual = residual_theta(state, psol.grad_pi)
-    rec.omega_residual = residual_omega(state, psol)
+    rec.E, rec.F, rec.G = energy_functionals(state, s)
+    rec.M_integrand, rec.Mtilde_integrand = continuation_monitor(state, s)
+    rec.pressure_iterations = state.pressure.iterations
+    rec.theta_residual = residual_theta(state)
+    rec.omega_residual = residual_omega(state)
     return rec
 
 
@@ -224,8 +223,8 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
             raise ValidationError("twin trajectories desynchronized "
                                   f"({sa.t} vs {sb.t}); use a fixed dt")
         records.append(stability_record(sa, sb))
-        sa.drop_fields()  # the lists keep every state, not its grid samples
-        sb.drop_fields()
+        sa.drop_cache()  # the lists keep every state, not its grid samples
+        sb.drop_cache()
     return records
 
 
@@ -239,12 +238,8 @@ def epsilon_sweep(initial: FlowState, config: StepperConfig,
         raise ValidationError("eps values must be >= 0")
     finals = [run(FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign),
                   config) for eps in eps_list]
-    table = []
-    for (e1, f1), (e2, f2) in zip(zip(eps_list, finals), zip(eps_list[1:], finals[1:])):
-        table.append({
-            "eps_high": e1,
-            "eps_low": e2,
-            "u_distance": l2_norm_vector(f1.u - f2.u),
-            "rho_distance": l2_norm(f1.rho_dev - f2.rho_dev),
-        })
-    return table
+    return [{"eps_high": e1, "eps_low": e2,
+             "u_distance": l2_norm_vector(f1.u - f2.u),
+             "rho_distance": l2_norm(f1.rho_dev - f2.rho_dev)}
+            for (e1, f1), (e2, f2) in zip(zip(eps_list, finals),
+                                          zip(eps_list[1:], finals[1:]))]

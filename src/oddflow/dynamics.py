@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, RuntimeAbort
+from .errors import GridMismatchError, RuntimeAbort, UnsolvedPressureError
 from .spectral import (
     Grid,
     SpectralScalar,
@@ -50,11 +50,13 @@ class FlowState:
     rho_dev stores the deviation rho - 1; u is divergence-free.  epsilon and
     odd_sign are the equation's parameters; odd_sign 0 drops the odd terms,
     which leaves the non-homogeneous Euler reference system.  The state
-    owns the cache of its grid samples (fields), built on first read; no
-    code changes a state's fields or arrays, so a caller may keep a state.
+    owns the cache of its grid samples (fields), built on first read, and
+    its pressure solution, stored by pressure.solve_pressure; no code
+    changes a state's arrays, so a caller may keep a state.
     """
 
-    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "_fields", "__weakref__")
+    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "_fields", "_pressure",
+                 "__weakref__")
 
     def __init__(self, t: float, rho_dev: SpectralScalar, u: SpectralVector,
                  epsilon: float = 0.0, odd_sign: float = 1.0):
@@ -70,6 +72,7 @@ class FlowState:
         self.epsilon = float(epsilon)
         self.odd_sign = float(odd_sign)
         self._fields = None
+        self._pressure = None
 
     @property
     def grid(self) -> Grid:
@@ -82,9 +85,26 @@ class FlowState:
             self._fields = Fields(self)
         return self._fields
 
-    def drop_fields(self) -> None:
-        """Free the cache; a later read of fields rebuilds it."""
+    @property
+    def pressure(self):
+        """The solution pressure.solve_pressure stored; UnsolvedPressureError if none."""
+        if self._pressure is None:
+            raise UnsolvedPressureError(f"the pressure at t = {self.t:.6g} was never solved")
+        return self._pressure
+
+    @pressure.setter
+    def pressure(self, solution) -> None:
+        self._pressure = solution
+
+    @property
+    def solved(self) -> bool:
+        """Whether the state holds its pressure solution."""
+        return self._pressure is not None
+
+    def drop_cache(self) -> None:
+        """Free the grid samples and the pressure solution."""
         self._fields = None
+        self._pressure = None
 
 
 @dataclass(frozen=True)
@@ -282,25 +302,19 @@ def density_rhs(state: FlowState) -> SpectralScalar:
     return -1.0 * out
 
 
-def momentum_rhs(state: FlowState, grad_pi: SpectralVector) -> SpectralVector:
-    """du/dt for the velocity form of the momentum equation.
-
-    grad_pi must come from the pressure solve for this same state.
-    """
-    if grad_pi.grid != state.grid:
-        raise GridMismatchError("pressure gradient on a different grid")
+def momentum_rhs(state: FlowState) -> SpectralVector:
+    """du/dt for the velocity form of the momentum equation, with the
+    state's stored pressure gradient."""
     fl = state.fields
     g = state.grid
-    sigma = state.odd_sign
-    eps = state.epsilon
 
-    p1, p2 = physical(grad_pi)
+    p1, p2 = physical(state.pressure.grad_pi)
     press = SpectralVector(product_physical(fl.inv_rho_phys * p1, g),
                            product_physical(fl.inv_rho_phys * p2, g))
     up = perp(dealias_vector(state.u))
-    rhs = -1.0 * fl.advection - press - sigma * (vector_laplacian(up) + fl.odd_transport)
-    if eps > 0.0:
-        rhs = rhs - eps * fl.hyper
+    rhs = -1.0 * fl.advection - press - state.odd_sign * (vector_laplacian(up) + fl.odd_transport)
+    if state.epsilon > 0.0:
+        rhs = rhs - state.epsilon * fl.hyper
     return rhs
 
 
@@ -328,7 +342,7 @@ def theta_rhs(state: FlowState) -> SpectralScalar:
     return rhs
 
 
-def omega_rhs(state: FlowState, pressure_solution) -> SpectralScalar:
+def omega_rhs(state: FlowState) -> SpectralScalar:
     """d(omega)/dt assembled from the rewritten transport form, which rests
     on the cancellation
     grad_perp(1/rho).grad(sign*rho*omega) = -sign*grad_perp(log rho).grad omega.
@@ -346,7 +360,7 @@ def omega_rhs(state: FlowState, pressure_solution) -> SpectralScalar:
 
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
-    d1, d2 = physical(pressure_solution.grad_pi_minus_rho_omega)
+    d1, d2 = physical(state.pressure.grad_pi_minus_rho_omega)
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
     rhs = -1.0 * trans - press - sigma * bilinear_B(state, fl.log_rho)
@@ -363,14 +377,14 @@ def omega_rhs(state: FlowState, pressure_solution) -> SpectralScalar:
 # residual verifiers (two independent assemblies of the same time derivative)
 
 
-def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
+def residual_theta(state: FlowState) -> float:
     """||theta_rhs - product-rule assembly|| / max(||a||, ||b||, 1)."""
     fl = state.fields
     a = theta_rhs(state)
 
     g = state.grid
     drho = density_rhs(state)
-    du = momentum_rhs(state, grad_pi)
+    du = momentum_rhs(state)
     dr_p = inverse_transform(drho)
     du1, du2 = physical(du)
     u1, u2 = fl.u_phys
@@ -381,8 +395,8 @@ def residual_theta(state: FlowState, grad_pi: SpectralVector) -> float:
     return mismatch(a, b)
 
 
-def residual_omega(state: FlowState, pressure_solution) -> float:
+def residual_omega(state: FlowState) -> float:
     """||omega_rhs - curl(momentum_rhs)|| / max(||a||, ||b||, 1)."""
-    a = omega_rhs(state, pressure_solution)
-    b = curl(momentum_rhs(state, pressure_solution.grad_pi))
+    a = omega_rhs(state)
+    b = curl(momentum_rhs(state))
     return mismatch(a, b)

@@ -21,6 +21,10 @@ class MeanModeError(OddflowError):
     """Operator requires a mean-zero field and got one with nonzero mean."""
 
 
+class UnsolvedPressureError(OddflowError):
+    """A state's pressure was read before pressure.solve_pressure stored it."""
+
+
 class ConvergenceError(OddflowError):
     """Iterative solver ran out of iterations before reaching tolerance."""
 

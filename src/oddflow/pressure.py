@@ -240,7 +240,8 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
 
 
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
-    """Pressure gradient of the momentum equation for this state.
+    """Pressure gradient of the momentum equation for this state, stored as
+    state.pressure (replacing any stored one) and returned.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
     + (eps/rho) Lap^2 u) - sign*Lap(omega) and fills both gradients.
@@ -250,8 +251,9 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
                                                tol, DEFAULT_MAX_ITER)
     grad_pi = gradient(pi)
     rho_omega = product_physical(fl.rho_phys * fl.omega_phys, state.grid)
-    return PressureSolution(grad_pi, grad_pi - state.odd_sign * gradient(rho_omega),
-                            iters, res)
+    state.pressure = PressureSolution(grad_pi, grad_pi - state.odd_sign * gradient(rho_omega),
+                                      iters, res)
+    return state.pressure
 
 
 def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:
@@ -277,9 +279,9 @@ def commutator_expanded(state: FlowState) -> SpectralScalar:
     return -2.0 * divergence(SpectralVector(w1, w2)) + product_physical(om * lap_rho, g)
 
 
-def pressure_split_via_phi(state: FlowState,
-                           pressure_solution: PressureSolution) -> SpectralVector:
-    """Reassemble grad(pi - sign*rho*omega) from the source decomposition.
+def pressure_split_via_phi(state: FlowState) -> SpectralVector:
+    """Reassemble the state's stored grad(pi - sign*rho*omega) from the
+    source decomposition.
 
     High frequencies come from grad((-Lap)^{-1} Phi) with
     Phi = -grad(log rho).grad(pi) + rho div((u.grad)u + sign(...)u_perp
@@ -292,7 +294,7 @@ def pressure_split_via_phi(state: FlowState,
 
     # Phi_1 = -grad(log rho) . grad(pi)
     L1, L2 = fl.grad_log_rho_phys
-    p1, p2 = physical(pressure_solution.grad_pi)
+    p1, p2 = physical(state.pressure.grad_pi)
     phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
@@ -309,4 +311,4 @@ def pressure_split_via_phi(state: FlowState,
 
     low_mult = build_partition(g).blocks[0]
     high_mult = (1.0 - low_mult) * g.inv_k_sq
-    return gradient(phi * high_mult) + pressure_solution.grad_pi_minus_rho_omega * low_mult
+    return gradient(phi * high_mult) + state.pressure.grad_pi_minus_rho_omega * low_mult

@@ -65,9 +65,8 @@ class Grid:
         self.k1 = k[:, None] * np.ones((1, half.size), dtype=np.int64)
         self.k2 = np.ones((n, 1), dtype=np.int64) * half[None, :]
         self.k_sq = (self.k1**2 + self.k2**2).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.k_sq > 0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
-        self.inv_k_sq = inv  # zero at k = 0
+        self.inv_k_sq = np.divide(1.0, self.k_sq, out=np.zeros_like(self.k_sq),
+                                  where=self.k_sq > 0)  # zero at k = 0
         # Nyquist row (k1 = -n/2) and column (k2 = n/2) are always zeroed.
         self.keep_mask = (np.abs(self.k1) != n // 2) & (self.k2 != n // 2)
         self.dealias_mask = (
@@ -335,9 +334,7 @@ def _require_mean_zero(f: SpectralScalar, what: str):
 def inverse_laplacian(f: SpectralScalar) -> SpectralScalar:
     """Mean-zero g with -Lap g = f, exact per mode."""
     _require_mean_zero(f, "inverse_laplacian")
-    g = f.grid
-    out = f.coeffs * g.inv_k_sq
-    return SpectralScalar(g, out)
+    return SpectralScalar(f.grid, f.coeffs * f.grid.inv_k_sq)
 
 
 def biot_savart(omega: SpectralScalar) -> SpectralVector:

@@ -4,8 +4,9 @@ One step is explicit RK4 with the exact per-mode propagator
 exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
-solves the variable-coefficient pressure problem.  The velocity is
-re-projected divergence-free at the end of the step.
+state has its variable-coefficient pressure problem solved once; stage 1
+shares the solve of an observer.  The velocity is re-projected
+divergence-free at the end of the step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
 from .errors import RuntimeAbort
 from .pressure import solve_pressure
-from .spectral import dealias_vector, leray_project, sup_norm_vector
+from .spectral import dealias_vector, leray_project, sup_magnitude, sup_norm_vector
 
 CFL_CAP = 1e6
 
@@ -51,11 +52,9 @@ def cfl_dt(state: FlowState) -> float:
     """Advective and stiff-remainder step bounds, capped at 1e6."""
     tiny = 1e-30
     fl = state.fields
-    g = state.grid
-    k_max = g.n / 2.0
+    k_max = state.grid.n / 2.0
     u_sup = sup_norm_vector(state.u)
-    L1, L2 = fl.grad_log_rho_phys
-    glog_sup = float(np.max(np.sqrt(L1 * L1 + L2 * L2)))
+    glog_sup = sup_magnitude(*fl.grad_log_rho_phys)
     adv = 1.0 / (k_max * u_sup + k_max * glog_sup + tiny)
     rho_min = float(np.min(fl.rho_phys))
     dev = float(np.max(np.abs(fl.inv_rho_phys - 1.0)))
@@ -66,8 +65,9 @@ def cfl_dt(state: FlowState) -> float:
 def _stage_rhs(state: FlowState, config: StepperConfig):
     """Explicit RHS (with the constant-coefficient eps Lap^2 u removed) and
     the density RHS for one RK stage, whose state must be above the floor."""
-    psol = solve_pressure(state)
-    rhs_u = momentum_rhs(state, psol.grad_pi)
+    if not state.solved:
+        solve_pressure(state)
+    rhs_u = momentum_rhs(state)
     if state.epsilon > 0.0:
         rhs_u = rhs_u + dealias_vector(state.u) * (state.epsilon * state.grid.k_sq**2)
     # checked after the assembly: checking first cost ~40% more page faults
@@ -86,7 +86,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     """One RK4 integrating-factor step of size dt (default config.dt).
 
     Every stage state and the new state are held above config.vacuum_floor;
-    the state's cache is freed after stage 1, the only stage that reads it."""
+    the state's cache and pressure solution, which stage 1 solves unless the
+    state holds one, are freed after stage 1, the only stage that reads them."""
     h = config.dt if dt is None else dt
     if h is None or h <= 0:
         raise ValueError("step needs a positive dt")
@@ -101,7 +102,7 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     r0, u0 = state.rho_dev, state.u
 
     kr1, ku1 = _stage_rhs(state, config)
-    state.drop_fields()
+    state.drop_cache()
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
@@ -137,8 +138,6 @@ def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
     state = initial
     for obs in observers:
         obs(state, 0)
-    if config.t_end <= state.t:
-        return state
 
     index = 0
     warned = False

@@ -11,7 +11,7 @@ from oddflow.diagnostics import (
     stability_record,
     twin_run_stability,
 )
-from oddflow import spectral
+from oddflow import cli, diagnostics, spectral, stepping
 from oddflow.dynamics import FlowState, bilinear_B, good_unknowns
 from oddflow.errors import ValidationError
 from oddflow.pressure import solve_pressure
@@ -27,6 +27,19 @@ from oddflow.stepping import StepperConfig
 from oddflow.verify import make_state, random_band_scalar
 
 from conftest import shear_state_fields
+
+
+def count_solves(monkeypatch, *modules):
+    """A one-item list counting the solve_pressure calls the modules make."""
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return solve_pressure(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "solve_pressure", counting)
+    return count
 
 
 def shear(grid, eps=0.0):
@@ -107,26 +120,26 @@ class TestNormEquivalenceRatios:
 class TestContinuationMonitor:
     def test_steady_shear_values(self, grid64):
         st = shear(grid64)
-        psol = solve_pressure(st)
-        M, Mt = continuation_monitor(st, psol, 2.5)
+        solve_pressure(st)
+        M, Mt = continuation_monitor(st, 2.5)
         assert abs(M - 2.0) < 1e-9
         assert abs(Mt - 1.0) < 1e-9
 
     def test_rest_zero(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
                        SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
-        psol = solve_pressure(st)
-        M, Mt = continuation_monitor(st, psol, 2.5)
+        solve_pressure(st)
+        M, Mt = continuation_monitor(st, 2.5)
         assert M == 0.0 and Mt == 0.0
 
     def test_gradient_term_scaling(self, grid64):
         st = shear(grid64)
-        psol = solve_pressure(st)
+        solve_pressure(st)
         lam = 3.0
         st2 = FlowState(0.0, st.rho_dev, st.u * lam)
-        psol2 = solve_pressure(st2)
-        M1, _ = continuation_monitor(st, psol, 2.5)
-        M2, _ = continuation_monitor(st2, psol2, 2.5)
+        solve_pressure(st2)
+        M1, _ = continuation_monitor(st, 2.5)
+        M2, _ = continuation_monitor(st2, 2.5)
         # |grad u|^2 term scales by lam^2; pressure term scales too
         # (pi = lam^2-quadratic + lam-odd parts), so compare term-wise
         grad_term_1 = 1.0
@@ -141,8 +154,8 @@ class TestContinuationMonitor:
         two pressure gradients, bilinear_B only two second derivatives of
         alpha."""
         st = make_state(grid32, 2, "half_band")
-        psol = solve_pressure(st)
-        call = {"continuation_monitor": lambda: continuation_monitor(st, psol, 2.5),
+        solve_pressure(st)
+        call = {"continuation_monitor": lambda: continuation_monitor(st, 2.5),
                 "bilinear_B": lambda: bilinear_B(st, st.rho_dev).coeffs}[name]
         first = call()
         count = [0]
@@ -173,6 +186,23 @@ class TestObserve:
         fields_built[0] = 0
         observe(st, 2.5)
         assert fields_built[0] == 1
+
+    def test_no_solve_on_a_solved_state(self, grid32, monkeypatch):
+        st = make_state(grid32, 1, "half_band")
+        solve_pressure(st)
+        solves = count_solves(monkeypatch, diagnostics)
+        observe(st, 2.5)
+        assert solves[0] == 0
+
+    def test_observed_run_shares_stage_one_solves(self, grid32, monkeypatch):
+        """Each observed state's solve is the next step's stage 1: 5 steps,
+        observed at index 0 and after every step, take 6 observe solves and
+        3 stage solves per step."""
+        solves = count_solves(monkeypatch, stepping, diagnostics)
+        rows = []
+        cli.integrate(make_state(grid32, 1, "half_band"), StepperConfig(dt=0.002, t_end=0.01),
+                      observers=[lambda st, i: rows.append(observe(st, 2.5))])
+        assert len(rows) == 6 and solves[0] == 6 + 5 * 3
 
 
 class TestStabilityRecords:
@@ -206,6 +236,23 @@ class TestStabilityRecords:
 
 
 class TestTwinRun:
+    def test_kept_states_hold_no_cache(self, grid32, monkeypatch):
+        """The states a twin run keeps hold neither grid samples nor a
+        pressure solution."""
+        kept = []
+        record = diagnostics.stability_record
+
+        def keeping(sa, sb):
+            kept.extend((sa, sb))
+            return record(sa, sb)
+
+        monkeypatch.setattr(diagnostics, "stability_record", keeping)
+        st = make_state(grid32, 6, "half_band")
+        twin_run_stability(st, StepperConfig(dt=0.01, t_end=0.03), zero_scalar(grid32),
+                           SpectralVector(zero_scalar(grid32), zero_scalar(grid32)))
+        assert len(kept) == 8
+        assert all(s._fields is None and not s.solved for s in kept)
+
     def test_zero_perturbation_zero_D(self, grid32):
         st = make_state(grid32, 6, "half_band")
         cfg = StepperConfig(dt=0.01, t_end=0.05)

@@ -15,8 +15,9 @@ from oddflow.dynamics import (
     theta_rhs,
     trilinear_T,
 )
-from oddflow.errors import RuntimeAbort
-from oddflow.pressure import solve_pressure
+from oddflow.diagnostics import continuation_monitor
+from oddflow.errors import RuntimeAbort, UnsolvedPressureError
+from oddflow.pressure import pressure_split_via_phi, solve_pressure
 from oddflow.spectral import (
     Grid,
     SpectralVector,
@@ -70,6 +71,23 @@ class TestFlowState:
         st = FlowState(0.0, rho, u)
         with pytest.raises(RuntimeAbort):
             solve_pressure(st)
+
+    @pytest.mark.parametrize("read", [
+        momentum_rhs, omega_rhs, residual_theta, residual_omega, pressure_split_via_phi,
+        lambda st: continuation_monitor(st, 2.5)],
+        ids=["momentum_rhs", "omega_rhs", "residual_theta", "residual_omega",
+             "pressure_split_via_phi", "continuation_monitor"])
+    def test_unsolved_pressure(self, grid64, read):
+        """The functions that read a state's pressure raise on a state whose
+        pressure was never solved, or whose solution was dropped."""
+        st = wave_state(grid64)
+        with pytest.raises(UnsolvedPressureError, match="never solved"):
+            read(st)
+        solve_pressure(st)
+        read(st)
+        st.drop_cache()
+        with pytest.raises(UnsolvedPressureError, match="never solved"):
+            read(st)
 
 
 class TestOddStress:
@@ -185,15 +203,15 @@ class TestGoodUnknowns:
 
 class TestMomentumRhs:
     def test_steady_shear(self, shear64):
-        psol = solve_pressure(shear64)
-        rhs = momentum_rhs(shear64, psol.grad_pi)
+        solve_pressure(shear64)
+        rhs = momentum_rhs(shear64)
         assert l2_norm_vector(rhs) < 1e-12
 
     def test_steady_shear_eps(self, grid64):
         rho, u = shear_state_fields(grid64)
         st = FlowState(0.0, rho, u, epsilon=0.05)
-        psol = solve_pressure(st)
-        rhs = momentum_rhs(st, psol.grad_pi)
+        solve_pressure(st)
+        rhs = momentum_rhs(st)
         assert l2_norm_vector(rhs + 0.05 * st.u) < 1e-9
 
     def test_rest_state(self, grid64):
@@ -202,12 +220,12 @@ class TestMomentumRhs:
                                                 zero_scalar(grid64)))
         psol = solve_pressure(st)
         assert l2_norm_vector(psol.grad_pi) < 1e-13
-        assert l2_norm_vector(momentum_rhs(st, psol.grad_pi)) < 1e-13
+        assert l2_norm_vector(momentum_rhs(st)) < 1e-13
 
     def test_divergence_consistency(self, grid64):
         st = make_state(grid64, 31, "full_band")
-        psol = solve_pressure(st)
-        rhs = momentum_rhs(st, psol.grad_pi)
+        solve_pressure(st)
+        rhs = momentum_rhs(st)
         _, q = leray_project(rhs)
         assert l2_norm_vector(q) <= 1e-10 * l2_norm_vector(rhs)
 
@@ -236,8 +254,8 @@ class TestThetaOmegaRhs:
     def test_omega_homogeneous_transport(self, grid64):
         st = make_state(grid64, 41, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
-        psol = solve_pressure(st)
-        out = omega_rhs(st, psol)
+        solve_pressure(st)
+        out = omega_rhs(st)
         # rho = 1: d(omega)/dt reduces to -u.grad(omega)
         from oddflow.spectral import SpectralScalar, dealias, product_physical
         fl = st.fields
@@ -250,21 +268,22 @@ class TestThetaOmegaRhs:
         assert l2_norm(out - expected) < 1e-10 * max(l2_norm(expected), 1)
 
     def test_omega_steady(self, shear64):
-        psol = solve_pressure(shear64)
-        assert l2_norm(omega_rhs(shear64, psol)) < 1e-12
+        solve_pressure(shear64)
+        assert l2_norm(omega_rhs(shear64)) < 1e-12
 
     def test_omega_full_band(self):
         """omega_rhs assembles one route, so a full-band state, whose
         cancellation gap is dealiasing-limited (1.1e-10 here), gets a finite
         field."""
         st = make_state(Grid(128), 1, "full_band")
-        assert np.all(np.isfinite(omega_rhs(st, solve_pressure(st)).coeffs))
+        solve_pressure(st)
+        assert np.all(np.isfinite(omega_rhs(st).coeffs))
 
     def test_omega_eps(self, grid64):
         rho, u = shear_state_fields(grid64)
         st = FlowState(0.0, rho, u, epsilon=0.2)
-        psol = solve_pressure(st)
-        out = omega_rhs(st, psol)
+        solve_pressure(st)
+        out = omega_rhs(st)
         assert np.max(np.abs(inverse_transform(out) + 0.2 * np.cos(grid64.x1))) < 1e-9
 
 
@@ -282,39 +301,39 @@ class TestResiduals:
     def test_homogeneous_exact(self, grid64):
         st = make_state(grid64, 51, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
-        psol = solve_pressure(st)
-        assert residual_theta(st, psol.grad_pi) <= 1e-10
-        assert residual_omega(st, psol) <= 1e-10
+        solve_pressure(st)
+        assert residual_theta(st) <= 1e-10
+        assert residual_omega(st) <= 1e-10
 
     @pytest.mark.parametrize("profile,bound", [("half_band", 1e-10),
                                                ("full_band", 1e-8)])
     def test_random_states(self, grid64, profile, bound):
         for seed in range(3):
             st = make_state(grid64, 60 + seed, profile)
-            psol = solve_pressure(st)
-            assert residual_theta(st, psol.grad_pi) <= bound
-            assert residual_omega(st, psol) <= bound
+            solve_pressure(st)
+            assert residual_theta(st) <= bound
+            assert residual_omega(st) <= bound
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_epsilon_states(self, grid64, eps):
         st = make_state(grid64, 70, "half_band", epsilon=eps)
-        psol = solve_pressure(st)
-        assert residual_theta(st, psol.grad_pi) <= 1e-8
-        assert residual_omega(st, psol) <= 1e-8
+        solve_pressure(st)
+        assert residual_theta(st) <= 1e-8
+        assert residual_omega(st) <= 1e-8
 
     @pytest.mark.parametrize("odd_sign", [-1.0, 0.0])
     def test_negative_odd_sign(self, grid64, odd_sign):
         st = make_state(grid64, 71, "half_band", odd_sign=odd_sign)
-        psol = solve_pressure(st)
-        assert residual_theta(st, psol.grad_pi) <= 1e-10
-        assert residual_omega(st, psol) <= 1e-10
+        solve_pressure(st)
+        assert residual_theta(st) <= 1e-10
+        assert residual_omega(st) <= 1e-10
 
     def test_rest_residual_zero(self, grid64):
         rho = forward_transform(grid64, 0.2 * np.cos(grid64.x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
-        psol = solve_pressure(st)
-        assert residual_omega(st, psol) == 0.0
+        solve_pressure(st)
+        assert residual_omega(st) == 0.0
 
 
 class TestDensityRhs:

@@ -1,5 +1,6 @@
 """Static checks of the modules under src/oddflow: imports, transforms, the
-state cache, check switches, private names and unused public names."""
+state cache and pressure solution, check switches, private names and unused
+public names."""
 
 import ast
 import pathlib
@@ -203,28 +204,48 @@ def test_state_owns_its_cache(path):
     assert cache_beside_state(path.read_text(encoding="utf-8")) == []
 
 
-# One path per operator: no function takes a `check` switch; the second
-# route of each identity lives in verify.identity_checks.
-def check_switches(source: str) -> list[str]:
-    """Functions with a `check` parameter."""
-    return [f"{node.name} takes check (line {node.lineno})"
+def functions_taking(source: str, names) -> list[str]:
+    """Functions with a parameter named in names, one entry per name."""
+    return [f"{node.name} takes {name} (line {node.lineno})"
             for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and "check" in parameter_names(node)]
+            for name in sorted(parameter_names(node) & set(names))]
 
 
+# A state owns its pressure solution (FlowState.pressure, stored by
+# pressure.solve_pressure), and no function takes one beside the state.
+PRESSURE_PARAMETERS = ("grad_pi", "pressure_solution")
+
+
+def test_detector_flags_pressure_beside_state():
+    source = ("def f(state, grad_pi):\n    pass\n"
+              "def g(state, *, pressure_solution=None):\n    pass\n"
+              "class A:\n    def h(self, pressure_solution, grad_pi):\n        pass\n"
+              "def ok(state, psol=None):\n    return state.pressure.grad_pi\n")
+    assert functions_taking(source, PRESSURE_PARAMETERS) == [
+        "f takes grad_pi (line 1)", "g takes pressure_solution (line 3)",
+        "h takes grad_pi (line 6)", "h takes pressure_solution (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_state_owns_its_pressure(path):
+    assert functions_taking(path.read_text(encoding="utf-8"), PRESSURE_PARAMETERS) == []
+
+
+# One path per operator: no function takes a `check` switch; the second
+# route of each identity lives in verify.identity_checks.
 def test_detector_flags_check_switches():
     source = ("def f(state, check=True):\n    pass\n"
               "def g(state, *, check: bool = False):\n    pass\n"
               "class A:\n    def h(self, x, check):\n        pass\n"
               "def ok(state, checked=True, verify=False):\n    return check(state)\n")
-    assert check_switches(source) == [
+    assert functions_taking(source, ["check"]) == [
         "f takes check (line 1)", "g takes check (line 3)", "h takes check (line 6)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_check_switches(path):
-    assert check_switches(path.read_text(encoding="utf-8")) == []
+    assert functions_taking(path.read_text(encoding="utf-8"), ["check"]) == []
 
 
 # A module's _-prefixed names are its own: no module under src/oddflow takes

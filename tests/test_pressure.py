@@ -168,6 +168,17 @@ class TestSolvePressure:
         ps = solve_pressure(st)
         assert l2_norm_vector(ps.grad_pi) < 1e-13
 
+    def test_stores_and_always_solves(self, grid32):
+        """The solution is stored on the state, and a state that holds one
+        is solved again, to the same bits."""
+        st = make_state(grid32, 3, "half_band")
+        assert not st.solved
+        first = solve_pressure(st)
+        assert st.solved and st.pressure is first
+        again = solve_pressure(st)
+        assert again is not first and st.pressure is again
+        assert np.array_equal(again.grad_pi.x1.coeffs, first.grad_pi.x1.coeffs)
+
     def test_euler_pressure_oracle(self, grid64):
         """rho = 1: grad(pi - omega) equals the Euler pressure gradient from
         a constant-coefficient solve of -Lap(pi_E) = div((u.grad)u)."""
@@ -272,7 +283,7 @@ class TestPressureSplit:
         st = make_state(grid64, 9, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
         ps = solve_pressure(st)
-        via = pressure_split_via_phi(st, ps)
+        via = pressure_split_via_phi(st)
         direct = ps.grad_pi_minus_rho_omega
         assert l2_norm_vector(via - direct) <= 1e-9 * max(l2_norm_vector(direct), 1)
         # and the direct difference is the gradient part of -div(u x u)
@@ -284,7 +295,7 @@ class TestPressureSplit:
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         ps = solve_pressure(st)
-        via = pressure_split_via_phi(st, ps)
+        via = pressure_split_via_phi(st)
         assert l2_norm_vector(via) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -292,7 +303,7 @@ class TestPressureSplit:
         for seed in range(3):
             st = make_state(grid64, 20 + seed, "full_band", epsilon=eps)
             ps = solve_pressure(st)
-            via = pressure_split_via_phi(st, ps)
+            via = pressure_split_via_phi(st)
             direct = ps.grad_pi_minus_rho_omega
             rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
             assert rel <= 1e-8
@@ -301,7 +312,7 @@ class TestPressureSplit:
     def test_negative_odd_sign_agreement(self, grid64, odd_sign):
         st = make_state(grid64, 24, "full_band", odd_sign=odd_sign)
         ps = solve_pressure(st)
-        via = pressure_split_via_phi(st, ps)
+        via = pressure_split_via_phi(st)
         rel = l2_norm_vector(via - ps.grad_pi_minus_rho_omega) / max(
             l2_norm_vector(ps.grad_pi_minus_rho_omega), 1.0)
         assert rel <= 1e-8

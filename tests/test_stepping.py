@@ -119,20 +119,22 @@ class TestStep:
         assert max_divergence_ratio(out.u) < 1e-12
 
     def test_cache_read_by_observers_same_bits(self, grid32):
-        """A state whose cache observe already read steps to the same bits as
-        a fresh state with the same fields, and the step frees that cache
-        after stage 1."""
+        """A state whose cache and pressure solution observe already built
+        steps to the same bits as a fresh state with the same fields, and
+        the step frees both after stage 1."""
         st = make_state(grid32, 5, "half_band")
         fresh = FlowState(st.t, st.rho_dev, st.u, st.epsilon, st.odd_sign)
         observe(st, 2.5)
         assert st._fields is not None and fresh._fields is None
+        assert st.solved and not fresh.solved
         cfg = StepperConfig()
         shared = step(st, cfg, dt=1e-3)
         own = step(fresh, cfg, dt=1e-3)
         for a, b in ((shared.rho_dev, own.rho_dev), (shared.u.x1, own.u.x1),
                      (shared.u.x2, own.u.x2)):
             assert np.array_equal(a.coeffs, b.coeffs)
-        assert st._fields is None
+        for s in (st, fresh):
+            assert s._fields is None and not s.solved
 
     def test_state_freed_without_cyclic_gc(self, grid32):
         """A state and its cache form no reference cycle: with the cyclic
