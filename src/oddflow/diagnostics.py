@@ -12,6 +12,7 @@ from .dynamics import (
     FlowState,
     density_bounds,
     good_unknowns,
+    grad_pi_minus_rho_omega,
     residual_omega,
     residual_theta,
 )
@@ -122,7 +123,7 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     grho_sup = sup_magnitude(*fl.grad_rho_phys)
     lap_sup = sup_norm(laplacian(dealias(state.rho_dev)))
     gpi_sup = sup_norm_vector(state.pressure.grad_pi)
-    greg_sup = sup_norm_vector(state.pressure.grad_pi_minus_rho_omega)
+    greg_sup = sup_norm_vector(grad_pi_minus_rho_omega(state))
     p_exp = s / (s - 1.0)
     M = (gu_sup**2 + grho_sup**s + grho_sup ** (s - 1.0) * gu_sup
          + lap_sup + gpi_sup**p_exp)

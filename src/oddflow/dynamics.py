@@ -50,16 +50,20 @@ class FlowState:
     rho_dev stores the deviation rho - 1; u is divergence-free.  epsilon and
     odd_sign are the equation's parameters; odd_sign 0 drops the odd terms,
     which leaves the non-homogeneous Euler reference system.  The state
-    owns the cache of its grid samples (fields), built on first read, and
-    its pressure solution, stored by pressure.solve_pressure; no code
-    changes a state's arrays, so a caller may keep a state.
+    owns the cache of its grid samples (fields), built on first read, its
+    pressure solution, stored by pressure.solve_pressure, and the pressure
+    history stepping.step gives it (pressure_guess and pressure_slope, band
+    columns k2 = 0..n//3, None on any other state); no code changes a
+    state's arrays, so a caller may keep a state.
     """
 
-    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "_fields", "_pressure",
-                 "__weakref__")
+    __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "pressure_guess",
+                 "pressure_slope", "_fields", "_pressure", "__weakref__")
 
     def __init__(self, t: float, rho_dev: SpectralScalar, u: SpectralVector,
-                 epsilon: float = 0.0, odd_sign: float = 1.0):
+                 epsilon: float = 0.0, odd_sign: float = 1.0, *,
+                 pressure_guess: np.ndarray | None = None,
+                 pressure_slope: np.ndarray | None = None):
         if rho_dev.grid != u.grid:
             raise GridMismatchError("rho and u live on different grids")
         if epsilon < 0:
@@ -71,6 +75,8 @@ class FlowState:
         self.u = u
         self.epsilon = float(epsilon)
         self.odd_sign = float(odd_sign)
+        self.pressure_guess = pressure_guess
+        self.pressure_slope = pressure_slope
         self._fields = None
         self._pressure = None
 
@@ -102,9 +108,11 @@ class FlowState:
         return self._pressure is not None
 
     def drop_cache(self) -> None:
-        """Free the grid samples and the pressure solution."""
+        """Free the grid samples, the pressure solution and the pressure history."""
         self._fields = None
         self._pressure = None
+        self.pressure_guess = None
+        self.pressure_slope = None
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,10 @@ class Fields:
     def omega_phys(self) -> np.ndarray:
         return inverse_transform(dealias(self.omega))
 
+    @cached_property
+    def rho_omega(self) -> SpectralScalar:
+        return product_physical(self.rho_phys * self.omega_phys, self.grid)
+
     # --- assembled nonlinear terms ------------------------------------
     @cached_property
     def advection(self) -> SpectralVector:
@@ -228,6 +240,12 @@ class Fields:
 def density_bounds(state: FlowState) -> tuple[float, float]:
     rho = state.fields.rho_phys
     return float(np.min(rho)), float(np.max(rho))
+
+
+def grad_pi_minus_rho_omega(state: FlowState) -> SpectralVector:
+    """The regular part grad(pi - sign*rho*omega) of the state's stored
+    pressure; the cache builds rho*omega on the first read, not the solve."""
+    return state.pressure.grad_pi - state.odd_sign * gradient(state.fields.rho_omega)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +378,7 @@ def omega_rhs(state: FlowState) -> SpectralScalar:
 
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
-    d1, d2 = physical(state.pressure.grad_pi_minus_rho_omega)
+    d1, d2 = physical(grad_pi_minus_rho_omega(state))
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
     rhs = -1.0 * trans - press - sigma * bilinear_B(state, fl.log_rho)

@@ -10,8 +10,14 @@ each over both gradient components stacked, with updates in place.  Inner
 products and norms are spectral.half_vdot, the full-spectrum L2 values
 (Plancherel for real fields), and the stopping test is on the
 unpreconditioned residual ||b - Ax|| / ||b||, so the tolerance keeps its
-meaning whichever preconditioner runs.  Solves are cold-started and use
-fixed-order reductions, so identical inputs give bit-identical results.
+meaning whichever preconditioner runs.
+
+A solve starts from the state's pressure_guess, which only stepping.step
+sets, and from zero on every other state (verify, row 0 of a run, direct
+callers).  The guess is projected onto the mean-zero band; one that already
+meets the tolerance returns after 0 iterations, before the preconditioner
+is built.  Reductions are fixed-order, so identical inputs and guesses give
+bit-identical results.
 
 Preconditioner, chosen once per solve from the solve's own samples of a:
 
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .dynamics import FlowState
+from .dynamics import FlowState, grad_pi_minus_rho_omega
 from .errors import ConvergenceError, OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import build_partition
 from .spectral import (
@@ -80,11 +86,12 @@ SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """grad(pi), the regular part grad(pi - sign*rho*omega), and solver
-    metadata for one state."""
+    """grad(pi), the potential's band columns k2 = 0..n//3 (the CG's
+    iterate, a warm start for a nearby solve) and solver metadata for one
+    state; dynamics.grad_pi_minus_rho_omega builds the regular part from it."""
 
     grad_pi: SpectralVector
-    grad_pi_minus_rho_omega: SpectralVector
+    potential: np.ndarray
     iterations: int
     residual: float
 
@@ -148,74 +155,87 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid):
 
 
 def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
-                              tol: float, max_iter: int):
+                              tol: float, max_iter: int, guess: np.ndarray | None = None):
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
-    given the grid samples a_phys of the dealiased coefficient a.
+    given the grid samples a_phys of the dealiased coefficient a.  guess, on
+    the band columns, is projected onto the mean-zero band and starts the
+    iteration; one that already meets tol returns after 0 iterations.
 
-    Returns (Pi, iterations, relative residual); a non-finite residual aborts."""
+    Returns (grad Pi, the band columns of Pi, iterations, relative
+    residual); a non-finite residual aborts."""
     grid = F.grid
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
 
-    ik = band_multipliers(grid).ik
+    bm = band_multipliers(grid)
+    ik = bm.ik
     n, m = ik.shape[1:]
     w = fft_workers()
 
     b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
     b_norm = float(np.sqrt(half_vdot(b, b)))
-    if b_norm == 0.0:
-        return zero_scalar(grid), 0, 0.0
-
-    precondition = _preconditioner(a_phys, a_star, grid)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = np.empty_like(b)
-    precondition(r, z)
-    p = z.copy()
-    Ap = np.empty_like(b)
     tmp = np.empty_like(b)
     # both gradient components on the full half-spectrum width: the columns
     # past the band stay zero, so irfft2 needs no padded copy per call
     grad = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
-    rz = half_vdot(r, z)
-    res = 1.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        # Ap = -div(a grad p); norm="forward" puts the 1/n^2 of the
-        # amplitude convention on rfft2
+
+    def apply(p, out):
+        """out = -div(a grad p); norm="forward" puts the 1/n^2 of the
+        amplitude convention on rfft2."""
         np.multiply(ik, p, out=grad[..., :m])
         g = _fft.irfft2(grad, s=(n, n), norm="forward", workers=w)
         g *= a_phys
         f = _fft.rfft2(g, norm="forward", workers=w)
-        np.multiply(ik[0], f[0, :, :m], out=Ap)
+        np.multiply(ik[0], f[0, :, :m], out=out)
         np.multiply(ik[1], f[1, :, :m], out=tmp)
-        Ap += tmp
-        np.negative(Ap, out=Ap)
-        denom = half_vdot(p, Ap)
-        if denom <= 0.0:
-            raise ConvergenceError(
-                f"CG broke down at iteration {it}: <p, Ap> = {denom:.3e}")
-        alpha = rz / denom
-        np.multiply(p, alpha, out=tmp)
-        x += tmp
-        np.multiply(Ap, alpha, out=tmp)
-        r -= tmp
-        res = float(np.sqrt(half_vdot(r, r))) / b_norm
-        if not np.isfinite(res):
-            raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
-        if res <= tol:
-            break
-        precondition(r, z)
-        rz_new = half_vdot(r, z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        out += tmp
+        np.negative(out, out=out)
+
+    res = 1.0
+    it = 0
+    if b_norm == 0.0:
+        x, res = np.zeros_like(b), 0.0
+    elif guess is None:
+        x, r = np.zeros_like(b), b.copy()
     else:
-        raise ConvergenceError(
-            f"pressure CG did not reach tol {tol:.1e} in {max_iter} iterations "
-            f"(residual {res:.3e})")
+        x, r = guess * bm.band, np.empty_like(b)
+        apply(x, r)
+        np.subtract(b, r, out=r)
+        res = float(np.sqrt(half_vdot(r, r))) / b_norm
+    if not res <= tol:
+        precondition = _preconditioner(a_phys, a_star, grid)
+        z = np.empty_like(b)
+        precondition(r, z)
+        p = z.copy()
+        Ap = np.empty_like(b)
+        rz = half_vdot(r, z)
+        for it in range(1, max_iter + 1):
+            apply(p, Ap)
+            denom = half_vdot(p, Ap)
+            if denom <= 0.0:
+                raise ConvergenceError(
+                    f"CG broke down at iteration {it}: <p, Ap> = {denom:.3e}")
+            alpha = rz / denom
+            np.multiply(p, alpha, out=tmp)
+            x += tmp
+            np.multiply(Ap, alpha, out=tmp)
+            r -= tmp
+            res = float(np.sqrt(half_vdot(r, r))) / b_norm
+            if not np.isfinite(res):
+                raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
+            if res <= tol:
+                break
+            precondition(r, z)
+            rz_new = half_vdot(r, z)
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
+        else:
+            raise ConvergenceError(
+                f"pressure CG did not reach tol {tol:.1e} in {max_iter} iterations "
+                f"(residual {res:.3e})")
 
     pi = zero_scalar(grid)
     pi.coeffs[:, :m] = x
@@ -226,7 +246,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     if lhs > rhs:
         raise OddflowError(
             f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-    return pi, it, res
+    return gp, x, it, res
 
 
 def solve_elliptic(a: SpectralScalar, F: SpectralVector,
@@ -235,24 +255,20 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
     """Solve -div(a grad Pi) = div F and return the curl-free gradient."""
     if F.grid != a.grid:
         raise ValidationError("coefficient and source on different grids")
-    pi, _, _ = _solve_elliptic_potential(inverse_transform(dealias(a)), F, tol, max_iter)
-    return gradient(pi)
+    return _solve_elliptic_potential(inverse_transform(dealias(a)), F, tol, max_iter)[0]
 
 
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
     """Pressure gradient of the momentum equation for this state, stored as
-    state.pressure (replacing any stored one) and returned.
+    state.pressure (replacing any stored one) and returned.  The CG starts
+    from state.pressure_guess when the state carries one, else from zero.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
-    + (eps/rho) Lap^2 u) - sign*Lap(omega) and fills both gradients.
+    + (eps/rho) Lap^2 u) - sign*Lap(omega).
     """
     fl = state.fields
-    pi, iters, res = _solve_elliptic_potential(fl.inv_rho_phys, fl.pressure_source(),
-                                               tol, DEFAULT_MAX_ITER)
-    grad_pi = gradient(pi)
-    rho_omega = product_physical(fl.rho_phys * fl.omega_phys, state.grid)
-    state.pressure = PressureSolution(grad_pi, grad_pi - state.odd_sign * gradient(rho_omega),
-                                      iters, res)
+    state.pressure = PressureSolution(*_solve_elliptic_potential(
+        fl.inv_rho_phys, fl.pressure_source(), tol, DEFAULT_MAX_ITER, state.pressure_guess))
     return state.pressure
 
 
@@ -311,4 +327,4 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
 
     low_mult = build_partition(g).blocks[0]
     high_mult = (1.0 - low_mult) * g.inv_k_sq
-    return gradient(phi * high_mult) + state.pressure.grad_pi_minus_rho_omega * low_mult
+    return gradient(phi * high_mult) + grad_pi_minus_rho_omega(state) * low_mult

@@ -5,8 +5,10 @@ exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
 state has its variable-coefficient pressure problem solved once; stage 1
-shares the solve of an observer.  The velocity is re-projected
-divergence-free at the end of the step.
+shares the solve of an observer, which starts from the same pressure
+history (see step), so a run's bits do not depend on which states are
+observed.  The velocity is re-projected divergence-free at the end of the
+step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
 from .errors import RuntimeAbort
 from .pressure import solve_pressure
-from .spectral import dealias_vector, leray_project, sup_magnitude, sup_norm_vector
+from .spectral import dealias_vector, leray_project, sup_magnitude
 
 CFL_CAP = 1e6
 
@@ -53,7 +55,7 @@ def cfl_dt(state: FlowState) -> float:
     tiny = 1e-30
     fl = state.fields
     k_max = state.grid.n / 2.0
-    u_sup = sup_norm_vector(state.u)
+    u_sup = sup_magnitude(*fl.u_phys)
     glog_sup = sup_magnitude(*fl.grad_log_rho_phys)
     adv = 1.0 / (k_max * u_sup + k_max * glog_sup + tiny)
     rho_min = float(np.min(fl.rho_phys))
@@ -63,8 +65,9 @@ def cfl_dt(state: FlowState) -> float:
 
 
 def _stage_rhs(state: FlowState, config: StepperConfig):
-    """Explicit RHS (with the constant-coefficient eps Lap^2 u removed) and
-    the density RHS for one RK stage, whose state must be above the floor."""
+    """Explicit RHS (with the constant-coefficient eps Lap^2 u removed), the
+    density RHS and the pressure potential's band columns for one RK stage,
+    whose state must be above the floor."""
     if not state.solved:
         solve_pressure(state)
     rhs_u = momentum_rhs(state)
@@ -72,7 +75,7 @@ def _stage_rhs(state: FlowState, config: StepperConfig):
         rhs_u = rhs_u + dealias_vector(state.u) * (state.epsilon * state.grid.k_sq**2)
     # checked after the assembly: checking first cost ~40% more page faults
     check_vacuum(state, config.vacuum_floor)
-    return density_rhs(state), rhs_u
+    return density_rhs(state), rhs_u, state.pressure.potential
 
 
 def _check_finite(state: FlowState):
@@ -85,9 +88,14 @@ def _check_finite(state: FlowState):
 def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> FlowState:
     """One RK4 integrating-factor step of size dt (default config.dt).
 
-    Every stage state and the new state are held above config.vacuum_floor;
-    the state's cache and pressure solution, which stage 1 solves unless the
-    state holds one, are freed after stage 1, the only stage that reads them."""
+    Every stage state and the new state are held above config.vacuum_floor.
+    Stage 1 solves the state from its pressure_guess unless it holds a
+    solution; its cache, solution and history are freed after stage 1, the
+    only stage that reads them.  With P1..P4 the stage potentials, stage 2
+    starts from P1 + (h/2) * the state's pressure_slope (P1 without one),
+    stage 3 from P2, stage 4 from 2 P3 - P1, and the new state carries P4
+    and (P4 - P1) / h.  Between stages step keeps only these band-column
+    arrays, no stage state."""
     h = config.dt if dt is None else dt
     if h is None or h <= 0:
         raise ValueError("step needs a positive dt")
@@ -101,26 +109,32 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     r0, u0 = state.rho_dev, state.u
 
-    kr1, ku1 = _stage_rhs(state, config)
+    kr1, ku1, p1 = _stage_rhs(state, config)
+    slope = state.pressure_slope
     state.drop_cache()
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
-    kr2, ku2 = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma), config)
+    guess = p1 if slope is None else p1 + (h / 2.0) * slope
+    kr2, ku2, p2 = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
+                                        pressure_guess=guess), config)
 
     r_b = r0 + (h / 2.0) * kr2
     u_b = u0 * E + (h / 2.0) * ku2
-    kr3, ku3 = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma), config)
+    kr3, ku3, p3 = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
+                                        pressure_guess=p2), config)
 
     r_c = r0 + h * kr3
     u_c = u0 * E2 + h * (ku3 * E)
-    kr4, ku4 = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma), config)
+    kr4, ku4, p4 = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
+                                        pressure_guess=2.0 * p3 - p1), config)
 
     r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
     u_new = u0 * E2 + (h / 6.0) * (ku1 * E2 + 2.0 * ((ku2 + ku3) * E) + ku4)
     u_new, _ = leray_project(u_new)
 
-    out = FlowState(t + h, r_new, u_new, eps, sigma)
+    out = FlowState(t + h, r_new, u_new, eps, sigma,
+                    pressure_guess=p4, pressure_slope=(p4 - p1) / h)
     _check_finite(out)
     check_vacuum(out, config.vacuum_floor)
     return out

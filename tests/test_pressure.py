@@ -3,7 +3,7 @@ import pytest
 
 from oddflow import pressure
 from oddflow.app_io import RunConfig, init_scenario
-from oddflow.dynamics import FlowState
+from oddflow.dynamics import FlowState, grad_pi_minus_rho_omega
 from oddflow.errors import ConvergenceError, RuntimeAbort, ValidationError
 from oddflow.pressure import (
     commutator_expanded,
@@ -159,7 +159,7 @@ class TestSolvePressure:
         ps = solve_pressure(st)
         assert np.max(np.abs(inverse_transform(ps.grad_pi.x1) + np.sin(grid64.x1))) < 1e-11
         assert l2_norm(ps.grad_pi.x2) < 1e-12
-        assert l2_norm_vector(ps.grad_pi_minus_rho_omega) < 1e-11
+        assert l2_norm_vector(grad_pi_minus_rho_omega(st)) < 1e-11
 
     def test_zero_velocity(self, grid64):
         rho = forward_transform(grid64, 0.3 * np.cos(grid64.x1))
@@ -179,16 +179,28 @@ class TestSolvePressure:
         assert again is not first and st.pressure is again
         assert np.array_equal(again.grad_pi.x1.coeffs, first.grad_pi.x1.coeffs)
 
+    def test_regular_part_built_on_read(self, grid32):
+        """A solve does not form rho*omega; the first read of the regular
+        part does, once per state cache, and later reads reuse it."""
+        st = make_state(grid32, 3, "half_band")
+        solve_pressure(st)
+        assert "rho_omega" not in vars(st.fields)
+        first = grad_pi_minus_rho_omega(st)
+        product = st.fields.rho_omega
+        again = grad_pi_minus_rho_omega(st)
+        assert st.fields.rho_omega is product
+        assert np.array_equal(first.x1.coeffs, again.x1.coeffs)
+
     def test_euler_pressure_oracle(self, grid64):
         """rho = 1: grad(pi - omega) equals the Euler pressure gradient from
         a constant-coefficient solve of -Lap(pi_E) = div((u.grad)u)."""
         st = make_state(grid64, 7, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
-        ps = solve_pressure(st)
+        solve_pressure(st)
         adv = st.fields.advection
         pi_e = inverse_laplacian(divergence(adv))
         grad_e = gradient(pi_e)
-        diff = ps.grad_pi_minus_rho_omega - grad_e
+        diff = grad_pi_minus_rho_omega(st) - grad_e
         assert l2_norm_vector(diff) <= 1e-9 * max(l2_norm_vector(grad_e), 1)
 
     def test_solution_invariants(self, grid64):
@@ -198,7 +210,7 @@ class TestSolvePressure:
         assert l2_norm(curl(ps.grad_pi)) <= 1e-10 * max(l2_norm_vector(ps.grad_pi), 1)
         rho_omega = product_physical(fl.rho_phys * fl.omega_phys, grid64)
         recon = ps.grad_pi - gradient(rho_omega)
-        diff = recon - ps.grad_pi_minus_rho_omega
+        diff = recon - grad_pi_minus_rho_omega(st)
         assert l2_norm_vector(diff) <= 1e-10 * max(l2_norm_vector(ps.grad_pi), 1)
 
 
@@ -252,16 +264,17 @@ class TestHalfSpectrumCG:
         for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
             monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
             monkeypatch.setattr(pressure, "SUP_Q_MAX", sup_q_max)
-            pi, _, res = pressure._solve_elliptic_potential(
+            _, pi, _, res = pressure._solve_elliptic_potential(
                 fl.inv_rho_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER)
             assert res <= pressure.DEFAULT_TOL
-            pis.append(pi.coeffs)
+            pis.append(pi)
         plain, cg = pis
         assert np.linalg.norm(cg - plain) <= 1e-10 * np.linalg.norm(plain)
 
     def test_gradients_real_without_nyquist(self):
-        ps = solve_pressure(density_wave(64, 0.9))
-        for vec in (ps.grad_pi, ps.grad_pi_minus_rho_omega):
+        st = density_wave(64, 0.9)
+        ps = solve_pressure(st)
+        for vec in (ps.grad_pi, grad_pi_minus_rho_omega(st)):
             for comp in (vec.x1, vec.x2):
                 check_real(comp)
                 assert np.all(comp.coeffs[32, :] == 0.0)
@@ -278,13 +291,74 @@ class TestHalfSpectrumCG:
         assert np.allclose(expand(x[:, :n // 2 + 1]), x, rtol=0, atol=1e-12)
 
 
+class TestWarmStart:
+    """A solve that starts from a guess on the band columns."""
+
+    def solve(self, a_phys, F, guess=None):
+        return pressure._solve_elliptic_potential(
+            a_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER, guess)
+
+    def source(self, grid):
+        return SpectralVector(random_band_scalar(grid, 4, 97, 10),
+                              random_band_scalar(grid, 4, 98, 10))
+
+    def test_converged_guess_takes_no_iteration(self, monkeypatch):
+        st = density_wave(64, 0.5)
+        cold = solve_pressure(st)
+        monkeypatch.setattr(pressure, "_preconditioner", None)  # never built
+        st.pressure_guess = cold.potential
+        warm = solve_pressure(st)
+        assert warm.iterations == 0 and warm.residual <= pressure.DEFAULT_TOL
+        assert np.array_equal(warm.potential, cold.potential)
+        assert np.array_equal(warm.grad_pi.x1.coeffs, cold.grad_pi.x1.coeffs)
+
+    @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
+    def test_guess_projected_onto_band(self, grid64, path):
+        """A mean mode and columns outside the band change nothing."""
+        a_phys = inverse_transform(dealias(coefficient(grid64, path)))
+        F = self.source(grid64)
+        _, x_cold, _, _ = self.solve(a_phys, F)
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal(x_cold.shape) + 1j * rng.standard_normal(x_cold.shape)
+        guess = x_cold + 1e-3 * noise
+        projected = guess * pressure.band_multipliers(grid64).band
+        assert guess[0, 0] != 0.0 and np.any(projected != guess)
+        a = self.solve(a_phys, F, guess)
+        b = self.solve(a_phys, F, projected)
+        assert a[2] == b[2] > 0
+        assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
+    def test_warm_agrees_with_cold(self, grid64, path):
+        a_phys = inverse_transform(dealias(coefficient(grid64, path)))
+        F = self.source(grid64)
+        _, x_cold, it_cold, _ = self.solve(a_phys, F)
+        # the solution of a nearby problem: the coefficient moved by 1%
+        _, near, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
+        _, x_warm, it_warm, res = self.solve(a_phys, F, near)
+        assert res <= pressure.DEFAULT_TOL and 0 < it_warm < it_cold
+        tol = pressure.DEFAULT_TOL
+        assert np.linalg.norm(x_warm - x_cold) <= 100 * tol * np.linalg.norm(x_cold)
+
+    def test_no_guess_is_cold(self, grid64):
+        """Without a guess the CG starts from zero and its loop is the cold
+        solve's: a zero guess, which adds the b - A x0 application, gives
+        the same potential bit for bit, after the cold count of 14."""
+        st = density_wave(64, 0.9)
+        F = st.fields.pressure_source()
+        zero = self.solve(st.fields.inv_rho_phys, F, np.zeros((64, 22), dtype=complex))
+        cold = solve_pressure(st)
+        assert np.array_equal(cold.potential, zero[1])
+        assert cold.iterations == zero[2] == 14
+
+
 class TestPressureSplit:
     def test_homogeneous_matches_euler_correction(self, grid64):
         st = make_state(grid64, 9, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
-        ps = solve_pressure(st)
+        solve_pressure(st)
         via = pressure_split_via_phi(st)
-        direct = ps.grad_pi_minus_rho_omega
+        direct = grad_pi_minus_rho_omega(st)
         assert l2_norm_vector(via - direct) <= 1e-9 * max(l2_norm_vector(direct), 1)
         # and the direct difference is the gradient part of -div(u x u)
         _, q = leray_project(-1.0 * st.fields.advection)
@@ -294,7 +368,7 @@ class TestPressureSplit:
         rho = forward_transform(grid64, 0.3 * np.cos(grid64.x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
-        ps = solve_pressure(st)
+        solve_pressure(st)
         via = pressure_split_via_phi(st)
         assert l2_norm_vector(via) < 1e-12
 
@@ -302,19 +376,19 @@ class TestPressureSplit:
     def test_random_agreement(self, grid64, eps):
         for seed in range(3):
             st = make_state(grid64, 20 + seed, "full_band", epsilon=eps)
-            ps = solve_pressure(st)
+            solve_pressure(st)
             via = pressure_split_via_phi(st)
-            direct = ps.grad_pi_minus_rho_omega
+            direct = grad_pi_minus_rho_omega(st)
             rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
             assert rel <= 1e-8
 
     @pytest.mark.parametrize("odd_sign", [-1.0, 0.0])
     def test_negative_odd_sign_agreement(self, grid64, odd_sign):
         st = make_state(grid64, 24, "full_band", odd_sign=odd_sign)
-        ps = solve_pressure(st)
+        solve_pressure(st)
         via = pressure_split_via_phi(st)
-        rel = l2_norm_vector(via - ps.grad_pi_minus_rho_omega) / max(
-            l2_norm_vector(ps.grad_pi_minus_rho_omega), 1.0)
+        rel = l2_norm_vector(via - grad_pi_minus_rho_omega(st)) / max(
+            l2_norm_vector(grad_pi_minus_rho_omega(st)), 1.0)
         assert rel <= 1e-8
 
 

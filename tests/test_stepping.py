@@ -4,9 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
+from oddflow import dynamics, pressure, stepping
+from oddflow.app_io import RunConfig, init_scenario
 from oddflow.diagnostics import observe
 from oddflow.dynamics import FlowState
 from oddflow.errors import RuntimeAbort
+from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     SpectralVector,
     forward_transform,
@@ -148,6 +151,69 @@ class TestStep:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_step_keeps_no_stage_state(self, grid32, monkeypatch):
+        """step holds only band-column arrays between stages: when a stage
+        solves, the input state and that stage's state are the only states
+        alive, that stage's Fields the only cache, and no PressureSolution
+        survives.  After step only the new state is alive; it carries its
+        pressure history, and the input state keeps no cache, solution or
+        history."""
+        made = {"state": [], "fields": [], "solution": []}
+
+        def recorded(cls, kind):
+            class Recorded(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    made[kind].append(weakref.ref(self))
+            return Recorded
+
+        def alive(kind):
+            return [r() for r in made[kind] if r() is not None]
+
+        def checked_solve(state, **kwargs):
+            assert alive("state") == [state] or alive("state") == []  # stage 1
+            assert [f for f in alive("fields") if f is not state._fields] == []
+            assert alive("solution") == []
+            return solve_pressure(state, **kwargs)
+
+        monkeypatch.setattr(stepping, "FlowState", recorded(FlowState, "state"))
+        monkeypatch.setattr(dynamics, "Fields", recorded(dynamics.Fields, "fields"))
+        monkeypatch.setattr(pressure, "PressureSolution",
+                            recorded(pressure.PressureSolution, "solution"))
+        monkeypatch.setattr(stepping, "solve_pressure", checked_solve)
+        st = make_state(grid32, 5, "half_band")
+        cfg = StepperConfig(dt=1e-3)
+        gc.disable()
+        try:
+            for _ in range(2):  # the second step reads a pressure history
+                for kind in made:
+                    made[kind].clear()
+                out = step(st, cfg)
+                assert len(made["state"]) == 4 and alive("state") == [out]
+                assert alive("fields") == [out._fields] and alive("solution") == []
+                for arr in (out.pressure_guess, out.pressure_slope):
+                    assert arr.shape == (32, 32 // 3 + 1)
+                assert st._fields is None and not st.solved
+                assert st.pressure_guess is None and st.pressure_slope is None
+                st = out
+        finally:
+            gc.enable()
+
+    def test_trajectory_independent_of_observers(self, grid32):
+        """An observer that solves every state (observe_every = 1) gives the
+        final state an unobserved run gives, bit for bit."""
+        cfg = StepperConfig(dt=None, t_end=0.05)
+        states = [init_scenario(RunConfig(grid_n=32, t_end=0.0, scenario={
+            "name": "density_wave", "a": 0.5})) for _ in range(2)]
+        rows = []
+        observed = run(states[0], cfg, observers=[lambda s, i: rows.append(observe(s, 2.5))])
+        plain = run(states[1], cfg)
+        assert len(rows) > 3 and rows[1].pressure_iterations < rows[0].pressure_iterations
+        for a, b in ((observed.rho_dev, plain.rho_dev), (observed.u.x1, plain.u.x1),
+                     (observed.u.x2, plain.u.x2)):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(observed.pressure_guess, plain.pressure_guess)
 
     def test_cfl_warning(self, grid64):
         # one run step of a fixed dt above the CFL bound (1/32 here)
