@@ -17,6 +17,7 @@ also holds every state above its vacuum floor (check_vacuum).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,27 +48,37 @@ from .spectral import (
 class FlowState:
     """Snapshot (t, rho-1, u, eps, odd sign) of the flow.
 
-    rho_dev stores the deviation rho - 1; u is divergence-free.  epsilon and
-    odd_sign are the equation's parameters; odd_sign 0 drops the odd terms,
-    which leaves the non-homogeneous Euler reference system.  The state
-    owns the cache of its grid samples (fields), built on first read, its
-    pressure solution, stored by pressure.solve_pressure, and the pressure
-    history stepping.step gives it (pressure_guess and pressure_slope, band
-    columns k2 = 0..n//3, None on any other state); no code changes a
-    state's arrays, so a caller may keep a state.
+    rho_dev stores the deviation rho - 1; u is divergence-free; t and
+    epsilon are finite.  epsilon and odd_sign are the equation's
+    parameters; odd_sign 0 drops the odd terms, which leaves the
+    non-homogeneous Euler reference system.  The state owns the cache of
+    its grid samples (fields), built on first read, its pressure solution,
+    stored by pressure.solve_pressure, and the pressure history
+    stepping.step gives it: pressure_guess, where its solve starts, and
+    pressure_history, a stepping.PressureHistory of what the step kept of
+    its stage potentials, both None on any other state.  Once the history
+    is full, after three steps, the two hold 10 band-column arrays, each of
+    shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
+    keep a state; step takes over the history arrays of the state it
+    steps, which drops them.  preconditioner, which step sets on its stage
+    states only, names the one their solves apply (see
+    pressure.solve_pressure).
     """
 
     __slots__ = ("t", "rho_dev", "u", "epsilon", "odd_sign", "pressure_guess",
-                 "pressure_slope", "_fields", "_pressure", "__weakref__")
+                 "pressure_history", "preconditioner", "_fields", "_pressure",
+                 "__weakref__")
 
     def __init__(self, t: float, rho_dev: SpectralScalar, u: SpectralVector,
                  epsilon: float = 0.0, odd_sign: float = 1.0, *,
                  pressure_guess: np.ndarray | None = None,
-                 pressure_slope: np.ndarray | None = None):
+                 pressure_history=None, preconditioner: str | None = None):
         if rho_dev.grid != u.grid:
             raise GridMismatchError("rho and u live on different grids")
-        if epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
         if odd_sign not in (1, 0, -1):
             raise ValueError("odd_sign must be +1, 0 or -1")
         self.t = float(t)
@@ -76,7 +87,8 @@ class FlowState:
         self.epsilon = float(epsilon)
         self.odd_sign = float(odd_sign)
         self.pressure_guess = pressure_guess
-        self.pressure_slope = pressure_slope
+        self.pressure_history = pressure_history
+        self.preconditioner = preconditioner
         self._fields = None
         self._pressure = None
 
@@ -112,7 +124,7 @@ class FlowState:
         self._fields = None
         self._pressure = None
         self.pressure_guess = None
-        self.pressure_slope = None
+        self.pressure_history = None
 
 
 @dataclass(frozen=True)

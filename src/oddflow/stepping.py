@@ -4,15 +4,17 @@ One step is explicit RK4 with the exact per-mode propagator
 exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
-state has its variable-coefficient pressure problem solved once; stage 1
-shares the solve of an observer, which starts from the same pressure
-history (see step), so a run's bits do not depend on which states are
-observed.  The velocity is re-projected divergence-free at the end of the
-step.
+state has its variable-coefficient pressure problem solved once, each
+stage's CG warm-started from a second-order extrapolation of the stage's
+potential over the last steps (see step); stage 1 shares the solve of an
+observer, which starts from the same guess, so a run's bits do not depend
+on which states are observed.  The velocity is re-projected
+divergence-free at the end of the step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,10 +39,10 @@ class StepperConfig:
     vacuum_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
 
@@ -85,56 +87,131 @@ def _check_finite(state: FlowState):
                                quantity="NaN/Inf")
 
 
+def _corrected(base: np.ndarray, errors: list, h_sq: float) -> np.ndarray:
+    """A stage's guess: base + h^2 (2 c - c') from the error coefficients
+    c, c' of its base over the last two steps (newest first), base + h^2 c
+    from one, base from none.  With two, the guess overwrites c'."""
+    if not errors:
+        return base
+    if len(errors) == 1:
+        return base + h_sq * errors[0]
+    c, out = errors
+    np.subtract(c, out, out=out)
+    out += c
+    out *= h_sq
+    out += base
+    return out
+
+
+def _record(errors: list, potential: np.ndarray, base: np.ndarray, h_sq: float) -> list:
+    """The stage's error coefficients with (potential - base) / h^2 put
+    first and at most two kept; the dropped one's array, which holds the
+    stage's spent guess, takes the new one."""
+    out = errors[1] if len(errors) == 2 else None
+    new = np.subtract(potential, base, out=out)
+    new *= 1.0 / h_sq
+    return [new, *errors[:1]]
+
+
+@dataclass(slots=True)
+class PressureHistory:
+    """What step keeps of one step's stage potentials P1..P4 for the guesses
+    of the next, all as band columns: stage 1's base P4, the potential's
+    rate 2 (P4 - P2) / h at the step's end, and, for each stage, the error
+    coefficients (P_i - b_i) / h^2 of its base over the last two steps,
+    newest first.  Stage 1 keeps only the newest; the one before is folded
+    into the state's pressure_guess."""
+
+    h: float
+    base: np.ndarray
+    rate: np.ndarray
+    errors: tuple[list, list, list, list]
+
+
 def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> FlowState:
     """One RK4 integrating-factor step of size dt (default config.dt).
 
     Every stage state and the new state are held above config.vacuum_floor.
-    Stage 1 solves the state from its pressure_guess unless it holds a
-    solution; its cache, solution and history are freed after stage 1, the
-    only stage that reads them.  With P1..P4 the stage potentials, stage 2
-    starts from P1 + (h/2) * the state's pressure_slope (P1 without one),
-    stage 3 from P2, stage 4 from 2 P3 - P1, and the new state carries P4
-    and (P4 - P1) / h.  Between stages step keeps only these band-column
+    With P1..P4 the stage potentials, stage i starts from a base b_i: the
+    last step's P4 (b1), P1 + (h/2) times the last step's rate (b2), P2
+    (b3) and 2 P3 - P1 (b4).  Each base's error P_i - b_i scales as h^2,
+    so a step records the coefficient c_i = (P_i - b_i) / h^2 (see
+    PressureHistory), and stage i starts from b_i + h^2 (2 c_i - c'_i),
+    the coefficients of the last two steps extrapolated to this one, or
+    b_i + h^2 c_i with one.  Stage 1's guess is fixed on the new state,
+    scaled by this step's h, which made its base's error; so observe
+    solves a state as stage 1 does, and a run's bits do not depend on
+    which states are observed.  A state without a history starts stage 1
+    from zero and stage 2 from P1, and no coefficient is recorded for
+    either.  Stages 2-4 apply the preconditioner stage 1 applied.
+
+    Stage 1 solves the state unless it holds a solution; its cache,
+    solution and history are freed after stage 1, the only stage that
+    reads them.  step takes over the history arrays and overwrites them in
+    place for the new state's; between stages it keeps only band-column
     arrays, no stage state."""
     h = config.dt if dt is None else dt
-    if h is None or h <= 0:
-        raise ValueError("step needs a positive dt")
+    if h is None or not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step needs a positive finite dt, got {h}")
 
     g = state.grid
     eps = state.epsilon
     E = linear_factor(g.k_sq, h / 2.0, eps)
     E2 = linear_factor(g.k_sq, h, eps)
+    h_sq = h * h
     sigma = state.odd_sign
     t = state.t
 
     r0, u0 = state.rho_dev, state.u
 
+    past = state.pressure_history
     kr1, ku1, p1 = _stage_rhs(state, config)
-    slope = state.pressure_slope
+    pc = state.pressure.preconditioner
     state.drop_cache()
+
+    if past is None:
+        e1, e2, e3, e4 = [], [], [], []
+        b2 = p1
+    else:
+        c1 = np.subtract(p1, past.base, out=past.base)
+        c1 *= 1.0 / past.h**2  # the last step made stage 1's base
+        e1 = [c1, *past.errors[0]]
+        e2, e3, e4 = past.errors[1:]
+        b2 = np.multiply(past.rate, h / 2.0, out=past.rate)
+        b2 += p1
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
-    guess = p1 if slope is None else p1 + (h / 2.0) * slope
     kr2, ku2, p2 = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
-                                        pressure_guess=guess), config)
+                                        pressure_guess=_corrected(b2, e2, h_sq),
+                                        preconditioner=pc), config)
+    if past is not None:  # without a history b2 is not second-order
+        e2 = _record(e2, p2, b2, h_sq)
 
     r_b = r0 + (h / 2.0) * kr2
     u_b = u0 * E + (h / 2.0) * ku2
     kr3, ku3, p3 = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
-                                        pressure_guess=p2), config)
+                                        pressure_guess=_corrected(p2, e3, h_sq),
+                                        preconditioner=pc), config)
+    e3 = _record(e3, p3, p2, h_sq)
 
     r_c = r0 + h * kr3
     u_c = u0 * E2 + h * (ku3 * E)
+    b4 = 2.0 * p3 - p1
+    p1 = p3 = None  # freed before the last solve
     kr4, ku4, p4 = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
-                                        pressure_guess=2.0 * p3 - p1), config)
+                                        pressure_guess=_corrected(b4, e4, h_sq),
+                                        preconditioner=pc), config)
+    e4 = _record(e4, p4, b4, h_sq)
 
     r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
     u_new = u0 * E2 + (h / 6.0) * (ku1 * E2 + 2.0 * ((ku2 + ku3) * E) + ku4)
     u_new, _ = leray_project(u_new)
 
-    out = FlowState(t + h, r_new, u_new, eps, sigma,
-                    pressure_guess=p4, pressure_slope=(p4 - p1) / h)
+    rate = p4 - p2 if past is None else np.subtract(p4, p2, out=past.rate)
+    rate *= 2.0 / h
+    out = FlowState(t + h, r_new, u_new, eps, sigma, pressure_guess=_corrected(p4, e1, h_sq),
+                    pressure_history=PressureHistory(h, p4, rate, (e1[:1], e2, e3, e4)))
     _check_finite(out)
     check_vacuum(out, config.vacuum_floor)
     return out

@@ -60,6 +60,18 @@ class TestFlowState:
             FlowState(0.0, rho, u, odd_sign=0.5)
         assert FlowState(0.0, rho, u, odd_sign=0).odd_sign == 0.0  # the Euler reference
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1e-3])
+    def test_rejects_bad_epsilon(self, grid64, epsilon):
+        rho, u = shear_state_fields(grid64)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            FlowState(0.0, rho, u, epsilon=epsilon)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t(self, grid64, t):
+        rho, u = shear_state_fields(grid64)
+        with pytest.raises(ValueError, match="t must be finite"):
+            FlowState(t, rho, u)
+
     def test_density_bounds(self, grid64):
         st = wave_state(grid64)
         lo, hi = density_bounds(st)

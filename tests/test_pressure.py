@@ -245,6 +245,19 @@ class TestHalfSpectrumCG:
         assert chosen_path(a_phys, st.grid) == PLAIN
         assert solve_pressure(st).iterations == 16
 
+    @pytest.mark.parametrize("name", [PLAIN, CONCUS_GOLUB])
+    def test_named_preconditioner_overrides_the_rule(self, name):
+        """A state that names its preconditioner (a stage state of step) has
+        it applied, whichever one the rule would choose, and the solution
+        records it; a state that names none records the rule's choice."""
+        for st, chosen in ((random_bandlimited(64, 0), PLAIN),
+                           (density_wave(64, 0.5), CONCUS_GOLUB)):
+            assert solve_pressure(st).preconditioner == chosen
+            st.preconditioner = name
+            solution = solve_pressure(st)
+            assert solution.preconditioner == name
+            assert solution.residual <= pressure.DEFAULT_TOL
+
     @pytest.mark.parametrize("seed, profile, iterations", [
         (0, "half_band", 9), (0, "full_band", 12), (2, "full_band", 12)])
     def test_suite_states_stay_plain(self, seed, profile, iterations):
@@ -264,7 +277,7 @@ class TestHalfSpectrumCG:
         for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
             monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
             monkeypatch.setattr(pressure, "SUP_Q_MAX", sup_q_max)
-            _, pi, _, res = pressure._solve_elliptic_potential(
+            _, pi, _, res, _ = pressure._solve_elliptic_potential(
                 fl.inv_rho_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER)
             assert res <= pressure.DEFAULT_TOL
             pis.append(pi)
@@ -309,6 +322,7 @@ class TestWarmStart:
         st.pressure_guess = cold.potential
         warm = solve_pressure(st)
         assert warm.iterations == 0 and warm.residual <= pressure.DEFAULT_TOL
+        assert warm.preconditioner is None
         assert np.array_equal(warm.potential, cold.potential)
         assert np.array_equal(warm.grad_pi.x1.coeffs, cold.grad_pi.x1.coeffs)
 
@@ -317,7 +331,7 @@ class TestWarmStart:
         """A mean mode and columns outside the band change nothing."""
         a_phys = inverse_transform(dealias(coefficient(grid64, path)))
         F = self.source(grid64)
-        _, x_cold, _, _ = self.solve(a_phys, F)
+        _, x_cold, _, _, _ = self.solve(a_phys, F)
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(x_cold.shape) + 1j * rng.standard_normal(x_cold.shape)
         guess = x_cold + 1e-3 * noise
@@ -332,10 +346,10 @@ class TestWarmStart:
     def test_warm_agrees_with_cold(self, grid64, path):
         a_phys = inverse_transform(dealias(coefficient(grid64, path)))
         F = self.source(grid64)
-        _, x_cold, it_cold, _ = self.solve(a_phys, F)
+        _, x_cold, it_cold, _, _ = self.solve(a_phys, F)
         # the solution of a nearby problem: the coefficient moved by 1%
-        _, near, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
-        _, x_warm, it_warm, res = self.solve(a_phys, F, near)
+        _, near, _, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
+        _, x_warm, it_warm, res, _ = self.solve(a_phys, F, near)
         assert res <= pressure.DEFAULT_TOL and 0 < it_warm < it_cold
         tol = pressure.DEFAULT_TOL
         assert np.linalg.norm(x_warm - x_cold) <= 100 * tol * np.linalg.norm(x_cold)

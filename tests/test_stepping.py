@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -21,6 +22,15 @@ from oddflow.stepping import StepperConfig, cfl_dt, linear_factor, run, step
 from oddflow.verify import make_state
 
 from conftest import shear_state_fields
+
+
+def history_arrays(state: FlowState) -> list:
+    """The band-column arrays of a state's pressure guess and history; the
+    guess is stage 1's base itself after a step from a state without one."""
+    past = state.pressure_history
+    if past is None:
+        return []
+    return [state.pressure_guess, past.base, past.rate, *(c for cs in past.errors for c in cs)]
 
 
 def shear(grid, eps=0.0):
@@ -158,7 +168,10 @@ class TestStep:
         alive, that stage's Fields the only cache, and no PressureSolution
         survives.  After step only the new state is alive; it carries its
         pressure history, and the input state keeps no cache, solution or
-        history."""
+        history.  step takes over the input's history arrays: of the new
+        state's, all but stage 1's base (the last stage's potential) are
+        arrays the input held, and none of the input's others survives, so
+        no second history is ever kept."""
         made = {"state": [], "fields": [], "solution": []}
 
         def recorded(cls, kind):
@@ -177,6 +190,8 @@ class TestStep:
             assert alive("solution") == []
             return solve_pressure(state, **kwargs)
 
+        full = int(re.search(r"(\d+) band-column arrays",
+                             " ".join(FlowState.__doc__.split())).group(1))
         monkeypatch.setattr(stepping, "FlowState", recorded(FlowState, "state"))
         monkeypatch.setattr(dynamics, "Fields", recorded(dynamics.Fields, "fields"))
         monkeypatch.setattr(pressure, "PressureSolution",
@@ -186,16 +201,23 @@ class TestStep:
         cfg = StepperConfig(dt=1e-3)
         gc.disable()
         try:
-            for _ in range(2):  # the second step reads a pressure history
+            for k in range(5):  # the history is full from the third step on
                 for kind in made:
                     made[kind].clear()
+                held = [weakref.ref(a) for a in history_arrays(st)]
                 out = step(st, cfg)
                 assert len(made["state"]) == 4 and alive("state") == [out]
                 assert alive("fields") == [out._fields] and alive("solution") == []
-                for arr in (out.pressure_guess, out.pressure_slope):
-                    assert arr.shape == (32, 32 // 3 + 1)
+                arrays = history_arrays(out)
+                assert all(a.shape == (32, 32 // 3 + 1) for a in arrays)
+                assert len({id(a) for a in arrays}) == (4, 9, full, full, full)[k]
+                survivors = {id(r()) for r in held if r() is not None}
+                assert survivors <= {id(a) for a in arrays}
+                if k >= 3:
+                    base = out.pressure_history.base
+                    assert {id(a) for a in arrays if a is not base} == survivors
                 assert st._fields is None and not st.solved
-                assert st.pressure_guess is None and st.pressure_slope is None
+                assert st.pressure_guess is None and st.pressure_history is None
                 st = out
         finally:
             gc.enable()
@@ -213,7 +235,62 @@ class TestStep:
         for a, b in ((observed.rho_dev, plain.rho_dev), (observed.u.x1, plain.u.x1),
                      (observed.u.x2, plain.u.x2)):
             assert np.array_equal(a.coeffs, b.coeffs)
-        assert np.array_equal(observed.pressure_guess, plain.pressure_guess)
+        for a, b in zip(history_arrays(observed), history_arrays(plain), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_stage_guesses_cut_iterations(self):
+        """The criterion-1 flow at n = 64 to t = 0.1 (9 automatic steps)
+        makes at most 125 stepping CG iterations: 192 from first-order
+        guesses, about 110 from the second-order ones.  The bound leaves
+        room for the host's BLAS reductions to move a count.  Stages 2-4
+        apply the preconditioner stage 1 chose, without choosing again."""
+        iterations, named = [], []
+
+        def counted(state, **kwargs):
+            solution = solve_pressure(state, **kwargs)
+            iterations.append(solution.iterations)
+            named.append((state.preconditioner, solution.preconditioner))
+            return solution
+
+        st = init_scenario(RunConfig(grid_n=64, t_end=0.0, scenario={
+            "name": "density_wave", "a": 0.5}))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stepping, "solve_pressure", counted)
+            run(st, StepperConfig(dt=None, t_end=0.1))
+        assert len(iterations) == 4 * 9
+        assert sum(iterations) <= 125
+        for k in range(0, len(named), 4):
+            assert named[k] == (None, "concus_golub")
+            assert named[k + 1:k + 4] == [("concus_golub", "concus_golub")] * 3
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_guess_survives_a_step_size_change(self, grid32, factor):
+        """A history made by steps of size h' still converges when the next
+        step is 10 h' or h'/10 (a clipped last step), to within 1e-10 of a
+        step from the same state with the history dropped; a dropped
+        history starts cold, with the bits of a state never stepped."""
+        h_prev = 2e-3
+        cfg = StepperConfig(dt=h_prev)
+
+        def stepped_thrice():
+            st = init_scenario(RunConfig(grid_n=32, t_end=0.0, scenario={
+                "name": "density_wave", "a": 0.5}))
+            for _ in range(3):
+                st = step(st, cfg)
+            return st
+
+        warm, dropped = stepped_thrice(), stepped_thrice()
+        dropped.drop_cache()
+        assert dropped.pressure_guess is None and dropped.pressure_history is None
+        fresh = FlowState(dropped.t, dropped.rho_dev, dropped.u)
+        h = factor * h_prev
+        a, b, c = (step(s, cfg, h) for s in (warm, dropped, fresh))
+        for x, y, z in ((a.rho_dev, b.rho_dev, c.rho_dev), (a.u.x1, b.u.x1, c.u.x1),
+                        (a.u.x2, b.u.x2, c.u.x2)):
+            assert l2_norm(x - y) <= 1e-10 * l2_norm(y)
+            assert np.array_equal(y.coeffs, z.coeffs)
+        for x, y in zip(history_arrays(b), history_arrays(c), strict=True):
+            assert np.array_equal(x, y)
 
     def test_cfl_warning(self, grid64):
         # one run step of a fixed dt above the CFL bound (1/32 here)
@@ -232,6 +309,24 @@ class TestStep:
             for _ in range(40):
                 s = step(s, cfg)
         assert exc_info.value.quantity == "min rho"
+
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+    def test_step_rejects_bad_dt(self, grid32, dt):
+        with pytest.raises(ValueError, match="positive finite dt"):
+            step(shear(grid32), StepperConfig(), dt)
+
+
+class TestStepperConfig:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            StepperConfig(dt=dt)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            StepperConfig(t_end=t_end)
 
 
 class TestRun:
