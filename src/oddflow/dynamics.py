@@ -57,7 +57,7 @@ class FlowState:
     stepping.step gives it: pressure_guess, where its solve starts, and
     pressure_history, a stepping.PressureHistory of what the step kept of
     its stage potentials, both None on any other state.  Once the history
-    is full, after three steps, the two hold 10 band-column arrays, each of
+    is full, after four steps, the two hold 14 band-column arrays, each of
     shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
     keep a state; step takes over the history arrays of the state it
     steps, which drops them.  preconditioner, which step sets on its stage
@@ -213,23 +213,19 @@ class Fields:
 
     # --- assembled nonlinear terms ------------------------------------
     @cached_property
-    def advection(self) -> SpectralVector:
-        """T[(u.grad)u]."""
+    def transport(self) -> SpectralVector:
+        """T[(u.grad)u + sign (grad log rho . grad) u_perp], each component
+        summed on the grid and transformed once."""
         u1, u2 = self.u_phys
         d1u1, d2u1, d1u2, d2u2 = self.grad_u_phys
-        a1 = product_physical(u1 * d1u1 + u2 * d2u1, self.grid)
-        a2 = product_physical(u1 * d1u2 + u2 * d2u2, self.grid)
-        return SpectralVector(a1, a2)
-
-    @cached_property
-    def odd_transport(self) -> SpectralVector:
-        """T[(grad log rho . grad) u_perp] (without the odd sign)."""
-        L1, L2 = self.grad_log_rho_phys
-        d1u1, d2u1, d1u2, d2u2 = self.grad_u_phys
-        # u_perp = (-u2, u1) so d_j u_perp = (-d_j u2, d_j u1)
-        c1 = product_physical(-(L1 * d1u2 + L2 * d2u2), self.grid)
-        c2 = product_physical(L1 * d1u1 + L2 * d2u1, self.grid)
-        return SpectralVector(c1, c2)
+        t1 = u1 * d1u1 + u2 * d2u1
+        t2 = u1 * d1u2 + u2 * d2u2
+        if self.odd_sign != 0.0:
+            L1, L2 = self.grad_log_rho_phys
+            # u_perp = (-u2, u1) so d_j u_perp = (-d_j u2, d_j u1)
+            t1 -= self.odd_sign * (L1 * d1u2 + L2 * d2u2)
+            t2 += self.odd_sign * (L1 * d1u1 + L2 * d2u1)
+        return SpectralVector(product_physical(t1, self.grid), product_physical(t2, self.grid))
 
     @cached_property
     def hyper(self) -> SpectralVector:
@@ -242,8 +238,7 @@ class Fields:
     def pressure_source(self) -> SpectralVector:
         """Vector F with -div((1/rho) grad pi) = div F; the -sign*grad(omega)
         contribution of the odd stress is folded in."""
-        F = self.advection + self.odd_sign * self.odd_transport \
-            - self.odd_sign * gradient(self.omega)
+        F = self.transport - self.odd_sign * gradient(self.omega)
         if self.epsilon > 0.0:
             F = F + self.epsilon * self.hyper
         return F
@@ -334,17 +329,16 @@ def density_rhs(state: FlowState) -> SpectralScalar:
 
 def momentum_rhs(state: FlowState) -> SpectralVector:
     """du/dt for the velocity form of the momentum equation, with the
-    state's stored pressure gradient."""
+    state's stored pressure force T[(1/rho) grad pi]."""
     fl = state.fields
-    g = state.grid
-
-    p1, p2 = physical(state.pressure.grad_pi)
-    press = SpectralVector(product_physical(fl.inv_rho_phys * p1, g),
-                           product_physical(fl.inv_rho_phys * p2, g))
     up = perp(dealias_vector(state.u))
-    rhs = -1.0 * fl.advection - press - state.odd_sign * (vector_laplacian(up) + fl.odd_transport)
+    rhs = -1.0 * fl.transport - state.odd_sign * vector_laplacian(up)
     if state.epsilon > 0.0:
         rhs = rhs - state.epsilon * fl.hyper
+    force = state.pressure.force
+    m = force.shape[-1]
+    rhs.x1.coeffs[:, :m] -= force[0]
+    rhs.x2.coeffs[:, :m] -= force[1]
     return rhs
 
 

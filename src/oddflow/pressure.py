@@ -12,6 +12,13 @@ products and norms are spectral.half_vdot, the full-spectrum L2 values
 unpreconditioned residual ||b - Ax|| / ||b||, so the tolerance keeps its
 meaning whichever preconditioner runs.
 
+An operator application transforms a grad p on its way to -div(a grad p),
+so the solve accumulates the band columns of T[a grad Pi] alongside the
+iterate at no transform; with a = 1/rho that is the momentum equation's
+pressure force, PressureSolution.force, which dynamics.momentum_rhs reads
+in place of two irfft2 and two rfft2 per call.  The accumulated sum
+matches the force formed from grad(pi) to about 1e-15 relative.
+
 A solve starts from the state's pressure_guess, which only stepping.step
 sets, and from zero on every other state (verify, row 0 of a run, direct
 callers).  The guess is projected onto the mean-zero band; one that already
@@ -50,7 +57,8 @@ them to Concus-Golub.  The thresholds sit inside the measured gaps:
 contrast (1.53, 3.0) and sup|q| (9.0, 12.6).
 
 The stage states of stepping.step name the preconditioner that the step's
-stage 1 applied (FlowState.preconditioner), and their solves apply it
+first solve to apply one applied (FlowState.preconditioner; a solve that
+meets the tolerance at its guess applies none), and their solves apply it
 without the two tests: the stage states lie within one step of stage 1,
 and both choices converge to the same tolerance.  With about 2-3
 iterations per warm solve, the skipped maximum, square root and sup|q|
@@ -75,6 +83,7 @@ from .spectral import (
     SpectralScalar,
     SpectralVector,
     dealias,
+    dealias_columns,
     divergence,
     fft_workers,
     gradient,
@@ -95,13 +104,17 @@ SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """grad(pi), the potential's band columns k2 = 0..n//3 (the CG's
-    iterate, a warm start for a nearby solve) and solver metadata for one
-    state: iterations, residual and the preconditioner's name
+    """grad(pi), the force T[(1/rho) grad pi] of the momentum equation as
+    band columns k2 = 0..n//3 of both components (shape (2, n, n//3 + 1),
+    dealiased, column 0 exactly Hermitian), the potential's band columns
+    (the CG's iterate, a warm start for a nearby solve) and solver metadata
+    for one state: iterations, residual and the preconditioner's name
     (inverse_laplacian or concus_golub; None after 0 iterations).
-    dynamics.grad_pi_minus_rho_omega builds the regular part from it."""
+    dynamics.grad_pi_minus_rho_omega builds the regular part from it, and
+    dynamics.momentum_rhs reads the force."""
 
     grad_pi: SpectralVector
+    force: np.ndarray
     potential: np.ndarray
     iterations: int
     residual: float
@@ -178,9 +191,13 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     iteration; one that already meets tol returns after 0 iterations.
     preconditioner names M (see _preconditioner); None chooses it.
 
-    Returns (grad Pi, the band columns of Pi, iterations, relative
-    residual, the name of the M applied or None after 0 iterations); a
-    non-finite residual aborts."""
+    Returns (grad Pi, the band columns of T[a grad Pi], the band columns of
+    Pi, iterations, relative residual, the name of the M applied or None
+    after 0 iterations); a non-finite residual aborts.  Every operator
+    application forms rfft2(a grad p) on its way to -div(a grad p), so the
+    force T[a grad Pi] follows the iterate at no transform: ax starts at
+    the guess's application (zero without one) and takes alpha times the
+    application of each search direction, as x does."""
     grid = F.grid
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
@@ -200,27 +217,29 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     grad = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
 
     def apply(p, out):
-        """out = -div(a grad p); norm="forward" puts the 1/n^2 of the
-        amplitude convention on rfft2."""
+        """out = -div(a grad p); returns the band columns of rfft2(a grad p),
+        a view of an array no other call holds.  norm="forward" puts the
+        1/n^2 of the amplitude convention on rfft2."""
         np.multiply(ik, p, out=grad[..., :m])
         g = _fft.irfft2(grad, s=(n, n), norm="forward", workers=w)
         g *= a_phys
-        f = _fft.rfft2(g, norm="forward", workers=w)
-        np.multiply(ik[0], f[0, :, :m], out=out)
-        np.multiply(ik[1], f[1, :, :m], out=tmp)
+        f = _fft.rfft2(g, norm="forward", workers=w)[..., :m]
+        np.multiply(ik[0], f[0], out=out)
+        np.multiply(ik[1], f[1], out=tmp)
         out += tmp
         np.negative(out, out=out)
+        return f
 
     res = 1.0
     it = 0
     applied = None
     if b_norm == 0.0:
-        x, res = np.zeros_like(b), 0.0
+        x, ax, res = np.zeros_like(b), np.zeros_like(ik), 0.0
     elif guess is None:
-        x, r = np.zeros_like(b), b.copy()
+        x, ax, r = np.zeros_like(b), np.zeros_like(ik), b.copy()
     else:
         x, r = guess * bm.band, np.empty_like(b)
-        apply(x, r)
+        ax = np.array(apply(x, r))
         np.subtract(b, r, out=r)
         res = float(np.sqrt(half_vdot(r, r))) / b_norm
     if not res <= tol:
@@ -232,7 +251,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
         Ap = np.empty_like(b)
         rz = half_vdot(r, z)
         for it in range(1, max_iter + 1):
-            apply(p, Ap)
+            fp = apply(p, Ap)
             denom = half_vdot(p, Ap)
             if denom <= 0.0:
                 raise ConvergenceError(
@@ -240,6 +259,8 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
             alpha = rz / denom
             np.multiply(p, alpha, out=tmp)
             x += tmp
+            fp *= alpha
+            ax += fp
             np.multiply(Ap, alpha, out=tmp)
             r -= tmp
             res = float(np.sqrt(half_vdot(r, r))) / b_norm
@@ -266,7 +287,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     if lhs > rhs:
         raise OddflowError(
             f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-    return gp, x, it, res, applied
+    return gp, dealias_columns(ax), x, it, res, applied
 
 
 def solve_elliptic(a: SpectralScalar, F: SpectralVector,
@@ -337,7 +358,7 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
     # G that feeds the elliptic solve, without its -sign*grad(omega) piece
-    G = fl.advection + sigma * fl.odd_transport
+    G = fl.transport
     if state.epsilon > 0.0:
         G = G + state.epsilon * fl.hyper
     divG = inverse_transform(divergence(G))

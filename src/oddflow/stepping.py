@@ -5,11 +5,14 @@ exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
 state has its variable-coefficient pressure problem solved once, each
-stage's CG warm-started from a second-order extrapolation of the stage's
-potential over the last steps (see step); stage 1 shares the solve of an
-observer, which starts from the same guess, so a run's bits do not depend
-on which states are observed.  The velocity is re-projected
-divergence-free at the end of the step.
+stage's CG warm-started from a base plus the quadratic extrapolation of
+that base's error over the last three steps (see step); stage 1 shares
+the solve of an observer, which starts from the same guess, so a run's
+bits do not depend on which states are observed.  The momentum
+right-hand side takes the pressure force T[(1/rho) grad pi] that the
+solve accumulated (pressure.PressureSolution), so a stage transforms
+nothing for it.  The velocity is re-projected divergence-free at the end
+of the step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class StepperConfig:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
+        if not (0 < self.vacuum_floor < 1):
+            raise ValueError(f"vacuum_floor must lie in (0, 1), got {self.vacuum_floor}")
 
 
 def linear_factor(k_sq: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
@@ -68,8 +73,9 @@ def cfl_dt(state: FlowState) -> float:
 
 def _stage_rhs(state: FlowState, config: StepperConfig):
     """Explicit RHS (with the constant-coefficient eps Lap^2 u removed), the
-    density RHS and the pressure potential's band columns for one RK stage,
-    whose state must be above the floor."""
+    density RHS, the pressure potential's band columns and the name of the
+    preconditioner its solve applied (None after 0 iterations) for one RK
+    stage, whose state must be above the floor."""
     if not state.solved:
         solve_pressure(state)
     rhs_u = momentum_rhs(state)
@@ -77,7 +83,8 @@ def _stage_rhs(state: FlowState, config: StepperConfig):
         rhs_u = rhs_u + dealias_vector(state.u) * (state.epsilon * state.grid.k_sq**2)
     # checked after the assembly: checking first cost ~40% more page faults
     check_vacuum(state, config.vacuum_floor)
-    return density_rhs(state), rhs_u, state.pressure.potential
+    solution = state.pressure
+    return density_rhs(state), rhs_u, solution.potential, solution.preconditioner
 
 
 def _check_finite(state: FlowState):
@@ -87,17 +94,24 @@ def _check_finite(state: FlowState):
                                quantity="NaN/Inf")
 
 
+# Weights of the error coefficients c, c', c'' of the last steps, newest
+# first, in the polynomial extrapolation of c to the next step.
+_EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+_DEPTH = len(_EXTRAPOLATION)  # coefficients kept per stage
+
+
 def _corrected(base: np.ndarray, errors: list, h_sq: float) -> np.ndarray:
-    """A stage's guess: base + h^2 (2 c - c') from the error coefficients
-    c, c' of its base over the last two steps (newest first), base + h^2 c
-    from one, base from none.  With two, the guess overwrites c'."""
+    """A stage's guess: base + h^2 (3 c - 3 c' + c'') from the error
+    coefficients c, c', c'' of its base over the last three steps (newest
+    first), base + h^2 (2 c - c') from two, base + h^2 c from one, base
+    from none.  With three, the guess overwrites c''."""
     if not errors:
         return base
-    if len(errors) == 1:
-        return base + h_sq * errors[0]
-    c, out = errors
-    np.subtract(c, out, out=out)
-    out += c
+    *newer, oldest = errors
+    weights = _EXTRAPOLATION[len(errors)]
+    out = np.multiply(oldest, weights[-1], out=oldest if len(errors) == _DEPTH else None)
+    for w, c in zip(weights, newer):
+        out += w * c
     out *= h_sq
     out += base
     return out
@@ -105,12 +119,12 @@ def _corrected(base: np.ndarray, errors: list, h_sq: float) -> np.ndarray:
 
 def _record(errors: list, potential: np.ndarray, base: np.ndarray, h_sq: float) -> list:
     """The stage's error coefficients with (potential - base) / h^2 put
-    first and at most two kept; the dropped one's array, which holds the
+    first and at most _DEPTH kept; the dropped one's array, which holds the
     stage's spent guess, takes the new one."""
-    out = errors[1] if len(errors) == 2 else None
+    out = errors[-1] if len(errors) == _DEPTH else None
     new = np.subtract(potential, base, out=out)
     new *= 1.0 / h_sq
-    return [new, *errors[:1]]
+    return [new, *errors[:_DEPTH - 1]]
 
 
 @dataclass(slots=True)
@@ -118,9 +132,9 @@ class PressureHistory:
     """What step keeps of one step's stage potentials P1..P4 for the guesses
     of the next, all as band columns: stage 1's base P4, the potential's
     rate 2 (P4 - P2) / h at the step's end, and, for each stage, the error
-    coefficients (P_i - b_i) / h^2 of its base over the last two steps,
-    newest first.  Stage 1 keeps only the newest; the one before is folded
-    into the state's pressure_guess."""
+    coefficients (P_i - b_i) / h^2 of its base over the last three steps,
+    newest first.  Stage 1 keeps only the newest two; the one before is
+    folded into the state's pressure_guess."""
 
     h: float
     base: np.ndarray
@@ -136,14 +150,17 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     last step's P4 (b1), P1 + (h/2) times the last step's rate (b2), P2
     (b3) and 2 P3 - P1 (b4).  Each base's error P_i - b_i scales as h^2,
     so a step records the coefficient c_i = (P_i - b_i) / h^2 (see
-    PressureHistory), and stage i starts from b_i + h^2 (2 c_i - c'_i),
-    the coefficients of the last two steps extrapolated to this one, or
-    b_i + h^2 c_i with one.  Stage 1's guess is fixed on the new state,
-    scaled by this step's h, which made its base's error; so observe
-    solves a state as stage 1 does, and a run's bits do not depend on
-    which states are observed.  A state without a history starts stage 1
-    from zero and stage 2 from P1, and no coefficient is recorded for
-    either.  Stages 2-4 apply the preconditioner stage 1 applied.
+    PressureHistory), and stage i starts from
+    b_i + h^2 (3 c_i - 3 c'_i + c''_i), the coefficients of the last three
+    steps extrapolated to this one by the quadratic through them, or from
+    the linear and constant extrapolations of two and one.  Stage 1's guess
+    is fixed on the new state, scaled by this step's h, which made its
+    base's error; so observe solves a state as stage 1 does, and a run's
+    bits do not depend on which states are observed.  A state without a
+    history starts stage 1 from zero and stage 2 from P1, and no
+    coefficient is recorded for either.  Each stage after the first applies
+    the preconditioner of the first stage whose solve applied one (a solve
+    that meets the tolerance at its guess applies none).
 
     Stage 1 solves the state unless it holds a solution; its cache,
     solution and history are freed after stage 1, the only stage that
@@ -165,8 +182,7 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     r0, u0 = state.rho_dev, state.u
 
     past = state.pressure_history
-    kr1, ku1, p1 = _stage_rhs(state, config)
-    pc = state.pressure.preconditioner
+    kr1, ku1, p1, pc = _stage_rhs(state, config)
     state.drop_cache()
 
     if past is None:
@@ -182,26 +198,28 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
-    kr2, ku2, p2 = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
-                                        pressure_guess=_corrected(b2, e2, h_sq),
-                                        preconditioner=pc), config)
+    kr2, ku2, p2, applied = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
+                                                 pressure_guess=_corrected(b2, e2, h_sq),
+                                                 preconditioner=pc), config)
+    pc = pc or applied
     if past is not None:  # without a history b2 is not second-order
         e2 = _record(e2, p2, b2, h_sq)
 
     r_b = r0 + (h / 2.0) * kr2
     u_b = u0 * E + (h / 2.0) * ku2
-    kr3, ku3, p3 = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
-                                        pressure_guess=_corrected(p2, e3, h_sq),
-                                        preconditioner=pc), config)
+    kr3, ku3, p3, applied = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
+                                                 pressure_guess=_corrected(p2, e3, h_sq),
+                                                 preconditioner=pc), config)
+    pc = pc or applied
     e3 = _record(e3, p3, p2, h_sq)
 
     r_c = r0 + h * kr3
     u_c = u0 * E2 + h * (ku3 * E)
     b4 = 2.0 * p3 - p1
     p1 = p3 = None  # freed before the last solve
-    kr4, ku4, p4 = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
-                                        pressure_guess=_corrected(b4, e4, h_sq),
-                                        preconditioner=pc), config)
+    kr4, ku4, p4, _ = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
+                                           pressure_guess=_corrected(b4, e4, h_sq),
+                                           preconditioner=pc), config)
     e4 = _record(e4, p4, b4, h_sq)
 
     r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
@@ -211,7 +229,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     rate = p4 - p2 if past is None else np.subtract(p4, p2, out=past.rate)
     rate *= 2.0 / h
     out = FlowState(t + h, r_new, u_new, eps, sigma, pressure_guess=_corrected(p4, e1, h_sq),
-                    pressure_history=PressureHistory(h, p4, rate, (e1[:1], e2, e3, e4)))
+                    pressure_history=PressureHistory(h, p4, rate,
+                                                     (e1[:_DEPTH - 1], e2, e3, e4)))
     _check_finite(out)
     check_vacuum(out, config.vacuum_floor)
     return out

@@ -235,10 +235,12 @@ def identity_checks(state: FlowState) -> list[CheckResult]:
                               product_physical(rho * lap2, g)) + rho_transport
     stress = mismatch(odd_stress_divergence(state), state.odd_sign * expanded)
 
-    # B(grad u, Hess alpha) = curl((grad alpha . grad) u_perp) when div u = 0;
-    # the state's odd_transport is (grad log rho . grad) u_perp
+    # B(grad u, Hess alpha) = curl((grad alpha . grad) u_perp) when div u = 0
+    L1, L2 = fl.grad_log_rho_phys
+    log_transport = SpectralVector(product_physical(-(L1 * d1u2 + L2 * d2u2), g),
+                                   product_physical(L1 * d1u1 + L2 * d2u1, g))
     b_rho = mismatch(bilinear_B(state, state.rho_dev), curl(rho_transport))
-    b_log = mismatch(bilinear_B(state, fl.log_rho), curl(fl.odd_transport))
+    b_log = mismatch(bilinear_B(state, fl.log_rho), curl(log_transport))
 
     # grad_perp(rho) . grad(|u|^2) = -2 (u2 d1u.grad rho - u1 d2u.grad rho)
     d1u_r = inverse_transform(product_physical(d1u1 * r1 + d1u2 * r2, g))
@@ -255,7 +257,6 @@ def identity_checks(state: FlowState) -> list[CheckResult]:
     d1, d2 = physical(gradient(rho_omega))
     o1, o2 = physical(gradient(dealias(fl.omega)))
     I1, I2 = fl.grad_inv_rho_phys
-    L1, L2 = fl.grad_log_rho_phys
     cancellation = mismatch(product_physical(-I2 * d1 + I1 * d2, g),
                             -1.0 * product_physical(-L2 * o1 + L1 * o2, g))
     return [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oddflow import spectral
 from oddflow.dynamics import (
     FlowState,
     bilinear_B,
@@ -28,7 +29,9 @@ from oddflow.spectral import (
     leray_project,
     l2_norm,
     l2_norm_vector,
+    mismatch,
     perp,
+    product_physical,
     vector_laplacian,
     zero_scalar,
 )
@@ -241,10 +244,54 @@ class TestMomentumRhs:
         _, q = leray_project(rhs)
         assert l2_norm_vector(q) <= 1e-10 * l2_norm_vector(rhs)
 
+    @pytest.mark.parametrize("eps, odd_sign", [(0.0, 1.0), (1e-3, -1.0), (0.0, 0.0)])
+    def test_no_transform_on_a_solved_state(self, grid32, monkeypatch, eps, odd_sign):
+        """The solve leaves in the state's cache every piece that
+        momentum_rhs reads: the transport, the hyperviscous term and the
+        pressure force, so the assembly makes no scipy.fft call."""
+        st = make_state(grid32, 2, "half_band", epsilon=eps, odd_sign=odd_sign)
+        solve_pressure(st)
+        count = [0]
+
+        def counting(transform):
+            def counted(*args, **kwargs):
+                count[0] += 1
+                return transform(*args, **kwargs)
+            return counted
+
+        for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn", "fftn", "ifftn"):
+            monkeypatch.setattr(spectral._fft, name, counting(getattr(spectral._fft, name)))
+        first = momentum_rhs(st)
+        assert count[0] == 0
+        again = momentum_rhs(st)
+        assert np.array_equal(first.x1.coeffs, again.x1.coeffs)
+
     def test_curl_kills_perp_laplacian(self, grid64):
         st = make_state(grid64, 32, "half_band")
         lap_perp = vector_laplacian(perp(st.u))
         assert l2_norm(curl(lap_perp)) < 1e-12 * l2_norm_vector(lap_perp)
+
+
+class TestTransport:
+    @pytest.mark.parametrize("odd_sign", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_equals_its_pieces(self, grid64, odd_sign, eps):
+        """Fields.transport, summed on the grid and transformed once, is
+        T[(u.grad)u] + sign T[(grad log rho . grad) u_perp] built apart;
+        with sign 0 it is the advection bit for bit."""
+        st = make_state(grid64, 5, "full_band", epsilon=eps, odd_sign=odd_sign)
+        fl = st.fields
+        u1, u2 = fl.u_phys
+        d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
+        L1, L2 = fl.grad_log_rho_phys
+        advection = SpectralVector(product_physical(u1 * d1u1 + u2 * d2u1, grid64),
+                                   product_physical(u1 * d1u2 + u2 * d2u2, grid64))
+        odd = SpectralVector(product_physical(-(L1 * d1u2 + L2 * d2u2), grid64),
+                             product_physical(L1 * d1u1 + L2 * d2u1, grid64))
+        assert mismatch(fl.transport, advection + odd_sign * odd) <= 1e-14
+        if odd_sign == 0.0:
+            assert np.array_equal(fl.transport.x1.coeffs, advection.x1.coeffs)
+            assert np.array_equal(fl.transport.x2.coeffs, advection.x2.coeffs)
 
 
 class TestThetaOmegaRhs:

@@ -29,6 +29,7 @@ from oddflow.spectral import (
     divergence,
     l2_norm,
     l2_norm_vector,
+    physical,
     product_physical,
     zero_scalar,
 )
@@ -197,7 +198,7 @@ class TestSolvePressure:
         st = make_state(grid64, 7, "half_band")
         st = FlowState(0.0, zero_scalar(grid64), st.u)
         solve_pressure(st)
-        adv = st.fields.advection
+        adv = st.fields.transport  # rho = 1: no odd transport
         pi_e = inverse_laplacian(divergence(adv))
         grad_e = gradient(pi_e)
         diff = grad_pi_minus_rho_omega(st) - grad_e
@@ -277,7 +278,7 @@ class TestHalfSpectrumCG:
         for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
             monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
             monkeypatch.setattr(pressure, "SUP_Q_MAX", sup_q_max)
-            _, pi, _, res, _ = pressure._solve_elliptic_potential(
+            _, _, pi, _, res, _ = pressure._solve_elliptic_potential(
                 fl.inv_rho_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER)
             assert res <= pressure.DEFAULT_TOL
             pis.append(pi)
@@ -331,7 +332,7 @@ class TestWarmStart:
         """A mean mode and columns outside the band change nothing."""
         a_phys = inverse_transform(dealias(coefficient(grid64, path)))
         F = self.source(grid64)
-        _, x_cold, _, _, _ = self.solve(a_phys, F)
+        _, _, x_cold, _, _, _ = self.solve(a_phys, F)
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(x_cold.shape) + 1j * rng.standard_normal(x_cold.shape)
         guess = x_cold + 1e-3 * noise
@@ -339,17 +340,17 @@ class TestWarmStart:
         assert guess[0, 0] != 0.0 and np.any(projected != guess)
         a = self.solve(a_phys, F, guess)
         b = self.solve(a_phys, F, projected)
-        assert a[2] == b[2] > 0
-        assert np.array_equal(a[1], b[1])
+        assert a[3] == b[3] > 0
+        assert np.array_equal(a[2], b[2])
 
     @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
     def test_warm_agrees_with_cold(self, grid64, path):
         a_phys = inverse_transform(dealias(coefficient(grid64, path)))
         F = self.source(grid64)
-        _, x_cold, it_cold, _, _ = self.solve(a_phys, F)
+        _, _, x_cold, it_cold, _, _ = self.solve(a_phys, F)
         # the solution of a nearby problem: the coefficient moved by 1%
-        _, near, _, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
-        _, x_warm, it_warm, res, _ = self.solve(a_phys, F, near)
+        _, _, near, _, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
+        _, _, x_warm, it_warm, res, _ = self.solve(a_phys, F, near)
         assert res <= pressure.DEFAULT_TOL and 0 < it_warm < it_cold
         tol = pressure.DEFAULT_TOL
         assert np.linalg.norm(x_warm - x_cold) <= 100 * tol * np.linalg.norm(x_cold)
@@ -362,8 +363,57 @@ class TestWarmStart:
         F = st.fields.pressure_source()
         zero = self.solve(st.fields.inv_rho_phys, F, np.zeros((64, 22), dtype=complex))
         cold = solve_pressure(st)
-        assert np.array_equal(cold.potential, zero[1])
-        assert cold.iterations == zero[2] == 14
+        assert np.array_equal(cold.potential, zero[2])
+        assert cold.iterations == zero[3] == 14
+
+
+class TestPressureForce:
+    """PressureSolution.force, which the CG accumulates from its own
+    operator applications, is T[(1/rho) grad pi] formed from grad_pi."""
+
+    @staticmethod
+    def recomputed(st):
+        fl = st.fields
+        p1, p2 = physical(st.pressure.grad_pi)
+        return [product_physical(fl.inv_rho_phys * p, st.grid).coeffs for p in (p1, p2)]
+
+    def check(self, st):
+        force = st.pressure.force
+        n, m = st.grid.n, st.grid.dealias_cutoff + 1
+        assert force.shape == (2, n, m)
+        expected = self.recomputed(st)
+        for f, e in zip(force, expected):
+            assert np.all(e[:, m:] == 0.0)
+            assert np.linalg.norm(f - e[:, :m]) <= 1e-13 * np.linalg.norm(e)
+            # dealiased, with an exactly Hermitian column 0
+            assert np.all(f[m:n - m + 1] == 0.0)
+            assert np.array_equal(f[n // 2 + 1:, 0], np.conj(f[n // 2 - 1:0:-1, 0]))
+
+    @pytest.mark.parametrize("name", [PLAIN, CONCUS_GOLUB])
+    def test_cold_warm_and_converged_guesses(self, name):
+        st = density_wave(64, 0.5)
+        st.preconditioner = name
+        cold = solve_pressure(st)
+        assert cold.iterations > 0 and cold.preconditioner == name
+        self.check(st)
+        st.pressure_guess = cold.potential * (1.0 + 1e-3 * np.cos(st.grid.k1[:, :22]))
+        assert solve_pressure(st).iterations > 0
+        self.check(st)
+        st.pressure_guess = cold.potential
+        assert solve_pressure(st).iterations == 0
+        self.check(st)
+
+    @pytest.mark.parametrize("name", [PLAIN, CONCUS_GOLUB])
+    def test_zero_source(self, grid64, name):
+        """u = 0 gives b = 0: no iteration, and a force of exact zeros."""
+        rho = forward_transform(grid64, 0.3 * np.cos(grid64.x1))
+        st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64), zero_scalar(grid64)),
+                       preconditioner=name)
+        st.pressure_guess = np.ones((64, 22), dtype=complex)
+        solution = solve_pressure(st)
+        assert solution.iterations == 0
+        assert not np.any(solution.force)
+        self.check(st)
 
 
 class TestPressureSplit:
@@ -375,7 +425,7 @@ class TestPressureSplit:
         direct = grad_pi_minus_rho_omega(st)
         assert l2_norm_vector(via - direct) <= 1e-9 * max(l2_norm_vector(direct), 1)
         # and the direct difference is the gradient part of -div(u x u)
-        _, q = leray_project(-1.0 * st.fields.advection)
+        _, q = leray_project(-1.0 * st.fields.transport)  # rho = 1: (u.grad)u alone
         assert l2_norm_vector(direct - q) <= 1e-9 * max(l2_norm_vector(q), 1)
 
     def test_zero_velocity(self, grid64):

@@ -31,6 +31,7 @@ from oddflow.spectral import (
     max_divergence_ratio,
     perp,
     perp_gradient,
+    product_physical,
     zero_scalar,
 )
 
@@ -161,6 +162,27 @@ class TestCalculus:
         assert l2_norm(curl(gradient(a))) < 1e-12 * max(l2_norm(a), 1)
         assert l2_norm(divergence(perp_gradient(a))) < 1e-12 * max(l2_norm(a), 1)
 
+    def test_held_multipliers_are_the_inline_ones(self, grid32):
+        """The Grid's ik1, ik2 give the bytes of 1j*k1, 1j*k2 (and -1j*k2)
+        written out per call, signed zeros included."""
+        g = grid32
+        a = random_band_field(g, 10)
+        b = random_band_field(g, 11)
+        a.coeffs[::3] = complex(-0.0, -0.0)
+        b.coeffs[0, 0] = 0.0  # biot_savart takes a mean-zero field
+        cases = [
+            (gradient(a).x1, 1j * g.k1 * a.coeffs), (gradient(a).x2, 1j * g.k2 * a.coeffs),
+            (perp_gradient(a).x1, -1j * g.k2 * a.coeffs),
+            (perp_gradient(a).x2, 1j * g.k1 * a.coeffs),
+            (divergence(SpectralVector(a, b)), 1j * g.k1 * a.coeffs + 1j * g.k2 * b.coeffs),
+            (curl(SpectralVector(a, b)), 1j * g.k1 * b.coeffs - 1j * g.k2 * a.coeffs),
+        ]
+        psi = b.coeffs * g.inv_k_sq
+        u = biot_savart(b)
+        cases += [(u.x1, 1j * g.k2 * psi), (u.x2, -1j * g.k1 * psi)]
+        for field, inline in cases:
+            assert field.coeffs.tobytes() == inline.tobytes()
+
     def test_div_of_perp_equals_curl(self, grid32):
         F = SpectralVector(random_band_field(grid32, 6), random_band_field(grid32, 7))
         lhs = divergence(F)
@@ -290,6 +312,21 @@ class TestDealiasedProduct:
     def test_grid_mismatch(self, grid16, grid32):
         with pytest.raises(GridMismatchError):
             dealiased_product(zero_scalar(grid16), zero_scalar(grid32))
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 96, 128])
+    def test_truncation_is_the_mask_bit_for_bit(self, n):
+        """dealias and product_physical zero the modes outside the band by
+        slicing; the result is np.where(dealias_mask, c, 0.0) byte for byte,
+        signed zeros included."""
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        c[::3] = complex(-0.0, -0.0)
+        f = SpectralScalar(grid, c)
+        assert dealias(f).coeffs.tobytes() == np.where(grid.dealias_mask, c, 0.0).tobytes()
+        samples = rng.standard_normal((n, n))
+        masked = np.where(grid.dealias_mask, forward_transform(grid, samples).coeffs, 0.0)
+        assert product_physical(samples, grid).coeffs.tobytes() == masked.tobytes()
 
     def test_output_truncated(self, grid16):
         f = random_band_field(grid16, 35)

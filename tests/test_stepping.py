@@ -170,8 +170,8 @@ class TestStep:
         pressure history, and the input state keeps no cache, solution or
         history.  step takes over the input's history arrays: of the new
         state's, all but stage 1's base (the last stage's potential) are
-        arrays the input held, and none of the input's others survives, so
-        no second history is ever kept."""
+        arrays the input held once the input's history is full, and none of
+        the input's others survives, so no second history is ever kept."""
         made = {"state": [], "fields": [], "solution": []}
 
         def recorded(cls, kind):
@@ -201,7 +201,7 @@ class TestStep:
         cfg = StepperConfig(dt=1e-3)
         gc.disable()
         try:
-            for k in range(5):  # the history is full from the third step on
+            for k in range(6):  # the history is full from the fourth step on
                 for kind in made:
                     made[kind].clear()
                 held = [weakref.ref(a) for a in history_arrays(st)]
@@ -210,10 +210,10 @@ class TestStep:
                 assert alive("fields") == [out._fields] and alive("solution") == []
                 arrays = history_arrays(out)
                 assert all(a.shape == (32, 32 // 3 + 1) for a in arrays)
-                assert len({id(a) for a in arrays}) == (4, 9, full, full, full)[k]
+                assert len({id(a) for a in arrays}) == (4, 9, 13, full, full, full)[k]
                 survivors = {id(r()) for r in held if r() is not None}
                 assert survivors <= {id(a) for a in arrays}
-                if k >= 3:
+                if k >= 4:
                     base = out.pressure_history.base
                     assert {id(a) for a in arrays if a is not base} == survivors
                 assert st._fields is None and not st.solved
@@ -241,7 +241,8 @@ class TestStep:
     def test_stage_guesses_cut_iterations(self):
         """The criterion-1 flow at n = 64 to t = 0.1 (9 automatic steps)
         makes at most 125 stepping CG iterations: 192 from first-order
-        guesses, about 110 from the second-order ones.  The bound leaves
+        guesses, about 110 from second-order ones and 99 from third-order
+        ones.  The bound leaves
         room for the host's BLAS reductions to move a count.  Stages 2-4
         apply the preconditioner stage 1 chose, without choosing again."""
         iterations, named = [], []
@@ -262,6 +263,34 @@ class TestStep:
         for k in range(0, len(named), 4):
             assert named[k] == (None, "concus_golub")
             assert named[k + 1:k + 4] == [("concus_golub", "concus_golub")] * 3
+
+    def test_preconditioner_rule_once_per_step(self, monkeypatch):
+        """A stage-1 solve whose guess meets the tolerance applies no
+        preconditioner; the stages after it take the name from the first
+        solve that applied one, so the rule (the contrast and sup|q|
+        tests) runs at most once per step."""
+        rules, first = [], []
+        chooser = pressure._preconditioner
+
+        def recorded(a_phys, a_star, grid, name=None):
+            rules[-1] += name is None
+            return chooser(a_phys, a_star, grid, name)
+
+        def solve(state, **kwargs):
+            solution = solve_pressure(state, **kwargs)
+            if state.preconditioner is None:
+                first.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(pressure, "_preconditioner", recorded)
+        monkeypatch.setattr(stepping, "solve_pressure", solve)
+        st = init_scenario(RunConfig(grid_n=32, t_end=0.0, scenario={
+            "name": "density_wave", "a": 0.5}))
+        for _ in range(6):
+            rules.append(0)
+            st = step(st, StepperConfig(dt=2e-3))
+        assert 0 in first  # a stage 1 took no iteration
+        assert all(count <= 1 for count in rules)
 
     @pytest.mark.parametrize("factor", [10.0, 0.1])
     def test_guess_survives_a_step_size_change(self, grid32, factor):
@@ -327,6 +356,12 @@ class TestStepperConfig:
     def test_rejects_bad_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be finite"):
             StepperConfig(t_end=t_end)
+
+
+    @pytest.mark.parametrize("floor", [np.nan, 2.0, -1.0, 0.0, 1.0])
+    def test_rejects_bad_vacuum_floor(self, floor):
+        with pytest.raises(ValueError, match="vacuum_floor must lie in"):
+            StepperConfig(vacuum_floor=floor)
 
 
 class TestRun:
