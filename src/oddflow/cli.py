@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 validation/config error (including a bad
 command-line argument, a bad or missing checkpoint, or an initial state the
 grid cannot resolve) and `verify` suites that fail their bounds, 2 runtime
-abort (vacuum breach, NaN, solver failure, a non-finite `norms` table).  Every
-package error ends in one line on stderr, and every warning is one
-`warning:` line there.  An aborted `run` still writes the diagnostics rows
-it collected and its last good state (checkpoint_abort.bin).
+abort (vacuum breach, NaN, solver failure, a non-finite `norms` table, out
+of memory).  Every package error ends in one line on stderr, and every
+warning is one `warning:` line there.  An aborted `run` still writes the
+diagnostics rows it collected and its last good state (checkpoint_abort.bin).
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def _dispatch(argv) -> int:
         return 1
     except OddflowError as exc:
         print(f"abort: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a grid the host cannot hold
+        print(f"abort: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

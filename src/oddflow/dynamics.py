@@ -55,10 +55,10 @@ class FlowState:
     its grid samples (fields), built on first read, its pressure solution,
     stored by pressure.solve_pressure, and the pressure history
     stepping.step gives it: pressure_guess, where its solve starts, and
-    pressure_history, a stepping.PressureHistory of what the step kept of
-    its stage potentials, both None on any other state.  Once the history
-    is full, after four steps, the two hold 14 band-column arrays, each of
-    shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
+    pressure_history, a stepping.PressureHistory (a rate and one StageGuess
+    per RK stage), both None on any other state.  Once the history is
+    full, after four steps, it holds 14 band-column arrays, the guess
+    among them, each of shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
     keep a state; step takes over the history arrays of the state it
     steps, which drops them.  preconditioner, which step sets on its stage
     states only, names the one their solves apply (see

@@ -5,12 +5,12 @@ exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
 state has its variable-coefficient pressure problem solved once, each
-stage's CG warm-started from a base plus the quadratic extrapolation of
-that base's error over the last three steps (see step); stage 1 shares
-the solve of an observer, which starts from the same guess, so a run's
-bits do not depend on which states are observed.  The momentum
-right-hand side takes the pressure force T[(1/rho) grad pi] that the
-solve accumulated (pressure.PressureSolution), so a stage transforms
+stage's CG warm-started by its StageGuess from a base plus the quadratic
+extrapolation of that base's error over the last three steps (see step);
+stage 1 shares the solve of an observer, which starts from the same
+guess, so a run's bits do not depend on which states are observed.  The
+momentum right-hand side takes the pressure force T[(1/rho) grad pi] that
+the solve accumulated (pressure.PressureSolution), so a stage transforms
 nothing for it.  The velocity is re-projected divergence-free at the end
 of the step.
 """
@@ -94,52 +94,53 @@ def _check_finite(state: FlowState):
                                quantity="NaN/Inf")
 
 
-# Weights of the error coefficients c, c', c'' of the last steps, newest
-# first, in the polynomial extrapolation of c to the next step.
+# Weights of the coefficients c, c', c'' (newest first) in their extrapolation
 _EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
 _DEPTH = len(_EXTRAPOLATION)  # coefficients kept per stage
 
 
-def _corrected(base: np.ndarray, errors: list, h_sq: float) -> np.ndarray:
-    """A stage's guess: base + h^2 (3 c - 3 c' + c'') from the error
-    coefficients c, c', c'' of its base over the last three steps (newest
-    first), base + h^2 (2 c - c') from two, base + h^2 c from one, base
-    from none.  With three, the guess overwrites c''."""
-    if not errors:
-        return base
-    *newer, oldest = errors
-    weights = _EXTRAPOLATION[len(errors)]
-    out = np.multiply(oldest, weights[-1], out=oldest if len(errors) == _DEPTH else None)
-    for w, c in zip(weights, newer):
-        out += w * c
-    out *= h_sq
-    out += base
-    return out
+class StageGuess:
+    """One RK stage's warm start: its base b's error coefficients (P - b) / h^2,
+    newest first and at most _DEPTH, and the base and h^2 of its pending guess."""
 
+    __slots__ = ("errors", "base", "h_sq")
 
-def _record(errors: list, potential: np.ndarray, base: np.ndarray, h_sq: float) -> list:
-    """The stage's error coefficients with (potential - base) / h^2 put
-    first and at most _DEPTH kept; the dropped one's array, which holds the
-    stage's spent guess, takes the new one."""
-    out = errors[-1] if len(errors) == _DEPTH else None
-    new = np.subtract(potential, base, out=out)
-    new *= 1.0 / h_sq
-    return [new, *errors[:_DEPTH - 1]]
+    def __init__(self):
+        self.errors, self.base, self.h_sq = [], None, None
+
+    def guess(self, base: np.ndarray, h_sq: float) -> np.ndarray:
+        """base + h^2 (3 c - 3 c' + c'') from three coefficients c, c', c''
+        (newest first), base + h^2 (2 c - c') from two, base + h^2 c from
+        one, base from none.  With three, the guess overwrites c''."""
+        self.base, self.h_sq = base, h_sq
+        if not self.errors:
+            return base
+        *newer, oldest = self.errors
+        weights = _EXTRAPOLATION[len(self.errors)]
+        out = np.multiply(oldest, weights[-1], out=oldest if len(weights) == _DEPTH else None)
+        for w, c in zip(weights, newer):
+            out += w * c
+        out *= h_sq
+        out += base
+        return out
+
+    def record(self, potential: np.ndarray) -> None:
+        """Put (potential - base) / h^2 first, keeping at most _DEPTH; with
+        a full ring it overwrites the spent guess.  The base is released."""
+        full = len(self.errors) == _DEPTH
+        new = np.subtract(potential, self.base, out=self.errors[-1] if full else None)
+        new *= 1.0 / self.h_sq
+        self.errors, self.base = [new, *self.errors[:_DEPTH - 1]], None
 
 
 @dataclass(slots=True)
 class PressureHistory:
-    """What step keeps of one step's stage potentials P1..P4 for the guesses
-    of the next, all as band columns: stage 1's base P4, the potential's
-    rate 2 (P4 - P2) / h at the step's end, and, for each stage, the error
-    coefficients (P_i - b_i) / h^2 of its base over the last three steps,
-    newest first.  Stage 1 keeps only the newest two; the one before is
-    folded into the state's pressure_guess."""
+    """What step keeps of one step's stage potentials P1..P4 for the next,
+    as band columns: the rate 2 (P4 - P2) / h at the step's end and a
+    StageGuess per stage; stage 1's guess, on base P4, is pressure_guess."""
 
-    h: float
-    base: np.ndarray
     rate: np.ndarray
-    errors: tuple[list, list, list, list]
+    stages: tuple[StageGuess, StageGuess, StageGuess, StageGuess]
 
 
 def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> FlowState:
@@ -149,18 +150,15 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     With P1..P4 the stage potentials, stage i starts from a base b_i: the
     last step's P4 (b1), P1 + (h/2) times the last step's rate (b2), P2
     (b3) and 2 P3 - P1 (b4).  Each base's error P_i - b_i scales as h^2,
-    so a step records the coefficient c_i = (P_i - b_i) / h^2 (see
-    PressureHistory), and stage i starts from
-    b_i + h^2 (3 c_i - 3 c'_i + c''_i), the coefficients of the last three
-    steps extrapolated to this one by the quadratic through them, or from
-    the linear and constant extrapolations of two and one.  Stage 1's guess
-    is fixed on the new state, scaled by this step's h, which made its
-    base's error; so observe solves a state as stage 1 does, and a run's
-    bits do not depend on which states are observed.  A state without a
-    history starts stage 1 from zero and stage 2 from P1, and no
-    coefficient is recorded for either.  Each stage after the first applies
-    the preconditioner of the first stage whose solve applied one (a solve
-    that meets the tolerance at its guess applies none).
+    so stage i's StageGuess records c_i = (P_i - b_i) / h^2 and guesses b_i
+    plus h^2 times the c_i of the last three steps extrapolated to this one.
+    Stage 1's guess is fixed on the new state, scaled by this step's h, and
+    recorded at the start of the next step; so observe solves a state as
+    stage 1 does, and a run's bits do not depend on which states are
+    observed.  A state without a history starts stage 1 from zero and stage
+    2 from P1, and no coefficient is recorded for either.  Each stage after
+    the first applies the preconditioner of the first stage whose solve
+    applied one (a solve that meets the tolerance at its guess applies none).
 
     Stage 1 solves the state unless it holds a solution; its cache,
     solution and history are freed after stage 1, the only stage that
@@ -186,41 +184,41 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     state.drop_cache()
 
     if past is None:
-        e1, e2, e3, e4 = [], [], [], []
+        s1, s2, s3, s4 = StageGuess(), StageGuess(), StageGuess(), StageGuess()
         b2 = p1
     else:
-        c1 = np.subtract(p1, past.base, out=past.base)
-        c1 *= 1.0 / past.h**2  # the last step made stage 1's base
-        e1 = [c1, *past.errors[0]]
-        e2, e3, e4 = past.errors[1:]
+        s1, s2, s3, s4 = past.stages
+        s1.record(p1)
         b2 = np.multiply(past.rate, h / 2.0, out=past.rate)
         b2 += p1
 
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
     kr2, ku2, p2, applied = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
-                                                 pressure_guess=_corrected(b2, e2, h_sq),
+                                                 pressure_guess=s2.guess(b2, h_sq),
                                                  preconditioner=pc), config)
     pc = pc or applied
-    if past is not None:  # without a history b2 is not second-order
-        e2 = _record(e2, p2, b2, h_sq)
+    if past is None:  # b2 = P1 is not second-order: no coefficient
+        s2.base = None
+    else:
+        s2.record(p2)
 
     r_b = r0 + (h / 2.0) * kr2
     u_b = u0 * E + (h / 2.0) * ku2
     kr3, ku3, p3, applied = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
-                                                 pressure_guess=_corrected(p2, e3, h_sq),
+                                                 pressure_guess=s3.guess(p2, h_sq),
                                                  preconditioner=pc), config)
     pc = pc or applied
-    e3 = _record(e3, p3, p2, h_sq)
+    s3.record(p3)
 
     r_c = r0 + h * kr3
     u_c = u0 * E2 + h * (ku3 * E)
     b4 = 2.0 * p3 - p1
     p1 = p3 = None  # freed before the last solve
     kr4, ku4, p4, _ = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
-                                           pressure_guess=_corrected(b4, e4, h_sq),
+                                           pressure_guess=s4.guess(b4, h_sq),
                                            preconditioner=pc), config)
-    e4 = _record(e4, p4, b4, h_sq)
+    s4.record(p4)
 
     r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
     u_new = u0 * E2 + (h / 6.0) * (ku1 * E2 + 2.0 * ((ku2 + ku3) * E) + ku4)
@@ -228,9 +226,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     rate = p4 - p2 if past is None else np.subtract(p4, p2, out=past.rate)
     rate *= 2.0 / h
-    out = FlowState(t + h, r_new, u_new, eps, sigma, pressure_guess=_corrected(p4, e1, h_sq),
-                    pressure_history=PressureHistory(h, p4, rate,
-                                                     (e1[:_DEPTH - 1], e2, e3, e4)))
+    out = FlowState(t + h, r_new, u_new, eps, sigma, pressure_guess=s1.guess(p4, h_sq),
+                    pressure_history=PressureHistory(rate, (s1, s2, s3, s4)))
     _check_finite(out)
     check_vacuum(out, config.vacuum_floor)
     return out

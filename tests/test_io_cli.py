@@ -478,7 +478,7 @@ class TestCli:
 
     @pytest.mark.parametrize("exc,code", [
         (HermitianSymmetryError, 1), (GridMismatchError, 1), (MeanModeError, 1),
-        (OddflowError, 2),
+        (OddflowError, 2), (MemoryError, 2),
     ])
     def test_package_errors_end_in_one_line(self, monkeypatch, capsys, exc, code):
         def fail(args):
@@ -487,6 +487,7 @@ class TestCli:
         assert cli(["verify"]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "injected failure" in err, err
+        assert ("out of memory" in err) == (exc is MemoryError), err
 
     @pytest.mark.parametrize("argv, dt, count", [
         (["run"], 0.3, 1),                               # 2 steps, each far above the CFL bound

@@ -18,19 +18,22 @@ from oddflow.spectral import (
     l2_norm_vector,
     zero_scalar,
 )
-from oddflow.stepping import StepperConfig, cfl_dt, linear_factor, run, step
+from oddflow.stepping import StageGuess, StepperConfig, cfl_dt, linear_factor, run, step
 from oddflow.verify import make_state
 
 from conftest import shear_state_fields
 
 
 def history_arrays(state: FlowState) -> list:
-    """The band-column arrays of a state's pressure guess and history; the
-    guess is stage 1's base itself after a step from a state without one."""
+    """The band-column arrays of a state's pressure guess and history: the
+    rate and each stage's pending base and error coefficients.  The guess
+    is stage 1's base itself after a step from a state without one, and one
+    of stage 1's coefficient arrays once that stage keeps three."""
     past = state.pressure_history
     if past is None:
         return []
-    return [state.pressure_guess, past.base, past.rate, *(c for cs in past.errors for c in cs)]
+    return [state.pressure_guess, past.rate,
+            *(a for s in past.stages for a in (s.base, *s.errors) if a is not None)]
 
 
 def shear(grid, eps=0.0):
@@ -214,11 +217,12 @@ class TestStep:
                 survivors = {id(r()) for r in held if r() is not None}
                 assert survivors <= {id(a) for a in arrays}
                 if k >= 4:
-                    base = out.pressure_history.base
+                    base = out.pressure_history.stages[0].base
                     assert {id(a) for a in arrays if a is not base} == survivors
                 assert st._fields is None and not st.solved
                 assert st.pressure_guess is None and st.pressure_history is None
                 st = out
+                arrays = base = None  # the next step frees this state's P4
         finally:
             gc.enable()
 
@@ -344,6 +348,48 @@ class TestStep:
     def test_step_rejects_bad_dt(self, grid32, dt):
         with pytest.raises(ValueError, match="positive finite dt"):
             step(shear(grid32), StepperConfig(), dt)
+
+
+class TestStageGuess:
+    """The extrapolation weights on a zero base with h = 0.5, so h^2 and the
+    small-integer coefficients below are held exactly."""
+
+    h_sq = 0.5 * 0.5
+    offsets = np.arange(8.0).reshape(2, 4) * (1 + 2j)  # a different value per entry
+
+    @pytest.mark.parametrize("records, coefficient", [
+        (3, lambda k: 2 * k * k - 3 * k + 1),
+        (2, lambda k: 5 - 3 * k),
+        (1, lambda k: 7 + 0 * k),
+    ], ids=["quadratic", "linear", "constant"])
+    def test_guess_is_the_next_coefficient(self, records, coefficient):
+        """After as many records as the sequence's degree plus one, and on
+        every step after that as the ring fills and wraps, the guess is the
+        next coefficient times h^2, bit for bit."""
+        base = np.zeros((2, 4), dtype=complex)
+        stage = StageGuess()
+        for k in range(7):
+            c = coefficient(k + self.offsets)
+            guess = stage.guess(base, self.h_sq)
+            if k >= records:
+                assert np.array_equal(guess, self.h_sq * c), k
+            stage.record(base + self.h_sq * c)
+            assert np.array_equal(stage.errors[0], c) and stage.base is None
+
+    def test_full_ring_records_into_the_guess(self):
+        """With three coefficients kept, guess overwrites the oldest and
+        record writes the new coefficient into that same array."""
+        base = np.zeros((2, 4), dtype=complex)
+        stage = StageGuess()
+        for k in range(3):
+            stage.guess(base, self.h_sq)
+            stage.record(base + self.h_sq * (k + self.offsets))
+        kept = stage.errors
+        guess = stage.guess(base, self.h_sq)
+        assert guess is kept[-1]
+        stage.record(base + self.h_sq * (3 + self.offsets))
+        assert [id(c) for c in stage.errors] == [id(guess), id(kept[0]), id(kept[1])]
+        assert np.array_equal(guess, 3 + self.offsets)
 
 
 class TestStepperConfig:
