@@ -78,6 +78,15 @@ def _type_ok(value, expected):
     return isinstance(value, expected)
 
 
+def check_grid_fits(name: str, n: int) -> None:
+    """ValidationError, before anything is allocated, when an n x n grid needs
+    more than physical memory at 700 B a point (peak RSS, n = 128 to 256)."""
+    need, have = 700 * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError(f"{name} = {n} needs about {need / 2**30:.3g} GiB, more than "
+                              f"the {have / 2**30:.3g} GiB of physical memory")
+
+
 def validate_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ValidationError("config root must be a JSON object")
@@ -98,6 +107,7 @@ def validate_config(data: dict) -> RunConfig:
     n = cfg.grid_n
     if n < 8 or n % 2 != 0:
         raise ValidationError("grid_n must be even and >= 8")
+    check_grid_fits("grid_n", n)
     if cfg.t_end < 0:
         raise ValidationError("t_end must be >= 0")
     if cfg.dt is not None and cfg.dt <= 0:

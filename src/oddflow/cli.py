@@ -95,6 +95,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     _argument(args.n >= 32 and args.n % 2 == 0, "--n",
               "must be even and >= 32 (coarser grids miss the suites' bounds)", args.n)
+    app_io.check_grid_fits("--n", args.n)
     results = run_all(n=args.n, seed=args.seed)
     for res in results:
         print(res.line())

@@ -73,8 +73,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
+from . import fft as _fft
 from .dynamics import FlowState, grad_pi_minus_rho_omega
 from .errors import ConvergenceError, OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import build_partition
@@ -85,7 +85,6 @@ from .spectral import (
     dealias,
     dealias_columns,
     divergence,
-    fft_workers,
     gradient,
     half_vdot,
     inverse_transform,
@@ -149,7 +148,6 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
     rule in the module docstring chooses."""
     bm = band_multipliers(grid)
     n, m = bm.inv_lap.shape
-    w = fft_workers()
 
     def inverse_laplacian(r, z):
         np.multiply(r, bm.inv_lap, out=z)
@@ -159,24 +157,24 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
         return inverse_laplacian
     root = np.sqrt(a_phys)
     if name is None:
-        lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root, norm="forward", workers=w),
-                               s=(n, n), norm="forward", workers=w)
+        lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root))
         if not float(np.max(np.abs(lap_root / root))) < SUP_Q_MAX:
             return inverse_laplacian
 
     inv_root = 1.0 / root
     # the full half-spectrum width: the columns past the band stay zero
     full = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    v_out, f_out = np.empty((n, n)), np.empty_like(full)
 
     def concus_golub(r, z):
         full[:, :m] = r
-        v = _fft.irfft2(full, s=(n, n), norm="forward", workers=w)
+        v = _fft.irfft2(full, out=v_out)
         v *= inv_root
-        f = _fft.rfft2(v, norm="forward", workers=w)
+        f = _fft.rfft2(v, out=f_out)
         f *= grid.inv_k_sq
-        v = _fft.irfft2(f, s=(n, n), norm="forward", workers=w)
+        v = _fft.irfft2(f, out=v_out)
         v *= inv_root
-        f = _fft.rfft2(v, norm="forward", workers=w)
+        f = _fft.rfft2(v, out=f_out)
         np.multiply(f[:, :m], bm.band, out=z)
 
     return concus_golub
@@ -207,7 +205,6 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     bm = band_multipliers(grid)
     ik = bm.ik
     n, m = ik.shape[1:]
-    w = fft_workers()
 
     b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
     b_norm = float(np.sqrt(half_vdot(b, b)))
@@ -215,15 +212,15 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     # both gradient components on the full half-spectrum width: the columns
     # past the band stay zero, so irfft2 needs no padded copy per call
     grad = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
+    g_out, f_out = np.empty((2, n, n)), np.empty_like(grad)
 
     def apply(p, out):
         """out = -div(a grad p); returns the band columns of rfft2(a grad p),
-        a view of an array no other call holds.  norm="forward" puts the
-        1/n^2 of the amplitude convention on rfft2."""
+        a view of an array that the next call may overwrite."""
         np.multiply(ik, p, out=grad[..., :m])
-        g = _fft.irfft2(grad, s=(n, n), norm="forward", workers=w)
+        g = _fft.irfft2(grad, out=g_out)
         g *= a_phys
-        f = _fft.rfft2(g, norm="forward", workers=w)[..., :m]
+        f = _fft.rfft2(g, out=f_out)[..., :m]
         np.multiply(ik[0], f[0], out=out)
         np.multiply(ik[1], f[1], out=tmp)
         out += tmp

@@ -15,8 +15,8 @@ and its conjugate column -k2, so reductions over the spectrum (norms,
 inner products, Sobolev sums) count it twice and the self-conjugate
 columns k2 = 0 and k2 = n/2 once (half_vdot); with that weight
 ||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2 over the full spectrum (Plancherel).
-Transforms are rfft2/irfft2 with norm="forward" (the 1/n^2 of the
-amplitude convention on the forward transform).  The full spectrum appears
+Transforms are oddflow.fft's rfft2/irfft2 (the 1/n^2 of the amplitude
+convention on the forward transform).  The full spectrum appears
 only where data enters or leaves the program: expand and fold convert
 between the two forms, check_real transforms a full spectrum and rejects
 a field whose samples are not real, read_checkpoint applies it to every
@@ -27,20 +27,10 @@ depend on the FFT worker count.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import scipy.fft as _fft
 
+from . import fft as _fft
 from .errors import GridMismatchError, HermitianSymmetryError, MeanModeError
-
-
-def fft_workers() -> int:
-    """Worker cap for FFT kernels, from ODDFLOW_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ODDFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class Grid:
@@ -186,12 +176,8 @@ def _hermitian_column(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _rfft2(samples: np.ndarray) -> np.ndarray:
-    return _hermitian_column(_fft.rfft2(samples, norm="forward", workers=fft_workers()))
-
-
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
-    """Real n x n samples -> half-spectrum amplitudes (Nyquist zeroed)."""
+    """Real n x n samples (read as float64) -> half-spectrum amplitudes (Nyquist zeroed)."""
     samples = np.asarray(samples)
     if samples.shape != (grid.n, grid.n):
         raise GridMismatchError(
@@ -199,7 +185,7 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
         )
     if np.iscomplexobj(samples):
         raise ValueError("forward_transform expects real samples")
-    coeffs = _rfft2(samples)
+    coeffs = _hermitian_column(_fft.rfft2(np.asarray(samples, dtype=np.float64)))
     coeffs[grid.n // 2] = 0.0
     coeffs[:, -1] = 0.0
     return SpectralScalar(grid, coeffs)
@@ -207,8 +193,7 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
 
 def inverse_transform(f: SpectralScalar) -> np.ndarray:
     """Half-spectrum coefficients -> real n x n samples."""
-    n = f.grid.n
-    return _fft.irfft2(f.coeffs, s=(n, n), norm="forward", workers=fft_workers())
+    return _fft.irfft2(f.coeffs)
 
 
 def physical(F: SpectralVector) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +226,7 @@ def check_real(f) -> np.ndarray:
 
     This is the one transform of a full spectrum."""
     full = expand(f.coeffs) if isinstance(f, SpectralScalar) else f
-    phys = _fft.ifft2(full * (full.shape[0] ** 2), workers=fft_workers())
+    phys = _fft.ifft2(full * (full.shape[0] ** 2))
     scale = max(1.0, float(np.max(np.abs(phys.real))))
     residue = float(np.max(np.abs(phys.imag)))
     if residue > 1e-10 * scale:
@@ -409,14 +394,13 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
 def product_physical(fields_phys: np.ndarray, grid: Grid) -> SpectralScalar:
     """Forward transform of an already-formed physical product, dealiased
     (the band excludes the Nyquist modes)."""
-    return SpectralScalar(grid, _truncate(_rfft2(fields_phys)))
+    return SpectralScalar(grid, dealias_columns(_fft.rfft2(fields_phys)))
 
 
 def dealias_columns(c: np.ndarray) -> np.ndarray:
-    """Columns k2 = 0..m-1 (m <= n//3 + 1) of forward transforms, stacked
-    along leading axes or not, made in place into those of dealiased
-    fields as product_physical leaves them: column 0 exactly Hermitian and
-    the rows outside the band zero."""
+    """Forward transforms, or their columns k2 = 0..m-1, stacked along
+    leading axes or not, made in place into those of dealiased fields:
+    column 0 exactly Hermitian and the modes outside the band zero."""
     return _truncate(_hermitian_column(c))
 
 

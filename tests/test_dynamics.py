@@ -248,7 +248,7 @@ class TestMomentumRhs:
     def test_no_transform_on_a_solved_state(self, grid32, monkeypatch, eps, odd_sign):
         """The solve leaves in the state's cache every piece that
         momentum_rhs reads: the transport, the hyperviscous term and the
-        pressure force, so the assembly makes no scipy.fft call."""
+        pressure force, so the assembly makes no transform."""
         st = make_state(grid32, 2, "half_band", epsilon=eps, odd_sign=odd_sign)
         solve_pressure(st)
         count = [0]
@@ -259,7 +259,7 @@ class TestMomentumRhs:
                 return transform(*args, **kwargs)
             return counted
 
-        for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn", "fftn", "ifftn"):
+        for name in ("rfft2", "irfft2", "ifft2"):
             monkeypatch.setattr(spectral._fft, name, counting(getattr(spectral._fft, name)))
         first = momentum_rhs(st)
         assert count[0] == 0

@@ -1,0 +1,106 @@
+"""oddflow.fft against scipy.fft: the same bits for every shape, stacking,
+memory layout, worker count and out= that the package uses, on the
+pocketfft kernels and on the substitute kernels alike."""
+
+import numpy as np
+import pytest
+import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
+
+from oddflow import fft, spectral
+from oddflow.spectral import Grid, forward_transform
+
+KERNELS = ("_r2c", "_c2r", "_c2c")
+
+
+def test_the_pocketfft_kernels_are_active():
+    """A silent fallback to scipy.fft's public calls would pass every bit
+    test below while losing the speed, so pin the kernels themselves."""
+    assert [getattr(fft, k) for k in KERNELS] == [
+        pypocketfft.r2c, pypocketfft.c2r, pypocketfft.c2c]
+
+
+def test_fft_workers_reads_oddflow_threads(monkeypatch):
+    for value, workers in (("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
+        monkeypatch.setenv("ODDFLOW_THREADS", value)
+        assert fft.fft_workers() == workers
+    monkeypatch.delenv("ODDFLOW_THREADS")
+    assert fft.fft_workers() == 1
+
+
+def layouts(rng, n, cols, dtype):
+    """An (n, cols) and a stacked (2, n, cols) array, each contiguous and as
+    a non-contiguous view of a wider array's leading columns."""
+    for lead in ((), (2,)):
+        for width in (cols, n + 6):
+            a = rng.standard_normal((*lead, n, width))
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(a.shape)
+            yield a[..., :cols]
+
+
+@pytest.fixture(params=["pocketfft", "substitute"])
+def kernels(request, monkeypatch):
+    if request.param == "substitute":
+        for name in KERNELS:
+            monkeypatch.setattr(fft, name, getattr(fft, "_scipy" + name))
+    return request.param
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [32, 64, 128, 192])
+def test_bits_equal_scipy_fft(kernels, monkeypatch, n, threads):
+    monkeypatch.setenv("ODDFLOW_THREADS", str(threads))
+    rng = np.random.default_rng(n + threads)
+    for x in layouts(rng, n, n, float):
+        expected = scipy.fft.rfft2(x, norm="forward", workers=1)
+        assert np.array_equal(fft.rfft2(x), expected)
+        assert np.array_equal(scipy.fft.rfft2(x, norm="forward", workers=threads), expected)
+    for c in layouts(rng, n, n // 2 + 1, complex):
+        expected = scipy.fft.irfft2(c, s=(n, n), norm="forward", workers=1)
+        assert np.array_equal(fft.irfft2(c), expected)
+        assert np.array_equal(
+            scipy.fft.irfft2(c, s=(n, n), norm="forward", workers=threads), expected)
+    for z in layouts(rng, n, n, complex):
+        expected = scipy.fft.ifft2(z, workers=1)
+        assert np.array_equal(fft.ifft2(z), expected)
+        assert np.array_equal(scipy.fft.ifft2(z, workers=threads), expected)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 192])
+def test_out_matches_a_fresh_allocation(kernels, n):
+    """The kernels fill and return out=; the substitutes allocate.  Either
+    way the returned array holds the fresh allocation's bits, and the
+    input is left as it was."""
+    rng = np.random.default_rng(n)
+    cases = [(fft.rfft2, x, (n // 2 + 1,), complex) for x in layouts(rng, n, n, float)]
+    cases += [(fft.irfft2, c, (n,), float) for c in layouts(rng, n, n // 2 + 1, complex)]
+    for transform, x, cols, dtype in cases:
+        out = np.full(x.shape[:-1] + cols, np.nan, dtype=dtype)
+        before = x.copy()
+        y = transform(x, out=out)
+        assert (y is out) == (kernels == "pocketfft")
+        assert np.array_equal(y, transform(x))
+        assert np.array_equal(x, before)
+
+
+def test_forward_transform_reads_integer_and_bool_samples(monkeypatch):
+    """The kernel rejects int64 ("unsupported data type") where scipy.fft
+    converts; forward_transform reads such samples as float64, and hands
+    float64 samples on as they are."""
+    grid = Grid(16)
+    ints = np.arange(256).reshape(16, 16) % 7
+    for samples in (ints, ints > 2):
+        expected = forward_transform(grid, samples.astype(np.float64)).coeffs
+        assert np.array_equal(forward_transform(grid, samples).coeffs, expected)
+    seen = []
+    rfft2 = spectral._fft.rfft2
+
+    def recording(x, *args, **kwargs):
+        seen.append(x)
+        return rfft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(spectral._fft, "rfft2", recording)
+    samples = np.cos(grid.x1)
+    forward_transform(grid, samples)
+    assert len(seen) == 1 and seen[0] is samples

@@ -41,8 +41,8 @@ NUMPY_FFT_HELPERS = frozenset({"fftfreq", "rfftfreq", "fftshift", "ifftshift"})
 def numpy_fft_transforms(source: str) -> list[str]:
     """numpy.fft transforms a module imports or calls, by any alias.
 
-    Every transform must go through a scipy.fft module reference, so that a
-    caller can count or replace them in one place."""
+    Every transform must go through the package's transform module,
+    oddflow.fft, so that a caller can count or replace them in one place."""
     tree = ast.parse(source)
     alias = {}  # local name -> dotted module path
     found = []
@@ -92,17 +92,19 @@ def test_no_numpy_fft_transforms(path):
 
 
 # Complex-to-complex transforms: a real field has one stored form, its rfft2
-# half-spectrum, and only spectral.check_real transforms a full spectrum.
+# half-spectrum, and only spectral.check_real transforms a full spectrum,
+# through the transform module's ifft2, whose substitute kernel (for a scipy
+# without pocketfft's private module) is scipy.fft's.
 C2C_TRANSFORMS = frozenset({"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"})
-C2C_ALLOWED = {("spectral.py", "check_real")}
+C2C_ALLOWED = {("spectral.py", "check_real"), ("fft.py", "_scipy_c2c")}
 
 
 def c2c_transforms(source: str) -> list[tuple[str, str]]:
     """(transform, enclosing function) for each c2c transform a module calls
-    on a scipy.fft reference (`_fft` or scipy.fft under any alias) or
-    imports from scipy.fft by name."""
+    on a transform module (the package's fft as `_fft` or under any alias,
+    or scipy.fft under any alias) or imports from one by name."""
     tree = ast.parse(source)
-    modules = {"_fft"}  # local names bound to scipy.fft
+    modules = {"_fft"}  # local names bound to a transform module
     direct = {}         # local name -> transform imported by name
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -110,10 +112,11 @@ def c2c_transforms(source: str) -> list[tuple[str, str]]:
                 if a.name == "scipy.fft":
                     modules.add(a.asname or "scipy")
         elif isinstance(node, ast.ImportFrom):
+            package = node.module if not node.level else f".{node.module or ''}"
             for a in node.names:
-                if node.module == "scipy" and a.name == "fft":
+                if package in ("scipy", ".") and a.name == "fft":
                     modules.add(a.asname or "fft")
-                elif node.module == "scipy.fft" and a.name in C2C_TRANSFORMS:
+                elif package in ("scipy.fft", ".fft") and a.name in C2C_TRANSFORMS:
                     direct[a.asname or a.name] = a.name
 
     def is_fft_module(node):
@@ -144,16 +147,57 @@ def c2c_transforms(source: str) -> list[tuple[str, str]]:
 def test_detector_flags_c2c_transforms():
     source = ("import scipy.fft as _fft\nimport scipy.fft as sf\nimport scipy\n"
               "from scipy.fft import ifft2 as back\n"
+              "from . import fft as tf\nfrom .fft import ifft2 as inv\n"
               "def f(x):\n    _fft.rfft2(x)\n    _fft.fft2(x)\n    return sf.ifftn(x)\n"
-              "def g(x):\n    scipy.fft.fft(x)\n    back(x)\n    return _fft.irfft2(x)\n")
+              "def g(x):\n    scipy.fft.fft(x)\n    back(x)\n    return _fft.irfft2(x)\n"
+              "def h(x):\n    tf.ifft2(x)\n    return inv(tf.rfft2(x))\n")
     assert c2c_transforms(source) == [("fft2", "f"), ("ifftn", "f"), ("fft", "g"),
-                                      ("ifft2", "g")]
+                                      ("ifft2", "g"), ("ifft2", "h"), ("ifft2", "h")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_c2c_transforms(path):
     calls = c2c_transforms(path.read_text(encoding="utf-8"))
     assert [c for c in calls if (path.name, c[1]) not in C2C_ALLOWED] == []
+
+
+# Only the transform module, oddflow.fft, reaches scipy's transforms, so every
+# transform of the program is countable in one place.
+def transform_kernel_imports(source: str) -> list[str]:
+    """scipy.fft (or any of its submodules and names) and pocketfft modules
+    that a module imports, and scipy.fft attributes it reads off scipy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            names = ["scipy.fft"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[:2] == ["scipy", "fft"] or "pocketfft" in name]
+    return found
+
+
+def test_detector_flags_transform_kernel_imports():
+    source = ("import scipy\nimport scipy.fft as sf\nfrom scipy import fft, linalg\n"
+              "from scipy.fft import rfft2\nimport pypocketfft\nimport scipy.fftpack\n"
+              "from scipy.fft._pocketfft.pypocketfft import c2r as _c2r\n"
+              "from . import fft as _fft\nscipy.fft.irfft2(x)\nscipy.linalg.norm(x)\n")
+    assert transform_kernel_imports(source) == [
+        "scipy.fft (line 2)", "scipy.fft (line 3)", "scipy.fft.rfft2 (line 4)",
+        "pypocketfft (line 5)", "scipy.fft._pocketfft.pypocketfft.c2r (line 7)",
+        "scipy.fft (line 9)"]
+    assert transform_kernel_imports((SRC / "fft.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "fft.py"],
+                         ids=lambda p: p.name)
+def test_transforms_only_in_the_fft_module(path):
+    assert transform_kernel_imports(path.read_text(encoding="utf-8")) == []
 
 
 # A state owns its cache: FlowState.fields builds the one Fields of a state,

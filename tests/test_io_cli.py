@@ -458,6 +458,7 @@ class TestCli:
         ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "-3"],
         ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "1000"],
         ["verify", "--n", "16"],
+        ["verify", "--n", "1048576"],  # 700 TiB: rejected before numpy refuses it
     ], ids=" ".join)
     def test_bad_argument(self, tmp_path, grid16, capsys, argv):
         """One error line that names the argument (the one before the bad
@@ -471,6 +472,19 @@ class TestCli:
         err = capsys.readouterr().err
         self._assert_one_line_error_text(err)
         assert argv[-2] in err, err
+
+    def test_run_grid_beyond_memory(self, tmp_path, capsys):
+        """A grid the machine cannot hold is rejected before anything is
+        allocated: exit 1 and one line, where numpy's refusal of the 4 TiB
+        wavenumber arrays would exit 2."""
+        data = minimal_config(grid_n=1048576, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValidationError, match="physical memory"):
+            app_io.validate_config(data)
+        assert cli(["run", "--config", write_json(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        self._assert_one_line_error_text(err)
+        assert "grid_n = 1048576 needs about" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_norms_missing_checkpoint(self, tmp_path, capsys):
         assert cli(["norms", str(tmp_path / "missing.bin")]) == 1
