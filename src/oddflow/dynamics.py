@@ -57,7 +57,7 @@ class FlowState:
     stepping.step gives it: pressure_guess, where its solve starts, and
     pressure_history, a stepping.PressureHistory (a rate and one StageGuess
     per RK stage), both None on any other state.  Once the history is
-    full, after four steps, it holds 14 band-column arrays, the guess
+    full, after six steps, it holds 22 band-column arrays, the guess
     among them, each of shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
     keep a state; step takes over the history arrays of the state it
     steps, which drops them.  preconditioner, which step sets on its stage
@@ -150,8 +150,9 @@ def check_vacuum(state: FlowState, floor: float) -> None:
 
 
 class Fields:
-    """FlowState.fields: the lazy cache of one state's grid samples and
-    dealiased products.  It holds the state's attributes, not the state, so
+    """FlowState.fields: the lazy cache of one state's grid samples,
+    dealiased products, good unknowns and density right-hand side, which
+    no caller changes.  It holds the state's attributes, not the state, so
     that no cycle keeps a stage state alive until the cyclic collector runs.
     rho and 1/rho must be positive; a run's vacuum floor is check_vacuum's."""
 
@@ -235,6 +236,28 @@ class Fields:
         h2 = product_physical(self.inv_rho_phys * D2, self.grid)
         return SpectralVector(h1, h2)
 
+    @cached_property
+    def good_unknowns(self) -> GoodUnknowns:
+        """omega, eta and theta; eta is the curl of the dealiased momentum
+        (equal to rho*omega + grad_perp(rho).u)."""
+        u1, u2 = self.u_phys
+        rho = self.rho_phys
+        m1 = product_physical(rho * u1, self.grid)
+        m2 = product_physical(rho * u2, self.grid)
+        eta = curl(SpectralVector(m1, m2))
+        theta = eta - laplacian(dealias(self.rho_dev))
+        return GoodUnknowns(omega=self.omega, eta=eta, theta=theta)
+
+    @cached_property
+    def density_rhs(self) -> SpectralScalar:
+        """-T[u . grad rho]; the mean mode is pinned to its exact value zero
+        (u is divergence-free, so the advection has no k=0 source)."""
+        u1, u2 = self.u_phys
+        r1, r2 = self.grad_rho_phys
+        out = product_physical(u1 * r1 + u2 * r2, self.grid)
+        out.coeffs[0, 0] = 0.0
+        return -1.0 * out
+
     def pressure_source(self) -> SpectralVector:
         """Vector F with -div((1/rho) grad pi) = div F; the -sign*grad(omega)
         contribution of the odd stress is folded in."""
@@ -299,32 +322,15 @@ def trilinear_T(state: FlowState) -> SpectralScalar:
 
 
 def good_unknowns(state: FlowState) -> GoodUnknowns:
-    """omega = curl u, eta = curl(rho u), theta = eta - Lap rho.
-
-    eta is built as the curl of the dealiased momentum (equal to
-    rho*omega + grad_perp(rho).u).
-    """
-    fl = state.fields
-    g = state.grid
-    u1, u2 = fl.u_phys
-    rho = fl.rho_phys
-    m1 = product_physical(rho * u1, g)
-    m2 = product_physical(rho * u2, g)
-    eta = curl(SpectralVector(m1, m2))
-    theta = eta - laplacian(dealias(state.rho_dev))
-    return GoodUnknowns(omega=fl.omega, eta=eta, theta=theta)
+    """omega = curl u, eta = curl(rho u), theta = eta - Lap rho, built once
+    per state by its cache (Fields.good_unknowns)."""
+    return state.fields.good_unknowns
 
 
 def density_rhs(state: FlowState) -> SpectralScalar:
-    """d(rho)/dt = -T[u . grad rho]; the mean mode is pinned to its exact
-    value zero (u is divergence-free, so the advection has no k=0 source)."""
-    fl = state.fields
-    g = state.grid
-    u1, u2 = fl.u_phys
-    r1, r2 = fl.grad_rho_phys
-    out = product_physical(u1 * r1 + u2 * r2, g)
-    out.coeffs[0, 0] = 0.0
-    return -1.0 * out
+    """d(rho)/dt = -T[u . grad rho], built once per state by its cache
+    (Fields.density_rhs)."""
+    return state.fields.density_rhs
 
 
 def momentum_rhs(state: FlowState) -> SpectralVector:

@@ -2,7 +2,8 @@
 called as it calls them (rfft2 and irfft2, n x n to n x (n/2+1) and back, with
 norm="forward"), for the same bits without its dispatch.  out= is filled and
 returned, except by the substitute kernels used without scipy's private
-module, so callers read the returned array."""
+module, so callers read the returned array.  The worker cap is
+ODDFLOW_THREADS as it was when the module was imported (WORKERS)."""
 
 import os
 
@@ -15,6 +16,9 @@ def fft_workers() -> int:
         return max(1, int(os.environ.get("ODDFLOW_THREADS", "1")))
     except ValueError:
         return 1
+
+
+WORKERS = fft_workers()  # read once, at import: the transforms pass it on
 
 
 def _scipy_r2c(x, axes, forward, inorm, out, nthreads):  # pocketfft's signatures
@@ -36,12 +40,12 @@ except ImportError:
 
 
 def rfft2(x, out=None):
-    return _r2c(x, (-2, -1), True, 2, out, fft_workers())
+    return _r2c(x, (-2, -1), True, 2, out, WORKERS)
 
 
 def irfft2(x, out=None):
-    return _c2r(x, (-2, -1), x.shape[-2], False, 0, out, fft_workers())
+    return _c2r(x, (-2, -1), x.shape[-2], False, 0, out, WORKERS)
 
 
 def ifft2(x):
-    return _c2c(x, (-2, -1), False, 2, None, fft_workers())
+    return _c2c(x, (-2, -1), False, 2, None, WORKERS)

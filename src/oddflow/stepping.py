@@ -5,10 +5,11 @@ exp(-eps |k|^4 dt) of the constant-coefficient hyperviscous part used as an
 integrating factor on u; the variable-coefficient remainder
 eps (1/rho - 1) Lap^2 u stays in the explicit right-hand side.  Each stage
 state has its variable-coefficient pressure problem solved once, each
-stage's CG warm-started by its StageGuess from a base plus the quadratic
-extrapolation of that base's error over the last three steps (see step);
-stage 1 shares the solve of an observer, which starts from the same
-guess, so a run's bits do not depend on which states are observed.  The
+stage's CG warm-started by its StageGuess from a base plus an extrapolation
+of that base's error over the last steps, to the depth that would have
+served the stage best (see step); stage 1 shares the solve of an
+observer, which starts from the same guess, so a run's bits do not depend
+on which states are observed.  The
 momentum right-hand side takes the pressure force T[(1/rho) grad pi] that
 the solve accumulated (pressure.PressureSolution), so a stage transforms
 nothing for it.  The velocity is re-projected divergence-free at the end
@@ -17,6 +18,7 @@ of the step.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -94,43 +96,93 @@ def _check_finite(state: FlowState):
                                quantity="NaN/Inf")
 
 
-# Weights of the coefficients c, c', c'' (newest first) in their extrapolation
-_EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
-_DEPTH = len(_EXTRAPOLATION)  # coefficients kept per stage
+_DEPTH = 5  # backward differences kept per stage: guesses up to quartic
+# sqrt(C(2d, d)): the factor by which a depth-d guess's error carries white
+# noise in the coefficients (the new one's and the d extrapolated ones')
+_NOISE_GAIN = tuple(math.sqrt(math.comb(2 * d, d)) for d in range(1, _DEPTH + 1))
+
+
+@functools.cache
+def _laplacian_sq(n: int, m: int) -> np.ndarray:
+    """|k|^4 on the columns k2 = 0..m-1 of an n-row half-spectrum."""
+    k1 = np.fft.fftfreq(n, 1.0 / n)
+    return (k1[:, None] ** 2 + np.arange(m) ** 2) ** 2
 
 
 class StageGuess:
-    """One RK stage's warm start: its base b's error coefficients (P - b) / h^2,
-    newest first and at most _DEPTH, and the base and h^2 of its pending guess."""
+    """One RK stage's warm start from the error coefficients c = (P - b) / h^2
+    of its base b: the backward differences [c, dc, ..., d^(k-1) c] of the
+    newest c (k <= _DEPTH), each depth's score, the depth of the next guess,
+    and the base, h^2 and array of its pending guess.
 
-    __slots__ = ("errors", "base", "h_sq")
+    The depth-d guess is b + h^2 (c + dc + ... + d^(d-1) c), the polynomial
+    of degree d - 1 through the last d coefficients extrapolated one step.
+    The next coefficient's table entry d^j c' is c' less the depth-j sum,
+    the error of the depth-j guess, so a record yields the error of every
+    depth 1..k-1 for free (and of depth _DEPTH from its guess, when used).
+    A depth scores ||Lap error||, which approximates the residual its guess
+    leaves, times its noise gain, averaged over steps with weight 1/2; the
+    next guess takes the best depth (ties to the shallower), one deeper
+    when the deepest scored depth is best.  The gain charges each depth for
+    the CG's noise at its tolerance, which its guess carries on and whose
+    share of the error the solve started from that guess keeps.  So a
+    stage with one or two coefficients extrapolates them constantly or
+    linearly, and smooth errors are followed to higher order while noisy
+    ones are kept at a low one."""
+
+    __slots__ = ("table", "scores", "depth", "base", "h_sq", "pending")
 
     def __init__(self):
-        self.errors, self.base, self.h_sq = [], None, None
+        self.table, self.scores, self.depth = [], [], 0
+        self.base = self.h_sq = self.pending = None
 
     def guess(self, base: np.ndarray, h_sq: float) -> np.ndarray:
-        """base + h^2 (3 c - 3 c' + c'') from three coefficients c, c', c''
-        (newest first), base + h^2 (2 c - c') from two, base + h^2 c from
-        one, base from none.  With three, the guess overwrites c''."""
+        """base + h^2 times the sum of the first depth table entries, or base
+        with an empty table.  With a full table the guess overwrites the
+        deepest entry, which no later guess or record reads."""
         self.base, self.h_sq = base, h_sq
-        if not self.errors:
+        if not self.depth:
             return base
-        *newer, oldest = self.errors
-        weights = _EXTRAPOLATION[len(self.errors)]
-        out = np.multiply(oldest, weights[-1], out=oldest if len(weights) == _DEPTH else None)
-        for w, c in zip(weights, newer):
-            out += w * c
+        *shallower, deepest = self.table[:self.depth]
+        out = self.table[-1] if len(self.table) == _DEPTH else np.empty_like(deepest)
+        np.copyto(out, deepest)
+        for entry in reversed(shallower):
+            out += entry
         out *= h_sq
         out += base
+        self.pending = out
         return out
 
     def record(self, potential: np.ndarray) -> None:
-        """Put (potential - base) / h^2 first, keeping at most _DEPTH; with
-        a full ring it overwrites the spent guess.  The base is released."""
-        full = len(self.errors) == _DEPTH
-        new = np.subtract(potential, self.base, out=self.errors[-1] if full else None)
+        """Difference the coefficient (potential - base) / h^2, written into
+        the spent guess's array, through the table (in place, deepest entry
+        dropped when full), score each depth and choose the next guess's.
+        The base and the guess are released."""
+        weight = _laplacian_sq(*potential.shape)
+        scores = self.scores
+
+        def score(depth, error, scale=1.0):
+            value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(
+                np.vdot(error, weight * error).real)
+            if depth > len(scores):
+                scores.append(value)
+            else:
+                scores[depth - 1] = 0.5 * (scores[depth - 1] + value)
+
+        new = self.pending
+        if self.depth == _DEPTH:  # the one depth whose error the table lacks
+            score(_DEPTH, np.subtract(potential, new, out=new), 1.0 / self.h_sq)
+        new = np.subtract(potential, self.base, out=new)
         new *= 1.0 / self.h_sq
-        self.errors, self.base = [new, *self.errors[:_DEPTH - 1]], None
+        older = self.table[:_DEPTH - 1]
+        self.table = [new]
+        for depth, entry in enumerate(older, 1):
+            error = np.subtract(self.table[-1], entry, out=entry)
+            self.table.append(error)
+            score(depth, error)
+        best = min(range(1, len(scores) + 1), key=lambda d: scores[d - 1], default=0)
+        self.depth = best + 1 if best == len(scores) < len(self.table) else best
+        self.base = self.pending = None
 
 
 @dataclass(slots=True)
@@ -151,7 +203,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     last step's P4 (b1), P1 + (h/2) times the last step's rate (b2), P2
     (b3) and 2 P3 - P1 (b4).  Each base's error P_i - b_i scales as h^2,
     so stage i's StageGuess records c_i = (P_i - b_i) / h^2 and guesses b_i
-    plus h^2 times the c_i of the last three steps extrapolated to this one.
+    plus h^2 times the c_i of up to the last five steps extrapolated to
+    this one, at the depth its scores chose.
     Stage 1's guess is fixed on the new state, scaled by this step's h, and
     recorded at the start of the next step; so observe solves a state as
     stage 1 does, and a run's bits do not depend on which states are

@@ -1,7 +1,10 @@
+import collections
+import functools
+
 import numpy as np
 import pytest
 
-from oddflow import spectral
+from oddflow import dynamics, spectral
 from oddflow.dynamics import (
     FlowState,
     bilinear_B,
@@ -214,6 +217,31 @@ class TestGoodUnknowns:
         gu = good_unknowns(st)
         recon = gu.eta - laplacian(dealias(st.rho_dev))
         assert np.max(np.abs(recon.coeffs - gu.theta.coeffs)) == 0.0
+
+
+class TestBuiltOncePerState:
+    def test_observe_and_stage_1_share_them(self, grid32, monkeypatch):
+        """observe reads the good unknowns twice (energy functionals and
+        theta_rhs) and the density RHS once (residual_theta); stage 1 of
+        the next step reads the density RHS again.  Each is built once per
+        state, and stages 2-4 build their own density RHS."""
+        from oddflow.diagnostics import observe
+        from oddflow.stepping import StepperConfig, step
+
+        built = collections.Counter()
+        for name in ("good_unknowns", "density_rhs"):
+            def counted(fields, build=getattr(dynamics.Fields, name).func, name=name):
+                built[name] += 1
+                return build(fields)
+            prop = functools.cached_property(counted)
+            prop.__set_name__(dynamics.Fields, name)
+            monkeypatch.setattr(dynamics.Fields, name, prop)
+        st = make_state(grid32, 5, "half_band")
+        observe(st, 2.5)
+        assert built == {"good_unknowns": 1, "density_rhs": 1}
+        assert good_unknowns(st) is good_unknowns(st) and density_rhs(st) is density_rhs(st)
+        step(st, StepperConfig(dt=1e-3))
+        assert built == {"good_unknowns": 1, "density_rhs": 4}
 
 
 class TestMomentumRhs:

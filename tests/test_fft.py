@@ -28,6 +28,28 @@ def test_fft_workers_reads_oddflow_threads(monkeypatch):
     assert fft.fft_workers() == 1
 
 
+def test_transforms_pass_the_workers_read_at_import(monkeypatch):
+    """ODDFLOW_THREADS is parsed once, when the module is imported: the
+    transforms hand the kernels WORKERS and never parse it again."""
+    seen = []
+
+    def kernel(*args):
+        seen.append(args[-1])
+
+    def parse():
+        raise AssertionError("ODDFLOW_THREADS parsed by a transform")
+
+    for name in KERNELS:
+        monkeypatch.setattr(fft, name, kernel)
+    monkeypatch.setattr(fft, "fft_workers", parse)
+    monkeypatch.setattr(fft, "WORKERS", 3)
+    x = np.zeros((8, 8))
+    fft.rfft2(x)
+    fft.irfft2(x[:, :5])
+    fft.ifft2(x)
+    assert seen == [3, 3, 3]
+
+
 def layouts(rng, n, cols, dtype):
     """An (n, cols) and a stacked (2, n, cols) array, each contiguous and as
     a non-contiguous view of a wider array's leading columns."""
@@ -50,7 +72,7 @@ def kernels(request, monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", [32, 64, 128, 192])
 def test_bits_equal_scipy_fft(kernels, monkeypatch, n, threads):
-    monkeypatch.setenv("ODDFLOW_THREADS", str(threads))
+    monkeypatch.setattr(fft, "WORKERS", threads)
     rng = np.random.default_rng(n + threads)
     for x in layouts(rng, n, n, float):
         expected = scipy.fft.rfft2(x, norm="forward", workers=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oddflow import app_io
+from oddflow import app_io, fft
 from oddflow.dynamics import FlowState
 from oddflow.errors import GridMismatchError, HermitianSymmetryError, MeanModeError
 from oddflow.spectral import (
@@ -340,10 +340,10 @@ class TestWorkerDeterminism:
     def test_results_independent_of_fft_workers(self, grid64, monkeypatch):
         f = random_band_field(grid64, 60)
         g = random_band_field(grid64, 61)
-        monkeypatch.setenv("ODDFLOW_THREADS", "1")
+        monkeypatch.setattr(fft, "WORKERS", 1)
         p1 = dealiased_product(f, g)
         n1 = l2_norm(p1)
-        monkeypatch.setenv("ODDFLOW_THREADS", "4")
+        monkeypatch.setattr(fft, "WORKERS", 4)
         p2 = dealiased_product(f, g)
         assert np.array_equal(p1.coeffs, p2.coeffs)
         assert l2_norm(p2) == n1

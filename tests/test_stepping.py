@@ -26,14 +26,14 @@ from conftest import shear_state_fields
 
 def history_arrays(state: FlowState) -> list:
     """The band-column arrays of a state's pressure guess and history: the
-    rate and each stage's pending base and error coefficients.  The guess
-    is stage 1's base itself after a step from a state without one, and one
-    of stage 1's coefficient arrays once that stage keeps three."""
+    rate and each stage's pending base and difference table.  The guess
+    is stage 1's base itself after a step from a state without one, and
+    the deepest entry of stage 1's table once that table is full."""
     past = state.pressure_history
     if past is None:
         return []
     return [state.pressure_guess, past.rate,
-            *(a for s in past.stages for a in (s.base, *s.errors) if a is not None)]
+            *(a for s in past.stages for a in (s.base, *s.table) if a is not None)]
 
 
 def shear(grid, eps=0.0):
@@ -204,7 +204,7 @@ class TestStep:
         cfg = StepperConfig(dt=1e-3)
         gc.disable()
         try:
-            for k in range(6):  # the history is full from the fourth step on
+            for k in range(8):  # the history is full from the sixth step on
                 for kind in made:
                     made[kind].clear()
                 held = [weakref.ref(a) for a in history_arrays(st)]
@@ -213,10 +213,10 @@ class TestStep:
                 assert alive("fields") == [out._fields] and alive("solution") == []
                 arrays = history_arrays(out)
                 assert all(a.shape == (32, 32 // 3 + 1) for a in arrays)
-                assert len({id(a) for a in arrays}) == (4, 9, 13, full, full, full)[k]
+                assert len({id(a) for a in arrays}) == (4, 9, 13, 17, 21, full, full, full)[k]
                 survivors = {id(r()) for r in held if r() is not None}
                 assert survivors <= {id(a) for a in arrays}
-                if k >= 4:
+                if k >= 6:
                     base = out.pressure_history.stages[0].base
                     assert {id(a) for a in arrays if a is not base} == survivors
                 assert st._fields is None and not st.solved
@@ -267,6 +267,30 @@ class TestStep:
         for k in range(0, len(named), 4):
             assert named[k] == (None, "concus_golub")
             assert named[k + 1:k + 4] == [("concus_golub", "concus_golub")] * 3
+
+    def test_stage_depths_cut_observed_iterations(self, monkeypatch):
+        """The observe_n64 benchmark's run (random_bandlimited, a = 0.5,
+        n = 64, dt = 2e-3, seed 3, 20 steps, every state observed) makes at
+        most 330 CG iterations over all its solves: 405 with every stage
+        at the quadratic depth, 294 with each stage's depth chosen from
+        its scores."""
+        from oddflow import diagnostics
+
+        iterations = []
+
+        def counted(state, **kwargs):
+            solution = solve_pressure(state, **kwargs)
+            iterations.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(stepping, "solve_pressure", counted)
+        monkeypatch.setattr(diagnostics, "solve_pressure", counted)
+        st = init_scenario(RunConfig(grid_n=64, t_end=0.0, seed=3, scenario={
+            "name": "random_bandlimited", "a": 0.5}))
+        run(st, StepperConfig(dt=2e-3, t_end=0.04),
+            observers=[lambda s, i: observe(s, 2.5)])
+        assert len(iterations) == 21 + 3 * 20
+        assert sum(iterations) <= 330
 
     def test_preconditioner_rule_once_per_step(self, monkeypatch):
         """A stage-1 solve whose guess meets the tolerance applies no
@@ -351,45 +375,84 @@ class TestStep:
 
 
 class TestStageGuess:
-    """The extrapolation weights on a zero base with h = 0.5, so h^2 and the
+    """The difference table on a zero base with h = 0.5, so h^2 and the
     small-integer coefficients below are held exactly."""
 
     h_sq = 0.5 * 0.5
     offsets = np.arange(8.0).reshape(2, 4) * (1 + 2j)  # a different value per entry
 
-    @pytest.mark.parametrize("records, coefficient", [
-        (3, lambda k: 2 * k * k - 3 * k + 1),
-        (2, lambda k: 5 - 3 * k),
-        (1, lambda k: 7 + 0 * k),
-    ], ids=["quadratic", "linear", "constant"])
-    def test_guess_is_the_next_coefficient(self, records, coefficient):
-        """After as many records as the sequence's degree plus one, and on
-        every step after that as the ring fills and wraps, the guess is the
-        next coefficient times h^2, bit for bit."""
+    @pytest.mark.parametrize("degree, coefficient", [
+        (4, lambda k: k ** 4 - 2 * k ** 3 + 3 * k - 4),
+        (3, lambda k: k ** 3 - 4 * k * k + 2),
+        (2, lambda k: 2 * k * k - 3 * k + 1),
+        (1, lambda k: 5 - 3 * k),
+        (0, lambda k: 7 + 0 * k),
+    ], ids=["quartic", "cubic", "quadratic", "linear", "constant"])
+    def test_guess_is_the_next_coefficient(self, degree, coefficient):
+        """On a polynomial sequence of coefficients the chosen depth
+        reaches degree + 1 and stays there, and from the first guess that
+        deep on, every guess is the next coefficient times h^2, bit for
+        bit, as the table fills and then overwrites its deepest entry."""
+        base = np.zeros((2, 4), dtype=complex)
+        stage = StageGuess()
+        exact = False
+        for k in range(16):
+            c = coefficient(k + self.offsets)
+            exact = exact or stage.depth >= degree + 1
+            guess = stage.guess(base, self.h_sq)
+            if exact:
+                assert np.array_equal(guess, self.h_sq * c), k
+            stage.record(base + self.h_sq * c)
+            assert np.array_equal(stage.table[0], c) and stage.base is None
+        assert stage.depth == degree + 1
+
+    def test_table_holds_the_errors_of_every_depth(self):
+        """Entry j of the table after a record is the new coefficient less
+        the depth-j guess's sum over the old table."""
         base = np.zeros((2, 4), dtype=complex)
         stage = StageGuess()
         for k in range(7):
-            c = coefficient(k + self.offsets)
-            guess = stage.guess(base, self.h_sq)
-            if k >= records:
-                assert np.array_equal(guess, self.h_sq * c), k
+            kept = [entry.copy() for entry in stage.table]  # guess overwrites one
+            c = (k * k * k + 3) * self.offsets
+            stage.guess(base, self.h_sq)
             stage.record(base + self.h_sq * c)
-            assert np.array_equal(stage.errors[0], c) and stage.base is None
+            for j, entry in enumerate(stage.table):
+                assert np.array_equal(entry, c - sum(kept[:j], np.zeros_like(c))), (k, j)
+
+    def test_noise_settles_at_depth_1(self):
+        """A slowly varying sequence under white noise of a larger size
+        scores the constant guess best: deeper guesses carry the noise
+        with gains sqrt(5), sqrt(19), ..."""
+        rng = np.random.default_rng(7)
+        shape = (16, 6)
+        smooth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        base = np.zeros(shape, dtype=complex)
+        stage = StageGuess()
+        depths = []
+        for k in range(40):
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stage.guess(base, self.h_sq)
+            stage.record(base + self.h_sq * (smooth * (1 + 1e-3 * k) + 0.1 * noise))
+            depths.append(stage.depth)
+        assert depths[10:] == [1] * 30
 
     def test_full_ring_records_into_the_guess(self):
-        """With three coefficients kept, guess overwrites the oldest and
-        record writes the new coefficient into that same array."""
+        """With a full table, guess overwrites the deepest entry and record
+        writes the new coefficient into that same array: the table's
+        arrays are reused, none is allocated."""
         base = np.zeros((2, 4), dtype=complex)
         stage = StageGuess()
-        for k in range(3):
+        for k in range(8):
             stage.guess(base, self.h_sq)
-            stage.record(base + self.h_sq * (k + self.offsets))
-        kept = stage.errors
+            stage.record(base + self.h_sq * (k * k + self.offsets))
+        kept = list(stage.table)
+        assert len(kept) == 5
         guess = stage.guess(base, self.h_sq)
         assert guess is kept[-1]
-        stage.record(base + self.h_sq * (3 + self.offsets))
-        assert [id(c) for c in stage.errors] == [id(guess), id(kept[0]), id(kept[1])]
-        assert np.array_equal(guess, 3 + self.offsets)
+        stage.record(base + self.h_sq * (64 + self.offsets))
+        assert stage.table[0] is guess
+        assert {id(a) for a in stage.table} == {id(a) for a in kept}
+        assert np.array_equal(guess, 64 + self.offsets)
 
 
 class TestStepperConfig:
