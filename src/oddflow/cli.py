@@ -1,18 +1,20 @@
 """Command-line interface: run, verify, twin, sweep-eps, norms.
 
-Exit codes: 0 success, 1 validation/config error (including a bad
-command-line argument, a bad or missing checkpoint, or an initial state the
-grid cannot resolve) and `verify` suites that fail their bounds, 2 runtime
-abort (vacuum breach, NaN, solver failure, a non-finite `norms` table, out
-of memory).  Every package error ends in one line on stderr, and every
-warning is one `warning:` line there.  An aborted `run` still writes the
-diagnostics rows it collected and its last good state (checkpoint_abort.bin).
+Exit codes follow the error class alone: 0 success, 1 a ValidationError
+(a bad config, command-line argument or checkpoint, or an initial state the
+grid cannot resolve) and `verify` suites that fail their bounds, 2 any
+other package error (vacuum breach, NaN, solver failure, a non-finite
+`norms` table) and a MemoryError.  Every such error ends in one line on
+stderr, and every warning is one `warning:` line there; a builtin exception
+from a defect, a ValueError from NumPy among them, is not caught.  An
+aborted `run` still writes the diagnostics rows it collected and its last
+good state (checkpoint_abort.bin).  `twin` steps its two states through
+the loop `run` uses (stepping.trajectory).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import warnings
@@ -21,23 +23,11 @@ import numpy as np
 
 from . import app_io, diagnostics
 from .dynamics import good_unknowns
-from .errors import (
-    GridMismatchError,
-    HermitianSymmetryError,
-    MeanModeError,
-    OddflowError,
-    RuntimeAbort,
-    ValidationError,
-)
+from .errors import OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import besov_norm, sobolev_norm
 from .spectral import l2_norm
-from .stepping import StepperConfig, cfl_dt, run as integrate
+from .stepping import run as integrate
 from .verify import run_all
-
-
-def _stepper_config(cfg: app_io.RunConfig) -> StepperConfig:
-    return StepperConfig(dt=cfg.dt, t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
-                         vacuum_floor=cfg.vacuum_floor)
 
 
 def _argument(ok: bool, name: str, rule: str, value) -> None:
@@ -49,7 +39,6 @@ def _argument(ok: bool, name: str, rule: str, value) -> None:
 def cmd_run(args) -> int:
     cfg = app_io.load_config(args.config)
     state = app_io.init_scenario(cfg)
-    scfg = _stepper_config(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     rows = []
@@ -77,7 +66,7 @@ def cmd_run(args) -> int:
                 fh.write(app_io.csv_to_dat(csv_text))
 
     try:
-        final = integrate(state, scfg, observers=[observer])
+        final = integrate(state, cfg.stepper(), observers=[observer])
     except OddflowError:
         # an aborted run keeps the rows it collected and its last good state
         write_rows()
@@ -113,14 +102,10 @@ def cmd_twin(args) -> int:
     band = args.band or max(2, cfg.grid_n // 16)
     _argument(1 <= band <= cut, "--band", f"must lie in the dealiased band [1, {cut}]", band)
     state = app_io.init_scenario(cfg)
-    scfg = _stepper_config(cfg)
-    if scfg.dt is None:
-        # twins must share the step sequence, so freeze dt from the base state
-        scfg = dataclasses.replace(scfg, dt=cfg.cfl_safety * cfl_dt(state) * 0.9)
     grid = state.grid
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
     du = app_io.random_divergence_free(grid, cfg.seed, 3, band, args.amplitude)
-    records = diagnostics.twin_run_stability(state, scfg, drho, du,
+    records = diagnostics.twin_run_stability(state, cfg.stepper(), drho, du,
                                              observe_every=cfg.observe_every)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "twin.csv")
@@ -139,8 +124,7 @@ def cmd_sweep_eps(args) -> int:
         raise ValidationError(f"bad --eps list {args.eps!r}") from exc
     _argument(np.all(np.isfinite(eps_list)), "--eps", "values must be finite", args.eps)
     state = app_io.init_scenario(cfg)
-    scfg = _stepper_config(cfg)
-    table = diagnostics.epsilon_sweep(state, scfg, eps_list)
+    table = diagnostics.epsilon_sweep(state, cfg.stepper(), eps_list)
     os.makedirs(cfg.output_dir, exist_ok=True)
     print(f"{'eps_high':>12} {'eps_low':>12} {'|du|_L2':>14} {'|drho|_L2':>14}")
     for row in table:
@@ -241,8 +225,7 @@ def _dispatch(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError, HermitianSymmetryError, GridMismatchError,
-            MeanModeError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OddflowError as exc:

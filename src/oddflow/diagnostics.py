@@ -32,7 +32,7 @@ from .spectral import (
     sup_norm,
     sup_norm_vector,
 )
-from .stepping import StepperConfig, run
+from .stepping import StepperConfig, run, trajectory
 
 DIAGNOSTIC_FIELDS = (
     "t", "kinetic", "rho_l2", "rho_min", "rho_max", "E", "F", "G",
@@ -197,35 +197,20 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
                        rho_perturbation: SpectralScalar,
                        u_perturbation: SpectralVector,
                        observe_every: int = 1) -> list[StabilityRecord]:
-    """Run the base and perturbed trajectories side by side and collect the
-    difference energies D(t), Theta(t)."""
+    """Step the base and the perturbed state in lockstep along
+    stepping.trajectory, one step size for both (config.dt, or cfl_safety
+    times the smaller of their CFL bounds), and record the difference
+    energies D(t), Theta(t) every observe_every steps and at the end, as
+    each pair arrives; no earlier pair is kept."""
     up, _ = leray_project(u_perturbation)  # keep the perturbed state admissible
     pert = FlowState(initial.t, initial.rho_dev + rho_perturbation,
                      initial.u + up, initial.epsilon, initial.odd_sign)
-
-    base_states: list[FlowState] = []
-    pert_states: list[FlowState] = []
-
-    def grab(bucket, every):
-        def obs(state, idx):
-            if idx % every == 0:
-                bucket.append(state)
-        return obs
-
-    final_a = run(initial, config, observers=[grab(base_states, observe_every)])
-    final_b = run(pert, config, observers=[grab(pert_states, observe_every)])
-    if base_states[-1].t != final_a.t:
-        base_states.append(final_a)
-        pert_states.append(final_b)
-
     records = []
-    for sa, sb in zip(base_states, pert_states):
-        if abs(sa.t - sb.t) > 1e-12:
-            raise ValidationError("twin trajectories desynchronized "
-                                  f"({sa.t} vs {sb.t}); use a fixed dt")
-        records.append(stability_record(sa, sb))
-        sa.drop_cache()  # the lists keep every state, not its grid samples
-        sb.drop_cache()
+    for index, pair in trajectory((initial, pert), config):
+        if index % observe_every == 0:
+            records.append(stability_record(*pair))
+    if index % observe_every:
+        records.append(stability_record(*pair))
     return records
 
 

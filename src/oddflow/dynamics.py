@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, RuntimeAbort, UnsolvedPressureError
+from .errors import GridMismatchError, RuntimeAbort, UnsolvedPressureError, ValidationError
 from .spectral import (
     Grid,
     SpectralScalar,
@@ -76,11 +76,11 @@ class FlowState:
         if rho_dev.grid != u.grid:
             raise GridMismatchError("rho and u live on different grids")
         if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t}")
+            raise ValidationError(f"t must be finite, got {t}")
         if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+            raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
         if odd_sign not in (1, 0, -1):
-            raise ValueError("odd_sign must be +1, 0 or -1")
+            raise ValidationError("odd_sign must be +1, 0 or -1")
         self.t = float(t)
         self.rho_dev = rho_dev
         self.u = u

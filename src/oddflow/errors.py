@@ -5,8 +5,9 @@ class OddflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ValidationError(OddflowError):
-    """Bad configuration, malformed file, or invalid argument."""
+class ValidationError(OddflowError, ValueError):
+    """Bad configuration, malformed file, or invalid argument; a ValueError,
+    so that callers catching the builtin class still catch it."""
 
 
 class GridMismatchError(OddflowError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fft as _fft
-from .errors import GridMismatchError, HermitianSymmetryError, MeanModeError
+from .errors import GridMismatchError, HermitianSymmetryError, MeanModeError, ValidationError
 
 
 class Grid:
@@ -48,7 +48,7 @@ class Grid:
 
     def __init__(self, n: int):
         if n < 8 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {n}")
+            raise ValidationError(f"grid size must be even and >= 8, got {n}")
         self.n = int(n)
         self.dealias_cutoff = n // 3
         k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0..n/2-1, -n/2..-1
@@ -184,7 +184,7 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
             f"sample array {samples.shape} does not match grid n={grid.n}"
         )
     if np.iscomplexobj(samples):
-        raise ValueError("forward_transform expects real samples")
+        raise ValidationError("forward_transform expects real samples")
     coeffs = _hermitian_column(_fft.rfft2(np.asarray(samples, dtype=np.float64)))
     coeffs[grid.n // 2] = 0.0
     coeffs[:, -1] = 0.0

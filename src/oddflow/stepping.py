@@ -13,7 +13,9 @@ on which states are observed.  The
 momentum right-hand side takes the pressure force T[(1/rho) grad pi] that
 the solve accumulated (pressure.PressureSolution), so a stage transforms
 nothing for it.  The velocity is re-projected divergence-free at the end
-of the step.
+of the step.  One loop, trajectory, chooses each step's size and steps a
+tuple of states in lockstep: run steps one state, and
+diagnostics.twin_run_stability a pair.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
-from .errors import RuntimeAbort
+from .errors import RuntimeAbort, ValidationError
 from .pressure import solve_pressure
 from .spectral import dealias_vector, leray_project, sup_magnitude
 
@@ -45,13 +47,13 @@ class StepperConfig:
 
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+            raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (0 < self.cfl_safety <= 1):
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise ValidationError("cfl_safety must lie in (0, 1]")
         if not (0 < self.vacuum_floor < 1):
-            raise ValueError(f"vacuum_floor must lie in (0, 1), got {self.vacuum_floor}")
+            raise ValidationError(f"vacuum_floor must lie in (0, 1), got {self.vacuum_floor}")
 
 
 def linear_factor(k_sq: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
@@ -220,7 +222,7 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     arrays, no stage state."""
     h = config.dt if dt is None else dt
     if h is None or not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step needs a positive finite dt, got {h}")
+        raise ValidationError(f"step needs a positive finite dt, got {h}")
 
     g = state.grid
     eps = state.epsilon
@@ -286,31 +288,41 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     return out
 
 
-def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
-    """Integrate to t_end, calling each observer as observer(state, step_index).
+def trajectory(states: tuple[FlowState, ...], config: StepperConfig):
+    """Step a tuple of states to t_end in lockstep, yielding (index, states)
+    at the start (index 0) and after every step; only the current states
+    are held.
 
-    Observers fire on the initial state (index 0) and after every step, on
-    the new state that step held above config.vacuum_floor; the trajectory
-    is deterministic for a given configuration.  The CFL bound is computed
-    once per step: it sets an automatic dt, and the first step whose fixed
-    dt exceeds it draws a RuntimeWarning, once per run.
-    """
-    state = initial
-    for obs in observers:
-        obs(state, 0)
-
+    Every state takes one step size: config.dt, or cfl_safety times the
+    smallest of their CFL bounds (computed once per step), clamped to
+    t_end.  The first step whose fixed dt exceeds that bound draws a
+    RuntimeWarning, once per trajectory, pointed at the caller of the
+    generator's consumer (run or diagnostics.twin_run_stability)."""
     index = 0
     warned = False
-    while state.t < config.t_end - 1e-14:
-        bound = cfl_dt(state)
+    yield index, states
+    while states[0].t < config.t_end - 1e-14:
+        bound = min(cfl_dt(state) for state in states)
         h = config.cfl_safety * bound if config.dt is None else config.dt
-        h = min(h, config.t_end - state.t)
+        h = min(h, config.t_end - states[0].t)
         if h > bound and not warned:
             warned = True
             warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
-                          RuntimeWarning, stacklevel=2)
-        state = step(state, config, dt=h)
+                          RuntimeWarning, stacklevel=3)
+        states = tuple(step(state, config, dt=h) for state in states)
         index += 1
+        yield index, states
+
+
+def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:
+    """Integrate to t_end along trajectory, calling each observer as
+    observer(state, step_index).
+
+    Observers fire on the initial state (index 0) and after every step, on
+    the new state that step held above config.vacuum_floor; the trajectory
+    is deterministic for a given configuration.
+    """
+    for index, (state,) in trajectory((initial,), config):
         for obs in observers:
             obs(state, index)
     return state

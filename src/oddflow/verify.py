@@ -21,6 +21,7 @@ from .dynamics import (
     residual_theta,
     trilinear_T,
 )
+from .errors import ValidationError
 from .littlewood_paley import (
     bony_reconstruction,
     build_partition,
@@ -84,7 +85,7 @@ def make_state(grid: Grid, seed: int, profile: str = "half_band",
                                  power=0.6 * p_edge, sup_amplitude=0.22)
         om = random_band_scalar(grid, seed, 1, cut - 1, power=p_edge)
     else:
-        raise ValueError(f"unknown profile {profile!r}")
+        raise ValidationError(f"unknown profile {profile!r}")
     u = biot_savart(om)
     sup = sup_norm_vector(u)
     if sup > 0:
@@ -96,7 +97,7 @@ def restrict_state(state: FlowState, grid: Grid) -> FlowState:
     """Re-discretize a state on a coarser grid (drop unrepresentable modes,
     then apply the coarse grid's Nyquist and dealias truncation)."""
     if grid.n > state.grid.n:
-        raise ValueError("restriction only goes to coarser grids")
+        raise ValidationError("restriction only goes to coarser grids")
 
     def restrict(f: SpectralScalar) -> SpectralScalar:
         return dealias(resample(f, grid) * grid.keep_mask)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,15 @@ from oddflow.errors import ValidationError
 from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     SpectralVector,
+    biot_savart,
     forward_transform,
     laplacian,
+    leray_project,
     l2_norm,
     l2_norm_vector,
     zero_scalar,
 )
-from oddflow.stepping import StepperConfig
+from oddflow.stepping import StepperConfig, cfl_dt, run
 from oddflow.verify import make_state, random_band_scalar
 
 from conftest import shear_state_fields
@@ -215,7 +219,6 @@ class TestStabilityRecords:
         st = make_state(grid64, 3, "half_band")
         drho = random_band_scalar(grid64, 11, 200, 4, sup_amplitude=1e-3)
         du_src = random_band_scalar(grid64, 11, 201, 4, sup_amplitude=1e-3)
-        from oddflow.spectral import biot_savart
         du = biot_savart(du_src)
         pert = FlowState(st.t, st.rho_dev + drho, st.u + du, st.epsilon, st.odd_sign)
         rec = stability_record(st, pert)
@@ -236,22 +239,47 @@ class TestStabilityRecords:
 
 
 class TestTwinRun:
-    def test_kept_states_hold_no_cache(self, grid32, monkeypatch):
-        """The states a twin run keeps hold neither grid samples nor a
-        pressure solution."""
-        kept = []
+    def test_keeps_no_trajectory(self, grid32, monkeypatch):
+        """The twins step in lockstep and keep no earlier pair: when the last
+        record is built, no state recorded after the first step is alive."""
+        refs, alive = [], []
         record = diagnostics.stability_record
 
-        def keeping(sa, sb):
-            kept.extend((sa, sb))
+        def recording(sa, sb):
+            alive.append([r() is not None for pair in refs[1:] for r in pair])
+            refs.append((weakref.ref(sa), weakref.ref(sb)))
             return record(sa, sb)
 
-        monkeypatch.setattr(diagnostics, "stability_record", keeping)
+        monkeypatch.setattr(diagnostics, "stability_record", recording)
         st = make_state(grid32, 6, "half_band")
         twin_run_stability(st, StepperConfig(dt=0.01, t_end=0.03), zero_scalar(grid32),
                            SpectralVector(zero_scalar(grid32), zero_scalar(grid32)))
-        assert len(kept) == 8
-        assert all(s._fields is None and not s.solved for s in kept)
+        assert len(refs) == 4
+        assert alive[-1] == [False] * 4  # the pairs of steps 1 and 2
+
+    def test_automatic_dt(self, grid32):
+        """A twin with dt = None and a zero perturbation keeps D = 0 on the
+        times that run steps through."""
+        st = make_state(grid32, 6, "half_band")
+        cfg = StepperConfig(dt=None, t_end=0.1)
+        times = []
+        run(st, cfg, observers=[lambda state, index: times.append(state.t)])
+        recs = twin_run_stability(st, cfg, zero_scalar(grid32),
+                                  SpectralVector(zero_scalar(grid32), zero_scalar(grid32)))
+        assert len(times) > 2 and [r.t for r in recs] == times
+        assert all(r.D == 0.0 for r in recs)
+
+    def test_automatic_dt_takes_the_smaller_bound(self, grid32):
+        """Twins whose bounds differ step together, by cfl_safety times the
+        smaller bound, to t_end."""
+        st = make_state(grid32, 7, "half_band")
+        drho = random_band_scalar(grid32, 12, 202, 3, sup_amplitude=1e-3)
+        du = biot_savart(random_band_scalar(grid32, 12, 203, 3, sup_amplitude=1e-3))
+        recs = twin_run_stability(st, StepperConfig(dt=None, t_end=0.1), drho, du)
+        pert = FlowState(st.t, st.rho_dev + drho, st.u + leray_project(du)[0])
+        assert cfl_dt(pert) != cfl_dt(st)
+        assert recs[1].t == 0.5 * min(cfl_dt(st), cfl_dt(pert))
+        assert recs[-1].t == pytest.approx(0.1) and all(r.D > 0.0 for r in recs)
 
     def test_zero_perturbation_zero_D(self, grid32):
         st = make_state(grid32, 6, "half_band")
@@ -268,9 +296,7 @@ class TestTwinRun:
         finals = {}
         for amp in (1e-3, 5e-4):
             drho = random_band_scalar(grid32, 12, 202, 3, sup_amplitude=amp)
-            from oddflow.spectral import biot_savart
-            du = biot_savart(random_band_scalar(grid32, 12, 203, 3,
-                                                sup_amplitude=amp))
+            du = biot_savart(random_band_scalar(grid32, 12, 203, 3, sup_amplitude=amp))
             recs = twin_run_stability(st, cfg, drho, du)
             finals[amp] = recs[-1].D
         ratio = finals[1e-3] / finals[5e-4]
@@ -287,7 +313,6 @@ class TestEpsilonSweep:
     def test_equal_eps_runs_coincide(self, grid32):
         # the sweep requires strictly decreasing eps; the underlying fact
         # that equal eps gives distance zero is checked on the runs directly
-        from oddflow.stepping import run
         st = make_state(grid32, 8, "half_band", epsilon=1e-3)
         cfg = StepperConfig(dt=0.01, t_end=0.02)
         f1 = run(st, cfg)

@@ -292,6 +292,39 @@ def test_no_check_switches(path):
     assert functions_taking(path.read_text(encoding="utf-8"), ["check"]) == []
 
 
+# A step size is chosen in one loop, stepping.trajectory: only stepping
+# reads the CFL bound.
+def cfl_references(source: str) -> list[str]:
+    """Where a module names cfl_dt: an import of it, a bare name or an
+    attribute read off a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [node.lineno for name in names if name == "cfl_dt"]
+    return [f"cfl_dt (line {line})" for line in sorted(found)]
+
+
+def test_detector_flags_cfl_references():
+    source = ("from .stepping import StepperConfig, cfl_dt as bound\n"
+              "from . import stepping\nimport oddflow.stepping.cfl_dt\n"
+              "h = stepping.cfl_dt(state)\nk = cfl_dt\ncfl = cfl_dtx(state)\n")
+    assert cfl_references(source) == [
+        "cfl_dt (line 1)", "cfl_dt (line 3)", "cfl_dt (line 4)", "cfl_dt (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "stepping.py"], ids=lambda p: p.name)
+def test_step_size_chosen_only_in_stepping(path):
+    assert cfl_references(path.read_text(encoding="utf-8")) == []
+
+
 # A module's _-prefixed names are its own: no module under src/oddflow takes
 # one from another oddflow module.
 def private_names_crossed(source: str) -> list[str]:

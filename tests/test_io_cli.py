@@ -491,7 +491,7 @@ class TestCli:
         self._assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("exc,code", [
-        (HermitianSymmetryError, 1), (GridMismatchError, 1), (MeanModeError, 1),
+        (HermitianSymmetryError, 1), (GridMismatchError, 2), (MeanModeError, 2),
         (OddflowError, 2), (MemoryError, 2),
     ])
     def test_package_errors_end_in_one_line(self, monkeypatch, capsys, exc, code):
