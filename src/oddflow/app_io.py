@@ -156,14 +156,25 @@ def _bandlimited_options(scenario: dict, n: int) -> tuple:
 
 
 def load_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ValidationError(f"config file {path!r} does not exist")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return validate_config(data)
+
+
+def make_output_dir(path: str) -> None:
+    """Create the output directory (and its parents) unless it exists;
+    ValidationError when the system refuses, e.g. where a file has the name."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +182,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, stream); ValidationError unless the
+    seed fits the key's 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 

@@ -39,7 +39,7 @@ def _argument(ok: bool, name: str, rule: str, value) -> None:
 def cmd_run(args) -> int:
     cfg = app_io.load_config(args.config)
     state = app_io.init_scenario(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    app_io.make_output_dir(cfg.output_dir)
 
     rows = []
     observed = []
@@ -105,9 +105,9 @@ def cmd_twin(args) -> int:
     grid = state.grid
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
     du = app_io.random_divergence_free(grid, cfg.seed, 3, band, args.amplitude)
+    app_io.make_output_dir(cfg.output_dir)
     records = diagnostics.twin_run_stability(state, cfg.stepper(), drho, du,
                                              observe_every=cfg.observe_every)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "twin.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(app_io.diagnostics_csv([(r.t, r.D, r.Theta) for r in records],
@@ -124,8 +124,8 @@ def cmd_sweep_eps(args) -> int:
         raise ValidationError(f"bad --eps list {args.eps!r}") from exc
     _argument(np.all(np.isfinite(eps_list)), "--eps", "values must be finite", args.eps)
     state = app_io.init_scenario(cfg)
+    app_io.make_output_dir(cfg.output_dir)
     table = diagnostics.epsilon_sweep(state, cfg.stepper(), eps_list)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     print(f"{'eps_high':>12} {'eps_low':>12} {'|du|_L2':>14} {'|drho|_L2':>14}")
     for row in table:
         print(f"{row['eps_high']:12.3e} {row['eps_low']:12.3e} "
@@ -152,7 +152,7 @@ def cmd_norms(args) -> int:
         ("theta", gu.theta),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
-        table = [(name, l2_norm(f), sobolev_norm(f, s), sobolev_norm(f, s, "lp_sum"),
+        table = [(name, l2_norm(f), sobolev_norm(f, s), besov_norm(f, s, 2, 2),
                   besov_norm(f, s, np.inf, np.inf))
                  for name, f in quantities]
     if not np.isfinite([row[1:] for row in table]).all():

@@ -146,19 +146,6 @@ def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     return rec
 
 
-def norm_equivalence_ratios(state: FlowState, s: float) -> tuple[float, float]:
-    """Measured ratios F / (E(1+E)) and E / (F(1+F^{s-1})).
-
-    The two-sided comparability of E and F holds with unspecified constants,
-    so these are reported (and bounded empirically in the tests), never
-    asserted against analytic values.
-    """
-    E, F, _ = energy_functionals(state, s)
-    if E == 0.0 or F == 0.0:
-        return 0.0, 0.0
-    return F / (E * (1.0 + E)), E / (F * (1.0 + F ** (s - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # twin-run stability
 
@@ -218,6 +205,8 @@ def epsilon_sweep(initial: FlowState, config: StepperConfig,
                   eps_list: list[float]) -> list[dict]:
     """Integrate the same initial state for each eps and report pairwise
     final-state L2 distances of u and rho between consecutive eps values."""
+    if len(eps_list) < 2:
+        raise ValidationError(f"eps_list needs at least two values, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
     if any(e < 0 for e in eps_list):

@@ -1,5 +1,5 @@
-"""Dyadic frequency decomposition, Bony paraproducts, and Sobolev/Besov/
-Chemin-Lerner norms.
+"""Dyadic frequency decomposition, Bony paraproducts, and Sobolev and Besov
+norms.
 
 The radial cutoff chi equals 1 for r <= 1.5, drops smoothly (exp(-1/t)
 bump transition) on [1.5, 2] and vanishes for r >= 2, so it is 1 on the unit
@@ -29,7 +29,6 @@ from .spectral import (
     dealiased_product,
     half_vdot,
     inverse_transform,
-    l2_norm,
 )
 
 
@@ -90,19 +89,10 @@ def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
 # norms
 
 
-def sobolev_norm(f: SpectralScalar, s: float, backend: str = "multiplier") -> float:
-    """H^s norm, either via the (1+|k|^2)^{s/2} multiplier or by the
-    weighted block sum sqrt(sum_j 2^{2js} ||D_j f||^2)."""
-    if backend == "multiplier":
-        w = (1.0 + f.grid.k_sq) ** s
-        return 2.0 * np.pi * float(np.sqrt(half_vdot(w * f.coeffs, f.coeffs)))
-    if backend == "lp_sum":
-        total = 0.0
-        for j, block in enumerate(dyadic_blocks(f), start=-1):
-            bn = l2_norm(block)
-            total += 4.0**(j * s) * bn * bn
-        return float(np.sqrt(total))
-    raise ValidationError(f"unknown sobolev backend {backend!r}")
+def sobolev_norm(f: SpectralScalar, s: float) -> float:
+    """H^s norm, by the (1+|k|^2)^{s/2} multiplier."""
+    w = (1.0 + f.grid.k_sq) ** s
+    return 2.0 * np.pi * float(np.sqrt(half_vdot(w * f.coeffs, f.coeffs)))
 
 
 def sobolev_norm_vector(F, s: float) -> float:
@@ -118,7 +108,9 @@ def _lp_physical(f: SpectralScalar, p: float) -> float:
 
 
 def besov_norm(f: SpectralScalar, s: float, p: float, r: float) -> float:
-    """B^s_{p,r} norm: l^r over j of 2^{js} ||D_j f||_{L^p} (physical L^p)."""
+    """B^s_{p,r} norm: l^r over j of 2^{js} ||D_j f||_{L^p} (physical L^p).
+    B^s_{2,2} is sqrt(sum_j 2^{2js} ||D_j f||^2), the block-sum form of the
+    H^s norm, equivalent to sobolev_norm."""
     if not (1 <= p) or not (1 <= r):
         raise ValidationError("Besov indices p, r must lie in [1, inf]")
     terms = np.asarray([2.0 ** (j * s) * _lp_physical(block, p)
@@ -126,32 +118,6 @@ def besov_norm(f: SpectralScalar, s: float, p: float, r: float) -> float:
     if r == np.inf:
         return float(np.max(terms))
     return float(np.sum(terms**r) ** (1.0 / r))
-
-
-def chemin_lerner_norm(series, s: float, q: float, dt: float) -> float:
-    """Discrete tilde-L^q_T(H^s) norm of a time series of fields.
-
-    Per block j, the rectangle-rule L^q norm in time of ||D_j u(t)||_{L^2},
-    then the 2^{js}-weighted l^2 sum over j.  This is a measurement
-    convention for the sampled trajectory, not a continuum claim.
-    """
-    series = list(series)
-    if not series:
-        raise ValidationError("chemin_lerner_norm needs a non-empty series")
-    if dt <= 0:
-        raise ValidationError("chemin_lerner_norm needs dt > 0")
-    if not (1 <= q):
-        raise ValidationError("time exponent q must lie in [1, inf]")
-    norms = [[l2_norm(block) for block in dyadic_blocks(f)] for f in series]
-    total = 0.0
-    for j, per_time in enumerate(zip(*norms), start=-1):
-        bn = np.asarray(per_time)
-        if q == np.inf:
-            aj = float(np.max(bn))
-        else:
-            aj = float((np.sum(bn**q) * dt) ** (1.0 / q))
-        total += 4.0**(j * s) * aj * aj
-    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------

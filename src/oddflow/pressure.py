@@ -2,7 +2,8 @@
 regular combination grad(pi - sign*rho*omega).
 
 The elliptic problem -div(a grad Pi) = div F is solved by preconditioned
-conjugate gradients on the mean-zero scalar potential; curl-freeness of
+conjugate gradients on the mean-zero scalar potential, in solve_elliptic,
+the one solve, which solve_pressure calls with a = 1/rho; curl-freeness of
 the returned gradient is exact because the unknown is the potential.  The
 CG vectors hold the columns k2 = 0..n//3 of the half-spectrum, the
 dealiased band: one operator application is one irfft2 and one rfft2,
@@ -19,11 +20,11 @@ pressure force, PressureSolution.force, which dynamics.momentum_rhs reads
 in place of two irfft2 and two rfft2 per call.  The accumulated sum
 matches the force formed from grad(pi) to about 1e-15 relative.
 
-A solve starts from the state's pressure_guess, which only stepping.step
-sets, and from zero on every other state (verify, row 0 of a run, direct
-callers).  The guess is projected onto the mean-zero band; one that already
-meets the tolerance returns after 0 iterations, before the preconditioner
-is built.  Reductions are fixed-order, so identical inputs and guesses give
+A pressure solve starts from the state's pressure_guess, which only
+stepping.step sets, and from zero on every other state (verify, row 0 of a
+run, direct callers).  The guess is projected onto the mean-zero band; one
+that already meets the tolerance returns after 0 iterations, before the
+preconditioner is built.  Reductions are fixed-order, so identical inputs and guesses give
 bit-identical results.
 
 Preconditioner, chosen once per solve from the solve's own samples of a:
@@ -76,7 +77,13 @@ import numpy as np
 
 from . import fft as _fft
 from .dynamics import FlowState, grad_pi_minus_rho_omega
-from .errors import ConvergenceError, OddflowError, RuntimeAbort, ValidationError
+from .errors import (
+    ConvergenceError,
+    GridMismatchError,
+    OddflowError,
+    RuntimeAbort,
+    ValidationError,
+)
 from .littlewood_paley import build_partition
 from .spectral import (
     Grid,
@@ -103,14 +110,14 @@ SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """grad(pi), the force T[(1/rho) grad pi] of the momentum equation as
-    band columns k2 = 0..n//3 of both components (shape (2, n, n//3 + 1),
-    dealiased, column 0 exactly Hermitian), the potential's band columns
-    (the CG's iterate, a warm start for a nearby solve) and solver metadata
-    for one state: iterations, residual and the preconditioner's name
-    (inverse_laplacian or concus_golub; None after 0 iterations).
-    dynamics.grad_pi_minus_rho_omega builds the regular part from it, and
-    dynamics.momentum_rhs reads the force."""
+    """grad(Pi), the force T[a grad Pi] as band columns k2 = 0..n//3 of
+    both components (shape (2, n, n//3 + 1), dealiased, column 0 exactly
+    Hermitian), the potential's band columns (the CG's iterate, a warm
+    start for a nearby solve) and solver metadata: iterations, residual and
+    the preconditioner's name (inverse_laplacian or concus_golub; None
+    after 0 iterations).  For a state's pressure (a = 1/rho) the force is
+    that of the momentum equation, which dynamics.momentum_rhs reads, and
+    dynamics.grad_pi_minus_rho_omega builds the regular part from grad_pi."""
 
     grad_pi: SpectralVector
     force: np.ndarray
@@ -180,23 +187,25 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
     return concus_golub
 
 
-def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
-                              tol: float, max_iter: int, guess: np.ndarray | None = None,
-                              preconditioner: str | None = None):
+def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | None = None,
+                   preconditioner: str | None = None, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> PressureSolution:
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
-    given the grid samples a_phys of the dealiased coefficient a.  guess, on
-    the band columns, is projected onto the mean-zero band and starts the
-    iteration; one that already meets tol returns after 0 iterations.
-    preconditioner names M (see _preconditioner); None chooses it.
+    given the n x n grid samples a_phys of the dealiased coefficient a.
+    guess, on the band columns, is projected onto the mean-zero band and
+    starts the iteration; one that already meets tol returns after 0
+    iterations.  preconditioner names M (see _preconditioner); None chooses
+    it.  A non-finite residual aborts.
 
-    Returns (grad Pi, the band columns of T[a grad Pi], the band columns of
-    Pi, iterations, relative residual, the name of the M applied or None
-    after 0 iterations); a non-finite residual aborts.  Every operator
-    application forms rfft2(a grad p) on its way to -div(a grad p), so the
-    force T[a grad Pi] follows the iterate at no transform: ax starts at
-    the guess's application (zero without one) and takes alpha times the
-    application of each search direction, as x does."""
+    The solution's force is T[a grad Pi]: every operator application forms
+    rfft2(a grad p) on its way to -div(a grad p), so it follows the iterate
+    at no transform: ax starts at the guess's application (zero without
+    one) and takes alpha times the application of each search direction,
+    as x does."""
     grid = F.grid
+    if a_phys.shape != (grid.n, grid.n):
+        raise GridMismatchError(
+            f"coefficient samples {a_phys.shape} do not match grid n={grid.n}")
     a_star = float(np.min(a_phys))
     if a_star <= 0.0:
         raise ValidationError(
@@ -284,16 +293,7 @@ def _solve_elliptic_potential(a_phys: np.ndarray, F: SpectralVector,
     if lhs > rhs:
         raise OddflowError(
             f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-    return gp, dealias_columns(ax), x, it, res, applied
-
-
-def solve_elliptic(a: SpectralScalar, F: SpectralVector,
-                   tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> SpectralVector:
-    """Solve -div(a grad Pi) = div F and return the curl-free gradient."""
-    if F.grid != a.grid:
-        raise ValidationError("coefficient and source on different grids")
-    return _solve_elliptic_potential(inverse_transform(dealias(a)), F, tol, max_iter)[0]
+    return PressureSolution(gp, dealias_columns(ax), x, it, res, applied)
 
 
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
@@ -301,14 +301,15 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
     state.pressure (replacing any stored one) and returned.  The CG starts
     from state.pressure_guess when the state carries one, else from zero,
     and applies the preconditioner state.preconditioner names, if any.
+    No program path passes tol; perfbench's traced runs read it from the
+    call's bound arguments.
 
     Solves -div((1/rho) grad pi) = div((u.grad)u + sign(grad log rho.grad)u_perp
     + (eps/rho) Lap^2 u) - sign*Lap(omega).
     """
     fl = state.fields
-    state.pressure = PressureSolution(*_solve_elliptic_potential(
-        fl.inv_rho_phys, fl.pressure_source(), tol, DEFAULT_MAX_ITER, state.pressure_guess,
-        state.preconditioner))
+    state.pressure = solve_elliptic(fl.inv_rho_phys, fl.pressure_source(),
+                                    state.pressure_guess, state.preconditioner, tol)
     return state.pressure
 
 

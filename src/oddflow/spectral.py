@@ -16,11 +16,12 @@ inner products, Sobolev sums) count it twice and the self-conjugate
 columns k2 = 0 and k2 = n/2 once (half_vdot); with that weight
 ||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2 over the full spectrum (Plancherel).
 Transforms are oddflow.fft's rfft2/irfft2 (the 1/n^2 of the amplitude
-convention on the forward transform).  The full spectrum appears
-only where data enters or leaves the program: expand and fold convert
-between the two forms, check_real transforms a full spectrum and rejects
-a field whose samples are not real, read_checkpoint applies it to every
-field it loads and forward_transform rejects complex samples.
+convention on the forward transform); outside the pressure solve the one
+forward transform is product_physical's, which dealiases.  The full spectrum
+appears only where data enters or leaves the program: expand and fold
+convert between the two forms, and check_real transforms a full spectrum
+and rejects a field whose samples are not real; read_checkpoint applies it
+to every field it loads.
 Reductions are BLAS dot products in a fixed order, so results do not
 depend on the FFT worker count.
 """
@@ -176,21 +177,6 @@ def _hermitian_column(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralScalar:
-    """Real n x n samples (read as float64) -> half-spectrum amplitudes (Nyquist zeroed)."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n, grid.n):
-        raise GridMismatchError(
-            f"sample array {samples.shape} does not match grid n={grid.n}"
-        )
-    if np.iscomplexobj(samples):
-        raise ValidationError("forward_transform expects real samples")
-    coeffs = _hermitian_column(_fft.rfft2(np.asarray(samples, dtype=np.float64)))
-    coeffs[grid.n // 2] = 0.0
-    coeffs[:, -1] = 0.0
-    return SpectralScalar(grid, coeffs)
-
-
 def inverse_transform(f: SpectralScalar) -> np.ndarray:
     """Half-spectrum coefficients -> real n x n samples."""
     return _fft.irfft2(f.coeffs)
@@ -236,27 +222,8 @@ def check_real(f) -> np.ndarray:
     return np.ascontiguousarray(phys.real)
 
 
-def resample(f: SpectralScalar, grid: Grid) -> SpectralScalar:
-    """The same Fourier modes on another grid: zero-padded on a finer grid,
-    truncated to the modes below the coarse Nyquist on a coarser one."""
-    if grid == f.grid:
-        return f
-    half = min(f.grid.n, grid.n) // 2
-    src = np.r_[:half, f.grid.n - half:f.grid.n]
-    dst = np.r_[:half, grid.n - half:grid.n]
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    c[dst, :half] = f.coeffs[src, :half]
-    return SpectralScalar(grid, c)
-
-
 def zero_scalar(grid: Grid) -> SpectralScalar:
     return SpectralScalar(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
-def constant_scalar(grid: Grid, value: float) -> SpectralScalar:
-    f = zero_scalar(grid)
-    f.coeffs[0, 0] = value
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +235,6 @@ def gradient(f: SpectralScalar) -> SpectralVector:
     return SpectralVector(
         SpectralScalar(g, g.ik1 * f.coeffs),
         SpectralScalar(g, g.ik2 * f.coeffs),
-    )
-
-
-def perp_gradient(f: SpectralScalar) -> SpectralVector:
-    """grad-perp = (-d2, d1); always divergence-free."""
-    g = f.grid
-    return SpectralVector(
-        SpectralScalar(g, np.conj(g.ik2) * f.coeffs),  # -1j*k2 to the bit, as k2 >= 0
-        SpectralScalar(g, g.ik1 * f.coeffs),
     )
 
 
@@ -456,16 +414,3 @@ def sup_magnitude(*samples: np.ndarray) -> float:
 def sup_norm_vector(F: SpectralVector) -> float:
     """Max pointwise Euclidean magnitude of a vector field."""
     return sup_magnitude(*physical(F))
-
-
-def max_divergence_ratio(F: SpectralVector) -> float:
-    """Worst per-mode |k.uhat(k)| / |uhat(k)| over modes with energy."""
-    g = F.grid
-    num = np.abs(g.k1 * F.x1.coeffs + g.k2 * F.x2.coeffs)
-    den = np.sqrt(np.abs(F.x1.coeffs) ** 2 + np.abs(F.x2.coeffs) ** 2)
-    mask = den > 0
-    if not np.any(mask):
-        return 0.0
-    ratio = np.zeros_like(num)
-    ratio[mask] = num[mask] / den[mask]
-    return float(np.max(ratio))

@@ -36,7 +36,6 @@ from .pressure import (
 )
 from .spectral import (
     Grid,
-    SpectralScalar,
     SpectralVector,
     biot_savart,
     curl,
@@ -55,7 +54,6 @@ from .spectral import (
     perp,
     physical,
     product_physical,
-    resample,
     sup_norm_vector,
     vector_laplacian,
     zero_scalar,
@@ -91,35 +89,6 @@ def make_state(grid: Grid, seed: int, profile: str = "half_band",
     if sup > 0:
         u = u * (1.0 / sup)
     return FlowState(0.0, rho, u, epsilon=epsilon, odd_sign=odd_sign)
-
-
-def restrict_state(state: FlowState, grid: Grid) -> FlowState:
-    """Re-discretize a state on a coarser grid (drop unrepresentable modes,
-    then apply the coarse grid's Nyquist and dealias truncation)."""
-    if grid.n > state.grid.n:
-        raise ValidationError("restriction only goes to coarser grids")
-
-    def restrict(f: SpectralScalar) -> SpectralScalar:
-        return dealias(resample(f, grid) * grid.keep_mask)
-
-    return FlowState(state.t, restrict(state.rho_dev),
-                     SpectralVector(restrict(state.u.x1), restrict(state.u.x2)),
-                     state.epsilon, state.odd_sign)
-
-
-def spectral_trend_state(seed: int, n_master: int = 256) -> FlowState:
-    """State with a fixed slowly-decaying power-law spectrum, meant to be
-    restricted to coarser grids for spectral-accuracy trend measurements."""
-    grid = Grid(n_master)
-    cut = grid.dealias_cutoff
-    rho = random_band_scalar(grid, seed, 0, cut - 1, power=5.5,
-                             sup_amplitude=0.2)
-    om = random_band_scalar(grid, seed, 1, cut - 1, power=5.5)
-    u = biot_savart(om)
-    sup = sup_norm_vector(u)
-    if sup > 0:
-        u = u * (1.0 / sup)
-    return FlowState(0.0, rho, u)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oddflow import spectral
 from oddflow.dynamics import Fields
-from oddflow.spectral import Grid, SpectralVector, forward_transform, zero_scalar
+from oddflow.errors import GridMismatchError, ValidationError
+from oddflow.spectral import Grid, SpectralScalar, SpectralVector, fold, zero_scalar
 
 
 @pytest.fixture(scope="session")
@@ -42,8 +44,37 @@ def full_wavenumbers(n):
     return k1, k2, np.sqrt(k1**2 + k2**2)
 
 
-def field(grid, samples):
-    return forward_transform(grid, samples)
+def forward_transform(grid, samples):
+    """Real n x n samples (read as float64) -> half-spectrum amplitudes
+    (Nyquist zeroed), through the package's transform module."""
+    samples = np.asarray(samples)
+    if samples.shape != (grid.n, grid.n):
+        raise GridMismatchError(f"sample array {samples.shape} does not match grid n={grid.n}")
+    if np.iscomplexobj(samples):
+        raise ValidationError("forward_transform expects real samples")
+    coeffs = fold(spectral._fft.rfft2(np.asarray(samples, dtype=np.float64)))
+    coeffs[grid.n // 2] = 0.0
+    coeffs[:, -1] = 0.0
+    return SpectralScalar(grid, coeffs)
+
+
+def constant_scalar(grid, value):
+    f = zero_scalar(grid)
+    f.coeffs[0, 0] = value
+    return f
+
+
+def max_divergence_ratio(F):
+    """Worst per-mode |k.uhat(k)| / |uhat(k)| over modes with energy."""
+    g = F.grid
+    num = np.abs(g.k1 * F.x1.coeffs + g.k2 * F.x2.coeffs)
+    den = np.sqrt(np.abs(F.x1.coeffs) ** 2 + np.abs(F.x2.coeffs) ** 2)
+    mask = den > 0
+    if not np.any(mask):
+        return 0.0
+    ratio = np.zeros_like(num)
+    ratio[mask] = num[mask] / den[mask]
+    return float(np.max(ratio))
 
 
 def shear_state_fields(grid):

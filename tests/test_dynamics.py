@@ -26,7 +26,6 @@ from oddflow.spectral import (
     Grid,
     SpectralVector,
     curl,
-    forward_transform,
     inner_product_vector,
     inverse_transform,
     leray_project,
@@ -41,7 +40,7 @@ from oddflow.spectral import (
 from oddflow.littlewood_paley import sobolev_norm_vector
 from oddflow.verify import identity_checks, make_state
 
-from conftest import shear_state_fields
+from conftest import forward_transform, shear_state_fields
 
 
 @pytest.fixture

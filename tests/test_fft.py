@@ -8,7 +8,9 @@ import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
 
 from oddflow import fft, spectral
-from oddflow.spectral import Grid, forward_transform
+from oddflow.spectral import Grid
+
+from conftest import forward_transform
 
 KERNELS = ("_r2c", "_c2r", "_c2c")
 
@@ -108,8 +110,9 @@ def test_out_matches_a_fresh_allocation(kernels, n):
 
 def test_forward_transform_reads_integer_and_bool_samples(monkeypatch):
     """The kernel rejects int64 ("unsupported data type") where scipy.fft
-    converts; forward_transform reads such samples as float64, and hands
-    float64 samples on as they are."""
+    converts; forward_transform, the tests' route from grid samples to a
+    field (conftest), reads such samples as float64, and hands float64
+    samples on as they are."""
     grid = Grid(16)
     ints = np.arange(256).reshape(16, 16) % 7
     for samples in (ints, ints > 2):

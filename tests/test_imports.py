@@ -377,39 +377,58 @@ def test_no_private_names_across_modules(path):
     assert private_names_crossed(path.read_text(encoding="utf-8")) == []
 
 
-# Every public top-level def or class under src/oddflow is used: its name
-# appears somewhere besides its definition, in src/, tests/, perfbench/ or
-# pyproject.toml (where cli.main is the console script).
+# Every public top-level def or class under src/oddflow is used: code
+# references it by name, in src/ or perfbench/, or pyproject.toml names it
+# as an entry point (cli.main is the console script).  A test, a docstring
+# or a message is no use.
 ROOT = SRC.parent.parent
 
 
-def unused_public_names(modules: dict[str, str], others: list[str]) -> list[str]:
-    """`module: name` for each public top-level def or class of the sources
-    in modules whose name, as a word, occurs only once in all the texts."""
-    texts = [*modules.values(), *others]
-    found = []
-    for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                word = re.compile(rf"\b{node.name}\b")
-                if sum(len(word.findall(t)) for t in texts) == 1:
-                    found.append(f"{module}: {node.name}")
+def referenced_names(source: str) -> set[str]:
+    """Names that code references: bare names, attributes read off any
+    object, and the names an import binds or reaches."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.rsplit(".", 1)[-1] for a in node.names)
     return found
 
 
-def test_detector_flags_unused_public_names():
-    modules = {"a.py": "def used():\n    pass\ndef lonely():\n    pass\n"
-                       "class Spare:\n    def method(self):\n        pass\n"
-                       "def _own():\n    pass\ndef caller():\n    return used_twice()\n",
-               "b.py": "def used_twice():\n    pass\n"}
-    others = ["from a import used\n", "[project.scripts]\nx = \"a:caller\"\n"]
-    assert unused_public_names(modules, others) == ["a.py: lonely", "a.py: Spare"]
+def unused_public_names(root: pathlib.Path) -> list[str]:
+    """`module: name` for each public top-level def or class of
+    root/src/oddflow that no code under root/src or root/perfbench
+    references and no entry point of root/pyproject.toml names."""
+    used = set(re.findall(r'"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text(encoding="utf-8")))
+    for d in ("src", "perfbench"):
+        for p in sorted((root / d).rglob("*.py")):
+            used |= referenced_names(p.read_text(encoding="utf-8"))
+    return [f"{p.name}: {node.name}"
+            for p in sorted((root / "src" / "oddflow").glob("*.py"))
+            for node in ast.parse(p.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_detector_flags_unused_public_names(tmp_path):
+    files = {
+        "src/oddflow/a.py": ("def used():\n    pass\ndef lonely():\n    pass\n"
+                             "class Spare:\n    def method(self):\n        pass\n"
+                             "def _own():\n    pass\ndef caller():\n    return b.used_twice()\n"
+                             "def quoted():\n    raise ValueError('quoted needs a value')\n"),
+        "src/oddflow/b.py": "from .a import used as alias\ndef used_twice():\n    pass\n",
+        "perfbench/run.py": "patch('lonely', 'Spare')\n",
+        "tests/test_a.py": "from oddflow.a import lonely\nlonely()\n",
+        "pyproject.toml": '[project.scripts]\nx = "oddflow.a:caller"\n',
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unused_public_names(tmp_path) == ["a.py: lonely", "a.py: Spare", "a.py: quoted"]
 
 
 def test_no_unused_public_names():
-    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    others = [p.read_text(encoding="utf-8")
-              for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    others.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    assert unused_public_names(modules, others) == []
+    assert unused_public_names(ROOT) == []

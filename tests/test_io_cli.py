@@ -25,12 +25,12 @@ from oddflow.spectral import (
     check_real,
     curl,
     expand,
-    forward_transform,
     inverse_transform,
-    max_divergence_ratio,
 )
 from oddflow.stepping import StepperConfig, step
 from oddflow.verify import make_state
+
+from conftest import forward_transform, max_divergence_ratio
 
 
 def minimal_config(**extra):
@@ -539,3 +539,42 @@ class TestCli:
         assert cli(["sweep-eps", "--config", path, "--eps", "1e-2,1e-3"]) == 0
         text = (out / "sweep_eps.csv").read_text()
         assert text.startswith("eps_high,eps_low")
+
+    @pytest.mark.parametrize("argv, extra, match", [
+        (["run", "--config", "DIR"], {}, "cannot read config file"),
+        (["run", "--config", "LATIN1"], {}, "is not UTF-8 text"),
+        (["run", "--config", "CFG"], {"output_dir": "FILE"}, "cannot create output directory"),
+        (["twin", "--config", "CFG", "--amplitude", "1e-3"], {"output_dir": "FILE"},
+         "cannot create output directory"),
+        (["sweep-eps", "--config", "CFG", "--eps", "1e-2,1e-3"], {"output_dir": "FILE"},
+         "cannot create output directory"),
+        (["sweep-eps", "--config", "CFG", "--eps", "1e-2"], {}, "at least two values"),
+        (["verify", "--seed", "-1"], {}, "seed must lie in [0, 2**64), got -1"),
+        (["verify", "--seed", str(2**64)], {}, f"got {2**64}"),
+        (["run", "--config", "CFG"],
+         {"seed": -1, "scenario": {"name": "random_bandlimited", "a": 0.5}}, "got -1"),
+        (["twin", "--config", "CFG", "--amplitude", "1e-3"], {"seed": -1}, "got -1"),
+    ], ids=["config-dir", "config-latin1", "run-output-file", "twin-output-file",
+            "sweep-output-file", "sweep-one-eps", "verify-seed-negative", "verify-seed-2**64",
+            "run-seed-negative", "twin-seed-negative"])
+    def test_rejected_before_the_first_step(self, tmp_path, monkeypatch, capsys,
+                                            argv, extra, match):
+        """A config, output directory, seed or eps list that cannot work ends
+        in one error line and exit 1, before anything is integrated."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("integrated before rejecting the input")
+
+        monkeypatch.setattr("oddflow.stepping.step", no_step)
+        (tmp_path / "FILE").write_text("a file, not a directory")
+        data = minimal_config(grid_n=16, t_end=0.01, output_dir=str(tmp_path / "out"))
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        data.update({k: str(tmp_path / v) if k == "output_dir" else v
+                     for k, v in extra.items()})
+        (tmp_path / "latin1.json").write_bytes('{"grid_n": 16, "t_end": 0.1, "scenario": '
+                                               '{"name": "caf\xe9"}}'.encode("latin-1"))
+        paths = {"CFG": write_json(tmp_path, data), "DIR": str(tmp_path),
+                 "LATIN1": str(tmp_path / "latin1.json")}
+        assert cli([paths.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        self._assert_one_line_error_text(err)
+        assert match in err, err

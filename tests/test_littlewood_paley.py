@@ -6,7 +6,6 @@ from oddflow.littlewood_paley import (
     besov_norm,
     bony_reconstruction,
     build_partition,
-    chemin_lerner_norm,
     chi_profile,
     dyadic_block,
     dyadic_blocks,
@@ -18,10 +17,8 @@ from oddflow.littlewood_paley import (
 )
 from oddflow.spectral import (
     SpectralScalar,
-    constant_scalar,
     dealiased_product,
     fold,
-    forward_transform,
     gradient,
     l2_norm,
     l2_norm_vector,
@@ -29,7 +26,7 @@ from oddflow.spectral import (
 )
 from oddflow.verify import random_band_scalar
 
-from conftest import full_wavenumbers
+from conftest import constant_scalar, forward_transform, full_wavenumbers
 
 
 class TestChiProfile:
@@ -152,7 +149,6 @@ class TestBernstein:
 class TestSobolevNorm:
     def test_zero(self, grid16):
         assert sobolev_norm(zero_scalar(grid16), 2.5) == 0.0
-        assert sobolev_norm(zero_scalar(grid16), 2.5, "lp_sum") == 0.0
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.5, -1.0])
     def test_single_mode_value(self, grid16, s):
@@ -165,20 +161,19 @@ class TestSobolevNorm:
         # the frozen test bound is [1/4, 4]
         for seed in range(100):
             f = random_band_scalar(grid32, seed, 50, grid32.dealias_cutoff)
-            ratio = sobolev_norm(f, 2.5) / sobolev_norm(f, 2.5, "lp_sum")
+            ratio = sobolev_norm(f, 2.5) / besov_norm(f, 2.5, 2, 2)
             assert 0.25 <= ratio <= 4.0
-
-    def test_unknown_backend(self, grid16):
-        with pytest.raises(ValidationError):
-            sobolev_norm(zero_scalar(grid16), 1.0, "nope")
 
 
 class TestBesovNorm:
     def test_b22_equals_lp_sum(self, grid32):
+        """B^s_{2,2}, from the blocks' physical L2 norms, is the weighted
+        block sum of their spectral L2 norms (Plancherel)."""
         f = random_band_scalar(grid32, 7, 51, grid32.dealias_cutoff)
+        blocks = [l2_norm(b) for b in dyadic_blocks(f)]
         for s in (0.5, 2.0):
             a = besov_norm(f, s, 2, 2)
-            b = sobolev_norm(f, s, "lp_sum")
+            b = np.sqrt(sum(4.0**(j * s) * bn**2 for j, bn in enumerate(blocks, start=-1)))
             assert abs(a - b) < 1e-11 * max(b, 1)
 
     def test_zero(self, grid16):
@@ -223,29 +218,3 @@ class TestBony:
         assert l2_norm(paraproduct(z, v)) == 0.0
         assert l2_norm(paraproduct(v, z)) == 0.0
         assert l2_norm(remainder(z, v)) == 0.0
-
-
-class TestCheminLerner:
-    def test_constant_series_sup(self, grid32):
-        f = random_band_scalar(grid32, 12, 57, grid32.dealias_cutoff)
-        series = [f, f, f]
-        val = chemin_lerner_norm(series, 1.5, np.inf, dt=0.1)
-        assert abs(val - sobolev_norm(f, 1.5, "lp_sum")) < 1e-12 * val
-
-    def test_single_snapshot_l1(self, grid32):
-        f = random_band_scalar(grid32, 13, 58, grid32.dealias_cutoff)
-        dt = 0.25
-        val = chemin_lerner_norm([f], 1.0, 1, dt=dt)
-        assert abs(val - dt * sobolev_norm(f, 1.0, "lp_sum")) < 1e-12 * val
-
-    def test_minkowski_direction(self, grid32):
-        rng = np.random.default_rng(3)
-        series = [random_band_scalar(grid32, int(rng.integers(1e6)), 59,
-                                     grid32.dealias_cutoff) for _ in range(5)]
-        tilde = chemin_lerner_norm(series, 1.2, np.inf, dt=0.1)
-        classical = max(sobolev_norm(f, 1.2, "lp_sum") for f in series)
-        assert tilde >= classical * (1 - 1e-12)
-
-    def test_empty_series(self):
-        with pytest.raises(ValidationError):
-            chemin_lerner_norm([], 1.0, 2, 0.1)

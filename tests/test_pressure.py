@@ -4,7 +4,7 @@ import pytest
 from oddflow import pressure
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.dynamics import FlowState, grad_pi_minus_rho_omega
-from oddflow.errors import ConvergenceError, RuntimeAbort, ValidationError
+from oddflow.errors import ConvergenceError, GridMismatchError, RuntimeAbort, ValidationError
 from oddflow.pressure import (
     commutator_expanded,
     commutator_rho_laplacian,
@@ -16,11 +16,9 @@ from oddflow.spectral import (
     Grid,
     SpectralVector,
     check_real,
-    constant_scalar,
     curl,
     dealias,
     expand,
-    forward_transform,
     gradient,
     half_vdot,
     inverse_laplacian,
@@ -35,7 +33,7 @@ from oddflow.spectral import (
 )
 from oddflow.verify import make_state, random_band_scalar
 
-from conftest import shear_state_fields
+from conftest import constant_scalar, forward_transform, shear_state_fields
 
 
 PLAIN, CONCUS_GOLUB = "inverse_laplacian", "concus_golub"
@@ -46,46 +44,48 @@ def chosen_path(a_phys, grid):
 
 
 def coefficient(grid, path):
-    """A coefficient whose solve takes the given preconditioner: rough
-    noise of contrast 2.9, or 1 / (1 + 0.9 cos x1 cos x2), the smooth
+    """Samples of a coefficient whose solve takes the given preconditioner:
+    rough noise of contrast 2.9, or 1 / (1 + 0.9 cos x1 cos x2), the smooth
     coefficient of density_wave at a = 0.9 (contrast 19, sup|q| 9)."""
     if path == PLAIN:
         a = constant_scalar(grid, 1.0) + random_band_scalar(grid, 1, 96, 6, sup_amplitude=0.5)
     else:
         a = forward_transform(grid, 1.0 / (1.0 + 0.9 * np.cos(grid.x1) * np.cos(grid.x2)))
-    assert chosen_path(inverse_transform(dealias(a)), grid) == path
-    return a
+    a_phys = inverse_transform(dealias(a))
+    assert chosen_path(a_phys, grid) == path
+    return a_phys
+
+
+def noise_coefficient(grid, seed, stream, band, **kwargs):
+    """Samples of 1 + a random band-limited field."""
+    noise = random_band_scalar(grid, seed, stream, band, **kwargs)
+    return inverse_transform(dealias(constant_scalar(grid, 1.0) + noise))
 
 
 class TestSolveElliptic:
     def test_constant_coefficient_oracle(self, grid64):
-        a = constant_scalar(grid64, 1.0)
         F = SpectralVector(forward_transform(grid64, np.sin(grid64.x1)),
                            zero_scalar(grid64))
-        gp = solve_elliptic(a, F)
+        gp = solve_elliptic(np.ones((64, 64)), F).grad_pi
         assert np.max(np.abs(inverse_transform(gp.x1) + np.sin(grid64.x1))) < 1e-11
         assert l2_norm(gp.x2) < 1e-12
         # equality in the energy bound
         assert abs(l2_norm_vector(gp) - l2_norm_vector(F)) < 1e-10
 
     def test_divergence_free_source(self, grid64):
-        a = constant_scalar(grid64, 1.0)
         F = SpectralVector(zero_scalar(grid64),
                            forward_transform(grid64, np.sin(grid64.x1)))
-        gp = solve_elliptic(a, F)
+        gp = solve_elliptic(np.ones((64, 64)), F).grad_pi
         assert l2_norm_vector(gp) == 0.0
 
     def test_variable_coefficient_residual(self, grid64):
         tol = 1e-11
         for seed in range(3):
-            noise = random_band_scalar(grid64, seed, 90, 6, power=1.0,
-                                       sup_amplitude=0.5)
-            a = constant_scalar(grid64, 1.0) + noise
+            a_phys = noise_coefficient(grid64, seed, 90, 6, power=1.0, sup_amplitude=0.5)
             F = SpectralVector(random_band_scalar(grid64, seed, 91, 15),
                                random_band_scalar(grid64, seed, 92, 15))
-            gp = solve_elliptic(a, F, tol=tol)
+            gp = solve_elliptic(a_phys, F, tol=tol).grad_pi
             # residual of the equation in L2, via an independent re-assembly
-            a_phys = inverse_transform(a)
             r1 = product_physical(a_phys * inverse_transform(gp.x1), grid64)
             r2 = product_physical(a_phys * inverse_transform(gp.x2), grid64)
             lhs = -1.0 * divergence(SpectralVector(r1, r2))
@@ -98,35 +98,34 @@ class TestSolveElliptic:
             assert a_star * l2_norm_vector(gp) <= l2_norm_vector(F) * (1 + 1e-9)
 
     def test_curl_free_output(self, grid64):
-        a = constant_scalar(grid64, 1.0) + random_band_scalar(grid64, 5, 93, 4,
-                                                              sup_amplitude=0.3)
         F = SpectralVector(random_band_scalar(grid64, 5, 94, 10),
                            random_band_scalar(grid64, 5, 95, 10))
-        gp = solve_elliptic(a, F)
+        gp = solve_elliptic(noise_coefficient(grid64, 5, 93, 4, sup_amplitude=0.3), F).grad_pi
         assert l2_norm(curl(gp)) <= 1e-10 * l2_norm_vector(gp)
 
     def test_coefficient_not_bounded_below(self, grid64):
-        a = forward_transform(grid64, -np.ones((64, 64)))
         F = SpectralVector(zero_scalar(grid64), zero_scalar(grid64))
         with pytest.raises(ValidationError):
-            solve_elliptic(a, F)
+            solve_elliptic(-np.ones((64, 64)), F)
+
+    def test_coefficient_on_another_grid(self, grid32, grid64):
+        F = SpectralVector(zero_scalar(grid64), zero_scalar(grid64))
+        with pytest.raises(GridMismatchError, match=r"\(32, 32\) do not match grid n=64"):
+            solve_elliptic(np.ones((32, 32)), F)
 
     def test_non_convergence(self, grid64):
-        noise = random_band_scalar(grid64, 1, 96, 6, sup_amplitude=0.5)
-        a = constant_scalar(grid64, 1.0) + noise
         F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
                            random_band_scalar(grid64, 1, 98, 10))
         with pytest.raises(ConvergenceError):
-            solve_elliptic(a, F, tol=1e-13, max_iter=2)
+            solve_elliptic(noise_coefficient(grid64, 1, 96, 6, sup_amplitude=0.5), F,
+                           tol=1e-13, max_iter=2)
 
     def test_nan_source_aborts_after_one_iteration(self, grid64):
-        a = constant_scalar(grid64, 1.0) + random_band_scalar(grid64, 1, 96, 5,
-                                                              sup_amplitude=0.4)
         F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
                            random_band_scalar(grid64, 1, 98, 10))
         F.x1.coeffs[3, 2] = np.nan
         with pytest.raises(RuntimeAbort, match="residual nan at iteration 1$"):
-            solve_elliptic(a, F)
+            solve_elliptic(noise_coefficient(grid64, 1, 96, 5, sup_amplitude=0.4), F)
 
     def test_non_convergence_concus_golub(self, grid64):
         F = SpectralVector(random_band_scalar(grid64, 1, 97, 10),
@@ -143,12 +142,11 @@ class TestSolveElliptic:
             solve_elliptic(coefficient(grid64, path), F)
 
     def test_determinism(self, grid64):
-        noise = random_band_scalar(grid64, 2, 99, 5, sup_amplitude=0.4)
-        a = constant_scalar(grid64, 1.0) + noise
+        a_phys = noise_coefficient(grid64, 2, 99, 5, sup_amplitude=0.4)
         F = SpectralVector(random_band_scalar(grid64, 2, 100, 12),
                            random_band_scalar(grid64, 2, 101, 12))
-        g1 = solve_elliptic(a, F)
-        g2 = solve_elliptic(a, F)
+        g1 = solve_elliptic(a_phys, F).grad_pi
+        g2 = solve_elliptic(a_phys, F).grad_pi
         assert np.array_equal(g1.x1.coeffs, g2.x1.coeffs)
         assert np.array_equal(g1.x2.coeffs, g2.x2.coeffs)
 
@@ -278,10 +276,9 @@ class TestHalfSpectrumCG:
         for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
             monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
             monkeypatch.setattr(pressure, "SUP_Q_MAX", sup_q_max)
-            _, _, pi, _, res, _ = pressure._solve_elliptic_potential(
-                fl.inv_rho_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER)
-            assert res <= pressure.DEFAULT_TOL
-            pis.append(pi)
+            solution = solve_elliptic(fl.inv_rho_phys, F)
+            assert solution.residual <= pressure.DEFAULT_TOL
+            pis.append(solution.potential)
         plain, cg = pis
         assert np.linalg.norm(cg - plain) <= 1e-10 * np.linalg.norm(plain)
 
@@ -308,10 +305,6 @@ class TestHalfSpectrumCG:
 class TestWarmStart:
     """A solve that starts from a guess on the band columns."""
 
-    def solve(self, a_phys, F, guess=None):
-        return pressure._solve_elliptic_potential(
-            a_phys, F, pressure.DEFAULT_TOL, pressure.DEFAULT_MAX_ITER, guess)
-
     def source(self, grid):
         return SpectralVector(random_band_scalar(grid, 4, 97, 10),
                               random_band_scalar(grid, 4, 98, 10))
@@ -330,30 +323,32 @@ class TestWarmStart:
     @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
     def test_guess_projected_onto_band(self, grid64, path):
         """A mean mode and columns outside the band change nothing."""
-        a_phys = inverse_transform(dealias(coefficient(grid64, path)))
+        a_phys = coefficient(grid64, path)
         F = self.source(grid64)
-        _, _, x_cold, _, _, _ = self.solve(a_phys, F)
+        x_cold = solve_elliptic(a_phys, F).potential
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(x_cold.shape) + 1j * rng.standard_normal(x_cold.shape)
         guess = x_cold + 1e-3 * noise
         projected = guess * pressure.band_multipliers(grid64).band
         assert guess[0, 0] != 0.0 and np.any(projected != guess)
-        a = self.solve(a_phys, F, guess)
-        b = self.solve(a_phys, F, projected)
-        assert a[3] == b[3] > 0
-        assert np.array_equal(a[2], b[2])
+        a = solve_elliptic(a_phys, F, guess)
+        b = solve_elliptic(a_phys, F, projected)
+        assert a.iterations == b.iterations > 0
+        assert np.array_equal(a.potential, b.potential)
 
     @pytest.mark.parametrize("path", [PLAIN, CONCUS_GOLUB])
     def test_warm_agrees_with_cold(self, grid64, path):
-        a_phys = inverse_transform(dealias(coefficient(grid64, path)))
+        a_phys = coefficient(grid64, path)
         F = self.source(grid64)
-        _, _, x_cold, it_cold, _, _ = self.solve(a_phys, F)
+        cold = solve_elliptic(a_phys, F)
         # the solution of a nearby problem: the coefficient moved by 1%
-        _, _, near, _, _, _ = self.solve(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F)
-        _, _, x_warm, it_warm, res, _ = self.solve(a_phys, F, near)
-        assert res <= pressure.DEFAULT_TOL and 0 < it_warm < it_cold
+        near = solve_elliptic(a_phys * (1.0 + 0.01 * np.cos(grid64.x1)), F).potential
+        warm = solve_elliptic(a_phys, F, near)
+        assert warm.residual <= pressure.DEFAULT_TOL
+        assert 0 < warm.iterations < cold.iterations
         tol = pressure.DEFAULT_TOL
-        assert np.linalg.norm(x_warm - x_cold) <= 100 * tol * np.linalg.norm(x_cold)
+        assert (np.linalg.norm(warm.potential - cold.potential)
+                <= 100 * tol * np.linalg.norm(cold.potential))
 
     def test_no_guess_is_cold(self, grid64):
         """Without a guess the CG starts from zero and its loop is the cold
@@ -361,10 +356,10 @@ class TestWarmStart:
         the same potential bit for bit, after the cold count of 14."""
         st = density_wave(64, 0.9)
         F = st.fields.pressure_source()
-        zero = self.solve(st.fields.inv_rho_phys, F, np.zeros((64, 22), dtype=complex))
+        zero = solve_elliptic(st.fields.inv_rho_phys, F, np.zeros((64, 22), dtype=complex))
         cold = solve_pressure(st)
-        assert np.array_equal(cold.potential, zero[2])
-        assert cold.iterations == zero[3] == 14
+        assert np.array_equal(cold.potential, zero.potential)
+        assert cold.iterations == zero.iterations == 14
 
 
 class TestPressureForce:

@@ -13,7 +13,6 @@ from oddflow.errors import RuntimeAbort
 from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     SpectralVector,
-    forward_transform,
     l2_norm,
     l2_norm_vector,
     zero_scalar,
@@ -21,7 +20,7 @@ from oddflow.spectral import (
 from oddflow.stepping import StageGuess, StepperConfig, cfl_dt, linear_factor, run, step
 from oddflow.verify import make_state
 
-from conftest import shear_state_fields
+from conftest import forward_transform, max_divergence_ratio, shear_state_fields
 
 
 def history_arrays(state: FlowState) -> list:
@@ -131,7 +130,6 @@ class TestStep:
     def test_divergence_free_output(self, grid64):
         st = make_state(grid64, 3, "half_band")
         out = step(st, StepperConfig(dt=0.005, t_end=1.0))
-        from oddflow.spectral import max_divergence_ratio
         assert max_divergence_ratio(out.u) < 1e-12
 
     def test_cache_read_by_observers_same_bits(self, grid32):
