@@ -123,6 +123,7 @@ def cmd_sweep_eps(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"bad --eps list {args.eps!r}") from exc
     _argument(np.all(np.isfinite(eps_list)), "--eps", "values must be finite", args.eps)
+    diagnostics.check_eps_list(eps_list)  # before any file is touched
     state = app_io.init_scenario(cfg)
     app_io.make_output_dir(cfg.output_dir)
     table = diagnostics.epsilon_sweep(state, cfg.stepper(), eps_list)

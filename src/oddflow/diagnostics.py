@@ -23,13 +23,13 @@ from .spectral import (
     SpectralScalar,
     SpectralVector,
     dealias,
+    dealiased_samples,
     laplacian,
     leray_project,
     l2_norm,
     l2_norm_vector,
     mismatch,
     sup_magnitude,
-    sup_norm,
     sup_norm_vector,
 )
 from .stepping import StepperConfig, run, trajectory
@@ -121,7 +121,7 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     fl = state.fields
     gu_sup = sup_magnitude(*fl.grad_u_phys)
     grho_sup = sup_magnitude(*fl.grad_rho_phys)
-    lap_sup = sup_norm(laplacian(dealias(state.rho_dev)))
+    lap_sup = float(np.max(np.abs(dealiased_samples(state.rho_dev, -state.grid.k_sq))))
     gpi_sup = sup_norm_vector(state.pressure.grad_pi)
     greg_sup = sup_norm_vector(grad_pi_minus_rho_omega(state))
     p_exp = s / (s - 1.0)
@@ -201,16 +201,21 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
     return records
 
 
-def epsilon_sweep(initial: FlowState, config: StepperConfig,
-                  eps_list: list[float]) -> list[dict]:
-    """Integrate the same initial state for each eps and report pairwise
-    final-state L2 distances of u and rho between consecutive eps values."""
+def check_eps_list(eps_list: list[float]) -> None:
+    """epsilon_sweep's list rules: two values or more, strictly decreasing, all >= 0."""
     if len(eps_list) < 2:
         raise ValidationError(f"eps_list needs at least two values, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
     if any(e < 0 for e in eps_list):
         raise ValidationError("eps values must be >= 0")
+
+
+def epsilon_sweep(initial: FlowState, config: StepperConfig,
+                  eps_list: list[float]) -> list[dict]:
+    """Integrate the same initial state for each eps and report pairwise
+    final-state L2 distances of u and rho between consecutive eps values."""
+    check_eps_list(eps_list)
     finals = [run(FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign),
                   config) for eps in eps_list]
     return [{"eps_high": e1, "eps_low": e2,

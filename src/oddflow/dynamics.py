@@ -32,15 +32,15 @@ from .spectral import (
     curl,
     dealias,
     dealias_vector,
+    dealiased_gradient,
+    dealiased_samples,
+    dealiased_vector_samples,
     divergence,
     gradient,
-    inverse_transform,
     laplacian,
     mismatch,
     perp,
-    physical,
     product_physical,
-    vector_bilaplacian,
     vector_laplacian,
 )
 
@@ -163,7 +163,7 @@ class Fields:
     # --- density -----------------------------------------------------
     @cached_property
     def rho_phys(self) -> np.ndarray:
-        return _above(1.0 + inverse_transform(dealias(self.rho_dev)), 0.0, "rho", self.t)
+        return _above(1.0 + dealiased_samples(self.rho_dev), 0.0, "rho", self.t)
 
     @cached_property
     def inv_rho(self) -> SpectralScalar:
@@ -171,7 +171,7 @@ class Fields:
 
     @cached_property
     def inv_rho_phys(self) -> np.ndarray:
-        return _above(inverse_transform(self.inv_rho), 0.0, "1/rho", self.t)
+        return _above(dealiased_samples(self.inv_rho), 0.0, "1/rho", self.t)
 
     @cached_property
     def log_rho(self) -> SpectralScalar:
@@ -179,26 +179,25 @@ class Fields:
 
     @cached_property
     def grad_log_rho_phys(self):
-        return physical(gradient(self.log_rho))
+        return dealiased_gradient(self.log_rho)
 
     @cached_property
     def grad_inv_rho_phys(self):
-        return physical(gradient(self.inv_rho))
+        return dealiased_gradient(self.inv_rho)
 
     @cached_property
     def grad_rho_phys(self):
-        return physical(gradient(dealias(self.rho_dev)))
+        return dealiased_gradient(self.rho_dev)
 
     # --- velocity ----------------------------------------------------
     @cached_property
     def u_phys(self):
-        return physical(dealias_vector(self.u))
+        return dealiased_vector_samples(self.u)
 
     @cached_property
     def grad_u_phys(self):
         """(d1u1, d2u1, d1u2, d2u2) on the grid."""
-        u = dealias_vector(self.u)
-        return physical(gradient(u.x1)) + physical(gradient(u.x2))
+        return dealiased_gradient(self.u.x1) + dealiased_gradient(self.u.x2)
 
     @cached_property
     def omega(self) -> SpectralScalar:
@@ -206,7 +205,7 @@ class Fields:
 
     @cached_property
     def omega_phys(self) -> np.ndarray:
-        return inverse_transform(dealias(self.omega))
+        return dealiased_samples(self.omega)
 
     @cached_property
     def rho_omega(self) -> SpectralScalar:
@@ -231,7 +230,7 @@ class Fields:
     @cached_property
     def hyper(self) -> SpectralVector:
         """T[(1/rho) Lap^2 u] (without the epsilon factor)."""
-        D1, D2 = physical(vector_bilaplacian(dealias_vector(self.u)))
+        D1, D2 = dealiased_vector_samples(self.u, self.grid.k_sq**2)
         h1 = product_physical(self.inv_rho_phys * D1, self.grid)
         h2 = product_physical(self.inv_rho_phys * D2, self.grid)
         return SpectralVector(h1, h2)
@@ -302,9 +301,8 @@ def bilinear_B(state: FlowState, alpha: SpectralScalar) -> SpectralScalar:
     for the state's velocity u; equal to curl((grad alpha . grad) u_perp)
     when div u = 0."""
     g = state.grid
-    a = dealias(alpha)
-    a12 = inverse_transform(a * (-g.k1 * g.k2))
-    a11_22 = inverse_transform(a * (-g.k1**2 + g.k2**2))
+    a12 = dealiased_samples(alpha, -g.k1 * g.k2)
+    a11_22 = dealiased_samples(alpha, -g.k1**2 + g.k2**2)
     d1u1, d2u1, d1u2, d2u2 = state.fields.grad_u_phys
     return product_physical(a12 * (d1u2 + d2u1) + d1u1 * a11_22, g)
 
@@ -316,7 +314,7 @@ def trilinear_T(state: FlowState) -> SpectralScalar:
     g = state.grid
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
-    g1, g2 = physical(gradient(usq))
+    g1, g2 = dealiased_gradient(usq)
     r1, r2 = fl.grad_rho_phys
     return product_physical(-r2 * g1 + r1 * g2, g)
 
@@ -356,7 +354,7 @@ def theta_rhs(state: FlowState) -> SpectralScalar:
     sigma = state.odd_sign
 
     gu = good_unknowns(state)
-    t1, t2 = physical(gradient(dealias(gu.theta)))
+    t1, t2 = dealiased_gradient(gu.theta)
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
     rhs = -1.0 * adv + 0.5 * trilinear_T(state) + sigma * bilinear_B(state, state.rho_dev)
@@ -365,7 +363,7 @@ def theta_rhs(state: FlowState) -> SpectralScalar:
     if sigma != 1.0:
         # transport of Lap rho does not cancel against the odd stress when
         # the sign is flipped while theta keeps its +1 definition
-        l1, l2_ = physical(gradient(laplacian(dealias(state.rho_dev))))
+        l1, l2_ = dealiased_gradient(laplacian(state.rho_dev))
         u_grad_lap = product_physical(u1 * l1 + u2 * l2_, g)
         dt_lap = laplacian(density_rhs(state))
         rhs = rhs + (sigma - 1.0) * (dt_lap + u_grad_lap)
@@ -382,22 +380,21 @@ def omega_rhs(state: FlowState) -> SpectralScalar:
     sigma = state.odd_sign
     eps = state.epsilon
 
-    om = dealias(fl.omega)
-    o1, o2 = physical(gradient(om))
+    o1, o2 = dealiased_gradient(fl.omega)
     u1, u2 = fl.u_phys
     L1, L2 = fl.grad_log_rho_phys
     I1, I2 = fl.grad_inv_rho_phys
 
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
-    d1, d2 = physical(grad_pi_minus_rho_omega(state))
+    d1, d2 = dealiased_vector_samples(grad_pi_minus_rho_omega(state))
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
     rhs = -1.0 * trans - press - sigma * bilinear_B(state, fl.log_rho)
     if eps > 0.0:
         # (1/rho) Lap^2 omega + grad_perp(1/rho) . Lap^2 u, grad_perp = (-d2, d1)
-        b_om = inverse_transform(bilaplacian(om))
-        D1, D2 = physical(vector_bilaplacian(dealias_vector(state.u)))
+        b_om = dealiased_samples(fl.omega, g.k_sq**2)
+        D1, D2 = dealiased_vector_samples(state.u, g.k_sq**2)
         rhs = rhs - eps * (product_physical(fl.inv_rho_phys * b_om, g)
                            + product_physical(-I2 * D1 + I1 * D2, g))
     return rhs
@@ -415,8 +412,8 @@ def residual_theta(state: FlowState) -> float:
     g = state.grid
     drho = density_rhs(state)
     du = momentum_rhs(state)
-    dr_p = inverse_transform(drho)
-    du1, du2 = physical(du)
+    dr_p = dealiased_samples(drho)
+    du1, du2 = dealiased_vector_samples(du)
     u1, u2 = fl.u_phys
     rho = fl.rho_phys
     m1 = product_physical(dr_p * u1 + rho * du1, g)

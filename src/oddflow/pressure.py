@@ -6,8 +6,9 @@ conjugate gradients on the mean-zero scalar potential, in solve_elliptic,
 the one solve, which solve_pressure calls with a = 1/rho; curl-freeness of
 the returned gradient is exact because the unknown is the potential.  The
 CG vectors hold the columns k2 = 0..n//3 of the half-spectrum, the
-dealiased band: one operator application is one irfft2 and one rfft2,
-each over both gradient components stacked, with updates in place.  Inner
+dealiased band: one operator application is one irfft2 of both gradient
+components' band columns (irfft2's band path) and one full-width rfft2,
+each over both components stacked, with updates in place.  Inner
 products and norms are spectral.half_vdot, the full-spectrum L2 values
 (Plancherel for real fields), and the stopping test is on the
 unpreconditioned residual ||b - Ax|| / ||b||, so the tolerance keeps its
@@ -24,8 +25,8 @@ A pressure solve starts from the state's pressure_guess, which only
 stepping.step sets, and from zero on every other state (verify, row 0 of a
 run, direct callers).  The guess is projected onto the mean-zero band; one
 that already meets the tolerance returns after 0 iterations, before the
-preconditioner is built.  Reductions are fixed-order, so identical inputs and guesses give
-bit-identical results.
+preconditioner is built.  Identical inputs and guesses give bit-identical
+results at one BLAS thread count (README, on determinism).
 
 Preconditioner, chosen once per solve from the solve's own samples of a:
 
@@ -36,9 +37,9 @@ Preconditioner, chosen once per solve from the solve's own samples of a:
   a^{1/2} (-Lap + q) a^{1/2} with q = Lap(a^{1/2}) / a^{1/2}, the
   preconditioned operator is I + (-Lap)^{-1} q up to P, and the lowest
   nonzero |k|^2 on the torus is 1, so sup|q| measures how far M A is from
-  the identity.  One application costs two scalar irfft2/rfft2 pairs,
-  about one operator application, so an iteration costs about twice a
-  plain one.
+  the identity.  One application costs two scalar irfft2/rfft2 pairs, the
+  first irfft2 on r's band columns and the second full width, about one
+  operator application, so an iteration costs about twice a plain one.
 
 Concus-Golub runs when max a / min a >= CONTRAST_MIN and then, at the
 cost of one more scalar transform pair, sup|q| < SUP_Q_MAX; otherwise
@@ -89,15 +90,14 @@ from .spectral import (
     Grid,
     SpectralScalar,
     SpectralVector,
-    dealias,
     dealias_columns,
+    dealiased_samples,
+    dealiased_vector_samples,
     divergence,
     gradient,
     half_vdot,
-    inverse_transform,
     laplacian,
     l2_norm_vector,
-    physical,
     product_physical,
     zero_scalar,
 )
@@ -169,13 +169,10 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
             return inverse_laplacian
 
     inv_root = 1.0 / root
-    # the full half-spectrum width: the columns past the band stay zero
-    full = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    v_out, f_out = np.empty((n, n)), np.empty_like(full)
+    v_out, f_out = np.empty((n, n)), np.empty((n, n // 2 + 1), dtype=np.complex128)
 
     def concus_golub(r, z):
-        full[:, :m] = r
-        v = _fft.irfft2(full, out=v_out)
+        v = _fft.irfft2(r, out=v_out)  # the band columns alone
         v *= inv_root
         f = _fft.rfft2(v, out=f_out)
         f *= grid.inv_k_sq
@@ -218,15 +215,14 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
     b_norm = float(np.sqrt(half_vdot(b, b)))
     tmp = np.empty_like(b)
-    # both gradient components on the full half-spectrum width: the columns
-    # past the band stay zero, so irfft2 needs no padded copy per call
-    grad = np.zeros((2, n, n // 2 + 1), dtype=np.complex128)
-    g_out, f_out = np.empty((2, n, n)), np.empty_like(grad)
+    # both gradient components on the band columns alone, irfft2's band path
+    grad = np.empty_like(ik)
+    g_out, f_out = np.empty((2, n, n)), np.empty((2, n, n // 2 + 1), dtype=np.complex128)
 
     def apply(p, out):
         """out = -div(a grad p); returns the band columns of rfft2(a grad p),
         a view of an array that the next call may overwrite."""
-        np.multiply(ik, p, out=grad[..., :m])
+        np.multiply(ik, p, out=grad)
         g = _fft.irfft2(grad, out=g_out)
         g *= a_phys
         f = _fft.rfft2(g, out=f_out)[..., :m]
@@ -318,7 +314,7 @@ def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:
     fl = state.fields
     g = state.grid
     dev_phys = fl.rho_phys - 1.0
-    lap_om = inverse_transform(laplacian(dealias(fl.omega)))
+    lap_om = dealiased_samples(fl.omega, -g.k_sq)
     t1 = product_physical(dev_phys * lap_om, g)
     t2 = laplacian(product_physical(dev_phys * fl.omega_phys, g))
     return t1 - t2
@@ -332,7 +328,7 @@ def commutator_expanded(state: FlowState) -> SpectralScalar:
     om = fl.omega_phys
     w1 = product_physical(om * r1, g)
     w2 = product_physical(om * r2, g)
-    lap_rho = inverse_transform(laplacian(dealias(state.rho_dev)))
+    lap_rho = dealiased_samples(state.rho_dev, -g.k_sq)
     return -2.0 * divergence(SpectralVector(w1, w2)) + product_physical(om * lap_rho, g)
 
 
@@ -351,7 +347,7 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
 
     # Phi_1 = -grad(log rho) . grad(pi)
     L1, L2 = fl.grad_log_rho_phys
-    p1, p2 = physical(state.pressure.grad_pi)
+    p1, p2 = dealiased_vector_samples(state.pressure.grad_pi)
     phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
@@ -359,7 +355,7 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
     G = fl.transport
     if state.epsilon > 0.0:
         G = G + state.epsilon * fl.hyper
-    divG = inverse_transform(divergence(G))
+    divG = dealiased_samples(divergence(G))
     phi2 = product_physical(fl.rho_phys * divG, g)
 
     phi3 = commutator_rho_laplacian(state)

@@ -17,13 +17,14 @@ columns k2 = 0 and k2 = n/2 once (half_vdot); with that weight
 ||f||^2 = (2*pi)^2 * sum_k |fhat(k)|^2 over the full spectrum (Plancherel).
 Transforms are oddflow.fft's rfft2/irfft2 (the 1/n^2 of the amplitude
 convention on the forward transform); outside the pressure solve the one
-forward transform is product_physical's, which dealiases.  The full spectrum
-appears only where data enters or leaves the program: expand and fold
-convert between the two forms, and check_real transforms a full spectrum
-and rejects a field whose samples are not real; read_checkpoint applies it
-to every field it loads.
-Reductions are BLAS dot products in a fixed order, so results do not
-depend on the FFT worker count.
+forward transform is product_physical's, which dealiases, and the samples
+of a dealiased field come from its band columns alone (dealiased_samples).
+The full spectrum appears only where data enters or leaves the program:
+expand and fold convert between the two forms, and check_real transforms a
+full spectrum and rejects a field whose samples are not real;
+read_checkpoint applies it to every field it loads.
+Reductions are np.vdot calls: their bits do not depend on the FFT worker
+count, but on the BLAS thread count past 10,000 elements (README).
 """
 
 from __future__ import annotations
@@ -182,11 +183,6 @@ def inverse_transform(f: SpectralScalar) -> np.ndarray:
     return _fft.irfft2(f.coeffs)
 
 
-def physical(F: SpectralVector) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of both components of a vector field."""
-    return inverse_transform(F.x1), inverse_transform(F.x2)
-
-
 def expand(half: np.ndarray) -> np.ndarray:
     """Full Hermitian n x n spectrum whose columns 0..n/2 are half (the
     conjugates write a zero as +0)."""
@@ -261,10 +257,6 @@ def vector_laplacian(F: SpectralVector) -> SpectralVector:
     return SpectralVector(laplacian(F.x1), laplacian(F.x2))
 
 
-def vector_bilaplacian(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(bilaplacian(F.x1), bilaplacian(F.x2))
-
-
 def perp(F: SpectralVector) -> SpectralVector:
     """Rotate by +90 degrees: (a1, a2) -> (-a2, a1)."""
     return SpectralVector(-F.x2, F.x1)
@@ -333,6 +325,28 @@ def dealias(f: SpectralScalar) -> SpectralScalar:
     return SpectralScalar(f.grid, _truncate(f.coeffs.copy()))
 
 
+def dealiased_samples(f: SpectralScalar, multiplier: np.ndarray | None = None) -> np.ndarray:
+    """Grid samples of dealias(f), or of multiplier * dealias(f) for a
+    per-mode multiplier, with the bits of inverse_transform of that field:
+    only the band columns k2 = 0..n//3 are copied, with the rows
+    |k1| > n//3 zeroed, and they take irfft2's band path."""
+    c = _truncate(f.coeffs[:, :f.grid.dealias_cutoff + 1].copy())
+    if multiplier is not None:
+        np.multiply(multiplier[:, :c.shape[1]], c, out=c)
+    return _fft.irfft2(c)
+
+
+def dealiased_gradient(f: SpectralScalar) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of both components of gradient(dealias(f))."""
+    return dealiased_samples(f, f.grid.ik1), dealiased_samples(f, f.grid.ik2)
+
+
+def dealiased_vector_samples(F: SpectralVector, multiplier: np.ndarray | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """dealiased_samples of both components of F."""
+    return dealiased_samples(F.x1, multiplier), dealiased_samples(F.x2, multiplier)
+
+
 def dealias_vector(F: SpectralVector) -> SpectralVector:
     return SpectralVector(dealias(F.x1), dealias(F.x2))
 
@@ -344,9 +358,7 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     convolution restricted to that band (no aliasing).
     """
     check_same_grid(f, g)
-    a = inverse_transform(dealias(f))
-    b = inverse_transform(dealias(g))
-    return product_physical(a * b, f.grid)
+    return product_physical(dealiased_samples(f) * dealiased_samples(g), f.grid)
 
 
 def product_physical(fields_phys: np.ndarray, grid: Grid) -> SpectralScalar:
@@ -400,11 +412,6 @@ def inner_product_vector(F: SpectralVector, G: SpectralVector) -> float:
     return inner_product(F.x1, G.x1) + inner_product(F.x2, G.x2)
 
 
-def sup_norm(f: SpectralScalar) -> float:
-    """Max |f| on the collocation grid."""
-    return float(np.max(np.abs(inverse_transform(f))))
-
-
 def sup_magnitude(*samples: np.ndarray) -> float:
     """Max over the grid of the pointwise Euclidean norm of the sampled
     components (a vector's two, a gradient tensor's four)."""
@@ -412,5 +419,5 @@ def sup_magnitude(*samples: np.ndarray) -> float:
 
 
 def sup_norm_vector(F: SpectralVector) -> float:
-    """Max pointwise Euclidean magnitude of a vector field."""
-    return sup_magnitude(*physical(F))
+    """Max pointwise Euclidean magnitude of a dealiased vector field."""
+    return sup_magnitude(*dealiased_vector_samples(F))

@@ -161,11 +161,12 @@ class StageGuess:
         dropped when full), score each depth and choose the next guess's.
         The base and the guess are released."""
         weight = _laplacian_sq(*potential.shape)
+        weighted = np.empty_like(potential)  # weight * error, for every score
         scores = self.scores
 
         def score(depth, error, scale=1.0):
-            value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(
-                np.vdot(error, weight * error).real)
+            np.multiply(weight, error, out=weighted)
+            value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(np.vdot(error, weighted).real)
             if depth > len(scores):
                 scores.append(value)
             else:

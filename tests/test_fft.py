@@ -1,6 +1,7 @@
 """oddflow.fft against scipy.fft: the same bits for every shape, stacking,
 memory layout, worker count and out= that the package uses, on the
-pocketfft kernels and on the substitute kernels alike."""
+pocketfft kernels and on the substitute kernels alike, and for irfft2's
+band path the bits of the zero-padded input's full transform."""
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from oddflow.spectral import Grid
 
 from conftest import forward_transform
 
-KERNELS = ("_r2c", "_c2r", "_c2c")
+KERNELS = ("_r2c", "_c2r", "_c2c", "_band_c2r")
 
 
 def test_the_pocketfft_kernels_are_active():
     """A silent fallback to scipy.fft's public calls would pass every bit
     test below while losing the speed, so pin the kernels themselves."""
     assert [getattr(fft, k) for k in KERNELS] == [
-        pypocketfft.r2c, pypocketfft.c2r, pypocketfft.c2c]
+        pypocketfft.r2c, pypocketfft.c2r, pypocketfft.c2c, fft._pocketfft_band_c2r]
 
 
 def test_fft_workers_reads_oddflow_threads(monkeypatch):
@@ -32,7 +33,8 @@ def test_fft_workers_reads_oddflow_threads(monkeypatch):
 
 def test_transforms_pass_the_workers_read_at_import(monkeypatch):
     """ODDFLOW_THREADS is parsed once, when the module is imported: the
-    transforms hand the kernels WORKERS and never parse it again."""
+    transforms hand the kernels WORKERS and never parse it again, on the
+    band path too, whose c2c and c2r are the kernels'."""
     seen = []
 
     def kernel(*args):
@@ -41,15 +43,16 @@ def test_transforms_pass_the_workers_read_at_import(monkeypatch):
     def parse():
         raise AssertionError("ODDFLOW_THREADS parsed by a transform")
 
-    for name in KERNELS:
+    for name in ("_r2c", "_c2r", "_c2c"):
         monkeypatch.setattr(fft, name, kernel)
     monkeypatch.setattr(fft, "fft_workers", parse)
     monkeypatch.setattr(fft, "WORKERS", 3)
     x = np.zeros((8, 8))
     fft.rfft2(x)
     fft.irfft2(x[:, :5])
+    fft.irfft2(x[:, :3])
     fft.ifft2(x)
-    assert seen == [3, 3, 3]
+    assert seen == [3, 3, 3, 3, 3]
 
 
 def layouts(rng, n, cols, dtype):
@@ -106,6 +109,40 @@ def test_out_matches_a_fresh_allocation(kernels, n):
         assert (y is out) == (kernels == "pocketfft")
         assert np.array_equal(y, transform(x))
         assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", [96, 128, 192])
+def test_band_columns_give_the_zero_padded_bits(kernels, n):
+    """An input of m < n/2+1 columns is the columns k2 = 0..m-1 of a
+    half-spectrum that is zero on all others: the band path gives the bits
+    of scipy.fft.irfft2 of that zero-padded input, with out= and without,
+    and leaves the input as it was.  Two widths per n use two pads."""
+    rng = np.random.default_rng(n)
+    for m in (n // 3 + 1, 7):
+        for c in layouts(rng, n, m, complex):
+            padded = np.zeros((*c.shape[:-1], n // 2 + 1), dtype=complex)
+            padded[..., :m] = c
+            expected = scipy.fft.irfft2(padded, s=(n, n), norm="forward", workers=1)
+            before = c.copy()
+            assert np.array_equal(fft.irfft2(c), expected)
+            out = np.full(expected.shape, np.nan)
+            y = fft.irfft2(c, out=out)
+            assert (y is out) == (kernels == "pocketfft")
+            assert np.array_equal(y, expected)
+            assert np.array_equal(c, before)
+            assert not np.any(fft._pad(c.shape)[..., m:])
+
+
+def test_band_results_own_their_memory(kernels):
+    """Without out=, each band-path call returns a new array: none shares
+    memory with another call's or with the module's pad buffer."""
+    rng = np.random.default_rng(3)
+    for c in layouts(rng, 96, 33, complex):
+        a, b = fft.irfft2(c), fft.irfft2(c)
+        pad = fft._pad(c.shape)
+        assert np.array_equal(a, b)
+        assert not (np.shares_memory(a, b) or np.shares_memory(a, pad)
+                    or np.shares_memory(b, pad))
 
 
 def test_forward_transform_reads_integer_and_bool_samples(monkeypatch):

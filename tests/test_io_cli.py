@@ -560,7 +560,8 @@ class TestCli:
     def test_rejected_before_the_first_step(self, tmp_path, monkeypatch, capsys,
                                             argv, extra, match):
         """A config, output directory, seed or eps list that cannot work ends
-        in one error line and exit 1, before anything is integrated."""
+        in one error line and exit 1, before anything is integrated or any
+        output directory is made."""
         def no_step(*args, **kwargs):
             raise AssertionError("integrated before rejecting the input")
 
@@ -578,3 +579,4 @@ class TestCli:
         err = capsys.readouterr().err
         self._assert_one_line_error_text(err)
         assert match in err, err
+        assert not (tmp_path / "out").exists()
