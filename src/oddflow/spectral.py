@@ -419,5 +419,5 @@ def sup_magnitude(*samples: np.ndarray) -> float:
 
 
 def sup_norm_vector(F: SpectralVector) -> float:
-    """Max pointwise Euclidean magnitude of a dealiased vector field."""
-    return sup_magnitude(*dealiased_vector_samples(F))
+    """Max pointwise Euclidean magnitude of a vector field."""
+    return sup_magnitude(inverse_transform(F.x1), inverse_transform(F.x2))
