@@ -362,9 +362,7 @@ def read_checkpoint(path: str) -> FlowState:
 
 def diagnostics_csv(records, columns) -> str:
     lines = [",".join(columns)]
-    for rec in records:
-        vals = rec.values() if hasattr(rec, "values") else rec
-        lines.append(",".join(f"{float(v):.17g}" for v in vals))
+    lines += [",".join(f"{float(v):.17g}" for v in rec) for rec in records]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: run, verify, twin, sweep-eps, norms.
 
 Exit codes follow the error class alone: 0 success, 1 a ValidationError
-(a bad config, command-line argument or checkpoint, or an initial state the
-grid cannot resolve) and `verify` suites that fail their bounds, 2 any
-other package error (vacuum breach, NaN, solver failure, a non-finite
-`norms` table) and a MemoryError.  Every such error ends in one line on
+(a bad config, command-line argument or checkpoint, an initial state the
+grid cannot resolve, or a `twin` perturbation below the vacuum floor) and
+`verify` suites that fail their bounds, 2 any other package error (vacuum
+breach, NaN, solver failure, a non-finite diagnostics value or `norms`
+table) and a MemoryError.  Every such error ends in one line on
 stderr, and every warning is one `warning:` line there; a builtin exception
 from a defect, a ValueError from NumPy among them, is not caught.  An
 aborted `run` still writes the diagnostics rows it collected and its last
@@ -22,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import app_io, diagnostics
-from .dynamics import good_unknowns
+from .dynamics import check_vacuum, good_unknowns
 from .errors import OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import besov_norm, sobolev_norm
 from .spectral import l2_norm
@@ -42,13 +43,11 @@ def cmd_run(args) -> int:
     app_io.make_output_dir(cfg.output_dir)
 
     rows = []
-    observed = []
     last = [state, 0]  # the last state that completed its observers, its index
 
     def observer(st, idx):
         if idx % cfg.observe_every == 0:
             rows.append(diagnostics.observe(st, cfg.s))
-            observed.append(idx)
         if cfg.checkpoint_every and idx > 0 and idx % cfg.checkpoint_every == 0:
             app_io.write_checkpoint(
                 st, os.path.join(cfg.output_dir, f"checkpoint_{idx:06d}.bin"))
@@ -67,13 +66,13 @@ def cmd_run(args) -> int:
 
     try:
         final = integrate(state, cfg.stepper(), observers=[observer])
+        if last[1] % cfg.observe_every:  # the last state has no row yet
+            rows.append(diagnostics.observe(final, cfg.s))
     except OddflowError:
         # an aborted run keeps the rows it collected and its last good state
         write_rows()
         app_io.write_checkpoint(last[0], os.path.join(cfg.output_dir, "checkpoint_abort.bin"))
         raise
-    if not observed or observed[-1] != last[1]:
-        rows.append(diagnostics.observe(final, cfg.s))
     app_io.write_checkpoint(final, os.path.join(cfg.output_dir, "checkpoint_final.bin"))
     write_rows()
     print(f"integrated to t = {final.t:.6g} ({last[1]} steps); "
@@ -105,13 +104,16 @@ def cmd_twin(args) -> int:
     grid = state.grid
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
     du = app_io.random_divergence_free(grid, cfg.seed, 3, band, args.amplitude)
+    try:
+        check_vacuum(diagnostics.perturbed_state(state, drho, du), cfg.vacuum_floor)
+    except RuntimeAbort as exc:
+        raise ValidationError(f"perturbed state below the vacuum floor: {exc}") from exc
     app_io.make_output_dir(cfg.output_dir)
     records = diagnostics.twin_run_stability(state, cfg.stepper(), drho, du,
                                              observe_every=cfg.observe_every)
     path = os.path.join(cfg.output_dir, "twin.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(app_io.diagnostics_csv([(r.t, r.D, r.Theta) for r in records],
-                                        ("t", "D", "Theta")))
+        fh.write(app_io.diagnostics_csv(records, diagnostics.STABILITY_FIELDS))
     print(f"D(0) = {records[0].D:.6e}  D(T) = {records[-1].D:.6e}  -> {path}")
     return 0
 
@@ -129,13 +131,11 @@ def cmd_sweep_eps(args) -> int:
     table = diagnostics.epsilon_sweep(state, cfg.stepper(), eps_list)
     print(f"{'eps_high':>12} {'eps_low':>12} {'|du|_L2':>14} {'|drho|_L2':>14}")
     for row in table:
-        print(f"{row['eps_high']:12.3e} {row['eps_low']:12.3e} "
-              f"{row['u_distance']:14.6e} {row['rho_distance']:14.6e}")
-    columns = ("eps_high", "eps_low", "u_distance", "rho_distance")
+        print(f"{row.eps_high:12.3e} {row.eps_low:12.3e} "
+              f"{row.u_distance:14.6e} {row.rho_distance:14.6e}")
     path = os.path.join(cfg.output_dir, "sweep_eps.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(app_io.diagnostics_csv([[row[c] for c in columns] for row in table],
-                                        columns))
+        fh.write(app_io.diagnostics_csv(table, diagnostics.SWEEP_FIELDS))
     print(f"table -> {path}")
     return 0
 

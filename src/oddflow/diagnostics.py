@@ -1,22 +1,24 @@
-"""Conservation checks, energy functionals, continuation monitors,
-twin-run stability functionals, and eps-sweep convergence studies."""
+"""Rows of the CLI's three tables, each a named tuple whose fields are the
+CSV header: observe's diagnostics (conservation, energy functionals,
+continuation integrands, residual verifiers), twin-run difference energies
+and eps-sweep final-state distances."""
 
 from __future__ import annotations
 
-import dataclasses
+import collections
+import math
 import warnings
 
 import numpy as np
 
 from .dynamics import (
     FlowState,
-    density_bounds,
     good_unknowns,
     grad_pi_minus_rho_omega,
     residual_omega,
     residual_theta,
 )
-from .errors import ValidationError
+from .errors import RuntimeAbort, ValidationError
 from .littlewood_paley import sobolev_norm, sobolev_norm_vector
 from .pressure import solve_pressure
 from .spectral import (
@@ -39,28 +41,11 @@ DIAGNOSTIC_FIELDS = (
     "M_integrand", "Mtilde_integrand", "theta_residual", "omega_residual",
     "pressure_iterations",
 )
-
-
-class DiagnosticsRecord:
-    """One row of the observation table; field order is DIAGNOSTIC_FIELDS."""
-
-    __slots__ = DIAGNOSTIC_FIELDS
-
-    def __init__(self, **kw):
-        for name in DIAGNOSTIC_FIELDS:
-            setattr(self, name, kw.get(name, float("nan")))
-
-    def values(self):
-        return [getattr(self, name) for name in DIAGNOSTIC_FIELDS]
-
-
-@dataclasses.dataclass(frozen=True)
-class StabilityRecord:
-    """Difference energies of a twin run at one time."""
-
-    t: float
-    D: float
-    Theta: float
+DiagnosticsRecord = collections.namedtuple("DiagnosticsRecord", DIAGNOSTIC_FIELDS)
+STABILITY_FIELDS = ("t", "D", "Theta")
+StabilityRecord = collections.namedtuple("StabilityRecord", STABILITY_FIELDS)
+SWEEP_FIELDS = ("eps_high", "eps_low", "u_distance", "rho_distance")
+SweepRecord = collections.namedtuple("SweepRecord", SWEEP_FIELDS)
 
 
 def kinetic_energy(state: FlowState) -> float:
@@ -69,17 +54,6 @@ def kinetic_energy(state: FlowState) -> float:
     u1, u2 = fl.u_phys
     h2 = (2.0 * np.pi / state.grid.n) ** 2
     return float(np.sum(fl.rho_phys * (u1 * u1 + u2 * u2)) * h2)
-
-
-def conservation_report(state: FlowState) -> DiagnosticsRecord:
-    rmin, rmax = density_bounds(state)
-    return DiagnosticsRecord(
-        t=state.t,
-        kinetic=kinetic_energy(state),
-        rho_l2=l2_norm(state.rho_dev),
-        rho_min=rmin,
-        rho_max=rmax,
-    )
 
 
 def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]:
@@ -134,15 +108,19 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
 
 def observe(state: FlowState, s: float) -> DiagnosticsRecord:
     """Full diagnostics row for one state, from its stored pressure solution
-    (solved here if it holds none, and shared with the next step's stage 1)."""
+    (solved here if it holds none, and shared with the next step's stage 1);
+    RuntimeAbort, naming the columns, when a value is not finite."""
     if not state.solved:
         solve_pressure(state)
-    rec = conservation_report(state)
-    rec.E, rec.F, rec.G = energy_functionals(state, s)
-    rec.M_integrand, rec.Mtilde_integrand = continuation_monitor(state, s)
-    rec.pressure_iterations = state.pressure.iterations
-    rec.theta_residual = residual_theta(state)
-    rec.omega_residual = residual_omega(state)
+    rho = state.fields.rho_phys
+    rec = DiagnosticsRecord(
+        state.t, kinetic_energy(state), l2_norm(state.rho_dev),
+        float(np.min(rho)), float(np.max(rho)), *energy_functionals(state, s),
+        *continuation_monitor(state, s), residual_theta(state), residual_omega(state),
+        state.pressure.iterations)
+    bad = [name for name, v in zip(DIAGNOSTIC_FIELDS, rec) if not math.isfinite(v)]
+    if bad:
+        raise RuntimeAbort(f"diagnostics {', '.join(bad)} not finite at t = {state.t:.6f}")
     return rec
 
 
@@ -170,14 +148,17 @@ def stability_record(state_a: FlowState, state_b: FlowState) -> StabilityRecord:
     if gap > 1e-10:
         raise ValidationError(f"Lap(d rho) = d eta - d theta violated by {gap:.3e}")
 
-    nrho = l2_norm(drho)
-    nlap = l2_norm(lap)
-    nu = l2_norm_vector(du)
-    nom = l2_norm(domega)
-    nth = l2_norm(dtheta)
-    D = nrho**2 + nlap**2 + nu**2 + nom**2
-    Theta = nrho**2 + nu**2 + nom**2 + nth**2
-    return StabilityRecord(t=state_a.t, D=D, Theta=Theta)
+    rho2, lap2, om2, th2 = (l2_norm(f) ** 2 for f in (drho, lap, domega, dtheta))
+    u2 = l2_norm_vector(du) ** 2
+    return StabilityRecord(state_a.t, rho2 + lap2 + u2 + om2, rho2 + u2 + om2 + th2)
+
+
+def perturbed_state(initial: FlowState, rho_perturbation: SpectralScalar,
+                    u_perturbation: SpectralVector) -> FlowState:
+    """initial plus the perturbation, its velocity part Leray-projected."""
+    up, _ = leray_project(u_perturbation)
+    return FlowState(initial.t, initial.rho_dev + rho_perturbation,
+                     initial.u + up, initial.epsilon, initial.odd_sign)
 
 
 def twin_run_stability(initial: FlowState, config: StepperConfig,
@@ -189,9 +170,7 @@ def twin_run_stability(initial: FlowState, config: StepperConfig,
     times the smaller of their CFL bounds), and record the difference
     energies D(t), Theta(t) every observe_every steps and at the end, as
     each pair arrives; no earlier pair is kept."""
-    up, _ = leray_project(u_perturbation)  # keep the perturbed state admissible
-    pert = FlowState(initial.t, initial.rho_dev + rho_perturbation,
-                     initial.u + up, initial.epsilon, initial.odd_sign)
+    pert = perturbed_state(initial, rho_perturbation, u_perturbation)
     records = []
     for index, pair in trajectory((initial, pert), config):
         if index % observe_every == 0:
@@ -212,14 +191,12 @@ def check_eps_list(eps_list: list[float]) -> None:
 
 
 def epsilon_sweep(initial: FlowState, config: StepperConfig,
-                  eps_list: list[float]) -> list[dict]:
+                  eps_list: list[float]) -> list[SweepRecord]:
     """Integrate the same initial state for each eps and report pairwise
     final-state L2 distances of u and rho between consecutive eps values."""
     check_eps_list(eps_list)
     finals = [run(FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign),
                   config) for eps in eps_list]
-    return [{"eps_high": e1, "eps_low": e2,
-             "u_distance": l2_norm_vector(f1.u - f2.u),
-             "rho_distance": l2_norm(f1.rho_dev - f2.rho_dev)}
+    return [SweepRecord(e1, e2, l2_norm_vector(f1.u - f2.u), l2_norm(f1.rho_dev - f2.rho_dev))
             for (e1, f1), (e2, f2) in zip(zip(eps_list, finals),
                                           zip(eps_list[1:], finals[1:]))]

@@ -266,11 +266,6 @@ class Fields:
         return F
 
 
-def density_bounds(state: FlowState) -> tuple[float, float]:
-    rho = state.fields.rho_phys
-    return float(np.min(rho)), float(np.max(rho))
-
-
 def grad_pi_minus_rho_omega(state: FlowState) -> SpectralVector:
     """The regular part grad(pi - sign*rho*omega) of the state's stored
     pressure; the cache builds rho*omega on the first read, not the solve."""

@@ -185,8 +185,8 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
 
 
 def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | None = None,
-                   preconditioner: str | None = None, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> PressureSolution:
+                   preconditioner: str | None = None,
+                   tol: float = DEFAULT_TOL) -> PressureSolution:
     """PCG for -div(a grad Pi) = div F on mean-zero band-limited potentials,
     given the n x n grid samples a_phys of the dealiased coefficient a.
     guess, on the band columns, is projected onto the mean-zero band and
@@ -252,7 +252,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
         p = z.copy()
         Ap = np.empty_like(b)
         rz = half_vdot(r, z)
-        for it in range(1, max_iter + 1):
+        for it in range(1, DEFAULT_MAX_ITER + 1):
             fp = apply(p, Ap)
             denom = half_vdot(p, Ap)
             if denom <= 0.0:
@@ -277,7 +277,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
             rz = rz_new
         else:
             raise ConvergenceError(
-                f"pressure CG did not reach tol {tol:.1e} in {max_iter} iterations "
+                f"pressure CG did not reach tol {tol:.1e} in {it} iterations "
                 f"(residual {res:.3e})")
 
     pi = zero_scalar(grid)

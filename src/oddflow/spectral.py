@@ -152,11 +152,9 @@ class SpectralVector:
 
 
 def check_same_grid(a, b):
-    """GridMismatchError unless a and b (fields or grids) share one grid."""
-    ga = a.grid if hasattr(a, "grid") else a
-    gb = b.grid if hasattr(b, "grid") else b
-    if ga != gb:
-        raise GridMismatchError(f"fields on different grids: {ga} vs {gb}")
+    """GridMismatchError unless fields a and b share one grid."""
+    if a.grid != b.grid:
+        raise GridMismatchError(f"fields on different grids: {a.grid} vs {b.grid}")
 
 
 # ---------------------------------------------------------------------------

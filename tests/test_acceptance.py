@@ -294,7 +294,7 @@ def test_criterion_10_epsilon_cauchy():
     state = app_io.init_scenario(cfg)
     table = epsilon_sweep(state, StepperConfig(dt=None, t_end=0.5),
                           [1e-2, 1e-3, 1e-4, 0.0])
-    d = [row["u_distance"] for row in table]
+    d = [row.u_distance for row in table]
     ok = d[0] > d[1] > d[2]
     report(10, "eps -> 0 Cauchy behavior",
            ok,

@@ -5,7 +5,6 @@ import pytest
 
 from oddflow.diagnostics import (
     DIAGNOSTIC_FIELDS,
-    conservation_report,
     continuation_monitor,
     energy_functionals,
     epsilon_sweep,
@@ -51,20 +50,22 @@ def shear(grid, eps=0.0):
 
 
 class TestConservationReport:
+    """The conservation columns of observe's row."""
+
     def test_steady_shear_values(self, grid64):
-        rec = conservation_report(shear(grid64))
+        rec = observe(shear(grid64), 2.5)
         assert abs(rec.kinetic - 2 * np.pi**2) < 1e-12
         assert rec.rho_l2 == 0.0
 
     def test_rest(self, grid64):
         st = FlowState(0.0, zero_scalar(grid64),
                        SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
-        assert conservation_report(st).kinetic == 0.0
+        assert observe(st, 2.5).kinetic == 0.0
 
     def test_density_bounds(self, grid64):
         rho = forward_transform(grid64, 0.5 * np.cos(grid64.x2))
         _, u = shear_state_fields(grid64)
-        rec = conservation_report(FlowState(0.0, rho, u))
+        rec = observe(FlowState(0.0, rho, u), 2.5)
         assert abs(rec.rho_min - 0.5) < 1e-12
         assert abs(rec.rho_max - 1.5) < 1e-12
 
@@ -172,9 +173,8 @@ class TestObserve:
     def test_row_fields_finite(self, grid64):
         st = make_state(grid64, 1, "half_band")
         rec = observe(st, 2.5)
-        vals = rec.values()
-        assert len(vals) == len(DIAGNOSTIC_FIELDS)
-        assert all(np.isfinite(v) for v in vals)
+        assert rec._fields == DIAGNOSTIC_FIELDS
+        assert all(np.isfinite(v) for v in rec)
         assert rec.theta_residual <= 1e-10
         assert rec.omega_residual <= 1e-10
 
@@ -323,11 +323,11 @@ class TestEpsilonSweep:
         amp = np.pi * np.sqrt(2)  # L2 norm of sin(x1)
         for row, (e1, e2) in zip(table, zip(eps_list, eps_list[1:])):
             expected = amp * abs(np.exp(-e2 * T) - np.exp(-e1 * T))
-            assert abs(row["u_distance"] - expected) <= 1e-6
-            assert row["rho_distance"] <= 1e-12
+            assert abs(row.u_distance - expected) <= 1e-6
+            assert row.rho_distance <= 1e-12
 
     def test_decreasing_distances(self, grid32):
         st = make_state(grid32, 9, "half_band")
         cfg = StepperConfig(dt=0.01, t_end=0.1)
         table = epsilon_sweep(st, cfg, [1e-2, 1e-3, 1e-4])
-        assert table[0]["u_distance"] > table[1]["u_distance"]
+        assert table[0].u_distance > table[1].u_distance

@@ -373,6 +373,33 @@ class TestCli:
         assert float(rows[-1].split(",")[0]) == last.t
         assert not (out / "checkpoint_final.bin").exists()
 
+    @pytest.mark.parametrize("steps, times", [(7, [0.0, 0.03, 0.06, 0.07]),
+                                              (6, [0.0, 0.03, 0.06])])
+    def test_run_rows_at_observed_indices_and_the_end(self, tmp_path, steps, times):
+        """A row every 3 steps, at indices 0, 3 and 6, and one more for the
+        last state when no multiple of 3 observed it."""
+        out = tmp_path / "out"
+        data = minimal_config(dt=0.01, t_end=steps * 0.01, observe_every=3,
+                              output_dir=str(out))
+        assert cli(["run", "--config", write_json(tmp_path, data)]) == 0
+        rows = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[:, 0] == pytest.approx(times, abs=1e-12)
+
+    def test_run_non_finite_diagnostics(self, tmp_path):
+        """s = 400 overflows the Sobolev weight (1 + |k|^2)^s at n = 32, so E,
+        F and G are NaN: exit 2 with one abort line naming them, the rows
+        before it and the last good state kept, no final checkpoint."""
+        out = tmp_path / "out"
+        data = minimal_config(s=400, output_dir=str(out))
+        data["scenario"] = {"name": "density_wave", "a": 0.5}
+        code, err = cli_process(["run", "--config", write_json(tmp_path, data)])
+        rest = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert code == 2 and rest == ["abort: diagnostics E, F, G not finite at t = 0.000000"]
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert header.startswith("t,kinetic") and rows == []
+        assert app_io.read_checkpoint(str(out / "checkpoint_abort.bin")).t == 0.0
+        assert not (out / "checkpoint_final.bin").exists()
+
     @pytest.mark.parametrize("extra,scenario", [
         ({"grid_n": 64}, {"name": "density_wave", "a": 0.99}),   # T[1/rho] < 0
         ({"vacuum_floor": 0.9}, {"name": "density_wave", "a": 0.5}),
@@ -529,16 +556,23 @@ class TestCli:
         data["output_dir"] = str(out)
         path = write_json(tmp_path, data)
         assert cli(["twin", "--config", path, "--amplitude", "1e-3"]) == 0
-        assert (out / "twin.csv").exists()
+        header, *rows = (out / "twin.csv").read_text().splitlines()
+        assert header == "t,D,Theta"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert table.shape == (2, 3) and np.all(np.isfinite(table))  # index 0 and the end
+        assert table[-1, 0] == pytest.approx(0.02, abs=1e-12)
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "out"
         data = minimal_config(t_end=0.02, dt=0.01)
         data["output_dir"] = str(out)
         path = write_json(tmp_path, data)
-        assert cli(["sweep-eps", "--config", path, "--eps", "1e-2,1e-3"]) == 0
-        text = (out / "sweep_eps.csv").read_text()
-        assert text.startswith("eps_high,eps_low")
+        assert cli(["sweep-eps", "--config", path, "--eps", "1e-2,1e-3,0"]) == 0
+        header, *rows = (out / "sweep_eps.csv").read_text().splitlines()
+        assert header == "eps_high,eps_low,u_distance,rho_distance"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert table.shape == (2, 4) and np.all(np.isfinite(table))
+        assert list(table[-1, :2]) == [1e-3, 0.0]  # the last pair ends the sweep
 
     @pytest.mark.parametrize("argv, extra, match", [
         (["run", "--config", "DIR"], {}, "cannot read config file"),
@@ -554,9 +588,11 @@ class TestCli:
         (["run", "--config", "CFG"],
          {"seed": -1, "scenario": {"name": "random_bandlimited", "a": 0.5}}, "got -1"),
         (["twin", "--config", "CFG", "--amplitude", "1e-3"], {"seed": -1}, "got -1"),
+        (["twin", "--config", "CFG", "--amplitude", "5"], {},
+         "perturbed state below the vacuum floor"),
     ], ids=["config-dir", "config-latin1", "run-output-file", "twin-output-file",
             "sweep-output-file", "sweep-one-eps", "verify-seed-negative", "verify-seed-2**64",
-            "run-seed-negative", "twin-seed-negative"])
+            "run-seed-negative", "twin-seed-negative", "twin-below-vacuum-floor"])
     def test_rejected_before_the_first_step(self, tmp_path, monkeypatch, capsys,
                                             argv, extra, match):
         """A config, output directory, seed or eps list that cannot work ends

@@ -142,7 +142,7 @@ run_configs = st.fixed_dictionaries(
     optional={"dt": st.none() | st.floats(1e-4, 1), "epsilon": st.floats(0, 1e-2),
               "odd_sign": st.sampled_from([1.0, -1.0]), "vacuum_floor": st.floats(1e-6, 0.5),
               "observe_every": st.integers(1, 3), "checkpoint_every": st.integers(0, 2),
-              "seed": st.integers(0, 2**16)})
+              "seed": st.integers(0, 2**16), "s": st.floats(1.5, 400)})
 
 
 RUN_GRID_MAX = 24  # accepted configs with grid_n up to this are run
