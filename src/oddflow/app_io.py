@@ -30,9 +30,9 @@ from .spectral import (
     biot_savart,
     check_real,
     dealias,
-    dealias_vector,
     expand,
     fold,
+    sup_magnitude,
     zero_scalar,
 )
 from .stepping import StepperConfig
@@ -236,8 +236,7 @@ def random_divergence_free(grid: Grid, seed: int, stream: int, band: int,
     """Divergence-free field with sup magnitude sup_amplitude, via the
     stream function of a random band-limited vorticity."""
     u = biot_savart(random_scalar(grid, seed, stream, band, 1.0))
-    a, b = check_real(u.x1), check_real(u.x2)
-    sup = float(np.max(np.sqrt(a * a + b * b)))
+    sup = sup_magnitude(check_real(u.x1), check_real(u.x2))
     return u * (sup_amplitude / sup if sup > 0 else 0.0)
 
 
@@ -289,7 +288,7 @@ def init_scenario(config: RunConfig) -> FlowState:
                                      config.seed)
     else:
         raise ValidationError(f"unknown scenario {name!r}")
-    state = FlowState(0.0, dealias(rho), dealias_vector(u),
+    state = FlowState(0.0, dealias(rho), dealias(u),
                       epsilon=config.epsilon, odd_sign=config.odd_sign)
     try:
         check_vacuum(state, config.vacuum_floor)

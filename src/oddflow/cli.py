@@ -104,12 +104,13 @@ def cmd_twin(args) -> int:
     grid = state.grid
     drho = app_io.random_scalar(grid, cfg.seed, 2, band, args.amplitude)
     du = app_io.random_divergence_free(grid, cfg.seed, 3, band, args.amplitude)
+    perturbed = diagnostics.perturbed_state(state, drho, du)
     try:
-        check_vacuum(diagnostics.perturbed_state(state, drho, du), cfg.vacuum_floor)
+        check_vacuum(perturbed, cfg.vacuum_floor)
     except RuntimeAbort as exc:
         raise ValidationError(f"perturbed state below the vacuum floor: {exc}") from exc
     app_io.make_output_dir(cfg.output_dir)
-    records = diagnostics.twin_run_stability(state, cfg.stepper(), drho, du,
+    records = diagnostics.twin_run_stability(state, perturbed, cfg.stepper(),
                                              observe_every=cfg.observe_every)
     path = os.path.join(cfg.output_dir, "twin.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -26,13 +26,12 @@ from .spectral import (
     SpectralVector,
     dealias,
     dealiased_samples,
+    inverse_transform,
     laplacian,
     leray_project,
     l2_norm,
-    l2_norm_vector,
     mismatch,
     sup_magnitude,
-    sup_norm_vector,
 )
 from .stepping import StepperConfig, run, trajectory
 
@@ -71,7 +70,7 @@ def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]
     rho_hs = sobolev_norm(state.rho_dev, s)
     rho_l2 = l2_norm(state.rho_dev)
     u_hs = sobolev_norm_vector(state.u, s)
-    u_l2 = l2_norm_vector(state.u)
+    u_l2 = l2_norm(state.u)
     om = sobolev_norm(gu.omega, s - 1.0)
     th = sobolev_norm(gu.theta, s - 1.0)
     E = rho_hs1 + u_hs
@@ -93,11 +92,12 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     if s <= 1:
         raise ValidationError("continuation monitor needs s > 1")
     fl = state.fields
-    gu_sup = sup_magnitude(*fl.grad_u_phys)
+    (d1u1, d1u2), (d2u1, d2u2) = fl.grad_u_phys
+    gu_sup = sup_magnitude(d1u1, d2u1, d1u2, d2u2)
     grho_sup = sup_magnitude(*fl.grad_rho_phys)
     lap_sup = float(np.max(np.abs(dealiased_samples(state.rho_dev, -state.grid.k_sq))))
-    gpi_sup = sup_norm_vector(state.pressure.grad_pi)
-    greg_sup = sup_norm_vector(grad_pi_minus_rho_omega(state))
+    gpi_sup = sup_magnitude(*inverse_transform(state.pressure.grad_pi))
+    greg_sup = sup_magnitude(*inverse_transform(grad_pi_minus_rho_omega(state)))
     p_exp = s / (s - 1.0)
     M = (gu_sup**2 + grho_sup**s + grho_sup ** (s - 1.0) * gu_sup
          + lap_sup + gpi_sup**p_exp)
@@ -149,7 +149,7 @@ def stability_record(state_a: FlowState, state_b: FlowState) -> StabilityRecord:
         raise ValidationError(f"Lap(d rho) = d eta - d theta violated by {gap:.3e}")
 
     rho2, lap2, om2, th2 = (l2_norm(f) ** 2 for f in (drho, lap, domega, dtheta))
-    u2 = l2_norm_vector(du) ** 2
+    u2 = l2_norm(du) ** 2
     return StabilityRecord(state_a.t, rho2 + lap2 + u2 + om2, rho2 + u2 + om2 + th2)
 
 
@@ -161,18 +161,15 @@ def perturbed_state(initial: FlowState, rho_perturbation: SpectralScalar,
                      initial.u + up, initial.epsilon, initial.odd_sign)
 
 
-def twin_run_stability(initial: FlowState, config: StepperConfig,
-                       rho_perturbation: SpectralScalar,
-                       u_perturbation: SpectralVector,
+def twin_run_stability(initial: FlowState, perturbed: FlowState, config: StepperConfig,
                        observe_every: int = 1) -> list[StabilityRecord]:
-    """Step the base and the perturbed state in lockstep along
-    stepping.trajectory, one step size for both (config.dt, or cfl_safety
-    times the smaller of their CFL bounds), and record the difference
-    energies D(t), Theta(t) every observe_every steps and at the end, as
-    each pair arrives; no earlier pair is kept."""
-    pert = perturbed_state(initial, rho_perturbation, u_perturbation)
+    """Step the base and the perturbed state (perturbed_state) in lockstep
+    along stepping.trajectory, one step size for both (config.dt, or
+    cfl_safety times the smaller of their CFL bounds), and record the
+    difference energies D(t), Theta(t) every observe_every steps and at the
+    end, as each pair arrives; no earlier pair is kept."""
     records = []
-    for index, pair in trajectory((initial, pert), config):
+    for index, pair in trajectory((initial, perturbed), config):
         if index % observe_every == 0:
             records.append(stability_record(*pair))
     if index % observe_every:
@@ -197,6 +194,6 @@ def epsilon_sweep(initial: FlowState, config: StepperConfig,
     check_eps_list(eps_list)
     finals = [run(FlowState(initial.t, initial.rho_dev, initial.u, eps, initial.odd_sign),
                   config) for eps in eps_list]
-    return [SweepRecord(e1, e2, l2_norm_vector(f1.u - f2.u), l2_norm(f1.rho_dev - f2.rho_dev))
+    return [SweepRecord(e1, e2, l2_norm(f1.u - f2.u), l2_norm(f1.rho_dev - f2.rho_dev))
             for (e1, f1), (e2, f2) in zip(zip(eps_list, finals),
                                           zip(eps_list[1:], finals[1:]))]

@@ -31,17 +31,13 @@ from .spectral import (
     bilaplacian,
     curl,
     dealias,
-    dealias_vector,
-    dealiased_gradient,
     dealiased_samples,
-    dealiased_vector_samples,
     divergence,
     gradient,
     laplacian,
     mismatch,
     perp,
     product_physical,
-    vector_laplacian,
 )
 
 
@@ -139,7 +135,7 @@ def _above(samples: np.ndarray, floor: float, name: str, t: float) -> np.ndarray
     low = float(np.min(samples))
     if not low > floor:
         raise RuntimeAbort(f"vacuum breach: min {name} = {low:.3e} at t = {t:.6f} "
-                           f"is not above {floor:g}", t=t, quantity=f"min {name}")
+                           f"is not above {floor:g}")
     return samples
 
 
@@ -178,26 +174,28 @@ class Fields:
         return product_physical(np.log(self.rho_phys), self.grid)
 
     @cached_property
-    def grad_log_rho_phys(self):
-        return dealiased_gradient(self.log_rho)
+    def grad_log_rho_phys(self) -> np.ndarray:
+        return dealiased_samples(self.log_rho, self.grid.ik)
 
     @cached_property
-    def grad_inv_rho_phys(self):
-        return dealiased_gradient(self.inv_rho)
+    def grad_inv_rho_phys(self) -> np.ndarray:
+        return dealiased_samples(self.inv_rho, self.grid.ik)
 
     @cached_property
-    def grad_rho_phys(self):
-        return dealiased_gradient(self.rho_dev)
+    def grad_rho_phys(self) -> np.ndarray:
+        return dealiased_samples(self.rho_dev, self.grid.ik)
 
     # --- velocity ----------------------------------------------------
     @cached_property
-    def u_phys(self):
-        return dealiased_vector_samples(self.u)
+    def u_phys(self) -> np.ndarray:
+        return dealiased_samples(self.u)
 
     @cached_property
-    def grad_u_phys(self):
-        """(d1u1, d2u1, d1u2, d2u2) on the grid."""
-        return dealiased_gradient(self.u.x1) + dealiased_gradient(self.u.x2)
+    def grad_u_phys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d1 u, d2 u) on the grid, each stacked over the components of u:
+        unpack as (d1u1, d1u2), (d2u1, d2u2)."""
+        return (dealiased_samples(self.u, self.grid.ik[0]),
+                dealiased_samples(self.u, self.grid.ik[1]))
 
     @cached_property
     def omega(self) -> SpectralScalar:
@@ -214,36 +212,34 @@ class Fields:
     # --- assembled nonlinear terms ------------------------------------
     @cached_property
     def transport(self) -> SpectralVector:
-        """T[(u.grad)u + sign (grad log rho . grad) u_perp], each component
-        summed on the grid and transformed once."""
+        """T[(u.grad)u + sign (grad log rho . grad) u_perp], summed on the
+        grid and transformed once.  The stacked sum is written one component
+        at a time: temporaries over both components cost 65-180 page faults
+        per call at n = 128."""
         u1, u2 = self.u_phys
-        d1u1, d2u1, d1u2, d2u2 = self.grad_u_phys
-        t1 = u1 * d1u1 + u2 * d2u1
-        t2 = u1 * d1u2 + u2 * d2u2
+        d1u, d2u = self.grad_u_phys
+        t = np.empty_like(d1u)
+        for ti, d1ui, d2ui in zip(t, d1u, d2u):
+            np.multiply(u1, d1ui, out=ti)
+            ti += u2 * d2ui
         if self.odd_sign != 0.0:
             L1, L2 = self.grad_log_rho_phys
             # u_perp = (-u2, u1) so d_j u_perp = (-d_j u2, d_j u1)
-            t1 -= self.odd_sign * (L1 * d1u2 + L2 * d2u2)
-            t2 += self.odd_sign * (L1 * d1u1 + L2 * d2u1)
-        return SpectralVector(product_physical(t1, self.grid), product_physical(t2, self.grid))
+            t[0] -= self.odd_sign * (L1 * d1u[1] + L2 * d2u[1])
+            t[1] += self.odd_sign * (L1 * d1u[0] + L2 * d2u[0])
+        return product_physical(t, self.grid)
 
     @cached_property
     def hyper(self) -> SpectralVector:
         """T[(1/rho) Lap^2 u] (without the epsilon factor)."""
-        D1, D2 = dealiased_vector_samples(self.u, self.grid.k_sq**2)
-        h1 = product_physical(self.inv_rho_phys * D1, self.grid)
-        h2 = product_physical(self.inv_rho_phys * D2, self.grid)
-        return SpectralVector(h1, h2)
+        lap2_u = dealiased_samples(self.u, self.grid.k_sq**2)
+        return product_physical(self.inv_rho_phys * lap2_u, self.grid)
 
     @cached_property
     def good_unknowns(self) -> GoodUnknowns:
         """omega, eta and theta; eta is the curl of the dealiased momentum
         (equal to rho*omega + grad_perp(rho).u)."""
-        u1, u2 = self.u_phys
-        rho = self.rho_phys
-        m1 = product_physical(rho * u1, self.grid)
-        m2 = product_physical(rho * u2, self.grid)
-        eta = curl(SpectralVector(m1, m2))
+        eta = curl(product_physical(self.rho_phys * self.u_phys, self.grid))
         theta = eta - laplacian(dealias(self.rho_dev))
         return GoodUnknowns(omega=self.omega, eta=eta, theta=theta)
 
@@ -281,13 +277,10 @@ def odd_stress_divergence(state: FlowState) -> SpectralVector:
     the expansion rho Lap(u_perp) + (grad rho . grad) u_perp)."""
     fl = state.fields
     g = state.grid
-    rho = fl.rho_phys
-    d1u1, d2u1, d1u2, d2u2 = fl.grad_u_phys
-    # u_perp = (-u2, u1)
-    grad_up = ((-d1u2, -d2u2), (d1u1, d2u1))
-    comps = [divergence(SpectralVector(product_physical(rho * da, g),
-                                       product_physical(rho * db, g)))
-             for da, db in grad_up]
+    (d1u1, d1u2), (d2u1, d2u2) = fl.grad_u_phys
+    # u_perp = (-u2, u1): the gradients of its components
+    grad_up = np.stack(((-d1u2, -d2u2), (d1u1, d2u1)))
+    comps = [divergence(product_physical(fl.rho_phys * gc, g)) for gc in grad_up]
     return SpectralVector(*comps) * state.odd_sign
 
 
@@ -298,7 +291,7 @@ def bilinear_B(state: FlowState, alpha: SpectralScalar) -> SpectralScalar:
     g = state.grid
     a12 = dealiased_samples(alpha, -g.k1 * g.k2)
     a11_22 = dealiased_samples(alpha, -g.k1**2 + g.k2**2)
-    d1u1, d2u1, d1u2, d2u2 = state.fields.grad_u_phys
+    (d1u1, d1u2), (d2u1, _) = state.fields.grad_u_phys
     return product_physical(a12 * (d1u2 + d2u1) + d1u1 * a11_22, g)
 
 
@@ -309,7 +302,7 @@ def trilinear_T(state: FlowState) -> SpectralScalar:
     g = state.grid
     u1, u2 = fl.u_phys
     usq = product_physical(u1 * u1 + u2 * u2, g)
-    g1, g2 = dealiased_gradient(usq)
+    g1, g2 = dealiased_samples(usq, g.ik)
     r1, r2 = fl.grad_rho_phys
     return product_physical(-r2 * g1 + r1 * g2, g)
 
@@ -328,16 +321,18 @@ def density_rhs(state: FlowState) -> SpectralScalar:
 
 def momentum_rhs(state: FlowState) -> SpectralVector:
     """du/dt for the velocity form of the momentum equation, with the
-    state's stored pressure force T[(1/rho) grad pi]."""
+    state's stored pressure force T[(1/rho) grad pi].  The terms are
+    combined in place, with the bits of -T - sign * Lap(u_perp): at n = 128
+    each temporary over both components costs about 30 page faults."""
     fl = state.fields
-    up = perp(dealias_vector(state.u))
-    rhs = -1.0 * fl.transport - state.odd_sign * vector_laplacian(up)
+    odd = laplacian(perp(dealias(state.u))).coeffs
+    odd *= state.odd_sign
+    rhs = -1.0 * fl.transport
+    rhs.coeffs -= odd
     if state.epsilon > 0.0:
         rhs = rhs - state.epsilon * fl.hyper
     force = state.pressure.force
-    m = force.shape[-1]
-    rhs.x1.coeffs[:, :m] -= force[0]
-    rhs.x2.coeffs[:, :m] -= force[1]
+    rhs.coeffs[..., :force.shape[-1]] -= force
     return rhs
 
 
@@ -349,7 +344,7 @@ def theta_rhs(state: FlowState) -> SpectralScalar:
     sigma = state.odd_sign
 
     gu = good_unknowns(state)
-    t1, t2 = dealiased_gradient(gu.theta)
+    t1, t2 = dealiased_samples(gu.theta, g.ik)
     u1, u2 = fl.u_phys
     adv = product_physical(u1 * t1 + u2 * t2, g)
     rhs = -1.0 * adv + 0.5 * trilinear_T(state) + sigma * bilinear_B(state, state.rho_dev)
@@ -358,7 +353,7 @@ def theta_rhs(state: FlowState) -> SpectralScalar:
     if sigma != 1.0:
         # transport of Lap rho does not cancel against the odd stress when
         # the sign is flipped while theta keeps its +1 definition
-        l1, l2_ = dealiased_gradient(laplacian(state.rho_dev))
+        l1, l2_ = dealiased_samples(laplacian(state.rho_dev), g.ik)
         u_grad_lap = product_physical(u1 * l1 + u2 * l2_, g)
         dt_lap = laplacian(density_rhs(state))
         rhs = rhs + (sigma - 1.0) * (dt_lap + u_grad_lap)
@@ -375,21 +370,21 @@ def omega_rhs(state: FlowState) -> SpectralScalar:
     sigma = state.odd_sign
     eps = state.epsilon
 
-    o1, o2 = dealiased_gradient(fl.omega)
+    o1, o2 = dealiased_samples(fl.omega, g.ik)
     u1, u2 = fl.u_phys
     L1, L2 = fl.grad_log_rho_phys
     I1, I2 = fl.grad_inv_rho_phys
 
     # rewritten: transport by u - sign*grad_perp(log rho), pressure through
     # the regular combination grad(pi - sign*rho*omega)
-    d1, d2 = dealiased_vector_samples(grad_pi_minus_rho_omega(state))
+    d1, d2 = dealiased_samples(grad_pi_minus_rho_omega(state))
     trans = product_physical((u1 + sigma * L2) * o1 + (u2 - sigma * L1) * o2, g)
     press = product_physical(-I2 * d1 + I1 * d2, g)
     rhs = -1.0 * trans - press - sigma * bilinear_B(state, fl.log_rho)
     if eps > 0.0:
         # (1/rho) Lap^2 omega + grad_perp(1/rho) . Lap^2 u, grad_perp = (-d2, d1)
         b_om = dealiased_samples(fl.omega, g.k_sq**2)
-        D1, D2 = dealiased_vector_samples(state.u, g.k_sq**2)
+        D1, D2 = dealiased_samples(state.u, g.k_sq**2)
         rhs = rhs - eps * (product_physical(fl.inv_rho_phys * b_om, g)
                            + product_physical(-I2 * D1 + I1 * D2, g))
     return rhs
@@ -407,13 +402,8 @@ def residual_theta(state: FlowState) -> float:
     g = state.grid
     drho = density_rhs(state)
     du = momentum_rhs(state)
-    dr_p = dealiased_samples(drho)
-    du1, du2 = dealiased_vector_samples(du)
-    u1, u2 = fl.u_phys
-    rho = fl.rho_phys
-    m1 = product_physical(dr_p * u1 + rho * du1, g)
-    m2 = product_physical(dr_p * u2 + rho * du2, g)
-    b = curl(SpectralVector(m1, m2)) - laplacian(drho)
+    dm = dealiased_samples(drho) * fl.u_phys + fl.rho_phys * dealiased_samples(du)
+    b = curl(product_physical(dm, g)) - laplacian(drho)
     return mismatch(a, b)
 
 

@@ -31,12 +31,5 @@ class ConvergenceError(OddflowError):
 
 
 class RuntimeAbort(OddflowError):
-    """Integration aborted (vacuum breach or non-finite values).
-
-    Carries the offending time and a description of the quantity.
-    """
-
-    def __init__(self, message, t=None, quantity=None):
-        super().__init__(message)
-        self.t = t
-        self.quantity = quantity
+    """Integration aborted (vacuum breach or non-finite values); the message
+    names the quantity, and the time when a state has one."""

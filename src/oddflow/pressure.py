@@ -8,11 +8,16 @@ the returned gradient is exact because the unknown is the potential.  The
 CG vectors hold the columns k2 = 0..n//3 of the half-spectrum, the
 dealiased band: one operator application is one irfft2 of both gradient
 components' band columns (irfft2's band path) and one full-width rfft2,
-each over both components stacked, with updates in place.  Inner
-products and norms are spectral.half_vdot, the full-spectrum L2 values
-(Plancherel for real fields), and the stopping test is on the
-unpreconditioned residual ||b - Ax|| / ||b||, so the tolerance keeps its
-meaning whichever preconditioner runs.
+each over both components stacked, with updates in place.  The CG's
+stacked arrays (BandMultipliers.ik, the gradient, PressureSolution.force)
+and the vector fields share one layout, a SpectralVector's (2, n, n/2+1)
+coefficients, here cut to the band columns: ik is grid.ik[..., :m] times
+the band, the right-hand side is formed from F.coeffs[..., :m], and
+dynamics.momentum_rhs subtracts the force from its coeffs[..., :m] in one
+statement.  Inner products and norms are spectral.half_vdot, the
+full-spectrum L2 values (Plancherel for real fields), and the stopping
+test is on the unpreconditioned residual ||b - Ax|| / ||b||, so the
+tolerance keeps its meaning whichever preconditioner runs.
 
 An operator application transforms a grad p on its way to -div(a grad p),
 so the solve accumulates the band columns of T[a grad Pi] alongside the
@@ -92,12 +97,11 @@ from .spectral import (
     SpectralVector,
     dealias_columns,
     dealiased_samples,
-    dealiased_vector_samples,
     divergence,
     gradient,
     half_vdot,
     laplacian,
-    l2_norm_vector,
+    l2_norm,
     product_physical,
     zero_scalar,
 )
@@ -144,8 +148,7 @@ def band_multipliers(grid: Grid) -> BandMultipliers:
     """The CG multipliers of this grid, built once."""
     m = grid.dealias_cutoff + 1
     band = (grid.dealias_mask & grid.keep_mask & (grid.k_sq > 0))[:, :m].astype(np.float64)
-    ik = 1j * np.stack((grid.k1[:, :m], grid.k2[:, :m])) * band
-    return BandMultipliers(band, ik, grid.inv_k_sq[:, :m] * band)
+    return BandMultipliers(band, grid.ik[..., :m] * band, grid.inv_k_sq[:, :m] * band)
 
 
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
@@ -212,7 +215,8 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     ik = bm.ik
     n, m = ik.shape[1:]
 
-    b = ik[0] * F.x1.coeffs[:, :m] + ik[1] * F.x2.coeffs[:, :m]
+    F_band = F.coeffs[..., :m]
+    b = ik[0] * F_band[0] + ik[1] * F_band[1]
     b_norm = float(np.sqrt(half_vdot(b, b)))
     tmp = np.empty_like(b)
     # both gradient components on the band columns alone, irfft2's band path
@@ -284,8 +288,8 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     pi.coeffs[:, :m] = x
     # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
     gp = gradient(pi)
-    lhs = a_star * l2_norm_vector(gp)
-    rhs = l2_norm_vector(F) * (1.0 + 10.0 * tol) + 1e-14
+    lhs = a_star * l2_norm(gp)
+    rhs = l2_norm(F) * (1.0 + 10.0 * tol) + 1e-14
     if lhs > rhs:
         raise OddflowError(
             f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
@@ -324,12 +328,10 @@ def commutator_expanded(state: FlowState) -> SpectralScalar:
     """-2 div(omega grad rho) + omega Lap rho (equal to the commutator)."""
     fl = state.fields
     g = state.grid
-    r1, r2 = fl.grad_rho_phys
     om = fl.omega_phys
-    w1 = product_physical(om * r1, g)
-    w2 = product_physical(om * r2, g)
+    w = product_physical(om * fl.grad_rho_phys, g)
     lap_rho = dealiased_samples(state.rho_dev, -g.k_sq)
-    return -2.0 * divergence(SpectralVector(w1, w2)) + product_physical(om * lap_rho, g)
+    return -2.0 * divergence(w) + product_physical(om * lap_rho, g)
 
 
 def pressure_split_via_phi(state: FlowState) -> SpectralVector:
@@ -347,7 +349,7 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
 
     # Phi_1 = -grad(log rho) . grad(pi)
     L1, L2 = fl.grad_log_rho_phys
-    p1, p2 = dealiased_vector_samples(state.pressure.grad_pi)
+    p1, p2 = dealiased_samples(state.pressure.grad_pi)
     phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
 
     # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector

@@ -23,8 +23,17 @@ The full spectrum appears only where data enters or leaves the program:
 expand and fold convert between the two forms, and check_real transforms a
 full spectrum and rejects a field whose samples are not real;
 read_checkpoint applies it to every field it loads.
-Reductions are np.vdot calls: their bits do not depend on the FFT worker
-count, but on the BLAS thread count past 10,000 elements (README).
+
+A vector field stores its two components' half-spectra stacked, one
+(2, n, n/2+1) array, and a stacked multiplier (Grid.ik) or stacked grid
+samples (2, n, n) carry the same leading axis.  Every operation here that
+takes a field takes either kind through that axis: one transform of a
+stacked array gives each component's bits.  Reductions are np.vdot calls:
+their bits do not depend on the FFT worker count, but on the BLAS thread
+count past 10,000 elements (README).  So a vector's norm or inner product
+stays one np.vdot per component, summed in component order: one vdot over
+both components of a full-width half-spectrum would pass that threshold at
+n = 100 instead of n = 142.
 """
 
 from __future__ import annotations
@@ -40,10 +49,11 @@ class Grid:
     wavenumbers.
 
     n must be even and >= 8 (powers of two give the fastest transforms).
-    k1, k2, their derivative multipliers ik1 = 1j*k1 and ik2 = 1j*k2, k_sq,
-    inv_k_sq, keep_mask and dealias_mask have the n x (n/2+1) shape of a
-    stored coefficient array, so every per-mode multiplier applies to a
-    field as it is.  The 2/3-rule dealias cutoff is
+    k1, k2, k_sq, inv_k_sq, keep_mask and dealias_mask have the n x (n/2+1)
+    shape of a stored scalar field, and k, the stack of k1 and k2, and its
+    derivative multiplier ik = 1j*k have the (2, n, n/2+1) shape of a
+    stored vector field, so every per-mode multiplier applies to a field as
+    it is.  The 2/3-rule dealias cutoff is
     floor(n/3): a field is dealiased when coeff(k) = 0 whenever
     max(|k1|, |k2|) > cutoff.
     """
@@ -55,10 +65,9 @@ class Grid:
         self.dealias_cutoff = n // 3
         k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0..n/2-1, -n/2..-1
         half = np.arange(n // 2 + 1, dtype=np.int64)        # 0..n/2
-        self.k1 = k[:, None] * np.ones((1, half.size), dtype=np.int64)
-        self.k2 = np.ones((n, 1), dtype=np.int64) * half[None, :]
-        self.ik1 = 1j * self.k1
-        self.ik2 = 1j * self.k2
+        self.k = np.stack(np.broadcast_arrays(k[:, None], half[None, :]))
+        self.k1, self.k2 = self.k
+        self.ik = 1j * self.k
         self.k_sq = (self.k1**2 + self.k2**2).astype(np.float64)
         self.inv_k_sq = np.divide(1.0, self.k_sq, out=np.zeros_like(self.k_sq),
                                   where=self.k_sq > 0)  # zero at k = 0
@@ -87,68 +96,77 @@ class Grid:
         return f"Grid(n={self.n})"
 
 
-class SpectralScalar:
-    """Real scalar field stored as its n x (n/2+1) half-spectrum of complex
-    Fourier amplitudes.
+class _Field:
+    """The grid and coefficient array of a real field, and the arithmetic
+    that a scalar and a vector field share: each operation acts on the
+    whole array and returns a new field of the same kind.
 
     Treat instances as immutable: every operation returns a new field.
     """
 
     __slots__ = ("grid", "coeffs")
+    lead = ()  # the leading shape of coeffs
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
-        if coeffs.shape != grid.shape:
+        if coeffs.shape != self.lead + grid.shape:
             raise GridMismatchError(
                 f"coefficient array {coeffs.shape} does not match grid n={grid.n} "
-                f"(half-spectrum shape {grid.shape})"
+                f"(shape {self.lead + grid.shape})"
             )
         self.grid = grid
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
 
+    @classmethod
+    def wrap(cls, grid: Grid, coeffs: np.ndarray):
+        """The field of this kind whose coefficient array is coeffs, not copied."""
+        field = cls.__new__(cls)
+        _Field.__init__(field, grid, coeffs)
+        return field
+
     def __add__(self, other):
         check_same_grid(self, other)
-        return SpectralScalar(self.grid, self.coeffs + other.coeffs)
+        return self.wrap(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         check_same_grid(self, other)
-        return SpectralScalar(self.grid, self.coeffs - other.coeffs)
+        return self.wrap(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c):
-        return SpectralScalar(self.grid, self.coeffs * c)
+        return self.wrap(self.grid, self.coeffs * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralScalar(self.grid, -self.coeffs)
+        return self.wrap(self.grid, -self.coeffs)
 
 
-class SpectralVector:
-    """Pair of scalar components."""
+class SpectralScalar(_Field):
+    """Real scalar field stored as its n x (n/2+1) half-spectrum of complex
+    Fourier amplitudes."""
 
-    __slots__ = ("x1", "x2")
+    __slots__ = ()
+
+
+class SpectralVector(_Field):
+    """Real vector field stored as the half-spectra of its two components
+    stacked, shape (2, n, n/2+1).  SpectralVector(x1, x2) stacks two
+    scalar fields; SpectralVector.wrap takes an array already stacked.
+    x1 and x2 are scalar views of the components."""
+
+    __slots__ = ()
+    lead = (2,)
 
     def __init__(self, x1: SpectralScalar, x2: SpectralScalar):
         check_same_grid(x1, x2)
-        self.x1 = x1
-        self.x2 = x2
+        super().__init__(x1.grid, np.stack((x1.coeffs, x2.coeffs)))
 
     @property
-    def grid(self) -> Grid:
-        return self.x1.grid
+    def x1(self) -> SpectralScalar:
+        return SpectralScalar(self.grid, self.coeffs[0])
 
-    def __add__(self, other):
-        return SpectralVector(self.x1 + other.x1, self.x2 + other.x2)
-
-    def __sub__(self, other):
-        return SpectralVector(self.x1 - other.x1, self.x2 - other.x2)
-
-    def __mul__(self, c):
-        return SpectralVector(self.x1 * c, self.x2 * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralVector(-self.x1, -self.x2)
+    @property
+    def x2(self) -> SpectralScalar:
+        return SpectralScalar(self.grid, self.coeffs[1])
 
 
 def check_same_grid(a, b):
@@ -176,8 +194,9 @@ def _hermitian_column(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def inverse_transform(f: SpectralScalar) -> np.ndarray:
-    """Half-spectrum coefficients -> real n x n samples."""
+def inverse_transform(f) -> np.ndarray:
+    """Half-spectrum coefficients -> real samples: n x n for a scalar field,
+    stacked (2, n, n) for a vector field."""
     return _fft.irfft2(f.coeffs)
 
 
@@ -200,7 +219,7 @@ def fold(full: np.ndarray) -> np.ndarray:
 
 
 def check_real(f) -> np.ndarray:
-    """Samples of f, a field or a full n x n spectrum, after checking that
+    """Samples of f, a scalar field or a full n x n spectrum, after checking that
     they are real: raise HermitianSymmetryError unless their imaginary
     residue is at most 1e-10 * max(1, max |real part|).
 
@@ -225,39 +244,34 @@ def zero_scalar(grid: Grid) -> SpectralScalar:
 
 
 def gradient(f: SpectralScalar) -> SpectralVector:
-    g = f.grid
-    return SpectralVector(
-        SpectralScalar(g, g.ik1 * f.coeffs),
-        SpectralScalar(g, g.ik2 * f.coeffs),
-    )
+    return SpectralVector.wrap(f.grid, f.grid.ik * f.coeffs)
 
 
 def divergence(F: SpectralVector) -> SpectralScalar:
     g = F.grid
-    return SpectralScalar(g, g.ik1 * F.x1.coeffs + g.ik2 * F.x2.coeffs)
+    return SpectralScalar(g, g.ik[0] * F.coeffs[0] + g.ik[1] * F.coeffs[1])
 
 
 def curl(F: SpectralVector) -> SpectralScalar:
     """curl F = d1 F2 - d2 F1."""
     g = F.grid
-    return SpectralScalar(g, g.ik1 * F.x2.coeffs - g.ik2 * F.x1.coeffs)
+    return SpectralScalar(g, g.ik[0] * F.coeffs[1] - g.ik[1] * F.coeffs[0])
 
 
-def laplacian(f: SpectralScalar) -> SpectralScalar:
-    return SpectralScalar(f.grid, -f.grid.k_sq * f.coeffs)
+def laplacian(f):
+    return f.wrap(f.grid, -f.grid.k_sq * f.coeffs)
 
 
-def bilaplacian(f: SpectralScalar) -> SpectralScalar:
-    return SpectralScalar(f.grid, f.grid.k_sq**2 * f.coeffs)
-
-
-def vector_laplacian(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(laplacian(F.x1), laplacian(F.x2))
+def bilaplacian(f):
+    return f.wrap(f.grid, f.grid.k_sq**2 * f.coeffs)
 
 
 def perp(F: SpectralVector) -> SpectralVector:
     """Rotate by +90 degrees: (a1, a2) -> (-a2, a1)."""
-    return SpectralVector(-F.x2, F.x1)
+    c = np.empty_like(F.coeffs)
+    np.negative(F.coeffs[1], out=c[0])
+    c[1] = F.coeffs[0]
+    return SpectralVector.wrap(F.grid, c)
 
 
 def _require_mean_zero(f: SpectralScalar, what: str):
@@ -279,10 +293,11 @@ def biot_savart(omega: SpectralScalar) -> SpectralVector:
     _require_mean_zero(omega, "biot_savart")
     g = omega.grid
     psi = omega.coeffs * g.inv_k_sq  # (-Lap)^{-1} omega
-    u1 = SpectralScalar(g, g.ik2 * psi)
-    # not conj(ik1): on the rows k1 < 0 the two differ in the sign of a zero
-    u2 = SpectralScalar(g, -1j * g.k1 * psi)
-    return SpectralVector(u1, u2)
+    u = np.empty(g.k.shape, dtype=np.complex128)
+    np.multiply(g.ik[1], psi, out=u[0])
+    # not conj(ik[0]): on the rows k1 < 0 the two differ in the sign of a zero
+    np.multiply(-1j * g.k1, psi, out=u[1])
+    return SpectralVector.wrap(g, u)
 
 
 def leray_project(F: SpectralVector) -> tuple[SpectralVector, SpectralVector]:
@@ -291,15 +306,9 @@ def leray_project(F: SpectralVector) -> tuple[SpectralVector, SpectralVector]:
     Mean modes pass through to p_part.
     """
     g = F.grid
-    s = (g.k1 * F.x1.coeffs + g.k2 * F.x2.coeffs) * g.inv_k_sq  # (k.Fhat)/|k|^2
-    q1 = g.k1 * s
-    q2 = g.k2 * s
-    p_part = SpectralVector(
-        SpectralScalar(g, F.x1.coeffs - q1),
-        SpectralScalar(g, F.x2.coeffs - q2),
-    )
-    q_part = SpectralVector(SpectralScalar(g, q1), SpectralScalar(g, q2))
-    return p_part, q_part
+    s = (g.k1 * F.coeffs[0] + g.k2 * F.coeffs[1]) * g.inv_k_sq  # (k.Fhat)/|k|^2
+    q = g.k * s
+    return SpectralVector.wrap(g, F.coeffs - q), SpectralVector.wrap(g, q)
 
 
 # ---------------------------------------------------------------------------
@@ -319,34 +328,22 @@ def _truncate(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def dealias(f: SpectralScalar) -> SpectralScalar:
-    return SpectralScalar(f.grid, _truncate(f.coeffs.copy()))
+def dealias(f):
+    return f.wrap(f.grid, _truncate(f.coeffs.copy()))
 
 
-def dealiased_samples(f: SpectralScalar, multiplier: np.ndarray | None = None) -> np.ndarray:
+def dealiased_samples(f, multiplier: np.ndarray | None = None) -> np.ndarray:
     """Grid samples of dealias(f), or of multiplier * dealias(f) for a
     per-mode multiplier, with the bits of inverse_transform of that field:
     only the band columns k2 = 0..n//3 are copied, with the rows
-    |k1| > n//3 zeroed, and they take irfft2's band path."""
-    c = _truncate(f.coeffs[:, :f.grid.dealias_cutoff + 1].copy())
+    |k1| > n//3 zeroed, and they take irfft2's band path.  A vector field,
+    or a stacked multiplier such as Grid.ik (the gradient), gives stacked
+    (2, n, n) samples."""
+    c = _truncate(f.coeffs[..., :f.grid.dealias_cutoff + 1].copy())
     if multiplier is not None:
-        np.multiply(multiplier[:, :c.shape[1]], c, out=c)
+        mult = multiplier[..., :c.shape[-1]]
+        c = np.multiply(mult, c, out=c if mult.ndim <= c.ndim else None)
     return _fft.irfft2(c)
-
-
-def dealiased_gradient(f: SpectralScalar) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of both components of gradient(dealias(f))."""
-    return dealiased_samples(f, f.grid.ik1), dealiased_samples(f, f.grid.ik2)
-
-
-def dealiased_vector_samples(F: SpectralVector, multiplier: np.ndarray | None = None
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """dealiased_samples of both components of F."""
-    return dealiased_samples(F.x1, multiplier), dealiased_samples(F.x2, multiplier)
-
-
-def dealias_vector(F: SpectralVector) -> SpectralVector:
-    return SpectralVector(dealias(F.x1), dealias(F.x2))
 
 
 def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
@@ -359,10 +356,12 @@ def dealiased_product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     return product_physical(dealiased_samples(f) * dealiased_samples(g), f.grid)
 
 
-def product_physical(fields_phys: np.ndarray, grid: Grid) -> SpectralScalar:
+def product_physical(fields_phys: np.ndarray, grid: Grid):
     """Forward transform of an already-formed physical product, dealiased
-    (the band excludes the Nyquist modes)."""
-    return SpectralScalar(grid, dealias_columns(_fft.rfft2(fields_phys)))
+    (the band excludes the Nyquist modes): a scalar field from n x n
+    samples, a vector field from stacked (2, n, n) ones."""
+    kind = SpectralVector if fields_phys.ndim == 3 else SpectralScalar
+    return kind.wrap(grid, dealias_columns(_fft.rfft2(fields_phys)))
 
 
 def dealias_columns(c: np.ndarray) -> np.ndarray:
@@ -384,38 +383,31 @@ def half_vdot(x: np.ndarray, y: np.ndarray) -> float:
     return float(total)
 
 
-def l2_norm(f: SpectralScalar) -> float:
+def _sum_over_components(reduce, f, g) -> float:
+    """reduce(a, b) of each pair of component half-spectra of two fields of
+    one kind, summed in component order (module docstring)."""
+    check_same_grid(f, g)
+    shape = (-1,) + f.grid.shape
+    first, *rest = (reduce(a, b) for a, b in
+                    zip(f.coeffs.reshape(shape), g.coeffs.reshape(shape), strict=True))
+    return sum(rest, first)
+
+
+def l2_norm(f) -> float:
     """Physical L2 norm; Plancherel gives (2*pi) * sqrt(sum |fhat|^2)."""
-    return 2.0 * np.pi * float(np.sqrt(half_vdot(f.coeffs, f.coeffs)))
-
-
-def l2_norm_vector(F: SpectralVector) -> float:
-    s = half_vdot(F.x1.coeffs, F.x1.coeffs) + half_vdot(F.x2.coeffs, F.x2.coeffs)
-    return 2.0 * np.pi * float(np.sqrt(s))
+    return 2.0 * np.pi * float(np.sqrt(_sum_over_components(half_vdot, f, f)))
 
 
 def mismatch(a, b) -> float:
-    """Relative gap ||a - b|| / max(||a||, ||b||, 1) of two scalar fields or
-    of two vector fields."""
-    norm = l2_norm_vector if isinstance(a, SpectralVector) else l2_norm
-    return norm(a - b) / max(norm(a), norm(b), 1.0)
+    """Relative gap ||a - b|| / max(||a||, ||b||, 1) of two fields of one kind."""
+    return l2_norm(a - b) / max(l2_norm(a), l2_norm(b), 1.0)
 
 
-def inner_product(f: SpectralScalar, g: SpectralScalar) -> float:
-    check_same_grid(f, g)
-    return (2.0 * np.pi) ** 2 * half_vdot(f.coeffs, g.coeffs)
-
-
-def inner_product_vector(F: SpectralVector, G: SpectralVector) -> float:
-    return inner_product(F.x1, G.x1) + inner_product(F.x2, G.x2)
+def inner_product(f, g) -> float:
+    return _sum_over_components(lambda a, b: (2.0 * np.pi) ** 2 * half_vdot(a, b), f, g)
 
 
 def sup_magnitude(*samples: np.ndarray) -> float:
     """Max over the grid of the pointwise Euclidean norm of the sampled
     components (a vector's two, a gradient tensor's four)."""
     return float(np.max(np.sqrt(sum(c * c for c in samples))))
-
-
-def sup_norm_vector(F: SpectralVector) -> float:
-    """Max pointwise Euclidean magnitude of a vector field."""
-    return sup_magnitude(inverse_transform(F.x1), inverse_transform(F.x2))

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from oddflow import app_io
-from oddflow.diagnostics import epsilon_sweep, kinetic_energy, twin_run_stability
+from oddflow.diagnostics import (
+    epsilon_sweep,
+    kinetic_energy,
+    perturbed_state,
+    twin_run_stability,
+)
 from oddflow.dynamics import (
     FlowState,
     grad_pi_minus_rho_omega,
@@ -37,11 +42,10 @@ from oddflow.spectral import (
     dealiased_product,
     fold,
     gradient,
-    inner_product_vector,
+    inner_product,
     inverse_transform,
     l2_norm,
-    l2_norm_vector,
-    sup_norm_vector,
+    sup_magnitude,
     zero_scalar,
 )
 from oddflow.stepping import StepperConfig, run
@@ -75,7 +79,7 @@ def spectral_trend_state(seed: int, n_master: int = 256) -> FlowState:
     rho = random_band_scalar(grid, seed, 0, cut - 1, power=5.5, sup_amplitude=0.2)
     om = random_band_scalar(grid, seed, 1, cut - 1, power=5.5)
     u = biot_savart(om)
-    sup = sup_norm_vector(u)
+    sup = sup_magnitude(*inverse_transform(u))
     if sup > 0:
         u = u * (1.0 / sup)
     return FlowState(0.0, rho, u)
@@ -145,7 +149,7 @@ def test_criterion_03_skew_symmetry():
     for seed in range(100):
         st = make_state(grid, seed, "full_band")
         stress = odd_stress_divergence(st)
-        val = abs(inner_product_vector(stress, st.u))
+        val = abs(inner_product(stress, st.u))
         worst = max(worst, val / sobolev_norm_vector(st.u, 1.0) ** 2)
     report(3, "odd-term skew-symmetry (100 states)",
            worst <= 1e-12,
@@ -159,7 +163,7 @@ def test_criterion_04_homogeneous_reduction():
     cfg = StepperConfig(dt=1.0 / 128, t_end=1.0)
     out_odd = run(FlowState(0.0, zero_scalar(grid), u0), cfg)
     out_eul = run(FlowState(0.0, zero_scalar(grid), u0, odd_sign=0), cfg)
-    diff = l2_norm_vector(out_odd.u - out_eul.u)
+    diff = l2_norm(out_odd.u - out_eul.u)
     report(4, "homogeneous reduction to Euler",
            diff <= 1e-8,
            f"|u_odd(1) - u_euler(1)|_L2 = {diff:.3e} <= 1e-8")
@@ -202,7 +206,7 @@ def test_criterion_06_pressure_split_consistency():
         solve_pressure(st)
         direct = grad_pi_minus_rho_omega(st)
         via = pressure_split_via_phi(st)
-        rel = l2_norm_vector(via - direct) / max(l2_norm_vector(direct), 1.0)
+        rel = l2_norm(via - direct) / max(l2_norm(direct), 1.0)
         worst = max(worst, rel)
     report(6, "pressure split consistency (50 states)",
            worst <= 1e-8,
@@ -221,7 +225,7 @@ def test_criterion_07_lax_milgram_bound():
             random_band_scalar(grid, seed, 302, band=16, power=1.0))
         grad_pi = solve_elliptic(a_phys, F).grad_pi
         a_star = float(np.min(a_phys))
-        excess = a_star * l2_norm_vector(grad_pi) / l2_norm_vector(F) - 1.0
+        excess = a_star * l2_norm(grad_pi) / l2_norm(F) - 1.0
         worst_excess = max(worst_excess, excess)
     report(7, "Lax-Milgram bound (100 instances)",
            worst_excess <= 1e-9,
@@ -249,7 +253,7 @@ def test_criterion_08_littlewood_paley_suite():
                      + 1j * rng.standard_normal((n, n)), 0.0)
         c = 0.5 * (c + np.conj(c[(-np.arange(n)) % n][:, (-np.arange(n)) % n]))
         f = SpectralScalar(grid, fold(c))
-        nf, ng = l2_norm(f), l2_norm_vector(gradient(f))
+        nf, ng = l2_norm(f), l2_norm(gradient(f))
         bern_ok &= lo * nf <= ng * (1 + 1e-13) and ng <= hi * nf * (1 + 1e-13)
 
     ratios = []
@@ -271,7 +275,7 @@ def test_criterion_09_steady_shear_exactness():
     rho, u = shear_state_fields(grid)
     st = FlowState(0.0, rho, u)
     out = run(st, StepperConfig(dt=None, t_end=1.0))
-    drift = l2_norm_vector(out.u - st.u)
+    drift = l2_norm(out.u - st.u)
 
     st_eps = FlowState(0.0, rho, u, epsilon=0.1)
     out_eps = run(st_eps, StepperConfig(dt=None, t_end=1.0))
@@ -315,7 +319,7 @@ def test_criterion_11_twin_run_scaling():
         drho = app_io.random_scalar(grid, 2026, 2, band=4, sup_amplitude=amp)
         du = app_io.random_divergence_free(grid, 2026, 3, band=4,
                                            sup_amplitude=amp)
-        recs = twin_run_stability(state, scfg, drho, du)
+        recs = twin_run_stability(state, perturbed_state(state, drho, du), scfg)
         finals[amp] = recs[-1].D
     r1 = finals[2 * a] / finals[a]
     r2 = finals[a] / finals[a / 2]
@@ -333,8 +337,8 @@ def test_criterion_12_temporal_convergence():
     finals = {}
     for m, dt in ((1, 0.02), (2, 0.01), (4, 0.005)):
         finals[m] = run(state, StepperConfig(dt=dt, t_end=0.5))
-    e1 = l2_norm_vector(finals[1].u - finals[2].u)
-    e2 = l2_norm_vector(finals[2].u - finals[4].u)
+    e1 = l2_norm(finals[1].u - finals[2].u)
+    e2 = l2_norm(finals[2].u - finals[4].u)
     ratio = e1 / e2
     ok = 16 * 0.75 <= ratio <= 16 * 1.25
     report(12, "4th-order temporal convergence",

@@ -432,3 +432,40 @@ def test_detector_flags_unused_public_names(tmp_path):
 
 def test_no_unused_public_names():
     assert unused_public_names(ROOT) == []
+
+
+# One implementation per operation: scalar and vector fields share one
+# layout, so no public function is another's twin for vector fields
+# (X_vector or vector_X beside X), looping over the components by hand.
+# sobolev_norm_vector is the one exception: perfbench wraps it by name.
+def vector_twins(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each public top-level function named X_vector or
+    vector_X, where X is also a public top-level function of the modules
+    given (file name -> source)."""
+    public = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                public[node.name] = module
+    return sorted(f"{module}: {name}" for name, module in public.items()
+                  if ({name.removesuffix("_vector"), name.removeprefix("vector_")} - {name})
+                  & public.keys())
+
+
+def test_detector_flags_vector_twins():
+    sources = {
+        "a.py": ("def l2_norm(f):\n    pass\ndef l2_norm_vector(F):\n    pass\n"
+                 "def vector_laplacian(F):\n    pass\ndef sup_norm_vector(F):\n    pass\n"
+                 "def _norm_vector(F):\n    pass\nclass dealias_vector:\n    pass\n"),
+        "b.py": ("def laplacian(f):\n    pass\ndef dealias(f):\n    pass\n"
+                 "def dealias_vector(F):\n    pass\ndef vector(F):\n    pass\n"
+                 "def _norm(f):\n    pass\n"),
+    }
+    assert vector_twins(sources) == ["a.py: l2_norm_vector", "a.py: vector_laplacian",
+                                     "b.py: dealias_vector"]
+
+
+def test_no_vector_twins():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert vector_twins(sources) == ["littlewood_paley.py: sobolev_norm_vector"]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddflow import app_io, fft
 from oddflow.dynamics import FlowState
@@ -14,18 +16,18 @@ from oddflow.spectral import (
     curl,
     dealias,
     dealiased_product,
+    dealiased_samples,
     divergence,
     expand,
     fold,
     gradient,
     inner_product,
-    inner_product_vector,
     inverse_laplacian,
     inverse_transform,
     laplacian,
     leray_project,
     l2_norm,
-    l2_norm_vector,
+    mismatch,
     perp,
     product_physical,
     zero_scalar,
@@ -159,8 +161,8 @@ class TestCalculus:
         assert l2_norm(divergence(perp(gradient(a)))) < 1e-12 * max(l2_norm(a), 1)
 
     def test_held_multipliers_are_the_inline_ones(self, grid32):
-        """The Grid's ik1, ik2 give the bytes of 1j*k1, 1j*k2 written out
-        per call, signed zeros included."""
+        """The Grid's ik gives the bytes of 1j*k1, 1j*k2 written out per
+        call, signed zeros included."""
         g = grid32
         a = random_band_field(g, 10)
         b = random_band_field(g, 11)
@@ -226,7 +228,7 @@ class TestBiotSavart:
 
     def test_zero(self, grid16):
         u = biot_savart(zero_scalar(grid16))
-        assert l2_norm_vector(u) == 0.0
+        assert l2_norm(u) == 0.0
 
     def test_divergence_free_and_curl_recovery(self, grid32):
         w = random_band_field(grid32, 12)
@@ -245,35 +247,35 @@ class TestLeray:
     def test_pure_gradient(self, grid16):
         F = SpectralVector(forward_transform(grid16, np.sin(grid16.x1)), zero_scalar(grid16))
         p, q = leray_project(F)
-        assert l2_norm_vector(p) < 1e-13
-        assert l2_norm_vector(q - F) < 1e-13
+        assert l2_norm(p) < 1e-13
+        assert l2_norm(q - F) < 1e-13
 
     def test_already_divergence_free(self, grid16):
         F = SpectralVector(zero_scalar(grid16),
                            forward_transform(grid16, np.sin(grid16.x1)))
         p, q = leray_project(F)
-        assert l2_norm_vector(q) < 1e-13
-        assert l2_norm_vector(p - F) < 1e-13
+        assert l2_norm(q) < 1e-13
+        assert l2_norm(p - F) < 1e-13
 
     def test_zero(self, grid16):
         p, q = leray_project(SpectralVector(zero_scalar(grid16), zero_scalar(grid16)))
-        assert l2_norm_vector(p) == 0.0 and l2_norm_vector(q) == 0.0
+        assert l2_norm(p) == 0.0 and l2_norm(q) == 0.0
 
     def test_split_identity_and_orthogonality(self, grid32):
         F = SpectralVector(random_band_field(grid32, 20), random_band_field(grid32, 21))
         p, q = leray_project(F)
-        nF = l2_norm_vector(F)
-        assert l2_norm_vector((p + q) - F) < 1e-13 * nF
+        nF = l2_norm(F)
+        assert l2_norm((p + q) - F) < 1e-13 * nF
         assert l2_norm(divergence(p)) < 1e-12 * nF
         assert l2_norm(curl(q)) < 1e-12 * nF
-        assert abs(inner_product_vector(p, q)) < 1e-12 * nF**2
+        assert abs(inner_product(p, q)) < 1e-12 * nF**2
 
     def test_mean_modes_pass_to_p(self, grid16):
         F = SpectralVector(constant_scalar(grid16, 3.0), constant_scalar(grid16, -1.0))
         p, q = leray_project(F)
         assert abs(p.x1.coeffs[0, 0] - 3.0) < 1e-15
         assert abs(p.x2.coeffs[0, 0] + 1.0) < 1e-15
-        assert l2_norm_vector(q) == 0.0
+        assert l2_norm(q) == 0.0
 
 
 class TestDealiasedProduct:
@@ -352,3 +354,125 @@ class TestInnerProducts:
         h2 = (2 * np.pi / 32) ** 2
         quad = np.sum(a * b) * h2
         assert abs(inner_product(f, g) - quad) < 1e-11 * max(abs(quad), 1)
+
+
+def half_vdot_reference(x, y):
+    """The full-spectrum sum Re sum x * conj(y) of two half-spectra, written
+    out: the columns 0 < k2 < n/2 count twice."""
+    return float(2.0 * np.vdot(y, x).real - np.vdot(y[:, 0], x[:, 0]).real
+                 - np.vdot(y[:, -1], x[:, -1]).real)
+
+
+def with_signed_zeros(rng, c):
+    """c with about a quarter of its real and imaginary parts set to zeros
+    of random sign."""
+    parts = c.view(np.float64)
+    zeros = rng.random(parts.shape) < 0.25
+    parts[zeros] = np.copysign(0.0, rng.standard_normal(parts.shape))[zeros]
+    return c
+
+
+LAYOUT = settings(max_examples=40, deadline=None, database=None)
+
+
+class TestStackedLayout:
+    """A vector field is one stacked (2, n, n/2+1) array: each vector
+    operation gives the bytes of a per-component formula written out here,
+    and each reduction the value of the per-component sum."""
+
+    @staticmethod
+    def draw(n, seed):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+
+        def spectrum(shape):
+            return with_signed_zeros(rng, rng.standard_normal(shape)
+                                     + 1j * rng.standard_normal(shape))
+
+        stacked = (2,) + grid.shape
+        return grid, spectrum(stacked), spectrum(stacked), spectrum(grid.shape), rng
+
+    @LAYOUT
+    @given(n=st.sampled_from([8, 10, 16, 32, 48]), seed=st.integers(0, 2**32 - 1),
+           c=st.floats(-4.0, 4.0))
+    def test_vector_operations_are_per_component_bytes(self, n, seed, c):
+        g, A, B, f, rng = self.draw(n, seed)
+        a, b = SpectralVector.wrap(g, A), SpectralVector.wrap(g, B)
+        k1, k2, mask = g.k1, g.k2, g.dealias_mask
+        s = (k1 * A[0] + k2 * A[1]) * g.inv_k_sq
+        w = f.copy()
+        w[0, 0] = 0.0  # biot_savart takes a mean-zero field
+        psi = w * g.inv_k_sq
+        p_part, q_part = leray_project(a)
+        cases = [
+            (a + b, [A[0] + B[0], A[1] + B[1]]),
+            (a - b, [A[0] - B[0], A[1] - B[1]]),
+            (a * c, [A[0] * c, A[1] * c]),
+            (c * a, [A[0] * c, A[1] * c]),
+            (-a, [-A[0], -A[1]]),
+            (dealias(a), [np.where(mask, A[0], 0.0), np.where(mask, A[1], 0.0)]),
+            (laplacian(a), [-g.k_sq * A[0], -g.k_sq * A[1]]),
+            (perp(a), [-A[1], A[0]]),
+            (gradient(SpectralScalar(g, f)), [1j * k1 * f, 1j * k2 * f]),
+            (divergence(a), 1j * k1 * A[0] + 1j * k2 * A[1]),
+            (curl(a), 1j * k1 * A[1] - 1j * k2 * A[0]),
+            (p_part, [A[0] - k1 * s, A[1] - k2 * s]),
+            (q_part, [k1 * s, k2 * s]),
+            (biot_savart(SpectralScalar(g, w)), [1j * k2 * psi, -1j * k1 * psi]),
+        ]
+        for field, reference in cases:
+            assert field.coeffs.tobytes() == np.asarray(reference).tobytes()
+
+    @LAYOUT
+    @given(n=st.sampled_from([8, 10, 16, 32, 48]), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_samples_are_per_component_bytes(self, n, seed):
+        """product_physical of a stacked sample pair, and dealiased_samples
+        with a stacked multiplier, transform each component as a scalar."""
+        g, A, _, f, rng = self.draw(n, seed)
+        samples = rng.standard_normal((2, n, n))
+        samples[:, ::3] = np.copysign(0.0, samples[:, ::3])
+        product = product_physical(samples, g)
+        assert isinstance(product, SpectralVector)
+        for i in range(2):
+            c = fft.rfft2(samples[i])
+            c[n // 2 + 1:, 0] = np.conj(c[n // 2 - 1:0:-1, 0]) + 0.0
+            assert product.coeffs[i].tobytes() == np.where(g.dealias_mask, c, 0.0).tobytes()
+
+        m = g.dealias_cutoff + 1
+        band = g.dealias_mask[:, :m]
+        gradient_samples = dealiased_samples(SpectralScalar(g, f), g.ik)
+        vector_samples = dealiased_samples(SpectralVector.wrap(g, A), g.k_sq)
+        for i, k in enumerate((g.k1, g.k2)):
+            reference = fft.irfft2(1j * k[:, :m] * np.where(band, f[:, :m], 0.0))
+            assert gradient_samples[i].tobytes() == reference.tobytes()
+            reference = fft.irfft2(g.k_sq[:, :m] * np.where(band, A[i, :, :m], 0.0))
+            assert vector_samples[i].tobytes() == reference.tobytes()
+
+    @LAYOUT
+    @given(n=st.sampled_from([8, 10, 16, 32, 48]), seed=st.integers(0, 2**32 - 1))
+    def test_reductions_are_per_component_sums(self, n, seed):
+        g, A, B, f, _ = self.draw(n, seed)
+        a, b = SpectralVector.wrap(g, A), SpectralVector.wrap(g, B)
+
+        def norm(C):
+            return 2.0 * np.pi * float(np.sqrt(half_vdot_reference(C[0], C[0])
+                                               + half_vdot_reference(C[1], C[1])))
+
+        assert l2_norm(a) == norm(A)
+        assert l2_norm(SpectralScalar(g, f)) == (
+            2.0 * np.pi * float(np.sqrt(half_vdot_reference(f, f))))
+        assert inner_product(a, b) == ((2.0 * np.pi) ** 2 * half_vdot_reference(A[0], B[0])
+                                       + (2.0 * np.pi) ** 2 * half_vdot_reference(A[1], B[1]))
+        assert mismatch(a, b) == norm(A - B) / max(norm(A), norm(B), 1.0)
+
+    def test_components_are_views_of_the_stack(self, grid16):
+        x1, x2 = random_band_field(grid16, 50), random_band_field(grid16, 51)
+        F = SpectralVector(x1, x2)
+        assert F.coeffs.shape == (2, 16, 9)
+        assert F.x1.coeffs.tobytes() == x1.coeffs.tobytes()
+        assert F.x2.coeffs.tobytes() == x2.coeffs.tobytes()
+        assert np.shares_memory(F.x1.coeffs, F.coeffs) and np.shares_memory(F.x2.coeffs, F.coeffs)
+        with pytest.raises(GridMismatchError):
+            SpectralVector.wrap(grid16, x1.coeffs)
+        with pytest.raises(GridMismatchError):
+            SpectralScalar(grid16, F.coeffs)

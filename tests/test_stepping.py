@@ -14,7 +14,6 @@ from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     SpectralVector,
     l2_norm,
-    l2_norm_vector,
     zero_scalar,
 )
 from oddflow.stepping import StageGuess, StepperConfig, cfl_dt, linear_factor, run, step
@@ -83,7 +82,7 @@ class TestStep:
         st = shear(grid64)
         cfg = StepperConfig(dt=0.01, t_end=1.0)
         out = step(st, cfg)
-        assert l2_norm_vector(out.u - st.u) <= 1e-10
+        assert l2_norm(out.u - st.u) <= 1e-10
         assert l2_norm(out.rho_dev) <= 1e-13
         assert out.t == 0.01
 
@@ -100,7 +99,7 @@ class TestStep:
                                                 zero_scalar(grid64)))
         out = step(st, StepperConfig(dt=0.01, t_end=1.0))
         assert l2_norm(out.rho_dev - st.rho_dev) < 1e-14
-        assert l2_norm_vector(out.u) < 1e-14
+        assert l2_norm(out.u) < 1e-14
 
     def test_means_preserved(self, grid64):
         st = make_state(grid64, 2, "half_band")
@@ -363,7 +362,7 @@ class TestStep:
             s = st
             for _ in range(40):
                 s = step(s, cfg)
-        assert exc_info.value.quantity == "min rho"
+        assert "min rho" in str(exc_info.value)
 
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
@@ -494,7 +493,7 @@ class TestRun:
         st = shear(grid64)
         out = run(st, StepperConfig(dt=None, t_end=1.0))
         assert abs(out.t - 1.0) < 1e-12
-        assert l2_norm_vector(out.u - st.u) <= 1e-8
+        assert l2_norm(out.u - st.u) <= 1e-8
 
     def test_observer_cadence(self, grid64):
         st = shear(grid64)
@@ -534,8 +533,8 @@ class TestTemporalOrder:
             dt = 0.04 / m
             cfg = StepperConfig(dt=dt, t_end=T)
             finals[m] = run(st, cfg)
-        e1 = l2_norm_vector(finals[1].u - finals[2].u)
-        e2 = l2_norm_vector(finals[2].u - finals[4].u)
+        e1 = l2_norm(finals[1].u - finals[2].u)
+        e2 = l2_norm(finals[2].u - finals[4].u)
         ratio = e1 / e2
         assert 16 * 0.75 <= ratio <= 16 * 1.25
 
@@ -547,4 +546,4 @@ class TestHomogeneousReduction:
         cfg = StepperConfig(dt=0.01, t_end=0.2)
         out_odd = run(FlowState(0.0, zero_scalar(grid64), u), cfg)
         out_eul = run(FlowState(0.0, zero_scalar(grid64), u, odd_sign=0), cfg)
-        assert l2_norm_vector(out_odd.u - out_eul.u) <= 1e-8
+        assert l2_norm(out_odd.u - out_eul.u) <= 1e-8
