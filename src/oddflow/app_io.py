@@ -86,8 +86,9 @@ def _type_ok(value, expected):
 
 def check_grid_fits(name: str, n: int) -> None:
     """ValidationError, before anything is allocated, when an n x n grid needs
-    more than physical memory at 700 B a point (peak RSS, n = 128 to 256)."""
-    need, have = 700 * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    more than physical memory at 800 B a point (the growth of a run's peak
+    RSS per added point, 770-820 B from n = 128 to 256)."""
+    need, have = 800 * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValidationError(f"{name} = {n} needs about {need / 2**30:.3g} GiB, more than "
                               f"the {have / 2**30:.3g} GiB of physical memory")

@@ -253,13 +253,16 @@ class Fields:
         out.coeffs[0, 0] = 0.0
         return -1.0 * out
 
-    def pressure_source(self) -> SpectralVector:
-        """Vector F with -div((1/rho) grad pi) = div F; the -sign*grad(omega)
-        contribution of the odd stress is folded in."""
-        F = self.transport - self.odd_sign * gradient(self.omega)
+    def pressure_source(self, out: np.ndarray) -> SpectralVector:
+        """Vector F with -div((1/rho) grad pi) = div F, formed in out, an
+        array of a vector field's shape, and returned as out's field; the
+        -sign*grad(omega) contribution of the odd stress is folded in."""
+        np.multiply(self.grid.ik, self.omega.coeffs, out=out)
+        out *= self.odd_sign
+        np.subtract(self.transport.coeffs, out, out=out)
         if self.epsilon > 0.0:
-            F = F + self.epsilon * self.hyper
-        return F
+            out += self.hyper.coeffs * self.epsilon
+        return SpectralVector.wrap(self.grid, out)
 
 
 def grad_pi_minus_rho_omega(state: FlowState) -> SpectralVector:

@@ -26,6 +26,22 @@ pressure force, PressureSolution.force, which dynamics.momentum_rhs reads
 in place of two irfft2 and two rfft2 per call.  The accumulated sum
 matches the force formed from grad(pi) to about 1e-15 relative.
 
+A solve builds only what it returns (the potential, the force and grad_pi,
+fresh arrays) and works in a Workspace, one set of scratch arrays per grid:
+the source F, the CG's vectors, the stacked transform buffers of an
+operator application (Concus-Golub's scalar ones are their first
+components: an application and a preconditioner call never overlap) and
+a^{1/2}.  workspace(grid) holds one for a block, and stepping.trajectory
+holds it for its whole loop, so the stage and observer solves of a run
+allocate no scratch after the first; it is freed when the loop ends or is
+closed, an abort included.  A solve outside a block (verify, direct calls)
+builds its own, which dies with the solve, so no scratch outlives a solve
+there.  The arrays are never cleared: each solve writes every element it
+reads.  Like oddflow.fft's band path, the workspace makes it unsafe for
+two threads to solve on one grid at once.  The band columns of rfft2(a grad p) that an application
+returns are a view of the workspace's f_out, which the next application or
+preconditioner call overwrites, so the CG folds them into the force first.
+
 A pressure solve starts from the state's pressure_guess, which only
 stepping.step sets, and from zero on every other state (verify, row 0 of a
 run, direct callers).  The guess is projected onto the mean-zero band; one
@@ -76,6 +92,7 @@ paired runs with one FFT thread.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -103,7 +120,6 @@ from .spectral import (
     laplacian,
     l2_norm,
     product_physical,
-    zero_scalar,
 )
 
 DEFAULT_TOL = 1e-11
@@ -151,13 +167,56 @@ def band_multipliers(grid: Grid) -> BandMultipliers:
     return BandMultipliers(band, grid.ik[..., :m] * band, grid.inv_k_sq[:, :m] * band)
 
 
+class Workspace:
+    """Every array a solve on one grid builds and throws away, allocated
+    once and never zeroed: the source F (full width, formed by
+    solve_pressure); the CG's right-hand side b, residual r, preconditioned
+    residual z, direction p, its application Ap and tmp (band columns); the
+    stacked band gradient grad and the stacked transforms g_out and f_out
+    of an operator application, whose first components Concus-Golub's
+    scalar transforms reuse; and root, a^{1/2} and then a^{-1/2}, with the
+    sup|q| test in g_out and f_out."""
+
+    def __init__(self, grid: Grid):
+        n, m = grid.n, grid.dealias_cutoff + 1
+        self.source = np.empty(grid.k.shape, dtype=np.complex128)
+        self.b, self.r, self.z, self.p, self.Ap, self.tmp = (
+            np.empty((n, m), dtype=np.complex128) for _ in range(6))
+        self.grad = np.empty((2, n, m), dtype=np.complex128)
+        self.g_out = np.empty((2, n, n))
+        self.f_out = np.empty(grid.k.shape, dtype=np.complex128)
+        self.root = np.empty((n, n))
+
+
+_held: dict[Grid, Workspace] = {}  # the workspace each open workspace() block holds
+
+
+@contextlib.contextmanager
+def workspace(grid: Grid):
+    """Hold a Workspace for the grid through the block and yield it: every
+    solve on the grid inside the block works in it.  A block inside one
+    that holds the grid's yields that one, and the outermost block frees
+    it on exit, normal or not."""
+    held = _held.get(grid)
+    if held is not None:
+        yield held
+        return
+    held = _held[grid] = Workspace(grid)
+    try:
+        yield held
+    finally:
+        del _held[grid]
+
+
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
     """The function z <- M r that the CG applies on the band columns; it
     writes z in place.  M is the one the name gives (inverse_laplacian or
     concus_golub, the function's __name__), or, without one, the one the
-    rule in the module docstring chooses."""
+    rule in the module docstring chooses.  Concus-Golub works in the
+    grid's Workspace, the held one or else its own, whose arrays the
+    returned function keeps."""
     bm = band_multipliers(grid)
-    n, m = bm.inv_lap.shape
+    m = bm.inv_lap.shape[1]
 
     def inverse_laplacian(r, z):
         np.multiply(r, bm.inv_lap, out=z)
@@ -165,14 +224,17 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
     if (name == "inverse_laplacian"
             or name is None and float(np.max(a_phys)) < CONTRAST_MIN * a_star):
         return inverse_laplacian
-    root = np.sqrt(a_phys)
-    if name is None:
-        lap_root = _fft.irfft2(-grid.k_sq * _fft.rfft2(root))
-        if not float(np.max(np.abs(lap_root / root))) < SUP_Q_MAX:
-            return inverse_laplacian
-
-    inv_root = 1.0 / root
-    v_out, f_out = np.empty((n, n)), np.empty((n, n // 2 + 1), dtype=np.complex128)
+    with workspace(grid) as ws:
+        v_out, f_out = ws.g_out[0], ws.f_out[0]
+        root = np.sqrt(a_phys, out=ws.root)
+        if name is None:
+            f = _fft.rfft2(root, out=f_out)
+            np.multiply(-grid.k_sq, f, out=f)
+            q = _fft.irfft2(f, out=v_out)  # Lap(a^{1/2})
+            q /= root
+            if not float(np.max(np.abs(q, out=q))) < SUP_Q_MAX:
+                return inverse_laplacian
+        inv_root = np.divide(1.0, root, out=root)
 
     def concus_golub(r, z):
         v = _fft.irfft2(r, out=v_out)  # the band columns alone
@@ -195,7 +257,8 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     guess, on the band columns, is projected onto the mean-zero band and
     starts the iteration; one that already meets tol returns after 0
     iterations.  preconditioner names M (see _preconditioner); None chooses
-    it.  A non-finite residual aborts.
+    it.  A non-finite residual aborts.  The scratch is the grid's
+    Workspace: the held one, else one that lives as long as the solve.
 
     The solution's force is T[a grad Pi]: every operator application forms
     rfft2(a grad p) on its way to -div(a grad p), so it follows the iterate
@@ -210,90 +273,88 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     if a_star <= 0.0:
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
+    with workspace(grid) as ws:
+        bm = band_multipliers(grid)
+        ik = bm.ik
+        m = ik.shape[-1]
+        b, r, tmp, grad, g_out, f_out = ws.b, ws.r, ws.tmp, ws.grad, ws.g_out, ws.f_out
 
-    bm = band_multipliers(grid)
-    ik = bm.ik
-    n, m = ik.shape[1:]
+        F_band = F.coeffs[..., :m]
+        np.multiply(ik[0], F_band[0], out=b)
+        b += np.multiply(ik[1], F_band[1], out=tmp)
+        b_norm = float(np.sqrt(half_vdot(b, b)))
 
-    F_band = F.coeffs[..., :m]
-    b = ik[0] * F_band[0] + ik[1] * F_band[1]
-    b_norm = float(np.sqrt(half_vdot(b, b)))
-    tmp = np.empty_like(b)
-    # both gradient components on the band columns alone, irfft2's band path
-    grad = np.empty_like(ik)
-    g_out, f_out = np.empty((2, n, n)), np.empty((2, n, n // 2 + 1), dtype=np.complex128)
+        def apply(p, out):
+            """out = -div(a grad p); returns the band columns of
+            rfft2(a grad p), a view of f_out (module docstring)."""
+            np.multiply(ik, p, out=grad)
+            g = _fft.irfft2(grad, out=g_out)
+            g *= a_phys
+            f = _fft.rfft2(g, out=f_out)[..., :m]
+            np.multiply(ik[0], f[0], out=out)
+            np.multiply(ik[1], f[1], out=tmp)
+            out += tmp
+            np.negative(out, out=out)
+            return f
 
-    def apply(p, out):
-        """out = -div(a grad p); returns the band columns of rfft2(a grad p),
-        a view of an array that the next call may overwrite."""
-        np.multiply(ik, p, out=grad)
-        g = _fft.irfft2(grad, out=g_out)
-        g *= a_phys
-        f = _fft.rfft2(g, out=f_out)[..., :m]
-        np.multiply(ik[0], f[0], out=out)
-        np.multiply(ik[1], f[1], out=tmp)
-        out += tmp
-        np.negative(out, out=out)
-        return f
-
-    res = 1.0
-    it = 0
-    applied = None
-    if b_norm == 0.0:
-        x, ax, res = np.zeros_like(b), np.zeros_like(ik), 0.0
-    elif guess is None:
-        x, ax, r = np.zeros_like(b), np.zeros_like(ik), b.copy()
-    else:
-        x, r = guess * bm.band, np.empty_like(b)
-        ax = np.array(apply(x, r))
-        np.subtract(b, r, out=r)
-        res = float(np.sqrt(half_vdot(r, r))) / b_norm
-    if not res <= tol:
-        precondition = _preconditioner(a_phys, a_star, grid, preconditioner)
-        applied = precondition.__name__
-        z = np.empty_like(b)
-        precondition(r, z)
-        p = z.copy()
-        Ap = np.empty_like(b)
-        rz = half_vdot(r, z)
-        for it in range(1, DEFAULT_MAX_ITER + 1):
-            fp = apply(p, Ap)
-            denom = half_vdot(p, Ap)
-            if denom <= 0.0:
-                raise ConvergenceError(
-                    f"CG broke down at iteration {it}: <p, Ap> = {denom:.3e}")
-            alpha = rz / denom
-            np.multiply(p, alpha, out=tmp)
-            x += tmp
-            fp *= alpha
-            ax += fp
-            np.multiply(Ap, alpha, out=tmp)
-            r -= tmp
-            res = float(np.sqrt(half_vdot(r, r))) / b_norm
-            if not np.isfinite(res):
-                raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
-            if res <= tol:
-                break
-            precondition(r, z)
-            rz_new = half_vdot(r, z)
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
+        res = 1.0
+        it = 0
+        applied = None
+        if b_norm == 0.0:
+            x, ax, res = np.zeros_like(b), np.zeros_like(ik), 0.0
+        elif guess is None:
+            x, ax = np.zeros_like(b), np.zeros_like(ik)
+            np.copyto(r, b)
         else:
-            raise ConvergenceError(
-                f"pressure CG did not reach tol {tol:.1e} in {it} iterations "
-                f"(residual {res:.3e})")
+            x = guess * bm.band
+            ax = np.array(apply(x, r))
+            np.subtract(b, r, out=r)
+            res = float(np.sqrt(half_vdot(r, r))) / b_norm
+        if not res <= tol:
+            precondition = _preconditioner(a_phys, a_star, grid, preconditioner)
+            applied = precondition.__name__
+            z, p, Ap = ws.z, ws.p, ws.Ap
+            precondition(r, z)
+            np.copyto(p, z)
+            rz = half_vdot(r, z)
+            for it in range(1, DEFAULT_MAX_ITER + 1):
+                fp = apply(p, Ap)
+                denom = half_vdot(p, Ap)
+                if denom <= 0.0:
+                    raise ConvergenceError(
+                        f"CG broke down at iteration {it}: <p, Ap> = {denom:.3e}")
+                alpha = rz / denom
+                np.multiply(p, alpha, out=tmp)
+                x += tmp
+                fp *= alpha
+                ax += fp
+                np.multiply(Ap, alpha, out=tmp)
+                r -= tmp
+                res = float(np.sqrt(half_vdot(r, r))) / b_norm
+                if not np.isfinite(res):
+                    raise RuntimeAbort(f"pressure CG residual {res} at iteration {it}")
+                if res <= tol:
+                    break
+                precondition(r, z)
+                rz_new = half_vdot(r, z)
+                p *= rz_new / rz
+                p += z
+                rz = rz_new
+            else:
+                raise ConvergenceError(
+                    f"pressure CG did not reach tol {tol:.1e} in {it} iterations "
+                    f"(residual {res:.3e})")
 
-    pi = zero_scalar(grid)
-    pi.coeffs[:, :m] = x
-    # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
-    gp = gradient(pi)
-    lhs = a_star * l2_norm(gp)
-    rhs = l2_norm(F) * (1.0 + 10.0 * tol) + 1e-14
-    if lhs > rhs:
-        raise OddflowError(
-            f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-    return PressureSolution(gp, dealias_columns(ax), x, it, res, applied)
+        # grad Pi, zero past the band columns, as gradient() gives it
+        gp = SpectralVector.wrap(grid, np.zeros_like(F.coeffs))
+        np.multiply(grid.ik[..., :m], x, out=gp.coeffs[..., :m])
+        # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
+        lhs = a_star * l2_norm(gp)
+        rhs = l2_norm(F) * (1.0 + 10.0 * tol) + 1e-14
+        if lhs > rhs:
+            raise OddflowError(
+                f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
+        return PressureSolution(gp, dealias_columns(ax), x, it, res, applied)
 
 
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:
@@ -301,6 +362,7 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
     state.pressure (replacing any stored one) and returned.  The CG starts
     from state.pressure_guess when the state carries one, else from zero,
     and applies the preconditioner state.preconditioner names, if any.
+    The source F is formed in the grid's Workspace, as the solve's scratch.
     No program path passes tol; perfbench's traced runs read it from the
     call's bound arguments.
 
@@ -308,8 +370,9 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
     + (eps/rho) Lap^2 u) - sign*Lap(omega).
     """
     fl = state.fields
-    state.pressure = solve_elliptic(fl.inv_rho_phys, fl.pressure_source(),
-                                    state.pressure_guess, state.preconditioner, tol)
+    with workspace(state.grid) as ws:
+        state.pressure = solve_elliptic(fl.inv_rho_phys, fl.pressure_source(ws.source),
+                                        state.pressure_guess, state.preconditioner, tol)
     return state.pressure
 
 

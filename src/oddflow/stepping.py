@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
 from .errors import RuntimeAbort, ValidationError
-from .pressure import solve_pressure
+from .pressure import solve_pressure, workspace
 from .spectral import dealias, leray_project, sup_magnitude
 
 CFL_CAP = 1e6
@@ -297,21 +297,26 @@ def trajectory(states: tuple[FlowState, ...], config: StepperConfig):
     smallest of their CFL bounds (computed once per step), clamped to
     t_end.  The first step whose fixed dt exceeds that bound draws a
     RuntimeWarning, once per trajectory, pointed at the caller of the
-    generator's consumer (run or diagnostics.twin_run_stability)."""
+    generator's consumer (run or diagnostics.twin_run_stability).
+
+    The loop holds the grid's pressure.workspace until it ends, returns or
+    is closed (a consumer's exception or break), so every stage and
+    observer solve of the run reuses one Workspace."""
     index = 0
     warned = False
-    yield index, states
-    while states[0].t < config.t_end - 1e-14:
-        bound = min(cfl_dt(state) for state in states)
-        h = config.cfl_safety * bound if config.dt is None else config.dt
-        h = min(h, config.t_end - states[0].t)
-        if h > bound and not warned:
-            warned = True
-            warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
-                          RuntimeWarning, stacklevel=3)
-        states = tuple(step(state, config, dt=h) for state in states)
-        index += 1
+    with workspace(states[0].grid):
         yield index, states
+        while states[0].t < config.t_end - 1e-14:
+            bound = min(cfl_dt(state) for state in states)
+            h = config.cfl_safety * bound if config.dt is None else config.dt
+            h = min(h, config.t_end - states[0].t)
+            if h > bound and not warned:
+                warned = True
+                warnings.warn(f"dt = {h:.3e} exceeds the stability estimate {bound:.3e}",
+                              RuntimeWarning, stacklevel=3)
+            states = tuple(step(state, config, dt=h) for state in states)
+            index += 1
+            yield index, states
 
 
 def run(initial: FlowState, config: StepperConfig, observers=()) -> FlowState:

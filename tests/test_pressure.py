@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -271,7 +273,7 @@ class TestHalfSpectrumCG:
     def test_paths_agree(self, monkeypatch, state):
         st = state()
         fl = st.fields
-        F = fl.pressure_source()
+        F = fl.pressure_source(np.empty_like(fl.transport.coeffs))
         pis = []
         for contrast_min, sup_q_max in ((np.inf, 0.0), (0.0, np.inf)):
             monkeypatch.setattr(pressure, "CONTRAST_MIN", contrast_min)
@@ -355,11 +357,51 @@ class TestWarmStart:
         solve's: a zero guess, which adds the b - A x0 application, gives
         the same potential bit for bit, after the cold count of 14."""
         st = density_wave(64, 0.9)
-        F = st.fields.pressure_source()
+        F = st.fields.pressure_source(np.empty_like(st.fields.transport.coeffs))
         zero = solve_elliptic(st.fields.inv_rho_phys, F, np.zeros((64, 22), dtype=complex))
         cold = solve_pressure(st)
         assert np.array_equal(cold.potential, zero.potential)
         assert cold.iterations == zero.iterations == 14
+
+
+class TestWorkspace:
+    """The scratch arrays of the solves on one grid (pressure.Workspace)."""
+
+    def test_second_solve_leaves_the_first(self):
+        """A second solve in a held workspace leaves the first solution's
+        potential, force and grad_pi as they were: none is a workspace
+        array."""
+        first_state, second_state = density_wave(64, 0.9), random_bandlimited(64, 0)
+        with pressure.workspace(first_state.grid) as ws:
+            first = solve_pressure(first_state)
+            kept = [a.copy() for a in (first.potential, first.force, first.grad_pi.coeffs)]
+            assert solve_pressure(second_state).iterations > 0
+        scratch = list(vars(ws).values())
+        for array, copy in zip((first.potential, first.force, first.grad_pi.coeffs), kept):
+            assert np.array_equal(array, copy)
+            assert not any(np.shares_memory(array, w) for w in scratch)
+
+    def test_held_through_the_outermost_block(self, grid64, monkeypatch):
+        """A solve outside every block builds its own workspace, which dies
+        with it; a block inside one that holds the grid's yields that one,
+        and the outermost block frees it when it exits by an exception."""
+        built = []
+        init = pressure.Workspace.__init__
+
+        def recorded(self, grid):
+            init(self, grid)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(pressure.Workspace, "__init__", recorded)
+        solve_pressure(density_wave(64, 0.5))
+        assert len(built) == 1 and built[0]() is None and pressure._held == {}
+        with pytest.raises(RuntimeAbort):
+            with pressure.workspace(grid64) as outer:
+                with pressure.workspace(Grid(64)) as inner:
+                    assert inner is outer
+                solve_pressure(density_wave(64, 0.5))
+                raise RuntimeAbort("leaving the block")
+        assert len(built) == 2 and pressure._held == {}
 
 
 class TestPressureForce:

@@ -523,6 +523,51 @@ class TestRun:
         assert abs(kinetic_energy(out) - k0) / k0 <= 1e-8
 
 
+class TestRunWorkspace:
+    """A run holds one pressure.Workspace through its loop and frees it
+    when the loop ends, normally or by an abort."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Weak references to every pressure.Workspace built."""
+        refs = []
+
+        class Recorded(pressure.Workspace):
+            def __init__(self, grid):
+                super().__init__(grid)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(pressure, "Workspace", Recorded)
+        return refs
+
+    def test_one_workspace_per_run(self, grid32, made):
+        """Every stage solve and every observer solve of a 3-step run share
+        one workspace, which is gone when run returns."""
+        rows = []
+        run(make_state(grid32, 5, "half_band"), StepperConfig(dt=1e-3, t_end=3e-3),
+            observers=[lambda s, i: rows.append(observe(s, 2.5))])
+        assert len(rows) == 4 and len(made) == 1
+        assert made[0]() is None and pressure._held == {}
+
+    @pytest.mark.parametrize("where", ["step", "observer"])
+    def test_freed_after_an_abort(self, made, where):
+        """A vacuum breach in a step's first stage (min rho is 0.5) or an
+        observer's abort after two steps ends the run with no workspace
+        left."""
+        st = init_scenario(RunConfig(grid_n=32, t_end=0.0, scenario={
+            "name": "density_wave", "a": 0.5}))
+
+        def observer(s, i):
+            observe(s, 2.5)
+            if where == "observer" and i == 2:
+                raise RuntimeAbort("observer abort")
+
+        cfg = StepperConfig(dt=1e-3, t_end=1e-2, vacuum_floor=0.6 if where == "step" else 1e-6)
+        with pytest.raises(RuntimeAbort, match="min rho" if where == "step" else "observer"):
+            run(st, cfg, observers=[observer])
+        assert len(made) == 1 and made[0]() is None and pressure._held == {}
+
+
 class TestTemporalOrder:
     def test_fourth_order_refinement(self, grid32):
         """||u(T; dt) - u(T; dt/2)|| falls ~16x per halving for eps = 0."""
