@@ -225,7 +225,7 @@ def random_band_scalar(grid: Grid, seed: int, stream: int, band: int,
     rng = _stream(seed, stream)
     n = grid.n
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = grid.k1[:, 0]  # the full spectrum's wavenumbers, in fft order
     kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
     env = np.where(kmag > 0, np.maximum(kmag, 1.0) ** (-power), 0.0)
     mask = (np.abs(k[:, None]) <= band) & (np.abs(k[None, :]) <= band)
@@ -364,6 +364,15 @@ def diagnostics_csv(records, columns) -> str:
     lines = [",".join(columns)]
     lines += [",".join(f"{float(v):.17g}" for v in rec) for rec in records]
     return "\n".join(lines) + "\n"
+
+
+def write_table(path: str, records, columns) -> str:
+    """Write records under the header columns to path as diagnostics_csv's
+    text, and return the text."""
+    text = diagnostics_csv(records, columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 def csv_to_dat(csv_text: str) -> str:

@@ -56,9 +56,7 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
 
     def write_rows():
-        csv_text = app_io.diagnostics_csv(rows, diagnostics.DIAGNOSTIC_FIELDS)
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        csv_text = app_io.write_table(csv_path, rows, diagnostics.DIAGNOSTIC_FIELDS)
         if args.emit_dat:
             with open(os.path.join(cfg.output_dir, "diagnostics.dat"), "w",
                       encoding="utf-8") as fh:
@@ -113,8 +111,7 @@ def cmd_twin(args) -> int:
     records = diagnostics.twin_run_stability(state, perturbed, cfg.stepper(),
                                              observe_every=cfg.observe_every)
     path = os.path.join(cfg.output_dir, "twin.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(app_io.diagnostics_csv(records, diagnostics.STABILITY_FIELDS))
+    app_io.write_table(path, records, diagnostics.STABILITY_FIELDS)
     print(f"D(0) = {records[0].D:.6e}  D(T) = {records[-1].D:.6e}  -> {path}")
     return 0
 
@@ -135,8 +132,7 @@ def cmd_sweep_eps(args) -> int:
         print(f"{row.eps_high:12.3e} {row.eps_low:12.3e} "
               f"{row.u_distance:14.6e} {row.rho_distance:14.6e}")
     path = os.path.join(cfg.output_dir, "sweep_eps.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(app_io.diagnostics_csv(table, diagnostics.SWEEP_FIELDS))
+    app_io.write_table(path, table, diagnostics.SWEEP_FIELDS)
     print(f"table -> {path}")
     return 0
 

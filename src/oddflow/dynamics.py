@@ -54,7 +54,8 @@ class FlowState:
     pressure_history, a stepping.PressureHistory (a rate and one StageGuess
     per RK stage), both None on any other state.  Once the history is
     full, after six steps, it holds 22 band-column arrays, the guess
-    among them, each of shape (n, n//3 + 1).  No code changes a state's arrays, so a caller may
+    among them, and the stages' shared weight, each of shape
+    (n, n//3 + 1).  No code changes a state's arrays, so a caller may
     keep a state; step takes over the history arrays of the state it
     steps, which drops them.  preconditioner, which step sets on its stage
     states only, names the one their solves apply (see

@@ -38,9 +38,10 @@ closed, an abort included.  A solve outside a block (verify, direct calls)
 builds its own, which dies with the solve, so no scratch outlives a solve
 there.  The arrays are never cleared: each solve writes every element it
 reads.  Like oddflow.fft's band path, the workspace makes it unsafe for
-two threads to solve on one grid at once.  The band columns of rfft2(a grad p) that an application
-returns are a view of the workspace's f_out, which the next application or
-preconditioner call overwrites, so the CG folds them into the force first.
+two threads to solve on one grid at once.  The band columns of
+rfft2(a grad p) that an application returns are a view of the
+workspace's f_out, which the next application or preconditioner call
+overwrites, so the CG folds them into the force first.
 
 A pressure solve starts from the state's pressure_guess, which only
 stepping.step sets, and from zero on every other state (verify, row 0 of a
@@ -163,7 +164,7 @@ class BandMultipliers:
 def band_multipliers(grid: Grid) -> BandMultipliers:
     """The CG multipliers of this grid, built once."""
     m = grid.dealias_cutoff + 1
-    band = (grid.dealias_mask & grid.keep_mask & (grid.k_sq > 0))[:, :m].astype(np.float64)
+    band = (grid.dealias_mask & (grid.k_sq > 0))[:, :m].astype(np.float64)
     return BandMultipliers(band, grid.ik[..., :m] * band, grid.inv_k_sq[:, :m] * band)
 
 

@@ -46,16 +46,18 @@ from .errors import GridMismatchError, HermitianSymmetryError, MeanModeError, Va
 
 class Grid:
     """Uniform n x n collocation grid on [0, 2*pi)^2 and its half-spectrum
-    wavenumbers.
+    wavenumbers, the one place the program derives them: exact integers,
+    built once, k1 over the rows in fft order (k1[:, 0] also orders a full
+    spectrum's rows and columns) and k2 over the columns.
 
     n must be even and >= 8 (powers of two give the fastest transforms).
-    k1, k2, k_sq, inv_k_sq, keep_mask and dealias_mask have the n x (n/2+1)
-    shape of a stored scalar field, and k, the stack of k1 and k2, and its
-    derivative multiplier ik = 1j*k have the (2, n, n/2+1) shape of a
+    A Grid holds k1, k2, k_sq = |k|^2, inv_k_sq (zero at k = 0) and
+    dealias_mask, of the n x (n/2+1) shape of a stored scalar field, and k,
+    the stack of k1 and k2, and ik = 1j*k, of the (2, n, n/2+1) shape of a
     stored vector field, so every per-mode multiplier applies to a field as
-    it is.  The 2/3-rule dealias cutoff is
-    floor(n/3): a field is dealiased when coeff(k) = 0 whenever
-    max(|k1|, |k2|) > cutoff.
+    it is.  The 2/3-rule dealias cutoff is floor(n/3) < n/2: a field is
+    dealiased when coeff(k) = 0 whenever max(|k1|, |k2|) > cutoff, and
+    dealias_mask excludes the Nyquist row and column.
     """
 
     def __init__(self, n: int):
@@ -63,23 +65,18 @@ class Grid:
             raise ValidationError(f"grid size must be even and >= 8, got {n}")
         self.n = int(n)
         self.dealias_cutoff = n // 3
-        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0..n/2-1, -n/2..-1
-        half = np.arange(n // 2 + 1, dtype=np.int64)        # 0..n/2
+        k = (np.arange(n, dtype=np.int64) + n // 2) % n - n // 2  # 0..n/2-1, -n/2..-1
+        half = np.arange(n // 2 + 1, dtype=np.int64)               # 0..n/2
         self.k = np.stack(np.broadcast_arrays(k[:, None], half[None, :]))
         self.k1, self.k2 = self.k
         self.ik = 1j * self.k
         self.k_sq = (self.k1**2 + self.k2**2).astype(np.float64)
         self.inv_k_sq = np.divide(1.0, self.k_sq, out=np.zeros_like(self.k_sq),
                                   where=self.k_sq > 0)  # zero at k = 0
-        # Nyquist row (k1 = -n/2) and column (k2 = n/2) are always zeroed.
-        self.keep_mask = (np.abs(self.k1) != n // 2) & (self.k2 != n // 2)
         self.dealias_mask = (
             (np.abs(self.k1) <= self.dealias_cutoff)
             & (self.k2 <= self.dealias_cutoff)
         )
-        x = np.arange(n) * (2.0 * np.pi / n)
-        self.x1 = x[:, None] * np.ones((1, n))
-        self.x2 = np.ones((n, 1)) * x[None, :]
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -20,7 +20,6 @@ diagnostics.twin_run_stability a pair.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,37 +102,33 @@ _DEPTH = 5  # backward differences kept per stage: guesses up to quartic
 _NOISE_GAIN = tuple(math.sqrt(math.comb(2 * d, d)) for d in range(1, _DEPTH + 1))
 
 
-@functools.cache
-def _laplacian_sq(n: int, m: int) -> np.ndarray:
-    """|k|^4 on the columns k2 = 0..m-1 of an n-row half-spectrum."""
-    k1 = np.fft.fftfreq(n, 1.0 / n)
-    return (k1[:, None] ** 2 + np.arange(m) ** 2) ** 2
-
-
 class StageGuess:
     """One RK stage's warm start from the error coefficients c = (P - b) / h^2
-    of its base b: the backward differences [c, dc, ..., d^(k-1) c] of the
-    newest c (k <= _DEPTH), each depth's score, the depth of the next guess,
-    and the base, h^2 and array of its pending guess.
+    of its base b: its score weight, the backward differences [c, dc, ...,
+    d^(k-1) c] of the newest c (k <= _DEPTH), each depth's score, the depth
+    of the next guess, and the base, h^2 and array of its pending guess.
 
     The depth-d guess is b + h^2 (c + dc + ... + d^(d-1) c), the polynomial
     of degree d - 1 through the last d coefficients extrapolated one step.
     The next coefficient's table entry d^j c' is c' less the depth-j sum,
     the error of the depth-j guess, so a record yields the error of every
     depth 1..k-1 for free (and of depth _DEPTH from its guess, when used).
-    A depth scores ||Lap error||, which approximates the residual its guess
-    leaves, times its noise gain, averaged over steps with weight 1/2; the
-    next guess takes the best depth (ties to the shallower), one deeper
-    when the deepest scored depth is best.  The gain charges each depth for
-    the CG's noise at its tolerance, which its guess carries on and whose
-    share of the error the solve started from that guess keeps.  So a
-    stage with one or two coefficients extrapolates them constantly or
-    linearly, and smooth errors are followed to higher order while noisy
-    ones are kept at a low one."""
+    A depth scores ||Lap error|| (weight |k|^4, the Grid's k_sq[:, :m] ** 2,
+    which step builds once per history for its four stages), which
+    approximates the residual its guess leaves, times its noise gain,
+    averaged over steps with weight 1/2; the next guess takes the best
+    depth (ties to the shallower), one deeper when the deepest scored depth
+    is best.  The gain charges each depth for the CG's noise at its
+    tolerance, which its guess carries on and whose share of the error the
+    solve started from that guess keeps.  So a stage with one or two
+    coefficients extrapolates them constantly or linearly, and smooth
+    errors are followed to higher order while noisy ones are kept at a low
+    one."""
 
-    __slots__ = ("table", "scores", "depth", "base", "h_sq", "pending")
+    __slots__ = ("weight", "table", "scores", "depth", "base", "h_sq", "pending")
 
-    def __init__(self):
+    def __init__(self, weight: np.ndarray):
+        self.weight = weight
         self.table, self.scores, self.depth = [], [], 0
         self.base = self.h_sq = self.pending = None
 
@@ -159,12 +154,11 @@ class StageGuess:
         the spent guess's array, through the table (in place, deepest entry
         dropped when full), score each depth and choose the next guess's.
         The base and the guess are released."""
-        weight = _laplacian_sq(*potential.shape)
         weighted = np.empty_like(potential)  # weight * error, for every score
         scores = self.scores
 
         def score(depth, error, scale=1.0):
-            np.multiply(weight, error, out=weighted)
+            np.multiply(self.weight, error, out=weighted)
             value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(np.vdot(error, weighted).real)
             if depth > len(scores):
                 scores.append(value)
@@ -239,7 +233,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     state.drop_cache()
 
     if past is None:
-        s1, s2, s3, s4 = StageGuess(), StageGuess(), StageGuess(), StageGuess()
+        weight = g.k_sq[:, :g.dealias_cutoff + 1] ** 2  # |k|^4 on the band columns
+        s1, s2, s3, s4 = (StageGuess(weight) for _ in range(4))
         b2 = p1
     else:
         s1, s2, s3, s4 = past.stages

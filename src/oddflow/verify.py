@@ -55,8 +55,7 @@ from .spectral import (
 )
 
 
-def make_state(grid: Grid, seed: int, profile: str = "half_band",
-               epsilon: float = 0.0, odd_sign: float = 1.0) -> FlowState:
+def make_state(grid: Grid, seed: int, profile: str = "half_band") -> FlowState:
     """Seeded random state for identity checks.
 
     half_band: spectra confined to half the dealias band, so quadratic and
@@ -83,7 +82,7 @@ def make_state(grid: Grid, seed: int, profile: str = "half_band",
     sup = sup_magnitude(*inverse_transform(u))
     if sup > 0:
         u = u * (1.0 / sup)
-    return FlowState(0.0, rho, u, epsilon=epsilon, odd_sign=odd_sign)
+    return FlowState(0.0, rho, u)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,14 @@ def full_wavenumbers(n):
     return k1, k2, np.sqrt(k1**2 + k2**2)
 
 
+def coordinates(grid):
+    """The grid's collocation points as two n x n arrays,
+    (x1[i, j], x2[i, j]) = 2*pi*(i, j)/n, for test data given by samples."""
+    n = grid.n
+    x = np.arange(n) * (2.0 * np.pi / n)
+    return x[:, None] * np.ones((1, n)), np.ones((n, 1)) * x[None, :]
+
+
 def forward_transform(grid, samples):
     """Real n x n samples (read as float64) -> half-spectrum amplitudes
     (Nyquist zeroed), through the package's transform module."""

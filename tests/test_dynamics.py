@@ -38,7 +38,7 @@ from oddflow.spectral import (
 from oddflow.littlewood_paley import sobolev_norm_vector
 from oddflow.verify import identity_checks, make_state
 
-from conftest import forward_transform, shear_state_fields
+from conftest import coordinates, forward_transform, shear_state_fields
 
 
 @pytest.fixture
@@ -49,7 +49,8 @@ def shear64(grid64):
 
 def wave_state(grid, eps=0.0):
     """rho = 1 + 0.5 cos(x2), u = (0, sin x1)."""
-    rho = forward_transform(grid, 0.5 * np.cos(grid.x2))
+    x2 = coordinates(grid)[1]
+    rho = forward_transform(grid, 0.5 * np.cos(x2))
     _, u = shear_state_fields(grid)
     return FlowState(0.0, rho, u, epsilon=eps)
 
@@ -82,7 +83,8 @@ class TestFlowState:
         assert abs(lo - 0.5) < 1e-12 and abs(hi - 1.5) < 1e-12
 
     def test_vacuum_abort(self, grid64):
-        rho = forward_transform(grid64, -1.5 * np.cos(grid64.x1) ** 2)
+        x1 = coordinates(grid64)[0]
+        rho = forward_transform(grid64, -1.5 * np.cos(x1) ** 2)
         _, u = shear_state_fields(grid64)
         st = FlowState(0.0, rho, u)
         with pytest.raises(RuntimeAbort):
@@ -108,19 +110,22 @@ class TestFlowState:
 
 class TestOddStress:
     def test_homogeneous(self, shear64, grid64):
+        x1 = coordinates(grid64)[0]
         out = odd_stress_divergence(shear64)
-        assert np.max(np.abs(inverse_transform(out.x1) - np.sin(grid64.x1))) < 1e-12
+        assert np.max(np.abs(inverse_transform(out.x1) - np.sin(x1))) < 1e-12
         assert l2_norm(out.x2) < 1e-13
 
     def test_variable_density(self, grid64):
+        x1, x2 = coordinates(grid64)
         st = wave_state(grid64)
         out = odd_stress_divergence(st)
-        expected = (1 + 0.5 * np.cos(grid64.x2)) * np.sin(grid64.x1)
+        expected = (1 + 0.5 * np.cos(x2)) * np.sin(x1)
         assert np.max(np.abs(inverse_transform(out.x1) - expected)) < 1e-12
         assert l2_norm(out.x2) < 1e-13
 
     def test_zero_velocity(self, grid64):
-        st = FlowState(0.0, forward_transform(grid64, 0.3 * np.cos(grid64.x1)),
+        x1 = coordinates(grid64)[0]
+        st = FlowState(0.0, forward_transform(grid64, 0.3 * np.cos(x1)),
                        SpectralVector(zero_scalar(grid64), zero_scalar(grid64)))
         assert l2_norm(odd_stress_divergence(st)) == 0.0
 
@@ -148,39 +153,45 @@ class TestOddStress:
 
 class TestBilinearForm:
     def test_zero_cases(self, grid64, shear64):
-        alpha = forward_transform(grid64, np.cos(grid64.x1))
+        x1 = coordinates(grid64)[0]
+        alpha = forward_transform(grid64, np.cos(x1))
         out = bilinear_B(shear64, alpha)
         assert l2_norm(out) < 1e-13
 
     def test_product_mode(self, grid64, shear64):
-        alpha = forward_transform(grid64, np.sin(grid64.x1) * np.sin(grid64.x2))
+        x1, x2 = coordinates(grid64)
+        alpha = forward_transform(grid64, np.sin(x1) * np.sin(x2))
         out = bilinear_B(shear64, alpha)
-        expected = np.cos(grid64.x1) ** 2 * np.cos(grid64.x2)
+        expected = np.cos(x1) ** 2 * np.cos(x2)
         assert np.max(np.abs(inverse_transform(out) - expected)) < 1e-12
 
     def test_zero_velocity(self, grid64):
+        x2 = coordinates(grid64)[1]
         v = SpectralVector(zero_scalar(grid64), zero_scalar(grid64))
-        alpha = forward_transform(grid64, np.sin(grid64.x2))
+        alpha = forward_transform(grid64, np.sin(x2))
         assert l2_norm(bilinear_B(FlowState(0.0, zero_scalar(grid64), v), alpha)) == 0.0
 
     def test_non_divergence_free_rejected(self, grid64):
         """B agrees with curl((grad alpha . grad) u_perp) only when div u = 0."""
-        v = SpectralVector(forward_transform(grid64, np.sin(grid64.x1)),
+        x1, x2 = coordinates(grid64)
+        v = SpectralVector(forward_transform(grid64, np.sin(x1)),
                            zero_scalar(grid64))
-        rho_dev = forward_transform(grid64, 0.5 * np.sin(grid64.x1 + grid64.x2))
+        rho_dev = forward_transform(grid64, 0.5 * np.sin(x1 + x2))
         rows = {r.name: r for r in identity_checks(FlowState(0.0, rho_dev, v))}
         assert rows["bilinear form B, alpha = rho - 1"].value > 1e-12
 
 
 class TestTrilinearForm:
     def test_orthogonal_case(self, grid64, shear64):
-        st = FlowState(0.0, forward_transform(grid64, np.sin(grid64.x1)), shear64.u)
+        x1 = coordinates(grid64)[0]
+        st = FlowState(0.0, forward_transform(grid64, np.sin(x1)), shear64.u)
         assert l2_norm(trilinear_T(st)) < 1e-12
 
     def test_product_case(self, grid64, shear64):
-        st = FlowState(0.0, forward_transform(grid64, np.sin(grid64.x2)), shear64.u)
+        x1, x2 = coordinates(grid64)
+        st = FlowState(0.0, forward_transform(grid64, np.sin(x2)), shear64.u)
         out = trilinear_T(st)
-        expected = -np.cos(grid64.x2) * np.sin(2 * grid64.x1)
+        expected = -np.cos(x2) * np.sin(2 * x1)
         assert np.max(np.abs(inverse_transform(out) - expected)) < 1e-12
 
     def test_constant_density(self, grid64, shear64):
@@ -194,20 +205,22 @@ class TestGoodUnknowns:
         assert l2_norm(gu.theta - gu.omega) < 1e-13
 
     def test_wave_state(self, grid64):
+        x1, x2 = coordinates(grid64)
         st = wave_state(grid64)
         gu = good_unknowns(st)
-        eta_expected = (1 + 0.5 * np.cos(grid64.x2)) * np.cos(grid64.x1)
-        theta_expected = eta_expected + 0.5 * np.cos(grid64.x2)
+        eta_expected = (1 + 0.5 * np.cos(x2)) * np.cos(x1)
+        theta_expected = eta_expected + 0.5 * np.cos(x2)
         assert np.max(np.abs(inverse_transform(gu.eta) - eta_expected)) < 1e-12
         assert np.max(np.abs(inverse_transform(gu.theta) - theta_expected)) < 1e-12
 
     def test_rest_state(self, grid64):
-        rho = forward_transform(grid64, 0.5 * np.cos(grid64.x2))
+        x2 = coordinates(grid64)[1]
+        rho = forward_transform(grid64, 0.5 * np.cos(x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         gu = good_unknowns(st)
         assert l2_norm(gu.eta) < 1e-14
-        assert np.max(np.abs(inverse_transform(gu.theta) - 0.5 * np.cos(grid64.x2))) < 1e-13
+        assert np.max(np.abs(inverse_transform(gu.theta) - 0.5 * np.cos(x2))) < 1e-13
 
     def test_theta_identity_exact(self, grid64):
         from oddflow.spectral import dealias, laplacian
@@ -256,7 +269,8 @@ class TestMomentumRhs:
         assert l2_norm(rhs + 0.05 * st.u) < 1e-9
 
     def test_rest_state(self, grid64):
-        rho = forward_transform(grid64, 0.25 * np.cos(grid64.x1))
+        x1 = coordinates(grid64)[0]
+        rho = forward_transform(grid64, 0.25 * np.cos(x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         psol = solve_pressure(st)
@@ -275,7 +289,8 @@ class TestMomentumRhs:
         """The solve leaves in the state's cache every piece that
         momentum_rhs reads: the transport, the hyperviscous term and the
         pressure force, so the assembly makes no transform."""
-        st = make_state(grid32, 2, "half_band", epsilon=eps, odd_sign=odd_sign)
+        st = make_state(grid32, 2, "half_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=eps, odd_sign=odd_sign)
         solve_pressure(st)
         count = [0]
 
@@ -305,7 +320,8 @@ class TestTransport:
         """Fields.transport, summed on the grid and transformed once, is
         T[(u.grad)u] + sign T[(grad log rho . grad) u_perp] built apart;
         with sign 0 it is the advection bit for bit."""
-        st = make_state(grid64, 5, "full_band", epsilon=eps, odd_sign=odd_sign)
+        st = make_state(grid64, 5, "full_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=eps, odd_sign=odd_sign)
         fl = st.fields
         u1, u2 = fl.u_phys
         (d1u1, d1u2), (d2u1, d2u2) = fl.grad_u_phys
@@ -325,16 +341,18 @@ class TestThetaOmegaRhs:
         assert l2_norm(theta_rhs(shear64)) < 1e-13
 
     def test_theta_rest(self, grid64):
-        rho = forward_transform(grid64, 0.25 * np.cos(grid64.x1))
+        x1 = coordinates(grid64)[0]
+        rho = forward_transform(grid64, 0.25 * np.cos(x1))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         assert l2_norm(theta_rhs(st)) < 1e-14
 
     def test_theta_eps_decay(self, grid64):
+        x1 = coordinates(grid64)[0]
         rho, u = shear_state_fields(grid64)
         st = FlowState(0.0, rho, u, epsilon=0.2)
         out = theta_rhs(st)
-        assert np.max(np.abs(inverse_transform(out) + 0.2 * np.cos(grid64.x1))) < 1e-9
+        assert np.max(np.abs(inverse_transform(out) + 0.2 * np.cos(x1))) < 1e-9
 
     def test_omega_homogeneous_transport(self, grid64):
         st = make_state(grid64, 41, "half_band")
@@ -365,11 +383,12 @@ class TestThetaOmegaRhs:
         assert np.all(np.isfinite(omega_rhs(st).coeffs))
 
     def test_omega_eps(self, grid64):
+        x1 = coordinates(grid64)[0]
         rho, u = shear_state_fields(grid64)
         st = FlowState(0.0, rho, u, epsilon=0.2)
         solve_pressure(st)
         out = omega_rhs(st)
-        assert np.max(np.abs(inverse_transform(out) + 0.2 * np.cos(grid64.x1))) < 1e-9
+        assert np.max(np.abs(inverse_transform(out) + 0.2 * np.cos(x1))) < 1e-9
 
 
 class TestIdentityChecks:
@@ -401,20 +420,23 @@ class TestResiduals:
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_epsilon_states(self, grid64, eps):
-        st = make_state(grid64, 70, "half_band", epsilon=eps)
+        st = make_state(grid64, 70, "half_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=eps)
         solve_pressure(st)
         assert residual_theta(st) <= 1e-8
         assert residual_omega(st) <= 1e-8
 
     @pytest.mark.parametrize("odd_sign", [-1.0, 0.0])
     def test_negative_odd_sign(self, grid64, odd_sign):
-        st = make_state(grid64, 71, "half_band", odd_sign=odd_sign)
+        st = make_state(grid64, 71, "half_band")
+        st = FlowState(st.t, st.rho_dev, st.u, odd_sign=odd_sign)
         solve_pressure(st)
         assert residual_theta(st) <= 1e-10
         assert residual_omega(st) <= 1e-10
 
     def test_rest_residual_zero(self, grid64):
-        rho = forward_transform(grid64, 0.2 * np.cos(grid64.x2))
+        x2 = coordinates(grid64)[1]
+        rho = forward_transform(grid64, 0.2 * np.cos(x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         solve_pressure(st)
@@ -429,8 +451,9 @@ class TestDensityRhs:
 
     def test_advection_value(self, grid64, shear64):
         # rho = 1 + 0.3 sin(x2): u.grad rho = 0.3 sin(x1) cos(x2)
-        rho = forward_transform(grid64, 0.3 * np.sin(grid64.x2))
+        x1, x2 = coordinates(grid64)
+        rho = forward_transform(grid64, 0.3 * np.sin(x2))
         st = FlowState(0.0, rho, shear64.u)
         rhs = density_rhs(st)
-        expected = -0.3 * np.sin(grid64.x1) * np.cos(grid64.x2)
+        expected = -0.3 * np.sin(x1) * np.cos(x2)
         assert np.max(np.abs(inverse_transform(rhs) - expected)) < 1e-13

@@ -11,7 +11,7 @@ from scipy.fft._pocketfft import pypocketfft
 from oddflow import fft, spectral
 from oddflow.spectral import Grid
 
-from conftest import forward_transform
+from conftest import coordinates, forward_transform
 
 KERNELS = ("_r2c", "_c2r", "_c2c")
 
@@ -164,6 +164,6 @@ def test_forward_transform_reads_integer_and_bool_samples(monkeypatch):
         return rfft2(x, *args, **kwargs)
 
     monkeypatch.setattr(spectral._fft, "rfft2", recording)
-    samples = np.cos(grid.x1)
+    samples = np.cos(coordinates(grid)[0])
     forward_transform(grid, samples)
     assert len(seen) == 1 and seen[0] is samples

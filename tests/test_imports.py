@@ -1,6 +1,6 @@
 """Static checks of the modules under src/oddflow: imports, transforms, the
-state cache and pressure solution, check switches, private names and unused
-public names."""
+state cache and pressure solution, check switches, wavenumbers, private
+names and unused public names."""
 
 import ast
 import pathlib
@@ -292,11 +292,9 @@ def test_no_check_switches(path):
     assert functions_taking(path.read_text(encoding="utf-8"), ["check"]) == []
 
 
-# A step size is chosen in one loop, stepping.trajectory: only stepping
-# reads the CFL bound.
-def cfl_references(source: str) -> list[str]:
-    """Where a module names cfl_dt: an import of it, a bare name or an
-    attribute read off a module."""
+def references(source: str, *targets: str) -> list[str]:
+    """Where a module names one of the targets: an import of it, a bare
+    name or an attribute read off a module."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -307,22 +305,43 @@ def cfl_references(source: str) -> list[str]:
             names = [node.attr]
         else:
             continue
-        found += [node.lineno for name in names if name == "cfl_dt"]
-    return [f"cfl_dt (line {line})" for line in sorted(found)]
+        found += [(node.lineno, name) for name in names if name in targets]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
+# A step size is chosen in one loop, stepping.trajectory: only stepping
+# reads the CFL bound.
 def test_detector_flags_cfl_references():
     source = ("from .stepping import StepperConfig, cfl_dt as bound\n"
               "from . import stepping\nimport oddflow.stepping.cfl_dt\n"
               "h = stepping.cfl_dt(state)\nk = cfl_dt\ncfl = cfl_dtx(state)\n")
-    assert cfl_references(source) == [
+    assert references(source, "cfl_dt") == [
         "cfl_dt (line 1)", "cfl_dt (line 3)", "cfl_dt (line 4)", "cfl_dt (line 5)"]
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
                                   if p.name != "stepping.py"], ids=lambda p: p.name)
 def test_step_size_chosen_only_in_stepping(path):
-    assert cfl_references(path.read_text(encoding="utf-8")) == []
+    assert references(path.read_text(encoding="utf-8"), "cfl_dt") == []
+
+
+# Wavenumbers come from spectral.Grid, which builds them as exact integers:
+# no module derives them from fftfreq or rfftfreq, whose float values are
+# not integral for some n (98, 196, ...).
+FREQUENCY_HELPERS = ("fftfreq", "rfftfreq")
+
+
+def test_detector_flags_fftfreq():
+    source = ("import numpy as np\nfrom numpy.fft import fftfreq as freqs\n"
+              "k = np.fft.fftfreq(n, d=1.0 / n)\nf = scipy.fft.rfftfreq(n)\n"
+              "g = freqs(n)\nk = grid.k1[:, 0]  # fftfreq order\n")
+    assert references(source, *FREQUENCY_HELPERS) == [
+        "fftfreq (line 2)", "fftfreq (line 3)", "rfftfreq (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_wavenumbers_only_from_the_grid(path):
+    assert references(path.read_text(encoding="utf-8"), *FREQUENCY_HELPERS) == []
 
 
 # A module's _-prefixed names are its own: no module under src/oddflow takes

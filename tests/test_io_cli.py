@@ -30,7 +30,7 @@ from oddflow.spectral import (
 from oddflow.stepping import StepperConfig, step
 from oddflow.verify import make_state
 
-from conftest import forward_transform, max_divergence_ratio
+from conftest import coordinates, forward_transform, max_divergence_ratio
 
 
 def minimal_config(**extra):
@@ -130,10 +130,9 @@ class TestScenarios:
     def test_steady_shear_curl(self, tmp_path):
         cfg = app_io.load_config(write_json(tmp_path, minimal_config()))
         st = app_io.init_scenario(cfg)
-        from oddflow.spectral import Grid
-        g = Grid(32)
         w = curl(st.u)
-        assert np.max(np.abs(inverse_transform(w) - np.cos(g.x1))) < 1e-13
+        x1 = coordinates(st.grid)[0]
+        assert np.max(np.abs(inverse_transform(w) - np.cos(x1))) < 1e-13
 
     def test_density_wave_min(self, tmp_path):
         data = minimal_config()
@@ -215,6 +214,19 @@ class TestRealFields:
         for f in (st.rho_dev, st.u.x1, st.u.x2):
             check_real(f)
 
+    @pytest.mark.parametrize("n, band", [(98, 6), (196, 13)])
+    def test_band_edge_modes_drawn(self, n, band):
+        """random_band_scalar draws every mode with |k|_inf <= band, the
+        8 * band modes of the edge |k|_inf = band among them, also where
+        fftfreq(n, 1/n) is not integral; the bands are make_state's
+        half_band density at these n."""
+        grid = Grid(n)
+        full = expand(app_io.random_band_scalar(grid, 0, 0, band, power=4.0).coeffs)
+        k = np.abs(grid.k1[:, 0])
+        k_inf = np.maximum(k[:, None], k[None, :])
+        assert np.count_nonzero(full[k_inf == band]) == 8 * band
+        assert not full[k_inf > band].any()
+
     def test_random_streams_pinned(self):
         g = Grid(64)
         # hashes of the full spectra with -0 written as +0: the sign of a zero
@@ -234,7 +246,8 @@ class TestRealFields:
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, grid64):
-        st = make_state(grid64, 3, "full_band", epsilon=1e-3)
+        st = make_state(grid64, 3, "full_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=1e-3)
         path = str(tmp_path / "state.bin")
         app_io.write_checkpoint(st, path)
         back = app_io.read_checkpoint(path)
@@ -472,8 +485,9 @@ class TestCli:
 
     def test_norms_negative_density_checkpoint(self, tmp_path, grid64, capsys):
         """rho = 1 - 1.5 cos^2 x1 dips below zero: log rho has no value."""
+        x1 = coordinates(grid64)[0]
         st = make_state(grid64, 8, "half_band")
-        st = FlowState(0.0, forward_transform(grid64, -1.5 * np.cos(grid64.x1) ** 2), st.u)
+        st = FlowState(0.0, forward_transform(grid64, -1.5 * np.cos(x1) ** 2), st.u)
         path = str(tmp_path / "state.bin")
         app_io.write_checkpoint(st, path)
         assert cli(["norms", path]) == 2

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from oddflow import app_io
 from oddflow.cli import cli
+from oddflow.dynamics import FlowState
 from oddflow.errors import OddflowError, ValidationError
 from oddflow.spectral import Grid
 from oddflow.stepping import cfl_dt
@@ -39,7 +40,8 @@ def work_dir():
 @pytest.fixture(scope="module")
 def checkpoint_blob(work_dir):
     path = os.path.join(work_dir, "valid.bin")
-    app_io.write_checkpoint(make_state(Grid(16), 4, "half_band", epsilon=1e-3), path)
+    state = make_state(Grid(16), 4, "half_band")
+    app_io.write_checkpoint(FlowState(state.t, state.rho_dev, state.u, epsilon=1e-3), path)
     with open(path, "rb") as fh:
         return fh.read()
 

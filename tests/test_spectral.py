@@ -4,7 +4,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddflow import app_io, fft
+from oddflow import app_io, fft, pressure
 from oddflow.dynamics import FlowState
 from oddflow.errors import GridMismatchError, HermitianSymmetryError, MeanModeError
 from oddflow.spectral import (
@@ -33,7 +33,8 @@ from oddflow.spectral import (
     zero_scalar,
 )
 
-from conftest import constant_scalar, convolution_oracle, dft_oracle, forward_transform, full_wavenumbers, max_divergence_ratio
+from conftest import (constant_scalar, convolution_oracle, coordinates, dft_oracle,
+                      forward_transform, full_wavenumbers, max_divergence_ratio)
 
 
 def random_band_field(grid, seed, band=None):
@@ -61,10 +62,26 @@ class TestGrid:
             with pytest.raises(ValueError):
                 Grid(bad)
 
-    def test_wavenumber_range(self, grid16):
-        assert grid16.k1.min() == -8 and grid16.k1.max() == 7
-        assert not grid16.keep_mask[8, :].any()
-        assert not grid16.keep_mask[:, 8].any()
+    def test_wavenumber_range(self):
+        """k1 runs over 0..n/2-1, -n/2..-1 and k2 over 0..n/2 as int64 on
+        every even grid, also where fftfreq(n, 1/n) is not integral (n = 98,
+        196, 206, 214, ...)."""
+        for n in range(8, 257, 2):
+            grid = Grid(n)
+            assert grid.k.dtype == np.int64
+            assert grid.k1[:, 0].tolist() == [*range(n // 2), *range(-(n // 2), 0)], n
+            assert grid.k2[0].tolist() == list(range(n // 2 + 1)), n
+
+    def test_dealias_mask_excludes_nyquist(self):
+        """floor(n/3) < n/2, so dealias_mask is False on the Nyquist row and
+        column, and the CG's band is the mean-zero part of dealias_mask."""
+        for n in range(8, 257, 2):
+            grid = Grid(n)
+            assert not grid.dealias_mask[n // 2].any(), n
+            assert not grid.dealias_mask[:, n // 2].any(), n
+            band = pressure.band_multipliers.__wrapped__(grid).band  # uncached
+            m = grid.dealias_cutoff + 1
+            assert np.array_equal(band, (grid.dealias_mask & (grid.k_sq > 0))[:, :m]), n
 
 
 class TestTransforms:
@@ -78,7 +95,8 @@ class TestTransforms:
         assert np.max(np.abs(f.coeffs.flatten()[1:])) < 1e-15
 
     def test_cosine_against_direct_dft(self, grid16):
-        samples = np.cos(grid16.x1)
+        x1 = coordinates(grid16)[0]
+        samples = np.cos(x1)
         f = forward_transform(grid16, samples)
         oracle = dft_oracle(samples)
         assert np.max(np.abs(f.coeffs - fold(oracle))) < 1e-13
@@ -110,10 +128,11 @@ class TestTransforms:
         assert np.max(np.abs(inverse_transform(f) - 1.0)) < 1e-14
 
     def test_inverse_cosine_oracle(self, grid16):
+        x1 = coordinates(grid16)[0]
         f = zero_scalar(grid16)
         f.coeffs[1, 0] = 0.5
         f.coeffs[-1, 0] = 0.5
-        assert np.max(np.abs(inverse_transform(f) - np.cos(grid16.x1))) < 1e-14
+        assert np.max(np.abs(inverse_transform(f) - np.cos(x1))) < 1e-14
 
     def test_size_mismatch(self, grid16):
         with pytest.raises(GridMismatchError):
@@ -140,20 +159,23 @@ class TestTransforms:
 
 class TestCalculus:
     def test_gradient_example(self, grid16):
-        f = forward_transform(grid16, np.sin(grid16.x1))
+        x1 = coordinates(grid16)[0]
+        f = forward_transform(grid16, np.sin(x1))
         G = gradient(f)
-        assert np.max(np.abs(inverse_transform(G.x1) - np.cos(grid16.x1))) < 1e-13
+        assert np.max(np.abs(inverse_transform(G.x1) - np.cos(x1))) < 1e-13
         assert l2_norm(G.x2) < 1e-14
 
     def test_curl_example(self, grid16):
+        x1 = coordinates(grid16)[0]
         F = SpectralVector(zero_scalar(grid16),
-                           forward_transform(grid16, np.sin(grid16.x1)))
+                           forward_transform(grid16, np.sin(x1)))
         w = curl(F)
-        assert np.max(np.abs(inverse_transform(w) - np.cos(grid16.x1))) < 1e-13
+        assert np.max(np.abs(inverse_transform(w) - np.cos(x1))) < 1e-13
 
     def test_laplacian_example(self, grid16):
-        f = forward_transform(grid16, np.cos(grid16.x2))
-        assert np.max(np.abs(inverse_transform(laplacian(f)) + np.cos(grid16.x2))) < 1e-13
+        x2 = coordinates(grid16)[1]
+        f = forward_transform(grid16, np.cos(x2))
+        assert np.max(np.abs(inverse_transform(laplacian(f)) + np.cos(x2))) < 1e-13
 
     def test_perp_gradient_and_identities(self, grid32):
         a = random_band_field(grid32, 5)
@@ -197,12 +219,14 @@ class TestCalculus:
 
 class TestInverseLaplacian:
     def test_unit_eigenmode(self, grid16):
-        f = forward_transform(grid16, np.cos(grid16.x1))
+        x1 = coordinates(grid16)[0]
+        f = forward_transform(grid16, np.cos(x1))
         g = inverse_laplacian(f)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-14
 
     def test_mode_two_oracle(self, grid16):
-        f = forward_transform(grid16, np.cos(2 * grid16.x1))
+        x1 = coordinates(grid16)[0]
+        f = forward_transform(grid16, np.cos(2 * x1))
         g = inverse_laplacian(f)
         # mode-wise division oracle: coefficient / |k|^2 at k = (+-2, 0)
         expected = f.coeffs / 4.0
@@ -215,15 +239,17 @@ class TestInverseLaplacian:
 
 class TestBiotSavart:
     def test_cos_x1(self, grid16):
-        w = forward_transform(grid16, np.cos(grid16.x1))
+        x1 = coordinates(grid16)[0]
+        w = forward_transform(grid16, np.cos(x1))
         u = biot_savart(w)
         assert l2_norm(u.x1) < 1e-14
-        assert np.max(np.abs(inverse_transform(u.x2) - np.sin(grid16.x1))) < 1e-13
+        assert np.max(np.abs(inverse_transform(u.x2) - np.sin(x1))) < 1e-13
 
     def test_cos_x2(self, grid16):
-        w = forward_transform(grid16, np.cos(grid16.x2))
+        x2 = coordinates(grid16)[1]
+        w = forward_transform(grid16, np.cos(x2))
         u = biot_savart(w)
-        assert np.max(np.abs(inverse_transform(u.x1) + np.sin(grid16.x2))) < 1e-13
+        assert np.max(np.abs(inverse_transform(u.x1) + np.sin(x2))) < 1e-13
         assert l2_norm(u.x2) < 1e-14
 
     def test_zero(self, grid16):
@@ -245,14 +271,16 @@ class TestBiotSavart:
 
 class TestLeray:
     def test_pure_gradient(self, grid16):
-        F = SpectralVector(forward_transform(grid16, np.sin(grid16.x1)), zero_scalar(grid16))
+        x1 = coordinates(grid16)[0]
+        F = SpectralVector(forward_transform(grid16, np.sin(x1)), zero_scalar(grid16))
         p, q = leray_project(F)
         assert l2_norm(p) < 1e-13
         assert l2_norm(q - F) < 1e-13
 
     def test_already_divergence_free(self, grid16):
+        x1 = coordinates(grid16)[0]
         F = SpectralVector(zero_scalar(grid16),
-                           forward_transform(grid16, np.sin(grid16.x1)))
+                           forward_transform(grid16, np.sin(x1)))
         p, q = leray_project(F)
         assert l2_norm(q) < 1e-13
         assert l2_norm(p - F) < 1e-13
@@ -280,9 +308,10 @@ class TestLeray:
 
 class TestDealiasedProduct:
     def test_cos_squared(self, grid16):
-        f = forward_transform(grid16, np.cos(grid16.x1))
+        x1 = coordinates(grid16)[0]
+        f = forward_transform(grid16, np.cos(x1))
         prod = dealiased_product(f, f)
-        expected = forward_transform(grid16, (1 + np.cos(2 * grid16.x1)) / 2)
+        expected = forward_transform(grid16, (1 + np.cos(2 * x1)) / 2)
         assert np.max(np.abs(prod.coeffs - expected.coeffs)) < 1e-14
 
     def test_convolution_oracle(self, grid16):

@@ -12,6 +12,7 @@ from oddflow.dynamics import FlowState
 from oddflow.errors import RuntimeAbort
 from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
+    Grid,
     SpectralVector,
     l2_norm,
     zero_scalar,
@@ -19,7 +20,7 @@ from oddflow.spectral import (
 from oddflow.stepping import StageGuess, StepperConfig, cfl_dt, linear_factor, run, step
 from oddflow.verify import make_state
 
-from conftest import forward_transform, max_divergence_ratio, shear_state_fields
+from conftest import coordinates, forward_transform, max_divergence_ratio, shear_state_fields
 
 
 def history_arrays(state: FlowState) -> list:
@@ -72,7 +73,8 @@ class TestCfl:
         assert abs(vals[64] / vals[128] - 2.0) < 1e-12
 
     def test_stiff_bound(self, grid64):
-        st = make_state(grid64, 1, "half_band", epsilon=0.1)
+        st = make_state(grid64, 1, "half_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=0.1)
         bound = cfl_dt(st)
         assert 0 < bound < 1e6
 
@@ -94,7 +96,8 @@ class TestStep:
         assert abs(amp - np.exp(-0.001)) <= 1e-9
 
     def test_rest_state(self, grid64):
-        rho = forward_transform(grid64, 0.2 * np.cos(grid64.x2))
+        x2 = coordinates(grid64)[1]
+        rho = forward_transform(grid64, 0.2 * np.cos(x2))
         st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid64),
                                                 zero_scalar(grid64)))
         out = step(st, StepperConfig(dt=0.01, t_end=1.0))
@@ -354,7 +357,8 @@ class TestStep:
 
     def test_vacuum_abort(self, grid64):
         # initial minimum below the configured floor aborts with a diagnostic
-        rho = forward_transform(grid64, 0.9 * np.cos(grid64.x1) * np.cos(grid64.x2))
+        x1, x2 = coordinates(grid64)
+        rho = forward_transform(grid64, 0.9 * np.cos(x1) * np.cos(x2))
         st0 = make_state(grid64, 4, "half_band")
         st = FlowState(0.0, rho, st0.u)
         cfg = StepperConfig(dt=0.01, t_end=1.0, vacuum_floor=0.2)
@@ -369,6 +373,13 @@ class TestStep:
     def test_step_rejects_bad_dt(self, grid32, dt):
         with pytest.raises(ValueError, match="positive finite dt"):
             step(shear(grid32), StepperConfig(), dt)
+
+
+def band_weight(shape):
+    """|k|^4 on the first m columns of an n-row half-spectrum, shape (n, m)."""
+    n, m = shape
+    k1 = (np.arange(n) + n // 2) % n - n // 2
+    return ((k1[:, None] ** 2 + np.arange(m) ** 2) ** 2).astype(np.float64)
 
 
 class TestStageGuess:
@@ -391,7 +402,7 @@ class TestStageGuess:
         deep on, every guess is the next coefficient times h^2, bit for
         bit, as the table fills and then overwrites its deepest entry."""
         base = np.zeros((2, 4), dtype=complex)
-        stage = StageGuess()
+        stage = StageGuess(band_weight(base.shape))
         exact = False
         for k in range(16):
             c = coefficient(k + self.offsets)
@@ -407,7 +418,7 @@ class TestStageGuess:
         """Entry j of the table after a record is the new coefficient less
         the depth-j guess's sum over the old table."""
         base = np.zeros((2, 4), dtype=complex)
-        stage = StageGuess()
+        stage = StageGuess(band_weight(base.shape))
         for k in range(7):
             kept = [entry.copy() for entry in stage.table]  # guess overwrites one
             c = (k * k * k + 3) * self.offsets
@@ -424,7 +435,7 @@ class TestStageGuess:
         shape = (16, 6)
         smooth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         base = np.zeros(shape, dtype=complex)
-        stage = StageGuess()
+        stage = StageGuess(band_weight(shape))
         depths = []
         for k in range(40):
             noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -433,12 +444,25 @@ class TestStageGuess:
             depths.append(stage.depth)
         assert depths[10:] == [1] * 30
 
+    def test_weight_is_the_grids(self):
+        """step builds the score weight once per history, |k|^4 from the
+        Grid's exact k_sq on the band columns, and hands it to all four
+        stages, also at n = 98, where fftfreq(n, 1/n) is not integral."""
+        grid = Grid(98)
+        cfg = StepperConfig(dt=1e-3, t_end=1.0)
+        first = step(make_state(grid, 1, "half_band"), cfg)
+        weight = first.pressure_history.stages[0].weight
+        assert np.array_equal(weight, grid.k_sq[:, :grid.dealias_cutoff + 1] ** 2)
+        assert all(s.weight is weight for s in first.pressure_history.stages)
+        second = step(first, cfg)
+        assert all(s.weight is weight for s in second.pressure_history.stages)
+
     def test_full_ring_records_into_the_guess(self):
         """With a full table, guess overwrites the deepest entry and record
         writes the new coefficient into that same array: the table's
         arrays are reused, none is allocated."""
         base = np.zeros((2, 4), dtype=complex)
-        stage = StageGuess()
+        stage = StageGuess(band_weight(base.shape))
         for k in range(8):
             stage.guess(base, self.h_sq)
             stage.record(base + self.h_sq * (k * k + self.offsets))
@@ -473,7 +497,8 @@ class TestStepperConfig:
 class TestRun:
     def test_one_step_run_matches_step(self, grid64):
         """run integrates the state's own epsilon: one run step is step's bits."""
-        st = make_state(grid64, 3, "half_band", epsilon=0.1)
+        st = make_state(grid64, 3, "half_band")
+        st = FlowState(st.t, st.rho_dev, st.u, epsilon=0.1)
         h = 0.01
         cfg = StepperConfig(dt=h, t_end=h)
         with pytest.warns(RuntimeWarning, match="exceeds the stability estimate"):
