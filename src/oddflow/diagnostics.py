@@ -26,7 +26,6 @@ from .spectral import (
     SpectralVector,
     dealias,
     dealiased_samples,
-    inverse_transform,
     laplacian,
     leray_project,
     l2_norm,
@@ -87,7 +86,8 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     Mtilde = same with |grad rho|^{max(2, s-1)} |grad u| and the pressure
              term using grad(pi - rho*omega).
     The sups are taken on the collocation grid; |grad u| is the pointwise
-    Frobenius norm, read with |grad rho| from the state's cache.
+    Frobenius norm, read with |grad rho| from the state's cache, and the
+    band-limited pressure gradients are sampled on the band path.
     """
     if s <= 1:
         raise ValidationError("continuation monitor needs s > 1")
@@ -96,8 +96,8 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
     gu_sup = sup_magnitude(d1u1, d2u1, d1u2, d2u2)
     grho_sup = sup_magnitude(*fl.grad_rho_phys)
     lap_sup = float(np.max(np.abs(dealiased_samples(state.rho_dev, -state.grid.k_sq))))
-    gpi_sup = sup_magnitude(*inverse_transform(state.pressure.grad_pi))
-    greg_sup = sup_magnitude(*inverse_transform(grad_pi_minus_rho_omega(state)))
+    gpi_sup = sup_magnitude(*dealiased_samples(state.pressure.grad_pi))
+    greg_sup = sup_magnitude(*dealiased_samples(grad_pi_minus_rho_omega(state)))
     p_exp = s / (s - 1.0)
     M = (gu_sup**2 + grho_sup**s + grho_sup ** (s - 1.0) * gu_sup
          + lap_sup + gpi_sup**p_exp)
