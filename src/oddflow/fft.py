@@ -1,23 +1,29 @@
 """Transforms over the last two axes: the pocketfft kernels behind scipy.fft,
 called as it calls them (rfft2 and irfft2, n x n to n x (n/2+1) and back, with
-norm="forward"), for the same bits without its dispatch.  out= is filled and
-returned, except by the substitute kernels used without scipy's private
-module, so callers read the returned array.  The worker cap is
-ODDFLOW_THREADS as it was when the module was imported (WORKERS).
+norm="forward"), for the same bits without its dispatch; out= is filled and
+returned.  The worker cap is ODDFLOW_THREADS as it was when the module was
+imported (WORKERS).
 
 irfft2 reads m < n/2+1 input columns as the columns k2 = 0..m-1 of a
 half-spectrum that is zero elsewhere.  An axis-0 c2c of those columns into a
-zero-padded buffer that the module owns (_pad), then an axis-1 c2r, gives the
-full-width transform's bits without its c2c over zero columns (Sorensen &
-Burrus, IEEE Trans. Signal Process. 41 (1993) 1184-1200); the substitute
-kernel zero-pads the input.  The buffers make irfft2 unsafe to call from two
-threads."""
+zero-padded buffer (the pad), then an axis-1 c2r, gives the full-width
+transform's bits without its c2c over zero columns (Sorensen & Burrus, IEEE
+Trans. Signal Process. 41 (1993) 1184-1200).
 
-import functools
+This module owns the scratch of a grid size: a Workspace, which a
+workspace(n) block holds for its thread; stepping.trajectory holds one for
+its whole loop, so a run's solves and band-path transforms allocate no
+scratch after the first.  Inside a block, the band path of the dealiased band
+(m = n//3 + 1) uses the workspace's pad; otherwise each call allocates its
+own, so the module keeps no array between calls.  The registry of held
+workspaces is per thread, so two threads never share one."""
+
+import contextlib
 import os
+import threading
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
 
 
 def fft_workers() -> int:
@@ -31,32 +37,54 @@ def fft_workers() -> int:
 WORKERS = fft_workers()  # read once, at import: the transforms pass it on
 
 
-def _scipy_r2c(x, axes, forward, inorm, out, nthreads):  # pocketfft's signatures
-    return scipy.fft.rfft2(x, norm="forward", workers=nthreads)
+class Workspace:
+    """The scratch arrays of grid size n, allocated once and never zeroed but
+    for the pad: irfft2's band-path buffer for the dealiased band, whose
+    columns past n//3 + 1 stay zero (a scalar input takes its first
+    component); and those of a pressure solve (see oddflow.pressure): the
+    source F (full width); the CG's right-hand side b, residual r,
+    preconditioned residual z, direction p, its application Ap and tmp
+    (band columns); the stacked band gradient grad and the stacked
+    transforms g_out and f_out of an operator application, whose first
+    components Concus-Golub's scalar transforms reuse; and root, a^{1/2}
+    and then a^{-1/2}, with the sup|q| test in g_out and f_out."""
+
+    def __init__(self, n: int):
+        m, half = n // 3 + 1, (2, n, n // 2 + 1)
+        self.pad = np.zeros(half, dtype=np.complex128)
+        self.source = np.empty(half, dtype=np.complex128)
+        self.b, self.r, self.z, self.p, self.Ap, self.tmp = (
+            np.empty((n, m), dtype=np.complex128) for _ in range(6))
+        self.grad = np.empty((2, n, m), dtype=np.complex128)
+        self.g_out = np.empty((2, n, n))
+        self.f_out = np.empty(half, dtype=np.complex128)
+        self.root = np.empty((n, n))
 
 
-def _scipy_c2r(x, axes, lastsize, forward, inorm, out, nthreads):  # zero-pads x to s
-    return scipy.fft.irfft2(x, s=(x.shape[-2],) * 2, norm="forward", workers=nthreads)
+class _Held(threading.local):
+    def __init__(self):
+        self.workspaces: dict[int, Workspace] = {}  # this thread's open blocks, by n
 
 
-def _scipy_c2c(x, axes, forward, inorm, out, nthreads):
-    return scipy.fft.ifft2(x, workers=nthreads)
+_held = _Held()
 
 
-try:
-    from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
-except ImportError:
-    _r2c, _c2r, _c2c = _scipy_r2c, _scipy_c2r, _scipy_c2c
-
-
-@functools.cache
-def _pad(lead: tuple, n: int, m: int) -> np.ndarray:
-    """irfft2's band-path buffer for inputs of shape lead + (n, m), whose
-    columns past m stay zero; a scalar input's is the first of a stacked
-    pair's."""
-    if not lead:
-        return _pad((2,), n, m)[0]
-    return np.zeros(lead + (n, n // 2 + 1), dtype=np.complex128)
+@contextlib.contextmanager
+def workspace(n: int):
+    """Hold a Workspace for grid size n on this thread through the block and
+    yield it: the pressure solves and the dealiased band's band-path
+    transforms of that size on the thread work in it.  A block inside one
+    that holds n yields that one, and the outermost block frees it on exit,
+    normal or not."""
+    held = _held.workspaces
+    if n in held:
+        yield held[n]
+        return
+    ws = held[n] = Workspace(n)
+    try:
+        yield ws
+    finally:
+        del held[n]
 
 
 def rfft2(x, out=None):
@@ -65,9 +93,14 @@ def rfft2(x, out=None):
 
 def irfft2(x, out=None):
     n, m = x.shape[-2:]
-    if m >= n // 2 + 1 or _c2r is _scipy_c2r:  # the substitute zero-pads x
+    if m >= n // 2 + 1:
         return _c2r(x, (-2, -1), n, False, 0, out, WORKERS)
-    pad = _pad(x.shape[:-2], n, m)
+    lead = x.shape[:-2]
+    ws = _held.workspaces.get(n)
+    if ws is not None and m == n // 3 + 1 and lead in ((), (2,)):
+        pad = ws.pad[0] if not lead else ws.pad
+    else:
+        pad = np.zeros(lead + (n, n // 2 + 1), dtype=np.complex128)
     _c2c(x, (-2,), False, 0, pad[..., :m], WORKERS)
     return _c2r(pad, (-1,), n, False, 0, out, WORKERS)
 

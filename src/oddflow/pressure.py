@@ -27,20 +27,13 @@ in place of two irfft2 and two rfft2 per call.  The accumulated sum
 matches the force formed from grad(pi) to about 1e-15 relative.
 
 A solve builds only what it returns (the potential, the force and grad_pi,
-fresh arrays) and works in a Workspace, one set of scratch arrays per grid:
-the source F, the CG's vectors, the stacked transform buffers of an
-operator application (Concus-Golub's scalar ones are their first
-components: an application and a preconditioner call never overlap) and
-a^{1/2}.  workspace(grid) holds one for a block, and stepping.trajectory
-holds it for its whole loop, so the stage and observer solves of a run
-allocate no scratch after the first; it is freed when the loop ends or is
-closed, an abort included.  A solve outside a block (verify, direct calls)
-builds its own, which dies with the solve, so no scratch outlives a solve
-there.  The arrays are never cleared: each solve writes every element it
-reads.  Like oddflow.fft's band path, the workspace makes it unsafe for
-two threads to solve on one grid at once.  The band columns of
-rfft2(a grad p) that an application returns are a view of the
-workspace's f_out, which the next application or preconditioner call
+fresh arrays) and works in the held oddflow.fft.Workspace of its grid size,
+or else in its own, which dies with the solve.  Concus-Golub's scalar
+transforms use the first components of an operator application's stacked
+buffers: an application and a preconditioner call never overlap.  The
+arrays are never cleared: each solve writes every element it reads.  The
+band columns of rfft2(a grad p) that an application returns are a view of
+the workspace's f_out, which the next application or preconditioner call
 overwrites, so the CG folds them into the force first.
 
 A pressure solve starts from the state's pressure_guess, which only
@@ -93,7 +86,6 @@ paired runs with one FFT thread.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -168,54 +160,12 @@ def band_multipliers(grid: Grid) -> BandMultipliers:
     return BandMultipliers(band, grid.ik[..., :m] * band, grid.inv_k_sq[:, :m] * band)
 
 
-class Workspace:
-    """Every array a solve on one grid builds and throws away, allocated
-    once and never zeroed: the source F (full width, formed by
-    solve_pressure); the CG's right-hand side b, residual r, preconditioned
-    residual z, direction p, its application Ap and tmp (band columns); the
-    stacked band gradient grad and the stacked transforms g_out and f_out
-    of an operator application, whose first components Concus-Golub's
-    scalar transforms reuse; and root, a^{1/2} and then a^{-1/2}, with the
-    sup|q| test in g_out and f_out."""
-
-    def __init__(self, grid: Grid):
-        n, m = grid.n, grid.dealias_cutoff + 1
-        self.source = np.empty(grid.k.shape, dtype=np.complex128)
-        self.b, self.r, self.z, self.p, self.Ap, self.tmp = (
-            np.empty((n, m), dtype=np.complex128) for _ in range(6))
-        self.grad = np.empty((2, n, m), dtype=np.complex128)
-        self.g_out = np.empty((2, n, n))
-        self.f_out = np.empty(grid.k.shape, dtype=np.complex128)
-        self.root = np.empty((n, n))
-
-
-_held: dict[Grid, Workspace] = {}  # the workspace each open workspace() block holds
-
-
-@contextlib.contextmanager
-def workspace(grid: Grid):
-    """Hold a Workspace for the grid through the block and yield it: every
-    solve on the grid inside the block works in it.  A block inside one
-    that holds the grid's yields that one, and the outermost block frees
-    it on exit, normal or not."""
-    held = _held.get(grid)
-    if held is not None:
-        yield held
-        return
-    held = _held[grid] = Workspace(grid)
-    try:
-        yield held
-    finally:
-        del _held[grid]
-
-
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
     """The function z <- M r that the CG applies on the band columns; it
     writes z in place.  M is the one the name gives (inverse_laplacian or
     concus_golub, the function's __name__), or, without one, the one the
     rule in the module docstring chooses.  Concus-Golub works in the
-    grid's Workspace, the held one or else its own, whose arrays the
-    returned function keeps."""
+    grid size's fft.Workspace, whose arrays the returned function keeps."""
     bm = band_multipliers(grid)
     m = bm.inv_lap.shape[1]
 
@@ -225,7 +175,7 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
     if (name == "inverse_laplacian"
             or name is None and float(np.max(a_phys)) < CONTRAST_MIN * a_star):
         return inverse_laplacian
-    with workspace(grid) as ws:
+    with _fft.workspace(grid.n) as ws:
         v_out, f_out = ws.g_out[0], ws.f_out[0]
         root = np.sqrt(a_phys, out=ws.root)
         if name is None:
@@ -258,8 +208,8 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     guess, on the band columns, is projected onto the mean-zero band and
     starts the iteration; one that already meets tol returns after 0
     iterations.  preconditioner names M (see _preconditioner); None chooses
-    it.  A non-finite residual aborts.  The scratch is the grid's
-    Workspace: the held one, else one that lives as long as the solve.
+    it.  A non-finite residual aborts.  The scratch is the grid size's
+    fft.Workspace: the held one, else one that lives as long as the solve.
 
     The solution's force is T[a grad Pi]: every operator application forms
     rfft2(a grad p) on its way to -div(a grad p), so it follows the iterate
@@ -274,7 +224,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
     if a_star <= 0.0:
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
-    with workspace(grid) as ws:
+    with _fft.workspace(grid.n) as ws:
         bm = band_multipliers(grid)
         ik = bm.ik
         m = ik.shape[-1]
@@ -363,7 +313,7 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
     state.pressure (replacing any stored one) and returned.  The CG starts
     from state.pressure_guess when the state carries one, else from zero,
     and applies the preconditioner state.preconditioner names, if any.
-    The source F is formed in the grid's Workspace, as the solve's scratch.
+    The source F is formed in the grid size's fft.Workspace.
     No program path passes tol; perfbench's traced runs read it from the
     call's bound arguments.
 
@@ -371,7 +321,7 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
     + (eps/rho) Lap^2 u) - sign*Lap(omega).
     """
     fl = state.fields
-    with workspace(state.grid) as ws:
+    with _fft.workspace(state.grid.n) as ws:
         state.pressure = solve_elliptic(fl.inv_rho_phys, fl.pressure_source(ws.source),
                                         state.pressure_guess, state.preconditioner, tol)
     return state.pressure

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fft
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
 from .errors import RuntimeAbort, ValidationError
-from .pressure import solve_pressure, workspace
+from .pressure import solve_pressure
 from .spectral import dealias, leray_project, sup_magnitude
 
 CFL_CAP = 1e6
@@ -294,12 +295,12 @@ def trajectory(states: tuple[FlowState, ...], config: StepperConfig):
     RuntimeWarning, once per trajectory, pointed at the caller of the
     generator's consumer (run or diagnostics.twin_run_stability).
 
-    The loop holds the grid's pressure.workspace until it ends, returns or
-    is closed (a consumer's exception or break), so every stage and
-    observer solve of the run reuses one Workspace."""
+    The loop holds fft.workspace(n) until it ends, returns or is closed (a
+    consumer's exception or break), so every stage and observer solve of
+    the run, and every band-path transform, reuses one Workspace."""
     index = 0
     warned = False
-    with workspace(states[0].grid):
+    with fft.workspace(states[0].grid.n):
         yield index, states
         while states[0].t < config.t_end - 1e-14:
             bound = min(cfl_dt(state) for state in states)

@@ -93,10 +93,9 @@ def test_no_numpy_fft_transforms(path):
 
 # Complex-to-complex transforms: a real field has one stored form, its rfft2
 # half-spectrum, and only spectral.check_real transforms a full spectrum,
-# through the transform module's ifft2, whose substitute kernel (for a scipy
-# without pocketfft's private module) is scipy.fft's.
+# through the transform module's ifft2.
 C2C_TRANSFORMS = frozenset({"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"})
-C2C_ALLOWED = {("spectral.py", "check_real"), ("fft.py", "_scipy_c2c")}
+C2C_ALLOWED = {("spectral.py", "check_real")}
 
 
 def c2c_transforms(source: str) -> list[tuple[str, str]]:

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oddflow import pressure
+from oddflow import fft, pressure
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.dynamics import FlowState, grad_pi_minus_rho_omega
 from oddflow.errors import ConvergenceError, GridMismatchError, RuntimeAbort, ValidationError
@@ -371,14 +371,14 @@ class TestWarmStart:
 
 
 class TestWorkspace:
-    """The scratch arrays of the solves on one grid (pressure.Workspace)."""
+    """The scratch arrays of the solves on one grid size (fft.Workspace)."""
 
     def test_second_solve_leaves_the_first(self):
         """A second solve in a held workspace leaves the first solution's
         potential, force and grad_pi as they were: none is a workspace
         array."""
         first_state, second_state = density_wave(64, 0.9), random_bandlimited(64, 0)
-        with pressure.workspace(first_state.grid) as ws:
+        with fft.workspace(first_state.grid.n) as ws:
             first = solve_pressure(first_state)
             kept = [a.copy() for a in (first.potential, first.force, first.grad_pi.coeffs)]
             assert solve_pressure(second_state).iterations > 0
@@ -392,22 +392,22 @@ class TestWorkspace:
         with it; a block inside one that holds the grid's yields that one,
         and the outermost block frees it when it exits by an exception."""
         built = []
-        init = pressure.Workspace.__init__
+        init = fft.Workspace.__init__
 
-        def recorded(self, grid):
-            init(self, grid)
+        def recorded(self, n):
+            init(self, n)
             built.append(weakref.ref(self))
 
-        monkeypatch.setattr(pressure.Workspace, "__init__", recorded)
+        monkeypatch.setattr(fft.Workspace, "__init__", recorded)
         solve_pressure(density_wave(64, 0.5))
-        assert len(built) == 1 and built[0]() is None and pressure._held == {}
+        assert len(built) == 1 and built[0]() is None and fft._held.workspaces == {}
         with pytest.raises(RuntimeAbort):
-            with pressure.workspace(grid64) as outer:
-                with pressure.workspace(Grid(64)) as inner:
+            with fft.workspace(grid64.n) as outer:
+                with fft.workspace(64) as inner:
                     assert inner is outer
                 solve_pressure(density_wave(64, 0.5))
                 raise RuntimeAbort("leaving the block")
-        assert len(built) == 2 and pressure._held == {}
+        assert len(built) == 2 and fft._held.workspaces == {}
 
 
 class TestPressureForce:

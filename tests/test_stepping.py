@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oddflow import dynamics, pressure, stepping
+from oddflow import dynamics, fft, pressure, stepping
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.diagnostics import observe
 from oddflow.dynamics import FlowState
@@ -549,20 +549,20 @@ class TestRun:
 
 
 class TestRunWorkspace:
-    """A run holds one pressure.Workspace through its loop and frees it
+    """A run holds one fft.Workspace through its loop and frees it
     when the loop ends, normally or by an abort."""
 
     @pytest.fixture
     def made(self, monkeypatch):
-        """Weak references to every pressure.Workspace built."""
+        """Weak references to every fft.Workspace built."""
         refs = []
 
-        class Recorded(pressure.Workspace):
-            def __init__(self, grid):
-                super().__init__(grid)
+        class Recorded(fft.Workspace):
+            def __init__(self, n):
+                super().__init__(n)
                 refs.append(weakref.ref(self))
 
-        monkeypatch.setattr(pressure, "Workspace", Recorded)
+        monkeypatch.setattr(fft, "Workspace", Recorded)
         return refs
 
     def test_one_workspace_per_run(self, grid32, made):
@@ -572,7 +572,7 @@ class TestRunWorkspace:
         run(make_state(grid32, 5, "half_band"), StepperConfig(dt=1e-3, t_end=3e-3),
             observers=[lambda s, i: rows.append(observe(s, 2.5))])
         assert len(rows) == 4 and len(made) == 1
-        assert made[0]() is None and pressure._held == {}
+        assert made[0]() is None and fft._held.workspaces == {}
 
     @pytest.mark.parametrize("where", ["step", "observer"])
     def test_freed_after_an_abort(self, made, where):
@@ -590,7 +590,7 @@ class TestRunWorkspace:
         cfg = StepperConfig(dt=1e-3, t_end=1e-2, vacuum_floor=0.6 if where == "step" else 1e-6)
         with pytest.raises(RuntimeAbort, match="min rho" if where == "step" else "observer"):
             run(st, cfg, observers=[observer])
-        assert len(made) == 1 and made[0]() is None and pressure._held == {}
+        assert len(made) == 1 and made[0]() is None and fft._held.workspaces == {}
 
 
 class TestTemporalOrder:
