@@ -3,10 +3,12 @@
 Checkpoint format (all little-endian): magic "ODD2D\\0" (6 bytes), version
 uint32, n uint32, then t, epsilon, odd_sign as float64, then the full
 n x n spectral coefficients of rho-1, u1, u2 as row-major (k1 outer)
-(re, im) float64 pairs.  Writing expands each stored half-spectrum to the
-full spectrum; reading rejects a file whose numbers are not all finite or
-whose coefficients are not those of real fields, then folds each field to
-its half-spectrum.  Round trips are bit-exact.
+complex128, each an (re, im) float64 pair.  Writing expands each stored
+half-spectrum to the full spectrum; reading rejects a file whose numbers
+are not all finite or whose coefficients are not those of real fields,
+then folds each field to its half-spectrum.  Both sides take the
+coefficients' bytes as they are, so round trips are bit-exact, down to the
+sign of a zero.
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ _SCENARIO_KEYS = {
 SCENARIOS = tuple(_SCENARIO_KEYS)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(StepperConfig):
+    """A run's config: the stepper's parameters (dt, t_end, cfl_safety,
+    vacuum_floor), declared, defaulted and checked by StepperConfig, and the
+    scenario's and the output's."""
+
     grid_n: int
-    t_end: float
     scenario: dict
-    dt: float | None = None
     epsilon: float = 0.0
     odd_sign: float = 1.0
     s: float = 2.5
@@ -62,13 +66,6 @@ class RunConfig:
     observe_every: int = 10
     checkpoint_every: int = 0
     seed: int = 0
-    cfl_safety: float = 0.5
-    vacuum_floor: float = 1e-6
-
-    def stepper(self) -> StepperConfig:
-        """The stepper's parameters, checked by StepperConfig."""
-        return StepperConfig(dt=self.dt, t_end=self.t_end, cfl_safety=self.cfl_safety,
-                             vacuum_floor=self.vacuum_floor)
 
 
 _TOP_KEYS = typing.get_type_hints(RunConfig)
@@ -115,7 +112,6 @@ def validate_config(data: dict) -> RunConfig:
     if n < 8 or n % 2 != 0:
         raise ValidationError("grid_n must be even and >= 8")
     check_grid_fits("grid_n", n)
-    cfg.stepper()
     if cfg.epsilon < 0:
         raise ValidationError("epsilon must be >= 0")
     if cfg.odd_sign not in (1, -1):
@@ -310,11 +306,7 @@ def write_checkpoint(state: FlowState, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         for field in (state.rho_dev, state.u.x1, state.u.x2):
-            flat = expand(field.coeffs)
-            pairs = np.empty((n * n, 2), dtype="<f8")
-            pairs[:, 0] = flat.real.reshape(-1)
-            pairs[:, 1] = flat.imag.reshape(-1)
-            fh.write(pairs.tobytes())
+            fh.write(expand(field.coeffs).astype("<c16", copy=False).tobytes())
 
 
 def read_checkpoint(path: str) -> FlowState:
@@ -347,9 +339,8 @@ def read_checkpoint(path: str) -> FlowState:
     grid = Grid(n)
     fields = []
     for _ in range(3):
-        pairs = np.frombuffer(blob, dtype="<f8", count=2 * n * n, offset=offset)
+        coeffs = np.frombuffer(blob, dtype="<c16", count=n * n, offset=offset).reshape(n, n)
         offset += n * n * 16
-        coeffs = (pairs[0::2] + 1j * pairs[1::2]).reshape(n, n)
         check_real(coeffs)
         fields.append(SpectralScalar(grid, fold(coeffs)))
     return FlowState(t, fields[0], SpectralVector(fields[1], fields[2]),

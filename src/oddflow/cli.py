@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from . import app_io, diagnostics
+from . import app_io, diagnostics, fft
 from .dynamics import check_vacuum, good_unknowns
 from .errors import OddflowError, RuntimeAbort, ValidationError
 from .littlewood_paley import besov_norm, sobolev_norm
@@ -39,11 +39,7 @@ def _argument(ok: bool, name: str, rule: str, value) -> None:
 
 def cmd_run(args) -> int:
     cfg = app_io.load_config(args.config)
-    state = app_io.init_scenario(cfg)
-    app_io.make_output_dir(cfg.output_dir)
-
     rows = []
-    last = [state, 0]  # the last state that completed its observers, its index
 
     def observer(st, idx):
         if idx % cfg.observe_every == 0:
@@ -62,15 +58,21 @@ def cmd_run(args) -> int:
                       encoding="utf-8") as fh:
                 fh.write(app_io.csv_to_dat(csv_text))
 
-    try:
-        final = integrate(state, cfg.stepper(), observers=[observer])
-        if last[1] % cfg.observe_every:  # the last state has no row yet
-            rows.append(diagnostics.observe(final, cfg.s))
-    except OddflowError:
-        # an aborted run keeps the rows it collected and its last good state
-        write_rows()
-        app_io.write_checkpoint(last[0], os.path.join(cfg.output_dir, "checkpoint_abort.bin"))
-        raise
+    # one workspace from the initial vacuum check to the last row, which the
+    # loop's own block (stepping.trajectory) reuses
+    with fft.workspace(cfg.grid_n):
+        state = app_io.init_scenario(cfg)
+        app_io.make_output_dir(cfg.output_dir)
+        last = [state, 0]  # the last state that completed its observers, its index
+        try:
+            final = integrate(state, cfg, observers=[observer])
+            if last[1] % cfg.observe_every:  # the last state has no row yet
+                rows.append(diagnostics.observe(final, cfg.s))
+        except OddflowError:
+            # an aborted run keeps the rows it collected and its last good state
+            write_rows()
+            app_io.write_checkpoint(last[0], os.path.join(cfg.output_dir, "checkpoint_abort.bin"))
+            raise
     app_io.write_checkpoint(final, os.path.join(cfg.output_dir, "checkpoint_final.bin"))
     write_rows()
     print(f"integrated to t = {final.t:.6g} ({last[1]} steps); "
@@ -108,7 +110,7 @@ def cmd_twin(args) -> int:
     except RuntimeAbort as exc:
         raise ValidationError(f"perturbed state below the vacuum floor: {exc}") from exc
     app_io.make_output_dir(cfg.output_dir)
-    records = diagnostics.twin_run_stability(state, perturbed, cfg.stepper(),
+    records = diagnostics.twin_run_stability(state, perturbed, cfg,
                                              observe_every=cfg.observe_every)
     path = os.path.join(cfg.output_dir, "twin.csv")
     app_io.write_table(path, records, diagnostics.STABILITY_FIELDS)
@@ -126,7 +128,7 @@ def cmd_sweep_eps(args) -> int:
     diagnostics.check_eps_list(eps_list)  # before any file is touched
     state = app_io.init_scenario(cfg)
     app_io.make_output_dir(cfg.output_dir)
-    table = diagnostics.epsilon_sweep(state, cfg.stepper(), eps_list)
+    table = diagnostics.epsilon_sweep(state, cfg, eps_list)
     print(f"{'eps_high':>12} {'eps_low':>12} {'|du|_L2':>14} {'|drho|_L2':>14}")
     for row in table:
         print(f"{row.eps_high:12.3e} {row.eps_low:12.3e} "

@@ -1,5 +1,8 @@
 """Variable-coefficient elliptic solve for the pressure gradient and the
-regular combination grad(pi - sign*rho*omega).
+momentum equation's pressure force.  The regular combination
+grad(pi - sign*rho*omega) is dynamics.grad_pi_minus_rho_omega's; its second
+route, the reassembly from the source decomposition, and the commutator
+[rho - 1, Lap] omega are verify's, like every identity's second route.
 
 The elliptic problem -div(a grad Pi) = div F is solved by preconditioned
 conjugate gradients on the mean-zero scalar potential, in solve_elliptic,
@@ -9,10 +12,10 @@ CG vectors hold the columns k2 = 0..n//3 of the half-spectrum, the
 dealiased band: one operator application is one irfft2 of both gradient
 components' band columns (irfft2's band path) and one full-width rfft2,
 each over both components stacked, with updates in place.  The CG's
-stacked arrays (BandMultipliers.ik, the gradient, PressureSolution.force)
-and the vector fields share one layout, a SpectralVector's (2, n, n/2+1)
-coefficients, here cut to the band columns: ik is grid.ik[..., :m] times
-the band, the right-hand side is formed from F.coeffs[..., :m], and
+stacked arrays (Grid.band_ik, the gradient, PressureSolution.force) and
+the vector fields share one layout, a SpectralVector's (2, n, n/2+1)
+coefficients, here cut to the band columns: band_ik is grid.ik[..., :m]
+times Grid.band, the right-hand side is formed from F.coeffs[..., :m], and
 dynamics.momentum_rhs subtracts the force from its coeffs[..., :m] in one
 statement.  Inner products and norms are spectral.half_vdot, the
 full-spectrum L2 values (Plancherel for real fields), and the stopping
@@ -28,7 +31,9 @@ matches the force formed from grad(pi) to about 1e-15 relative.
 
 A solve builds only what it returns (the potential, the force and grad_pi,
 fresh arrays) and works in the held oddflow.fft.Workspace of its grid size,
-or else in its own, which dies with the solve.  Concus-Golub's scalar
+or else in its own, which dies with the solve.  Its multipliers are the
+Grid's (band, band_ik, band_inv_k_sq), so the module keeps nothing per grid
+and a grid lives no longer than its fields.  Concus-Golub's scalar
 transforms use the first components of an operator application's stacked
 buffers: an application and a preconditioner call never overlap.  The
 arrays are never cleared: each solve writes every element it reads.  The
@@ -86,13 +91,12 @@ paired runs with one FFT thread.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fft as _fft
-from .dynamics import FlowState, grad_pi_minus_rho_omega
+from .dynamics import FlowState
 from .errors import (
     ConvergenceError,
     GridMismatchError,
@@ -100,20 +104,7 @@ from .errors import (
     RuntimeAbort,
     ValidationError,
 )
-from .littlewood_paley import build_partition
-from .spectral import (
-    Grid,
-    SpectralScalar,
-    SpectralVector,
-    dealias_columns,
-    dealiased_samples,
-    divergence,
-    gradient,
-    half_vdot,
-    laplacian,
-    l2_norm,
-    product_physical,
-)
+from .spectral import Grid, SpectralVector, dealias_columns, half_vdot, l2_norm
 
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 500
@@ -140,37 +131,16 @@ class PressureSolution:
     preconditioner: str | None
 
 
-@dataclass(frozen=True)
-class BandMultipliers:
-    """Per-grid multipliers of the CG on the band columns k2 = 0..n//3 of
-    the half-spectrum: band is 1 on the mean-zero dealiased band, ik
-    stacks 1j*k1 and 1j*k2, and inv_lap is (-Lap)^{-1}, all zero outside
-    that band."""
-
-    band: np.ndarray
-    ik: np.ndarray
-    inv_lap: np.ndarray
-
-
-@functools.cache
-def band_multipliers(grid: Grid) -> BandMultipliers:
-    """The CG multipliers of this grid, built once."""
-    m = grid.dealias_cutoff + 1
-    band = (grid.dealias_mask & (grid.k_sq > 0))[:, :m].astype(np.float64)
-    return BandMultipliers(band, grid.ik[..., :m] * band, grid.inv_k_sq[:, :m] * band)
-
-
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
     """The function z <- M r that the CG applies on the band columns; it
     writes z in place.  M is the one the name gives (inverse_laplacian or
     concus_golub, the function's __name__), or, without one, the one the
     rule in the module docstring chooses.  Concus-Golub works in the
     grid size's fft.Workspace, whose arrays the returned function keeps."""
-    bm = band_multipliers(grid)
-    m = bm.inv_lap.shape[1]
+    m = grid.dealias_cutoff + 1
 
     def inverse_laplacian(r, z):
-        np.multiply(r, bm.inv_lap, out=z)
+        np.multiply(r, grid.band_inv_k_sq, out=z)
 
     if (name == "inverse_laplacian"
             or name is None and float(np.max(a_phys)) < CONTRAST_MIN * a_star):
@@ -195,7 +165,7 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
         v = _fft.irfft2(f, out=v_out)
         v *= inv_root
         f = _fft.rfft2(v, out=f_out)
-        np.multiply(f[:, :m], bm.band, out=z)
+        np.multiply(f[:, :m], grid.band, out=z)
 
     return concus_golub
 
@@ -225,8 +195,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
         raise ValidationError(
             f"elliptic coefficient not bounded below: min a = {a_star:.3e}")
     with _fft.workspace(grid.n) as ws:
-        bm = band_multipliers(grid)
-        ik = bm.ik
+        ik = grid.band_ik
         m = ik.shape[-1]
         b, r, tmp, grad, g_out, f_out = ws.b, ws.r, ws.tmp, ws.grad, ws.g_out, ws.f_out
 
@@ -257,7 +226,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
             x, ax = np.zeros_like(b), np.zeros_like(ik)
             np.copyto(r, b)
         else:
-            x = guess * bm.band
+            x = guess * grid.band
             ax = np.array(apply(x, r))
             np.subtract(b, r, out=r)
             res = float(np.sqrt(half_vdot(r, r))) / b_norm
@@ -325,59 +294,3 @@ def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSoluti
         state.pressure = solve_elliptic(fl.inv_rho_phys, fl.pressure_source(ws.source),
                                         state.pressure_guess, state.preconditioner, tol)
     return state.pressure
-
-
-def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:
-    """[rho - 1, Lap] omega = (rho-1)Lap(omega) - Lap((rho-1)omega)."""
-    fl = state.fields
-    g = state.grid
-    dev_phys = fl.rho_phys - 1.0
-    lap_om = dealiased_samples(fl.omega, -g.k_sq)
-    t1 = product_physical(dev_phys * lap_om, g)
-    t2 = laplacian(product_physical(dev_phys * fl.omega_phys, g))
-    return t1 - t2
-
-
-def commutator_expanded(state: FlowState) -> SpectralScalar:
-    """-2 div(omega grad rho) + omega Lap rho (equal to the commutator)."""
-    fl = state.fields
-    g = state.grid
-    om = fl.omega_phys
-    w = product_physical(om * fl.grad_rho_phys, g)
-    lap_rho = dealiased_samples(state.rho_dev, -g.k_sq)
-    return -2.0 * divergence(w) + product_physical(om * lap_rho, g)
-
-
-def pressure_split_via_phi(state: FlowState) -> SpectralVector:
-    """Reassemble the state's stored grad(pi - sign*rho*omega) from the
-    source decomposition.
-
-    High frequencies come from grad((-Lap)^{-1} Phi) with
-    Phi = -grad(log rho).grad(pi) + rho div((u.grad)u + sign(...)u_perp
-    + (eps/rho)Lap^2 u) - sign*[rho-1, Lap]omega; the lowest dyadic block is
-    copied from the direct difference.
-    """
-    fl = state.fields
-    g = state.grid
-    sigma = state.odd_sign
-
-    # Phi_1 = -grad(log rho) . grad(pi)
-    L1, L2 = fl.grad_log_rho_phys
-    p1, p2 = dealiased_samples(state.pressure.grad_pi)
-    phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
-
-    # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
-    # G that feeds the elliptic solve, without its -sign*grad(omega) piece
-    G = fl.transport
-    if state.epsilon > 0.0:
-        G = G + state.epsilon * fl.hyper
-    divG = dealiased_samples(divergence(G))
-    phi2 = product_physical(fl.rho_phys * divG, g)
-
-    phi3 = commutator_rho_laplacian(state)
-
-    phi = phi1 + phi2 - sigma * phi3
-
-    low_mult = build_partition(g).blocks[0]
-    high_mult = (1.0 - low_mult) * g.inv_k_sq
-    return gradient(phi * high_mult) + grad_pi_minus_rho_omega(state) * low_mult

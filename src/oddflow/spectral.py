@@ -58,6 +58,11 @@ class Grid:
     it is.  The 2/3-rule dealias cutoff is floor(n/3) < n/2: a field is
     dealiased when coeff(k) = 0 whenever max(|k1|, |k2|) > cutoff, and
     dealias_mask excludes the Nyquist row and column.
+
+    The pressure CG's multipliers live on the band columns k2 = 0..cutoff,
+    zero outside the mean-zero dealiased band: band (1 on it, from
+    dealias_mask), band_ik (ik times band) and band_inv_k_sq ((-Lap)^{-1}).
+    They die with the Grid, as every array of its fields does.
     """
 
     def __init__(self, n: int):
@@ -77,6 +82,10 @@ class Grid:
             (np.abs(self.k1) <= self.dealias_cutoff)
             & (self.k2 <= self.dealias_cutoff)
         )
+        m = self.dealias_cutoff + 1
+        self.band = (self.dealias_mask & (self.k_sq > 0))[:, :m].astype(np.float64)
+        self.band_ik = self.ik[..., :m] * self.band
+        self.band_inv_k_sq = self.inv_k_sq[:, :m] * self.band
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -3,6 +3,14 @@ odd-term skew-symmetry, good-unknown equation residuals, the pressure
 split consistency, and the algebraic identities under the dynamics
 operators.  Used by the `verify` CLI subcommand and by the tests.
 
+The second route of every identity lives here, beside the suite that
+checks it: identity_checks for the dynamics operators, and for the
+pressure split (criterion 6) pressure_split_via_phi, which reassembles
+grad(pi - sign*rho*omega) from the source decomposition
+Phi_1 + Phi_2 - sign*[rho - 1, Lap] omega, with the commutator in two forms
+(commutator_rho_laplacian, commutator_expanded).  The program itself calls
+none of them.
+
 Each suite draws its own states: skew the full-band seed..seed+9;
 pressure_split the full-band seed..seed+4, each solved once for the split,
 the commutator and the full-band residuals; residuals the half-band
@@ -33,14 +41,11 @@ from .littlewood_paley import (
     partition_of_unity_error,
     sobolev_norm_vector,
 )
-from .pressure import (
-    commutator_expanded,
-    commutator_rho_laplacian,
-    pressure_split_via_phi,
-    solve_pressure,
-)
+from .pressure import solve_pressure
 from .spectral import (
     Grid,
+    SpectralScalar,
+    SpectralVector,
     biot_savart,
     curl,
     dealiased_product,
@@ -50,6 +55,8 @@ from .spectral import (
     inverse_laplacian,
     inverse_transform,
     divergence,
+    gradient,
+    laplacian,
     leray_project,
     l2_norm,
     mismatch,
@@ -141,6 +148,62 @@ def suite_residuals(grid: Grid, seed: int) -> list[CheckResult]:
         CheckResult("theta residual (half band)", theta, 1e-10),
         CheckResult("omega residual (half band)", omega, 1e-10),
     ]
+
+
+def commutator_rho_laplacian(state: FlowState) -> SpectralScalar:
+    """[rho - 1, Lap] omega = (rho-1)Lap(omega) - Lap((rho-1)omega)."""
+    fl = state.fields
+    g = state.grid
+    dev_phys = fl.rho_phys - 1.0
+    lap_om = dealiased_samples(fl.omega, -g.k_sq)
+    t1 = product_physical(dev_phys * lap_om, g)
+    t2 = laplacian(product_physical(dev_phys * fl.omega_phys, g))
+    return t1 - t2
+
+
+def commutator_expanded(state: FlowState) -> SpectralScalar:
+    """-2 div(omega grad rho) + omega Lap rho (equal to the commutator)."""
+    fl = state.fields
+    g = state.grid
+    om = fl.omega_phys
+    w = product_physical(om * fl.grad_rho_phys, g)
+    lap_rho = dealiased_samples(state.rho_dev, -g.k_sq)
+    return -2.0 * divergence(w) + product_physical(om * lap_rho, g)
+
+
+def pressure_split_via_phi(state: FlowState) -> SpectralVector:
+    """Reassemble the state's stored grad(pi - sign*rho*omega) from the
+    source decomposition.
+
+    High frequencies come from grad((-Lap)^{-1} Phi) with
+    Phi = -grad(log rho).grad(pi) + rho div((u.grad)u + sign(...)u_perp
+    + (eps/rho)Lap^2 u) - sign*[rho-1, Lap]omega; the lowest dyadic block is
+    copied from the direct difference.
+    """
+    fl = state.fields
+    g = state.grid
+    sigma = state.odd_sign
+
+    # Phi_1 = -grad(log rho) . grad(pi)
+    L1, L2 = fl.grad_log_rho_phys
+    p1, p2 = dealiased_samples(state.pressure.grad_pi)
+    phi1 = -1.0 * product_physical(L1 * p1 + L2 * p2, g)
+
+    # Phi_2 (+ eps part) = rho * div(G) for the same dealiased source vector
+    # G that feeds the elliptic solve, without its -sign*grad(omega) piece
+    G = fl.transport
+    if state.epsilon > 0.0:
+        G = G + state.epsilon * fl.hyper
+    divG = dealiased_samples(divergence(G))
+    phi2 = product_physical(fl.rho_phys * divG, g)
+
+    phi3 = commutator_rho_laplacian(state)
+
+    phi = phi1 + phi2 - sigma * phi3
+
+    low_mult = build_partition(g).blocks[0]
+    high_mult = (1.0 - low_mult) * g.inv_k_sq
+    return gradient(phi * high_mult) + grad_pi_minus_rho_omega(state) * low_mult
 
 
 def suite_pressure_split(grid: Grid, seed: int) -> list[CheckResult]:

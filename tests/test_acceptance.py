@@ -32,7 +32,7 @@ from oddflow.littlewood_paley import (
     sobolev_norm,
     sobolev_norm_vector,
 )
-from oddflow.pressure import pressure_split_via_phi, solve_elliptic, solve_pressure
+from oddflow.pressure import solve_elliptic, solve_pressure
 from oddflow.spectral import (
     Grid,
     SpectralScalar,
@@ -49,7 +49,7 @@ from oddflow.spectral import (
     zero_scalar,
 )
 from oddflow.stepping import StepperConfig, run
-from oddflow.verify import make_state, random_band_scalar
+from oddflow.verify import make_state, pressure_split_via_phi, random_band_scalar
 
 from conftest import constant_scalar, full_wavenumbers, shear_state_fields
 

@@ -20,7 +20,7 @@ from oddflow.dynamics import (
 )
 from oddflow.diagnostics import continuation_monitor
 from oddflow.errors import RuntimeAbort, UnsolvedPressureError
-from oddflow.pressure import pressure_split_via_phi, solve_pressure
+from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     Grid,
     SpectralVector,
@@ -36,7 +36,7 @@ from oddflow.spectral import (
     zero_scalar,
 )
 from oddflow.littlewood_paley import sobolev_norm_vector
-from oddflow.verify import identity_checks, make_state
+from oddflow.verify import identity_checks, make_state, pressure_split_via_phi
 
 from conftest import coordinates, forward_transform, shear_state_fields
 

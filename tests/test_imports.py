@@ -343,6 +343,51 @@ def test_wavenumbers_only_from_the_grid(path):
     assert references(path.read_text(encoding="utf-8"), *FREQUENCY_HELPERS) == []
 
 
+# pressure is the CG solve alone: the second routes of the pressure split
+# live in verify, and the band multipliers on the Grid.
+PRESSURE_IMPORTS = {"fft", "dynamics", "errors", "spectral"}
+
+
+def oddflow_imports(source: str) -> list[tuple[str, str | None]]:
+    """(oddflow module, name) for each import of the package's own modules:
+    the name taken from the module, or None for the module itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name.split(".")[1], None) for a in node.names
+                      if a.name.startswith("oddflow.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "oddflow":
+                continue
+            module = module.removeprefix("oddflow").lstrip(".")
+            if module:
+                found += [(module.split(".")[0], a.name) for a in node.names]
+            else:
+                found += [(a.name, None) for a in node.names]
+    return found
+
+
+def test_detector_lists_oddflow_imports():
+    source = ("import numpy as np\nfrom . import fft as _fft, errors\n"
+              "from .dynamics import FlowState\nimport oddflow.verify\n"
+              "from oddflow.littlewood_paley import build_partition\n"
+              "from oddflow import app_io\nfrom dataclasses import dataclass\n")
+    assert oddflow_imports(source) == [
+        ("fft", None), ("errors", None), ("dynamics", "FlowState"), ("verify", None),
+        ("littlewood_paley", "build_partition"), ("app_io", None)]
+
+
+def test_pressure_imports_only_what_the_solve_needs():
+    """No Littlewood-Paley blocks, no dynamics but the state, and no
+    per-grid cache."""
+    source = (SRC / "pressure.py").read_text(encoding="utf-8")
+    found = oddflow_imports(source)
+    assert {module for module, _ in found} <= PRESSURE_IMPORTS
+    assert [name for module, name in found if module == "dynamics"] == ["FlowState"]
+    assert references(source, "functools", "cache") == []
+
+
 # A module's _-prefixed names are its own: no module under src/oddflow takes
 # one from another oddflow module.
 def private_names_crossed(source: str) -> list[str]:

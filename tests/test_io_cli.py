@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import oddflow
-from oddflow import app_io
+from oddflow import app_io, fft
 from oddflow.cli import cli
 from oddflow.dynamics import FlowState
 from oddflow.errors import (
@@ -22,10 +23,12 @@ from oddflow.errors import (
 from oddflow.spectral import (
     Grid,
     SpectralScalar,
+    SpectralVector,
     check_real,
     curl,
     expand,
     inverse_transform,
+    zero_scalar,
 )
 from oddflow.stepping import StepperConfig, step
 from oddflow.verify import make_state
@@ -258,6 +261,21 @@ class TestCheckpoints:
         assert np.array_equal(back.u.x1.coeffs, st.u.x1.coeffs)
         assert np.array_equal(back.u.x2.coeffs, st.u.x2.coeffs)
 
+    def test_round_trip_keeps_negative_zero(self, tmp_path, grid16):
+        """A -0.0 real part comes back as -0.0, so a rewritten checkpoint
+        has the bytes of the first (a coefficient rebuilt as re + 1j*im
+        would read +0.0)."""
+        rho = zero_scalar(grid16)
+        rho.coeffs[1, 1] = complex(-0.0, 0.25)
+        st = FlowState(0.0, rho, SpectralVector(zero_scalar(grid16), zero_scalar(grid16)))
+        first, second = str(tmp_path / "first.bin"), str(tmp_path / "second.bin")
+        app_io.write_checkpoint(st, first)
+        back = app_io.read_checkpoint(first)
+        assert back.rho_dev.coeffs.tobytes() == rho.coeffs.tobytes()
+        app_io.write_checkpoint(back, second)
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read()
+
     def test_corrupted_magic(self, tmp_path, grid64):
         st = make_state(grid64, 4, "half_band")
         path = str(tmp_path / "state.bin")
@@ -366,6 +384,37 @@ class TestCli:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert "diagnostics.csv" in outputs[0] and len(outputs[0]) >= 4
         assert outputs[1] == outputs[0] == outputs[2]
+
+    def test_run_holds_one_workspace(self, tmp_path, monkeypatch):
+        """From the initial vacuum check to the final row, a run works in one
+        fft.Workspace, and no band-path irfft2 runs outside a held block (a
+        run whose only rows are the first and the last)."""
+        made, outside, inside = [], [], []
+
+        class Recorded(fft.Workspace):
+            def __init__(self, n):
+                super().__init__(n)
+                made.append(weakref.ref(self))
+
+        irfft2 = fft.irfft2
+
+        def counted(x, *args, **kwargs):
+            n, m = x.shape[-2:]
+            if m < n // 2 + 1:
+                (inside if n in fft._held.workspaces else outside).append(m)
+            return irfft2(x, *args, **kwargs)
+
+        monkeypatch.setattr(fft, "Workspace", Recorded)
+        monkeypatch.setattr(fft, "irfft2", counted)
+        out = tmp_path / "out"
+        path = write_json(tmp_path, {
+            "grid_n": 32, "t_end": 2e-3, "dt": 1e-3, "observe_every": 10**6,
+            "scenario": {"name": "density_wave", "a": 0.9}, "output_dir": str(out)})
+        assert cli(["run", "--config", path]) == 0
+        rows = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert len(rows) == 3 and inside
+        assert len(made) == 1 and outside == []
+        assert made[0]() is None and fft._held.workspaces == {}
 
     def test_run_steady_kinetic_constant(self, tmp_path):
         out = tmp_path / "out"

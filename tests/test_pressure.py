@@ -1,19 +1,17 @@
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import oddflow
 from oddflow import fft, pressure
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.dynamics import FlowState, grad_pi_minus_rho_omega
 from oddflow.errors import ConvergenceError, GridMismatchError, RuntimeAbort, ValidationError
-from oddflow.pressure import (
-    commutator_expanded,
-    commutator_rho_laplacian,
-    pressure_split_via_phi,
-    solve_elliptic,
-    solve_pressure,
-)
+from oddflow.pressure import solve_elliptic, solve_pressure
 from oddflow.spectral import (
     Grid,
     SpectralVector,
@@ -31,7 +29,13 @@ from oddflow.spectral import (
     product_physical,
     zero_scalar,
 )
-from oddflow.verify import make_state, random_band_scalar
+from oddflow.verify import (
+    commutator_expanded,
+    commutator_rho_laplacian,
+    make_state,
+    pressure_split_via_phi,
+    random_band_scalar,
+)
 
 from conftest import constant_scalar, coordinates, forward_transform, shear_state_fields
 
@@ -336,7 +340,7 @@ class TestWarmStart:
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(x_cold.shape) + 1j * rng.standard_normal(x_cold.shape)
         guess = x_cold + 1e-3 * noise
-        projected = guess * pressure.band_multipliers(grid64).band
+        projected = guess * grid64.band
         assert guess[0, 0] != 0.0 and np.any(projected != guess)
         a = solve_elliptic(a_phys, F, guess)
         b = solve_elliptic(a_phys, F, projected)
@@ -408,6 +412,35 @@ class TestWorkspace:
                 solve_pressure(density_wave(64, 0.5))
                 raise RuntimeAbort("leaving the block")
         assert len(built) == 2 and fft._held.workspaces == {}
+
+
+GRID_LIFETIME = """
+import gc, weakref
+from oddflow.pressure import solve_pressure
+from oddflow.spectral import Grid
+from oddflow.verify import make_state
+
+grid = Grid(32)
+ref = weakref.ref(grid)
+state = make_state(grid, 0, "full_band")
+for name in ("inverse_laplacian", "concus_golub"):
+    state.preconditioner = name
+    assert solve_pressure(state).preconditioner == name
+del grid, state
+gc.collect()
+assert ref() is None, "the grid outlived the solves on it"
+"""
+
+
+def test_a_grid_dies_after_its_solves():
+    """The solver keeps nothing per grid: once the state is gone, a grid
+    that both preconditioners solved on is collected.  A fresh interpreter
+    holds no earlier grid of the size that a cache could have kept
+    instead."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oddflow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", GRID_LIFETIME], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPressureForce:
