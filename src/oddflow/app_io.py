@@ -13,6 +13,7 @@ sign of a zero.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -154,15 +155,23 @@ def _bandlimited_options(scenario: dict, n: int) -> tuple:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with opened(path, "r", "read config file") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return validate_config(data)
+
+
+@contextlib.contextmanager
+def opened(path: str, mode: str, action: str):
+    """open(path, mode), text as UTF-8, raising an OSError as ValidationError."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot {action} {path!r}: {exc.strerror}") from exc
 
 
 def make_output_dir(path: str) -> None:
@@ -303,18 +312,15 @@ def write_checkpoint(state: FlowState, path: str) -> None:
     n = state.grid.n
     header = MAGIC + struct.pack("<II", VERSION, n)
     header += struct.pack("<ddd", state.t, state.epsilon, state.odd_sign)
-    with open(path, "wb") as fh:
+    with opened(path, "wb", "write") as fh:
         fh.write(header)
         for field in (state.rho_dev, state.u.x1, state.u.x2):
             fh.write(expand(field.coeffs).astype("<c16", copy=False).tobytes())
 
 
 def read_checkpoint(path: str) -> FlowState:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read checkpoint {path!r}: {exc.strerror}") from exc
+    with opened(path, "rb", "read checkpoint") as fh:
+        blob = fh.read()
     if len(blob) < 6 + 8 + 24:
         raise ValidationError(f"checkpoint {path!r} is truncated")
     if blob[:6] != MAGIC:
@@ -361,7 +367,7 @@ def write_table(path: str, records, columns) -> str:
     """Write records under the header columns to path as diagnostics_csv's
     text, and return the text."""
     text = diagnostics_csv(records, columns)
-    with open(path, "w", encoding="utf-8") as fh:
+    with opened(path, "w", "write") as fh:
         fh.write(text)
     return text
 

@@ -54,8 +54,8 @@ def cmd_run(args) -> int:
     def write_rows():
         csv_text = app_io.write_table(csv_path, rows, diagnostics.DIAGNOSTIC_FIELDS)
         if args.emit_dat:
-            with open(os.path.join(cfg.output_dir, "diagnostics.dat"), "w",
-                      encoding="utf-8") as fh:
+            with app_io.opened(os.path.join(cfg.output_dir, "diagnostics.dat"), "w",
+                               "write") as fh:
                 fh.write(app_io.csv_to_dat(csv_text))
 
     # one workspace from the initial vacuum check to the last row, which the
@@ -73,14 +73,16 @@ def cmd_run(args) -> int:
             write_rows()
             app_io.write_checkpoint(last[0], os.path.join(cfg.output_dir, "checkpoint_abort.bin"))
             raise
+    write_rows()  # first, so a checkpoint that cannot be written leaves the rows
     app_io.write_checkpoint(final, os.path.join(cfg.output_dir, "checkpoint_final.bin"))
-    write_rows()
     print(f"integrated to t = {final.t:.6g} ({last[1]} steps); "
           f"diagnostics in {csv_path}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    _argument(0 <= args.seed <= 2**64 - 10, "--seed",
+              "must lie in [0, 2**64 - 10] (the suites draw seed..seed+9)", args.seed)
     _argument(args.n >= 32 and args.n % 2 == 0, "--n",
               "must be even and >= 32 (coarser grids miss the suites' bounds)", args.n)
     app_io.check_grid_fits("--n", args.n)

@@ -11,13 +11,10 @@ which sum to chi(2^{-j_max}|k|) = 1 exactly at every grid frequency once
 2^{j_max} * 1.5 exceeds the largest grid |k|; j_max = ceil(log2(n/2))
 achieves that.  Low cutoffs S_j = sum_{m <= j-1} D_m are stored as running
 sums of the block multipliers, so S_j f = sum of blocks below j holds exactly.
+The Grid holds both lists (dyadic_blocks, dyadic_lows; chi is chi_profile).
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
-import math
 
 import numpy as np
 
@@ -32,57 +29,28 @@ from .spectral import (
 )
 
 
-def chi_profile(r):
-    """Radial cutoff: 1 on [0, 1.5], smooth monotone drop to 0 at 2."""
-    r = np.asarray(r, dtype=np.float64)
-    t = (r - 1.5) / 0.5  # transition variable in [0, 1]
-    lo = np.exp(-1.0 / np.maximum(t, 1e-300), where=t > 0, out=np.zeros_like(t))
-    hi = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300), where=t < 1, out=np.zeros_like(t))
-    with np.errstate(invalid="ignore"):
-        s = np.where(t <= 0, 0.0, np.where(t >= 1, 1.0, lo / (lo + hi)))
-    return 1.0 - s
-
-
-class DyadicPartition:
-    """The multipliers of the dyadic decomposition on one grid: blocks[j + 1]
-    is D_j for j = -1..j_max, and lows[j + 1] is S_j for j = -1..j_max+1
-    (S_{-1} = 0, S_{j_max+1} = the sum of all blocks)."""
-
-    def __init__(self, grid: Grid):
-        self.j_max = int(math.ceil(math.log2(grid.n / 2)))
-        kmag = np.sqrt(grid.k_sq)
-        cutoffs = [chi_profile(kmag / 2.0**j) for j in range(-1, self.j_max + 1)]
-        self.blocks = cutoffs[:1] + [cur - prev for prev, cur in zip(cutoffs, cutoffs[1:])]
-        self.lows = list(itertools.accumulate(self.blocks, initial=np.zeros_like(kmag)))
-
-
-@functools.cache
-def build_partition(grid: Grid) -> DyadicPartition:
-    return DyadicPartition(grid)
-
-
-def partition_of_unity_error(part: DyadicPartition) -> float:
-    return float(np.max(np.abs(part.lows[-1] - 1.0)))
+def partition_of_unity_error(grid: Grid) -> float:
+    return float(np.max(np.abs(grid.dyadic_lows[-1] - 1.0)))
 
 
 def dyadic_block(f: SpectralScalar, j: int) -> SpectralScalar:
-    part = build_partition(f.grid)
-    if j < -1 or j > part.j_max:
-        raise ValidationError(f"block index {j} outside [-1, {part.j_max}]")
-    return f * part.blocks[j + 1]
+    j_max = len(f.grid.dyadic_blocks) - 2
+    if j < -1 or j > j_max:
+        raise ValidationError(f"block index {j} outside [-1, {j_max}]")
+    return f * f.grid.dyadic_blocks[j + 1]
 
 
 def dyadic_blocks(f: SpectralScalar) -> list[SpectralScalar]:
     """All blocks of f, D_j f at index j + 1."""
-    return [f * m for m in build_partition(f.grid).blocks]
+    return [f * m for m in f.grid.dyadic_blocks]
 
 
 def low_cutoff(f: SpectralScalar, j: int) -> SpectralScalar:
     """S_j f = sum of blocks below j (cumulative multiplier)."""
-    part = build_partition(f.grid)
-    if j < 0 or j > part.j_max + 1:
-        raise ValidationError(f"cutoff index {j} outside [0, {part.j_max + 1}]")
-    return f * part.lows[j + 1]
+    j_max = len(f.grid.dyadic_blocks) - 2
+    if j < 0 or j > j_max + 1:
+        raise ValidationError(f"cutoff index {j} outside [0, {j_max + 1}]")
+    return f * f.grid.dyadic_lows[j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +95,8 @@ def besov_norm(f: SpectralScalar, s: float, p: float, r: float) -> float:
 def paraproduct(u: SpectralScalar, v: SpectralScalar) -> SpectralScalar:
     """T_u v = sum_j S_{j-1} u * D_j v with dealiased products."""
     check_same_grid(u, v)
-    part = build_partition(u.grid)
     out = None
-    for j in range(1, part.j_max + 1):
+    for j in range(1, len(u.grid.dyadic_blocks) - 1):  # j = 1..j_max
         term = dealiased_product(low_cutoff(u, j - 1), dyadic_block(v, j))
         out = term if out is None else out + term
     return out

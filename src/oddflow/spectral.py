@@ -38,10 +38,25 @@ n = 100 instead of n = 142.
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import cached_property
+
 import numpy as np
 
 from . import fft as _fft
 from .errors import GridMismatchError, HermitianSymmetryError, MeanModeError, ValidationError
+
+
+def chi_profile(r):
+    """Radial cutoff: 1 on [0, 1.5], smooth monotone drop to 0 at 2."""
+    r = np.asarray(r, dtype=np.float64)
+    t = (r - 1.5) / 0.5  # transition variable in [0, 1]
+    lo = np.exp(-1.0 / np.maximum(t, 1e-300), where=t > 0, out=np.zeros_like(t))
+    hi = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300), where=t < 1, out=np.zeros_like(t))
+    with np.errstate(invalid="ignore"):
+        s = np.where(t <= 0, 0.0, np.where(t >= 1, 1.0, lo / (lo + hi)))
+    return 1.0 - s
 
 
 class Grid:
@@ -62,7 +77,10 @@ class Grid:
     The pressure CG's multipliers live on the band columns k2 = 0..cutoff,
     zero outside the mean-zero dealiased band: band (1 on it, from
     dealias_mask), band_ik (ik times band) and band_inv_k_sq ((-Lap)^{-1}).
-    They die with the Grid, as every array of its fields does.
+    The Littlewood-Paley lists dyadic_blocks (D_j at index j + 1 for
+    j = -1..j_max) and dyadic_lows (S_j, the running sums) are built on
+    first read, as the time stepping never reads them.  All die with the
+    Grid, as every array of its fields does.
     """
 
     def __init__(self, n: int):
@@ -87,6 +105,17 @@ class Grid:
         self.band_ik = self.ik[..., :m] * self.band
         self.band_inv_k_sq = self.inv_k_sq[:, :m] * self.band
 
+    @cached_property
+    def dyadic_blocks(self) -> list[np.ndarray]:
+        j_max = int(math.ceil(math.log2(self.n / 2)))
+        kmag = np.sqrt(self.k_sq)
+        cutoffs = [chi_profile(kmag / 2.0**j) for j in range(-1, j_max + 1)]
+        return cutoffs[:1] + [cur - prev for prev, cur in zip(cutoffs, cutoffs[1:])]
+
+    @cached_property
+    def dyadic_lows(self) -> list[np.ndarray]:
+        return list(itertools.accumulate(self.dyadic_blocks, initial=np.zeros_like(self.k_sq)))
+
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of a stored coefficient array."""
@@ -94,9 +123,6 @@ class Grid:
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Grid", self.n))
 
     def __repr__(self):
         return f"Grid(n={self.n})"

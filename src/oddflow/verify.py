@@ -37,7 +37,6 @@ from .dynamics import (
 from .errors import ValidationError
 from .littlewood_paley import (
     bony_reconstruction,
-    build_partition,
     partition_of_unity_error,
     sobolev_norm_vector,
 )
@@ -113,8 +112,7 @@ class CheckResult:
 
 
 def suite_partition(grid: Grid) -> list[CheckResult]:
-    part = build_partition(grid)
-    return [CheckResult("partition of unity", partition_of_unity_error(part), 1e-12)]
+    return [CheckResult("partition of unity", partition_of_unity_error(grid), 1e-12)]
 
 
 def suite_bony(grid: Grid, seed: int) -> list[CheckResult]:
@@ -201,7 +199,7 @@ def pressure_split_via_phi(state: FlowState) -> SpectralVector:
 
     phi = phi1 + phi2 - sigma * phi3
 
-    low_mult = build_partition(g).blocks[0]
+    low_mult = g.dyadic_blocks[0]
     high_mult = (1.0 - low_mult) * g.inv_k_sq
     return gradient(phi * high_mult) + grad_pi_minus_rho_omega(state) * low_mult
 

@@ -27,7 +27,6 @@ from oddflow.dynamics import (
 from oddflow.littlewood_paley import (
     besov_norm,
     bony_reconstruction,
-    build_partition,
     partition_of_unity_error,
     sobolev_norm,
     sobolev_norm_vector,
@@ -234,7 +233,7 @@ def test_criterion_07_lax_milgram_bound():
 
 def test_criterion_08_littlewood_paley_suite():
     grid = Grid(64)
-    part_err = partition_of_unity_error(build_partition(grid))
+    part_err = partition_of_unity_error(grid)
 
     u = random_band_scalar(grid, 5, 310, grid.dealias_cutoff - 1, power=1.0)
     v = random_band_scalar(grid, 6, 311, grid.dealias_cutoff - 1, power=1.0)

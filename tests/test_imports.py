@@ -371,11 +371,11 @@ def oddflow_imports(source: str) -> list[tuple[str, str | None]]:
 def test_detector_lists_oddflow_imports():
     source = ("import numpy as np\nfrom . import fft as _fft, errors\n"
               "from .dynamics import FlowState\nimport oddflow.verify\n"
-              "from oddflow.littlewood_paley import build_partition\n"
+              "from oddflow.littlewood_paley import dyadic_block\n"
               "from oddflow import app_io\nfrom dataclasses import dataclass\n")
     assert oddflow_imports(source) == [
         ("fft", None), ("errors", None), ("dynamics", "FlowState"), ("verify", None),
-        ("littlewood_paley", "build_partition"), ("app_io", None)]
+        ("littlewood_paley", "dyadic_block"), ("app_io", None)]
 
 
 def test_pressure_imports_only_what_the_solve_needs():
@@ -386,6 +386,26 @@ def test_pressure_imports_only_what_the_solve_needs():
     assert {module for module, _ in found} <= PRESSURE_IMPORTS
     assert [name for module, name in found if module == "dynamics"] == ["FlowState"]
     assert references(source, "functools", "cache") == []
+
+
+# A per-grid or per-state array lives on its owner (a cached_property dies
+# with its instance); no module keeps one in a process-lifetime cache, which
+# holds its arguments, a Grid among them, for as long as the process runs.
+PROCESS_CACHES = ("cache", "lru_cache")
+
+
+def test_detector_flags_process_caches():
+    source = ("import functools\nfrom functools import lru_cache, cached_property\n"
+              "@functools.cache\ndef f(n): pass\n@lru_cache(maxsize=4)\ndef g(n): pass\n"
+              "class C:\n    @cached_property\n    def h(self): pass\n")
+    assert references(source, *PROCESS_CACHES) == [
+        "lru_cache (line 2)", "cache (line 3)", "lru_cache (line 5)"]
+
+
+@pytest.mark.parametrize("name", PROCESS_CACHES)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_lifetime_cache(path, name):
+    assert references(path.read_text(encoding="utf-8"), name) == []
 
 
 # A module's _-prefixed names are its own: no module under src/oddflow takes

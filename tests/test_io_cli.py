@@ -53,6 +53,10 @@ def cli_process(argv, **env):
     return proc.returncode, proc.stderr
 
 
+# verify's suites draw seed..seed+9, and each must fit a 64-bit Philox key
+SEED_RULE = "--seed must lie in [0, 2**64 - 10] (the suites draw seed..seed+9)"
+
+
 def write_json(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -416,6 +420,24 @@ class TestCli:
         assert len(made) == 1 and outside == []
         assert made[0]() is None and fft._held.workspaces == {}
 
+    @pytest.mark.parametrize("name,argv", [
+        ("diagnostics.csv", []),
+        ("checkpoint_final.bin", []),
+        ("diagnostics.dat", ["--emit-dat"]),
+    ], ids=["csv", "checkpoint", "dat"])
+    def test_output_file_cannot_be_written(self, tmp_path, name, argv):
+        """An output file that the system refuses (here a directory holds
+        its name) ends in one error line and exit 1, not a traceback; the
+        rows are written before the final checkpoint."""
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        path = write_json(tmp_path, minimal_config(t_end=0.01, output_dir=str(out)))
+        code, err = cli_process(["run", "--config", path, *argv])
+        assert code == 1 and "Traceback" not in err
+        assert err == f"error: cannot write {str(out / name)!r}: Is a directory\n"
+        if name != "diagnostics.csv":
+            assert (out / "diagnostics.csv").is_file()
+
     def test_run_steady_kinetic_constant(self, tmp_path):
         out = tmp_path / "out"
         data = minimal_config(observe_every=1, t_end=0.2)
@@ -493,6 +515,10 @@ class TestCli:
 
     def test_verify_exit_zero(self):
         assert cli(["verify", "--seed", "7", "--n", "32"]) == 0
+
+    def test_verify_top_seed(self):
+        """The largest seed --seed admits draws seed+9 = 2**64 - 1, the top key."""
+        assert cli(["verify", "--seed", str(2**64 - 10), "--n", "32"]) == 0
 
     def test_norms_subcommand(self, tmp_path, grid64, capsys):
         st = make_state(grid64, 8, "half_band")
@@ -664,8 +690,9 @@ class TestCli:
         (["sweep-eps", "--config", "CFG", "--eps", "1e-2,1e-3"], {"output_dir": "FILE"},
          "cannot create output directory"),
         (["sweep-eps", "--config", "CFG", "--eps", "1e-2"], {}, "at least two values"),
-        (["verify", "--seed", "-1"], {}, "seed must lie in [0, 2**64), got -1"),
+        (["verify", "--seed", "-1"], {}, f"{SEED_RULE}, got -1"),
         (["verify", "--seed", str(2**64)], {}, f"got {2**64}"),
+        (["verify", "--seed", str(2**64 - 9)], {}, f"{SEED_RULE}, got {2**64 - 9}"),
         (["run", "--config", "CFG"],
          {"seed": -1, "scenario": {"name": "random_bandlimited", "a": 0.5}}, "got -1"),
         (["twin", "--config", "CFG", "--amplitude", "1e-3"], {"seed": -1}, "got -1"),
@@ -673,6 +700,7 @@ class TestCli:
          "perturbed state below the vacuum floor"),
     ], ids=["config-dir", "config-latin1", "run-output-file", "twin-output-file",
             "sweep-output-file", "sweep-one-eps", "verify-seed-negative", "verify-seed-2**64",
+            "verify-seed-2**64-9",
             "run-seed-negative", "twin-seed-negative", "twin-below-vacuum-floor"])
     def test_rejected_before_the_first_step(self, tmp_path, monkeypatch, capsys,
                                             argv, extra, match):

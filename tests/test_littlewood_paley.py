@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from oddflow.diagnostics import observe
 from oddflow.errors import ValidationError
 from oddflow.littlewood_paley import (
     besov_norm,
     bony_reconstruction,
-    build_partition,
-    chi_profile,
     dyadic_block,
     dyadic_blocks,
     low_cutoff,
@@ -16,14 +15,17 @@ from oddflow.littlewood_paley import (
     sobolev_norm,
 )
 from oddflow.spectral import (
+    Grid,
     SpectralScalar,
+    chi_profile,
     dealiased_product,
     fold,
     gradient,
     l2_norm,
     zero_scalar,
 )
-from oddflow.verify import random_band_scalar
+from oddflow.stepping import StepperConfig, run
+from oddflow.verify import make_state, random_band_scalar
 
 from conftest import constant_scalar, coordinates, forward_transform, full_wavenumbers
 
@@ -43,27 +45,35 @@ class TestChiProfile:
 class TestPartition:
     @pytest.mark.parametrize("n", [16, 64, 128, 192])
     def test_partition_of_unity(self, n):
-        from oddflow.spectral import Grid
-        part = build_partition(Grid(n))
-        assert partition_of_unity_error(part) <= 1e-12
+        assert partition_of_unity_error(Grid(n)) <= 1e-12
 
     def test_jmax_formula(self, grid64):
-        assert build_partition(grid64).j_max == 5  # ceil(log2(64/2))
+        assert len(grid64.dyadic_blocks) - 2 == 5  # ceil(log2(64/2))
 
     def test_at_origin(self, grid16):
-        part = build_partition(grid16)
-        assert part.blocks[0][0, 0] == 1.0
-        for j in range(0, part.j_max + 1):
-            assert part.blocks[j + 1][0, 0] == 0.0
+        blocks = grid16.dyadic_blocks
+        assert blocks[0][0, 0] == 1.0
+        for j in range(0, len(blocks) - 1):
+            assert blocks[j + 1][0, 0] == 0.0
 
     def test_example_at_k3(self, grid16):
         """chi(3) = 0 and the two mid blocks absorb |k| = 3 completely."""
-        part = build_partition(grid16)
+        blocks = grid16.dyadic_blocks
         assert chi_profile(np.array([3.0]))[0] == 0.0
         i = 3  # k = (3, 0)
-        total = sum(part.blocks[j + 1][i, 0] for j in (1, 2))
+        total = sum(blocks[j + 1][i, 0] for j in (1, 2))
         assert abs(total - 1.0) < 1e-14
-        assert part.blocks[0][i, 0] == 0.0
+        assert blocks[0][i, 0] == 0.0
+
+    def test_lists_built_on_first_read(self):
+        """Stepping and observing never read a grid's dyadic lists, which it
+        builds once, on first read."""
+        grid = Grid(32)
+        run(make_state(grid, 1, "half_band"), StepperConfig(dt=2e-3, t_end=4e-3),
+            observers=[lambda s, i: observe(s, 2.5)])
+        assert "dyadic_blocks" not in vars(grid) and "dyadic_lows" not in vars(grid)
+        assert grid.dyadic_lows is grid.dyadic_lows
+        assert grid.dyadic_blocks is grid.dyadic_blocks
 
 
 class TestBlocks:
@@ -79,16 +89,16 @@ class TestBlocks:
 
     def test_block_index_range(self, grid16):
         f = zero_scalar(grid16)
-        part = build_partition(grid16)
+        j_max = len(grid16.dyadic_blocks) - 2
         with pytest.raises(ValidationError):
             dyadic_block(f, -2)
         with pytest.raises(ValidationError):
-            dyadic_block(f, part.j_max + 1)
+            dyadic_block(f, j_max + 1)
 
     def test_low_cutoff_full_sum_is_identity(self, grid32):
         f = random_band_scalar(grid32, 1, 20, grid32.dealias_cutoff)
-        part = build_partition(grid32)
-        out = low_cutoff(f, part.j_max + 1)
+        j_max = len(grid32.dyadic_blocks) - 2
+        out = low_cutoff(f, j_max + 1)
         assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-14
 
     def test_low_cutoff_is_cumulative_block_sum(self, grid32):
@@ -119,10 +129,10 @@ class TestBlocks:
         """D_k(S_{j-1} f * D_j g) vanishes for |k - j| >= 5 after dealiasing."""
         f = random_band_scalar(grid64, 5, 24, grid64.dealias_cutoff - 1)
         g = random_band_scalar(grid64, 5, 25, grid64.dealias_cutoff - 1)
-        part = build_partition(grid64)
-        for j in range(1, part.j_max + 1):
+        j_max = len(grid64.dyadic_blocks) - 2
+        for j in range(1, j_max + 1):
             term = dealiased_product(low_cutoff(f, j - 1), dyadic_block(g, j))
-            for k in range(-1, part.j_max + 1):
+            for k in range(-1, j_max + 1):
                 if abs(k - j) >= 5:
                     leak = l2_norm(dyadic_block(term, k))
                     assert leak < 1e-13 * max(l2_norm(term), 1.0)

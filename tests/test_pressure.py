@@ -431,16 +431,50 @@ gc.collect()
 assert ref() is None, "the grid outlived the solves on it"
 """
 
+# the Littlewood-Paley routes read the grid's dyadic lists, which die with it
+GRID_LIFETIME_LP = """
+import gc, weakref
+from oddflow.app_io import random_band_scalar
+from oddflow.littlewood_paley import besov_norm, bony_reconstruction
+from oddflow.pressure import solve_pressure
+from oddflow.spectral import Grid
+from oddflow.verify import make_state, pressure_split_via_phi, suite_partition
+
+grid = Grid(32)
+ref = weakref.ref(grid)
+state = make_state(grid, 0, "full_band")
+solve_pressure(state)
+pressure_split_via_phi(state)
+assert all(check.passed for check in suite_partition(grid))
+u = random_band_scalar(grid, 0, 10, grid.dealias_cutoff - 1, power=1.0)
+besov_norm(u, 1.0, 2, 2)
+bony_reconstruction(u, u)
+del grid, state, u
+gc.collect()
+assert ref() is None, "the grid outlived the Littlewood-Paley and verify routes"
+"""
+
+
+def run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter, which holds no earlier grid of the
+    size that a cache could have kept instead, and fail on its error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oddflow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_a_grid_dies_after_its_solves():
     """The solver keeps nothing per grid: once the state is gone, a grid
-    that both preconditioners solved on is collected.  A fresh interpreter
-    holds no earlier grid of the size that a cache could have kept
-    instead."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oddflow.__file__)))
-    proc = subprocess.run([sys.executable, "-c", GRID_LIFETIME], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), check=False)
-    assert proc.returncode == 0, proc.stderr
+    that both preconditioners solved on is collected."""
+    run_fresh(GRID_LIFETIME)
+
+
+def test_a_grid_dies_after_the_littlewood_paley_routes():
+    """Nor does a dyadic block list outlive its grid: a grid that the
+    pressure split from Phi, the partition suite, a Besov norm and a Bony
+    reconstruction ran on is collected once its fields are gone."""
+    run_fresh(GRID_LIFETIME_LP)
 
 
 class TestPressureForce:

@@ -57,6 +57,14 @@ class TestGrid:
         assert grid16.dealias_cutoff == 5
         assert Grid(192).dealias_cutoff == 64
 
+    def test_equal_by_size_and_unhashable(self):
+        """Grids compare by n.  No cache is keyed by a grid (each keeps its
+        arrays itself), so a grid has no hash, and a functools cache keyed
+        by one fails at its first call."""
+        assert Grid(16) == Grid(16) and Grid(16) != Grid(32)
+        with pytest.raises(TypeError):
+            hash(Grid(16))
+
     def test_rejects_bad_sizes(self):
         for bad in (4, 7, 15):
             with pytest.raises(ValueError):
