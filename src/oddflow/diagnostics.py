@@ -65,13 +65,15 @@ def energy_functionals(state: FlowState, s: float) -> tuple[float, float, float]
         warnings.warn(f"s = {s} is below the well-posedness range s > 2",
                       RuntimeWarning, stacklevel=2)
     gu = good_unknowns(state)
+    # numpy scalars' powers are a float's (libm pow), but one past the float
+    # range is inf, which observe rejects, where a float's raises OverflowError
     rho_hs1 = sobolev_norm(state.rho_dev, s + 1.0)
-    rho_hs = sobolev_norm(state.rho_dev, s)
+    rho_hs = np.float64(sobolev_norm(state.rho_dev, s))
     rho_l2 = l2_norm(state.rho_dev)
     u_hs = sobolev_norm_vector(state.u, s)
-    u_l2 = l2_norm(state.u)
-    om = sobolev_norm(gu.omega, s - 1.0)
-    th = sobolev_norm(gu.theta, s - 1.0)
+    u_l2 = np.float64(l2_norm(state.u))
+    om = np.float64(sobolev_norm(gu.omega, s - 1.0))
+    th = np.float64(sobolev_norm(gu.theta, s - 1.0))
     E = rho_hs1 + u_hs
     F = rho_l2 + u_l2 + th + om
     G = rho_hs**2 + u_l2**2 + om**2 + th**2
@@ -93,11 +95,12 @@ def continuation_monitor(state: FlowState, s: float) -> tuple[float, float]:
         raise ValidationError("continuation monitor needs s > 1")
     fl = state.fields
     (d1u1, d1u2), (d2u1, d2u2) = fl.grad_u_phys
-    gu_sup = sup_magnitude(d1u1, d2u1, d1u2, d2u2)
-    grho_sup = sup_magnitude(*fl.grad_rho_phys)
+    # numpy scalars, as in energy_functionals: a power past the float range is inf
+    gu_sup = np.float64(sup_magnitude(d1u1, d2u1, d1u2, d2u2))
+    grho_sup = np.float64(sup_magnitude(*fl.grad_rho_phys))
     lap_sup = float(np.max(np.abs(dealiased_samples(state.rho_dev, -state.grid.k_sq))))
-    gpi_sup = sup_magnitude(*dealiased_samples(state.pressure.grad_pi))
-    greg_sup = sup_magnitude(*dealiased_samples(grad_pi_minus_rho_omega(state)))
+    gpi_sup = np.float64(sup_magnitude(*dealiased_samples(state.pressure.grad_pi)))
+    greg_sup = np.float64(sup_magnitude(*dealiased_samples(grad_pi_minus_rho_omega(state))))
     p_exp = s / (s - 1.0)
     M = (gu_sup**2 + grho_sup**s + grho_sup ** (s - 1.0) * gu_sup
          + lap_sup + gpi_sup**p_exp)

@@ -1,8 +1,7 @@
 """Transforms over the last two axes: the pocketfft kernels behind scipy.fft,
 called as it calls them (rfft2 and irfft2, n x n to n x (n/2+1) and back, with
 norm="forward"), for the same bits without its dispatch; out= is filled and
-returned.  The worker cap is ODDFLOW_THREADS as it was when the module was
-imported (WORKERS).
+returned.
 
 irfft2 reads m < n/2+1 input columns as the columns k2 = 0..m-1 of a
 half-spectrum that is zero elsewhere.  An axis-0 c2c of those columns into a
@@ -19,22 +18,10 @@ own, so the module keeps no array between calls.  The registry of held
 workspaces is per thread, so two threads never share one."""
 
 import contextlib
-import os
 import threading
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
-
-
-def fft_workers() -> int:
-    """Worker cap for FFT kernels, from ODDFLOW_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ODDFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-WORKERS = fft_workers()  # read once, at import: the transforms pass it on
 
 
 class Workspace:
@@ -88,22 +75,22 @@ def workspace(n: int):
 
 
 def rfft2(x, out=None):
-    return _r2c(x, (-2, -1), True, 2, out, WORKERS)
+    return _r2c(x, (-2, -1), True, 2, out)
 
 
 def irfft2(x, out=None):
     n, m = x.shape[-2:]
     if m >= n // 2 + 1:
-        return _c2r(x, (-2, -1), n, False, 0, out, WORKERS)
+        return _c2r(x, (-2, -1), n, False, 0, out)
     lead = x.shape[:-2]
     ws = _held.workspaces.get(n)
     if ws is not None and m == n // 3 + 1 and lead in ((), (2,)):
         pad = ws.pad[0] if not lead else ws.pad
     else:
         pad = np.zeros(lead + (n, n // 2 + 1), dtype=np.complex128)
-    _c2c(x, (-2,), False, 0, pad[..., :m], WORKERS)
-    return _c2r(pad, (-1,), n, False, 0, out, WORKERS)
+    _c2c(x, (-2,), False, 0, pad[..., :m])
+    return _c2r(pad, (-1,), n, False, 0, out)
 
 
 def ifft2(x):
-    return _c2c(x, (-2, -1), False, 2, None, WORKERS)
+    return _c2c(x, (-2, -1), False, 2)

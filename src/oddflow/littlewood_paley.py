@@ -81,7 +81,8 @@ def besov_norm(f: SpectralScalar, s: float, p: float, r: float) -> float:
     H^s norm, equivalent to sobolev_norm."""
     if not (1 <= p) or not (1 <= r):
         raise ValidationError("Besov indices p, r must lie in [1, inf]")
-    terms = np.asarray([2.0 ** (j * s) * _lp_physical(block, p)
+    # np.float64's ** is a float's libm pow, but inf where a float's raises OverflowError
+    terms = np.asarray([np.float64(2.0) ** (j * s) * _lp_physical(block, p)
                         for j, block in enumerate(dyadic_blocks(f), start=-1)])
     if r == np.inf:
         return float(np.max(terms))

@@ -131,12 +131,13 @@ class PressureSolution:
     preconditioner: str | None
 
 
-def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | None = None):
+def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, ws: _fft.Workspace,
+                    name: str | None = None):
     """The function z <- M r that the CG applies on the band columns; it
     writes z in place.  M is the one the name gives (inverse_laplacian or
     concus_golub, the function's __name__), or, without one, the one the
-    rule in the module docstring chooses.  Concus-Golub works in the
-    grid size's fft.Workspace, whose arrays the returned function keeps."""
+    rule in the module docstring chooses.  Concus-Golub works in ws, the
+    solve's workspace."""
     m = grid.dealias_cutoff + 1
 
     def inverse_laplacian(r, z):
@@ -145,17 +146,16 @@ def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, name: str | N
     if (name == "inverse_laplacian"
             or name is None and float(np.max(a_phys)) < CONTRAST_MIN * a_star):
         return inverse_laplacian
-    with _fft.workspace(grid.n) as ws:
-        v_out, f_out = ws.g_out[0], ws.f_out[0]
-        root = np.sqrt(a_phys, out=ws.root)
-        if name is None:
-            f = _fft.rfft2(root, out=f_out)
-            np.multiply(-grid.k_sq, f, out=f)
-            q = _fft.irfft2(f, out=v_out)  # Lap(a^{1/2})
-            q /= root
-            if not float(np.max(np.abs(q, out=q))) < SUP_Q_MAX:
-                return inverse_laplacian
-        inv_root = np.divide(1.0, root, out=root)
+    v_out, f_out = ws.g_out[0], ws.f_out[0]
+    root = np.sqrt(a_phys, out=ws.root)
+    if name is None:
+        f = _fft.rfft2(root, out=f_out)
+        np.multiply(-grid.k_sq, f, out=f)
+        q = _fft.irfft2(f, out=v_out)  # Lap(a^{1/2})
+        q /= root
+        if not float(np.max(np.abs(q, out=q))) < SUP_Q_MAX:
+            return inverse_laplacian
+    inv_root = np.divide(1.0, root, out=root)
 
     def concus_golub(r, z):
         v = _fft.irfft2(r, out=v_out)  # the band columns alone
@@ -231,7 +231,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
             np.subtract(b, r, out=r)
             res = float(np.sqrt(half_vdot(r, r))) / b_norm
         if not res <= tol:
-            precondition = _preconditioner(a_phys, a_star, grid, preconditioner)
+            precondition = _preconditioner(a_phys, a_star, grid, ws, preconditioner)
             applied = precondition.__name__
             z, p, Ap = ws.z, ws.p, ws.Ap
             precondition(r, z)

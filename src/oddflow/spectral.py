@@ -29,11 +29,10 @@ A vector field stores its two components' half-spectra stacked, one
 samples (2, n, n) carry the same leading axis.  Every operation here that
 takes a field takes either kind through that axis: one transform of a
 stacked array gives each component's bits.  Reductions are np.vdot calls:
-their bits do not depend on the FFT worker count, but on the BLAS thread
-count past 10,000 elements (README).  So a vector's norm or inner product
-stays one np.vdot per component, summed in component order: one vdot over
-both components of a full-width half-spectrum would pass that threshold at
-n = 100 instead of n = 142.
+their bits depend on the BLAS thread count past 10,000 elements (README).
+So a vector's norm or inner product stays one np.vdot per component, summed
+in component order: one vdot over both components of a full-width
+half-spectrum would pass that threshold at n = 100 instead of n = 142.
 """
 
 from __future__ import annotations

@@ -108,6 +108,14 @@ class TestEnergyFunctionals:
         with pytest.warns(RuntimeWarning):
             energy_functionals(shear(grid64), 1.5)
 
+    def test_square_past_the_float_range_is_inf(self, grid64, monkeypatch):
+        """A finite norm whose square overflows makes G inf, for observe to
+        reject, not an OverflowError; E and F keep the norms' sum."""
+        monkeypatch.setattr(diagnostics, "sobolev_norm", lambda f, s: 1e200)
+        with np.errstate(over="ignore"):
+            E, F, G = energy_functionals(shear(grid64), 2.5)
+        assert np.isfinite(E) and np.isfinite(F) and G == np.inf
+
 
 class TestNormEquivalenceRatios:
     def test_measured_ratios_within_frozen_bounds(self, grid64):

@@ -1,5 +1,5 @@
 """oddflow.fft against scipy.fft: the same bits for every shape, stacking,
-memory layout, worker count and out= that the package uses, and for
+memory layout and out= that the package uses, and for
 irfft2's band path the bits of the zero-padded input's full transform,
 outside any workspace, inside one and from two threads at once."""
 
@@ -27,38 +27,6 @@ def test_the_pocketfft_kernels_are_active():
         pypocketfft.r2c, pypocketfft.c2r, pypocketfft.c2c]
 
 
-def test_fft_workers_reads_oddflow_threads(monkeypatch):
-    for value, workers in (("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
-        monkeypatch.setenv("ODDFLOW_THREADS", value)
-        assert fft.fft_workers() == workers
-    monkeypatch.delenv("ODDFLOW_THREADS")
-    assert fft.fft_workers() == 1
-
-
-def test_transforms_pass_the_workers_read_at_import(monkeypatch):
-    """ODDFLOW_THREADS is parsed once, when the module is imported: the
-    transforms hand the kernels WORKERS and never parse it again, on the
-    band path too, whose c2c and c2r are the kernels'."""
-    seen = []
-
-    def kernel(*args):
-        seen.append(args[-1])
-
-    def parse():
-        raise AssertionError("ODDFLOW_THREADS parsed by a transform")
-
-    for name in ("_r2c", "_c2r", "_c2c"):
-        monkeypatch.setattr(fft, name, kernel)
-    monkeypatch.setattr(fft, "fft_workers", parse)
-    monkeypatch.setattr(fft, "WORKERS", 3)
-    x = np.zeros((8, 8))
-    fft.rfft2(x)
-    fft.irfft2(x[:, :5])
-    fft.irfft2(x[:, :3])
-    fft.ifft2(x)
-    assert seen == [3, 3, 3, 3, 3]
-
-
 def layouts(rng, n, cols, dtype):
     """An (n, cols) and a stacked (2, n, cols) array, each contiguous and as
     a non-contiguous view of a wider array's leading columns."""
@@ -77,24 +45,19 @@ def kernels(request):
     return request.param
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("n", [32, 64, 128, 192])
-def test_bits_equal_scipy_fft(kernels, monkeypatch, n, threads):
-    monkeypatch.setattr(fft, "WORKERS", threads)
-    rng = np.random.default_rng(n + threads)
+# the ids end in the worker count, 1: the kernels run one, as scipy.fft does below
+@pytest.mark.parametrize("n", [32, 64, 128, 192], ids=lambda n: f"{n}-1")
+def test_bits_equal_scipy_fft(kernels, n):
+    rng = np.random.default_rng(n + 1)
     for x in layouts(rng, n, n, float):
         expected = scipy.fft.rfft2(x, norm="forward", workers=1)
         assert np.array_equal(fft.rfft2(x), expected)
-        assert np.array_equal(scipy.fft.rfft2(x, norm="forward", workers=threads), expected)
     for c in layouts(rng, n, n // 2 + 1, complex):
         expected = scipy.fft.irfft2(c, s=(n, n), norm="forward", workers=1)
         assert np.array_equal(fft.irfft2(c), expected)
-        assert np.array_equal(
-            scipy.fft.irfft2(c, s=(n, n), norm="forward", workers=threads), expected)
     for z in layouts(rng, n, n, complex):
         expected = scipy.fft.ifft2(z, workers=1)
         assert np.array_equal(fft.ifft2(z), expected)
-        assert np.array_equal(scipy.fft.ifft2(z, workers=threads), expected)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 192])

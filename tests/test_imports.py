@@ -1,6 +1,6 @@
-"""Static checks of the modules under src/oddflow: imports, transforms, the
-state cache and pressure solution, check switches, wavenumbers, private
-names and unused public names."""
+"""Static checks of the modules under src/oddflow: imports, transforms,
+environment reads, the state cache and pressure solution, check switches,
+wavenumbers, private names and unused public names."""
 
 import ast
 import pathlib
@@ -38,14 +38,9 @@ def test_no_unused_imports(path):
 NUMPY_FFT_HELPERS = frozenset({"fftfreq", "rfftfreq", "fftshift", "ifftshift"})
 
 
-def numpy_fft_transforms(source: str) -> list[str]:
-    """numpy.fft transforms a module imports or calls, by any alias.
-
-    Every transform must go through the package's transform module,
-    oddflow.fft, so that a caller can count or replace them in one place."""
-    tree = ast.parse(source)
-    alias = {}  # local name -> dotted module path
-    found = []
+def import_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> the dotted path it is bound to by an import."""
+    alias = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -55,22 +50,35 @@ def numpy_fft_transforms(source: str) -> list[str]:
                     alias[a.name.split(".")[0]] = a.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.module:
             for a in node.names:
-                path = f"{node.module}.{a.name}"
-                alias[a.asname or a.name] = path
-                if node.module == "numpy.fft" and a.name not in NUMPY_FFT_HELPERS:
-                    found.append(f"{path} (line {node.lineno})")
+                alias[a.asname or a.name] = f"{node.module}.{a.name}"
+    return alias
 
-    def dotted(node):
-        if isinstance(node, ast.Name):
-            return alias.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = dotted(node.value)
-            return base and f"{base}.{node.attr}"
-        return None
 
+def dotted(node: ast.AST, alias: dict[str, str]) -> str | None:
+    """The dotted path a name or attribute chain reads, through the imports."""
+    if isinstance(node, ast.Name):
+        return alias.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value, alias)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def numpy_fft_transforms(source: str) -> list[str]:
+    """numpy.fft transforms a module imports or calls, by any alias.
+
+    Every transform must go through the package's transform module,
+    oddflow.fft, so that a caller can count or replace them in one place."""
+    tree = ast.parse(source)
+    alias = import_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            found += [f"numpy.fft.{a.name} (line {node.lineno})" for a in node.names
+                      if a.name not in NUMPY_FFT_HELPERS]
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            path = dotted(node.func)
+            path = dotted(node.func, alias)
             if (path and path.startswith("numpy.fft.")
                     and path.rsplit(".", 1)[1] not in NUMPY_FFT_HELPERS):
                 found.append(f"{path} (line {node.lineno})")
@@ -89,6 +97,44 @@ def test_detector_flags_numpy_fft_transforms():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_numpy_fft_transforms(path):
     assert numpy_fft_transforms(path.read_text(encoding="utf-8")) == []
+
+
+# The program reads no environment variable: what a run does comes from its
+# config and command line, which the CLI checks.  Writes are not reads: a
+# module may still set a variable, say a library's thread count before the
+# library loads.
+ENVIRONMENT_READS = ("os.getenv", "os.environ.get")
+
+
+def environment_reads(source: str) -> list[str]:
+    """os.getenv and os.environ.get calls and os.environ[...] loads, by any
+    alias."""
+    tree = ast.parse(source)
+    alias = import_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and dotted(node.func, alias) in ENVIRONMENT_READS:
+            found.append((node.lineno, dotted(node.func, alias)))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+              and dotted(node.value, alias) == "os.environ"):
+            found.append((node.lineno, "os.environ[...]"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_flags_environment_reads():
+    source = ("import os\nimport os as system\nfrom os import environ, getenv as env\n"
+              'w = max(1, int(os.environ.get("N_THREADS", "1")))\n'
+              'a = os.getenv("A")\nb = system.environ["B"]\nc = environ.get("C")\n'
+              'd = env("D")\nos.environ["E"] = "1"\nos.environ.update(F="1")\n'
+              'os.environ.setdefault("G", "1")\ndel os.environ["H"]\nx = config.get("I")\n')
+    assert environment_reads(source) == [
+        "os.environ.get (line 4)", "os.getenv (line 5)", "os.environ[...] (line 6)",
+        "os.environ.get (line 7)", "os.getenv (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 # Complex-to-complex transforms: a real field has one stored form, its rfft2

@@ -583,6 +583,34 @@ class TestCli:
         assert out == ""
         assert err.startswith("abort: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("s", ["200", "-1100"])
+    def test_norms_besov_weight_overflow(self, tmp_path, s):
+        """A Besov weight 2^{js} past the float range (j = 6 at s = 200 on
+        n = 128, j = -1 at s = -1100) is inf: exit 2 with one abort line, and
+        no other stderr line but warnings."""
+        path = str(tmp_path / "state.bin")
+        app_io.write_checkpoint(make_state(Grid(128), 8, "half_band"), path)
+        code, err = cli_process(["norms", path, f"--s={s}"])
+        rest = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert code == 2 and rest == [f"abort: checkpoint {path!r} has norms that are not finite"]
+
+    def test_run_continuation_power_overflow(self, tmp_path):
+        """At s = 1000, |grad rho|^s in the continuation monitor passes the
+        float range on the first row: it is inf, so the run aborts with one
+        line, keeps the (empty) rows and the initial state, and writes no
+        final checkpoint."""
+        out = tmp_path / "out"
+        data = minimal_config(s=1000, t_end=0.0, output_dir=str(out))
+        data["scenario"] = {"name": "random_bandlimited", "a": 0.9}
+        code, err = cli_process(["run", "--config", write_json(tmp_path, data)])
+        rest = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert code == 2 and len(rest) == 1 and rest[0].startswith("abort: diagnostics ")
+        assert "M_integrand, Mtilde_integrand not finite at t = 0.000000" in rest[0]
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert header.startswith("t,kinetic") and rows == []
+        assert app_io.read_checkpoint(str(out / "checkpoint_abort.bin")).t == 0.0
+        assert not (out / "checkpoint_final.bin").exists()
+
     @pytest.mark.parametrize("argv", [
         ["norms", "CKPT", "--s", "nan"],
         ["norms", "CKPT", "--s", "inf"],

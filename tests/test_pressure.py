@@ -44,7 +44,8 @@ PLAIN, CONCUS_GOLUB = "inverse_laplacian", "concus_golub"
 
 
 def chosen_path(a_phys, grid):
-    return pressure._preconditioner(a_phys, float(np.min(a_phys)), grid).__name__
+    return pressure._preconditioner(a_phys, float(np.min(a_phys)), grid,
+                                   fft.Workspace(grid.n)).__name__
 
 
 def coefficient(grid, path):

@@ -368,19 +368,6 @@ class TestDealiasedProduct:
         assert np.all(prod.coeffs[outside] == 0)
 
 
-class TestWorkerDeterminism:
-    def test_results_independent_of_fft_workers(self, grid64, monkeypatch):
-        f = random_band_field(grid64, 60)
-        g = random_band_field(grid64, 61)
-        monkeypatch.setattr(fft, "WORKERS", 1)
-        p1 = dealiased_product(f, g)
-        n1 = l2_norm(p1)
-        monkeypatch.setattr(fft, "WORKERS", 4)
-        p2 = dealiased_product(f, g)
-        assert np.array_equal(p1.coeffs, p2.coeffs)
-        assert l2_norm(p2) == n1
-
-
 class TestInnerProducts:
     def test_inner_product_matches_grid_quadrature(self, grid32):
         f = random_band_field(grid32, 40)

@@ -300,9 +300,9 @@ class TestStep:
         rules, first = [], []
         chooser = pressure._preconditioner
 
-        def recorded(a_phys, a_star, grid, name=None):
+        def recorded(a_phys, a_star, grid, ws, name=None):
             rules[-1] += name is None
-            return chooser(a_phys, a_star, grid, name)
+            return chooser(a_phys, a_star, grid, ws, name)
 
         def solve(state, **kwargs):
             solution = solve_pressure(state, **kwargs)
