@@ -29,17 +29,20 @@ pressure force, PressureSolution.force, which dynamics.momentum_rhs reads
 in place of two irfft2 and two rfft2 per call.  The accumulated sum
 matches the force formed from grad(pi) to about 1e-15 relative.
 
-A solve builds only what it returns (the potential, the force and grad_pi,
-fresh arrays) and works in the held oddflow.fft.Workspace of its grid size,
-or else in its own, which dies with the solve.  Its multipliers are the
-Grid's (band, band_ik, band_inv_k_sq), so the module keeps nothing per grid
-and a grid lives no longer than its fields.  Concus-Golub's scalar
-transforms use the first components of an operator application's stacked
-buffers: an application and a preconditioner call never overlap.  The
-arrays are never cleared: each solve writes every element it reads.  The
-band columns of rfft2(a grad p) that an application returns are a view of
-the workspace's f_out, which the next application or preconditioner call
-overwrites, so the CG folds them into the force first.
+A solve builds only what it returns (the potential and the force, fresh
+band-column arrays; the full-width grad_pi is built from the potential on
+its first read, which no stepping solve makes) and works in the held
+oddflow.fft.Workspace of its grid size, or else in its own, which dies with
+the solve.  Its energy bound takes ||grad Pi|| from the band columns, in
+the workspace's gradient.  Its multipliers are the Grid's (band, band_ik,
+band_inv_k_sq), so the module keeps nothing per grid and a grid lives no
+longer than its fields.  Concus-Golub's scalar transforms use the first
+components of an operator application's stacked buffers: an application and
+a preconditioner call never overlap.  The arrays are never cleared: each
+solve writes every element it reads.  The band columns of rfft2(a grad p)
+that an application returns are a view of the workspace's f_out, which the
+next application or preconditioner call overwrites, so the CG folds them
+into the force first.
 
 A pressure solve starts from the state's pressure_guess, which only
 stepping.step sets, and from zero on every other state (verify, row 0 of a
@@ -92,6 +95,7 @@ paired runs with one FFT thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,21 +118,37 @@ SUP_Q_MAX = 10.5   # sup|Lap(a^{1/2}) / a^{1/2}| below which it does
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """grad(Pi), the force T[a grad Pi] as band columns k2 = 0..n//3 of
-    both components (shape (2, n, n//3 + 1), dealiased, column 0 exactly
+    """The force T[a grad Pi] as band columns k2 = 0..n//3 of both
+    components (shape (2, n, n//3 + 1), dealiased, column 0 exactly
     Hermitian), the potential's band columns (the CG's iterate, a warm
-    start for a nearby solve) and solver metadata: iterations, residual and
-    the preconditioner's name (inverse_laplacian or concus_golub; None
-    after 0 iterations).  For a state's pressure (a = 1/rho) the force is
-    that of the momentum equation, which dynamics.momentum_rhs reads, and
-    dynamics.grad_pi_minus_rho_omega builds the regular part from grad_pi."""
+    start for a nearby solve), solver metadata (iterations, residual and
+    the preconditioner's name: inverse_laplacian or concus_golub; None
+    after 0 iterations) and the grid.  For a state's pressure (a = 1/rho)
+    the force is that of the momentum equation, which
+    dynamics.momentum_rhs reads.  grad_pi, full width, is built from the
+    potential on first read: the stepping never reads it, while observe,
+    verify and dynamics.grad_pi_minus_rho_omega do."""
 
-    grad_pi: SpectralVector
     force: np.ndarray
     potential: np.ndarray
     iterations: int
     residual: float
     preconditioner: str | None
+    grid: Grid
+
+    @cached_property
+    def grad_pi(self) -> SpectralVector:
+        """grad(Pi), zero past the band columns, as gradient() gives it."""
+        m = self.potential.shape[-1]
+        gp = SpectralVector.wrap(self.grid, np.zeros((2,) + self.grid.shape, dtype=np.complex128))
+        np.multiply(self.grid.ik[..., :m], self.potential, out=gp.coeffs[..., :m])
+        return gp
+
+
+def _band_norm(c: np.ndarray) -> float:
+    """Physical L2 norm of a vector field from its stacked band columns
+    (zero past them), summed in component order as spectral.l2_norm sums."""
+    return 2.0 * np.pi * float(np.sqrt(half_vdot(c[0], c[0]) + half_vdot(c[1], c[1])))
 
 
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, ws: _fft.Workspace,
@@ -265,16 +285,15 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
                     f"pressure CG did not reach tol {tol:.1e} in {it} iterations "
                     f"(residual {res:.3e})")
 
-        # grad Pi, zero past the band columns, as gradient() gives it
-        gp = SpectralVector.wrap(grid, np.zeros_like(F.coeffs))
-        np.multiply(grid.ik[..., :m], x, out=gp.coeffs[..., :m])
-        # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol
-        lhs = a_star * l2_norm(gp)
+        # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol;
+        # ||grad Pi|| from the band columns of ik x, in grad, free after the loop
+        np.multiply(grid.ik[..., :m], x, out=grad)
+        lhs = a_star * _band_norm(grad)
         rhs = l2_norm(F) * (1.0 + 10.0 * tol) + 1e-14
         if lhs > rhs:
             raise OddflowError(
                 f"energy bound violated: a_*||grad Pi|| = {lhs:.6e} > ||F|| = {rhs:.6e}")
-        return PressureSolution(gp, dealias_columns(ax), x, it, res, applied)
+        return PressureSolution(dealias_columns(ax), x, it, res, applied, grid)
 
 
 def solve_pressure(state: FlowState, tol: float = DEFAULT_TOL) -> PressureSolution:

@@ -213,8 +213,19 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     Stage 1 solves the state unless it holds a solution; its cache,
     solution and history are freed after stage 1, the only stage that
     reads them.  step takes over the history arrays and overwrites them in
-    place for the new state's; between stages it keeps only band-column
-    arrays, no stage state."""
+    place for the new state's.  It keeps no stage state past its stage,
+    and no slope past its last read: the RK sums kr1 + 2 kr2 + 2 kr3 + kr4
+    and ku1 E2 + 2 ((ku2 + ku3) E) + ku4 are accumulated in place, left to
+    right, as the slopes come, and the new state is formed in the last of
+    them.  Each partial sum is taken into its newest slope's array (a + b
+    and b + a round alike, so the bits are those of the expressions), the
+    last large array its stage allocated: that one alive keeps the heap the
+    spent stage frees below it for the next stage to reuse, where sums kept
+    in arrays of their own, allocated early, let glibc return it at every
+    stage and fault it in again.  Full width, step holds the input state and, in half-spectra,
+    kr1 and the u sum (3) through stage 2, the two sums and ku2 (5) through
+    stage 3 and the two sums (3) through stage 4, beside the stage's input
+    (3), cache and solution."""
     h = config.dt if dt is None else dt
     if h is None or not (math.isfinite(h) and h > 0):
         raise ValidationError(f"step needs a positive finite dt, got {h}")
@@ -243,11 +254,18 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
         b2 = np.multiply(past.rate, h / 2.0, out=past.rate)
         b2 += p1
 
+    # the RK sums, in place in their newest slope's arrays (docstring): only
+    # step holds ku1 and the slopes of stages 2-4; kr1, the input state's
+    # cached density_rhs, is only read
     r_a = r0 + (h / 2.0) * kr1
     u_a = (u0 + (h / 2.0) * ku1) * E
+    u_sum = ku1
+    u_sum.coeffs *= E2
+    ku1 = None
     kr2, ku2, p2, applied = _stage_rhs(FlowState(t + h / 2.0, r_a, u_a, eps, sigma,
                                                  pressure_guess=s2.guess(b2, h_sq),
                                                  preconditioner=pc), config)
+    r_a = u_a = None
     pc = pc or applied
     if past is None:  # b2 = P1 is not second-order: no coefficient
         s2.base = None
@@ -256,23 +274,46 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
 
     r_b = r0 + (h / 2.0) * kr2
     u_b = u0 * E + (h / 2.0) * ku2
+    r_sum = kr2
+    r_sum.coeffs *= 2.0
+    r_sum.coeffs += kr1.coeffs
+    kr1 = kr2 = None
     kr3, ku3, p3, applied = _stage_rhs(FlowState(t + h / 2.0, r_b, u_b, eps, sigma,
                                                  pressure_guess=s3.guess(p2, h_sq),
                                                  preconditioner=pc), config)
+    r_b = u_b = None
     pc = pc or applied
     s3.record(p3)
 
     r_c = r0 + h * kr3
     u_c = u0 * E2 + h * (ku3 * E)
+    kr3.coeffs *= 2.0
+    kr3.coeffs += r_sum.coeffs
+    ku3.coeffs += ku2.coeffs
+    ku3.coeffs *= E
+    ku3.coeffs *= 2.0
+    ku3.coeffs += u_sum.coeffs
+    r_sum, u_sum = kr3, ku3
+    kr3 = ku2 = ku3 = None
     b4 = 2.0 * p3 - p1
     p1 = p3 = None  # freed before the last solve
     kr4, ku4, p4, _ = _stage_rhs(FlowState(t + h, r_c, u_c, eps, sigma,
                                            pressure_guess=s4.guess(b4, h_sq),
                                            preconditioner=pc), config)
+    r_c = u_c = None
     s4.record(p4)
 
-    r_new = r0 + (h / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-    u_new = u0 * E2 + (h / 6.0) * (ku1 * E2 + 2.0 * ((ku2 + ku3) * E) + ku4)
+    # the new state, r0 + (h/6) (r_sum + kr4) and u0 E2 + (h/6) (u_sum + ku4),
+    # in kr4's and ku4's arrays
+    r_new, u_new = kr4, ku4
+    kr4 = ku4 = None
+    r_new.coeffs += r_sum.coeffs
+    r_new.coeffs *= h / 6.0
+    r_new.coeffs += r0.coeffs
+    u_new.coeffs += u_sum.coeffs
+    u_new.coeffs *= h / 6.0
+    u_new.coeffs += u0.coeffs * E2
+    r_sum = u_sum = None
     u_new, _ = leray_project(u_new)
 
     rate = p4 - p2 if past is None else np.subtract(p4, p2, out=past.rate)

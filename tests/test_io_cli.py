@@ -620,7 +620,7 @@ class TestCli:
         ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "-3"],
         ["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "1000"],
         ["verify", "--n", "16"],
-        ["verify", "--n", "1048576"],  # 800 TiB: rejected before numpy refuses it
+        ["verify", "--n", "1048576"],  # 760 TiB: rejected before numpy refuses it
     ], ids=" ".join)
     def test_bad_argument(self, tmp_path, grid16, capsys, argv):
         """One error line that names the argument (the one before the bad

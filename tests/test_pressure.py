@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import oddflow
-from oddflow import fft, pressure
+from oddflow import fft, pressure, stepping
 from oddflow.app_io import RunConfig, init_scenario
+from oddflow.diagnostics import observe
 from oddflow.dynamics import FlowState, grad_pi_minus_rho_omega
 from oddflow.errors import ConvergenceError, GridMismatchError, RuntimeAbort, ValidationError
 from oddflow.pressure import solve_elliptic, solve_pressure
@@ -201,6 +202,39 @@ class TestSolvePressure:
         again = grad_pi_minus_rho_omega(st)
         assert st.fields.rho_omega is product
         assert np.array_equal(first.x1.coeffs, again.x1.coeffs)
+
+    def test_grad_pi_built_on_first_read(self, monkeypatch):
+        """No stage solve of a run builds grad_pi.  observe's read builds it
+        with the bits of the eager expression (full-width zeros, ik times
+        the potential on the band columns), and the energy bound's
+        band-column norm is its L2 norm to 1e-15 relative."""
+        stages, bound_norms = [], []
+        unpatched = pressure._band_norm
+
+        def recorded(state, **kwargs):
+            stages.append(solve_pressure(state, **kwargs))
+            return stages[-1]
+
+        def band_norm(c):
+            bound_norms.append(unpatched(c))
+            return bound_norms[-1]
+
+        monkeypatch.setattr(stepping, "solve_pressure", recorded)
+        final = stepping.run(density_wave(32, 0.5), stepping.StepperConfig(t_end=0.05))
+        assert len(stages) >= 8
+        assert all("grad_pi" not in vars(solution) for solution in stages)
+
+        monkeypatch.setattr(pressure, "_band_norm", band_norm)
+        observe(final, 2.5)
+        solution = final.pressure
+        assert "grad_pi" in vars(solution)
+        grid, x = final.grid, solution.potential
+        eager = np.zeros((2,) + grid.shape, dtype=np.complex128)
+        np.multiply(grid.ik[..., :x.shape[-1]], x, out=eager[..., :x.shape[-1]])
+        assert solution.grad_pi.coeffs.tobytes() == eager.tobytes()
+        assert len(bound_norms) == 1
+        exact = l2_norm(solution.grad_pi)
+        assert abs(bound_norms[0] - exact) <= 1e-15 * exact
 
     def test_euler_pressure_oracle(self, grid64):
         """rho = 1: grad(pi - omega) equals the Euler pressure gradient from

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -225,6 +226,31 @@ class TestStep:
                 arrays = base = None  # the next step frees this state's P4
         finally:
             gc.enable()
+
+    def test_step_memory_budget(self):
+        """One density_wave a = 0.5 step at n = 64, after six warm steps
+        inside the run's workspace block and with its state's samples built
+        by cfl_dt as the run builds them, allocates at its peak at most 35
+        half-spectra (n (n/2+1) complex numbers) beyond what it started
+        with.  It reads 34: the RK sums are accumulated in place, spent
+        slopes and stage inputs are dropped, and no stage solve builds
+        grad_pi."""
+        n = 64
+        st = init_scenario(RunConfig(grid_n=n, t_end=0.0, scenario={
+            "name": "density_wave", "a": 0.5}))
+        cfg = StepperConfig(t_end=1.0)
+        with fft.workspace(n):
+            for _ in range(6):
+                st = step(st, cfg, dt=0.5 * cfl_dt(st))
+            h = 0.5 * cfl_dt(st)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                step(st, cfg, dt=h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - start) / (n * (n // 2 + 1) * 16) <= 35.0
 
     def test_trajectory_independent_of_observers(self, grid32):
         """An observer that solves every state (observe_every = 1) gives the
