@@ -100,7 +100,7 @@ def cmd_twin(args) -> int:
     _argument(np.isfinite(args.amplitude), "--amplitude", "must be finite", args.amplitude)
     cfg = app_io.load_config(args.config)
     cut = cfg.grid_n // 3
-    band = args.band or max(2, cfg.grid_n // 16)
+    band = max(2, cfg.grid_n // 16) if args.band is None else args.band
     _argument(1 <= band <= cut, "--band", f"must lie in the dealiased band [1, {cut}]", band)
     state = app_io.init_scenario(cfg)
     grid = state.grid
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_twin = sub.add_parser("twin", help="twin-run stability study")
     p_twin.add_argument("--config", required=True)
     p_twin.add_argument("--amplitude", type=float, required=True)
-    p_twin.add_argument("--band", type=int, default=0,
+    p_twin.add_argument("--band", type=int,
                         help="perturbation band (default n/16)")
     p_twin.set_defaults(func=cmd_twin)
 

@@ -17,10 +17,11 @@ the vector fields share one layout, a SpectralVector's (2, n, n/2+1)
 coefficients, here cut to the band columns: band_ik is grid.ik[..., :m]
 times Grid.band, the right-hand side is formed from F.coeffs[..., :m], and
 dynamics.momentum_rhs subtracts the force from its coeffs[..., :m] in one
-statement.  Inner products and norms are spectral.half_vdot, the
-full-spectrum L2 values (Plancherel for real fields), and the stopping
-test is on the unpreconditioned residual ||b - Ax|| / ||b||, so the
-tolerance keeps its meaning whichever preconditioner runs.
+statement.  Inner products and norms are spectral's reductions
+(half_vdot, coeffs_norm), the full-spectrum L2 values (Plancherel for real
+fields) with bits that do not depend on the BLAS thread count, and the
+stopping test is on the unpreconditioned residual ||b - Ax|| / ||b||, so
+the tolerance keeps its meaning whichever preconditioner runs.
 
 An operator application transforms a grad p on its way to -div(a grad p),
 so the solve accumulates the band columns of T[a grad Pi] alongside the
@@ -108,7 +109,7 @@ from .errors import (
     RuntimeAbort,
     ValidationError,
 )
-from .spectral import Grid, SpectralVector, dealias_columns, half_vdot, l2_norm
+from .spectral import Grid, SpectralVector, coeffs_norm, dealias_columns, half_vdot, l2_norm
 
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 500
@@ -143,12 +144,6 @@ class PressureSolution:
         gp = SpectralVector.wrap(self.grid, np.zeros((2,) + self.grid.shape, dtype=np.complex128))
         np.multiply(self.grid.ik[..., :m], self.potential, out=gp.coeffs[..., :m])
         return gp
-
-
-def _band_norm(c: np.ndarray) -> float:
-    """Physical L2 norm of a vector field from its stacked band columns
-    (zero past them), summed in component order as spectral.l2_norm sums."""
-    return 2.0 * np.pi * float(np.sqrt(half_vdot(c[0], c[0]) + half_vdot(c[1], c[1])))
 
 
 def _preconditioner(a_phys: np.ndarray, a_star: float, grid: Grid, ws: _fft.Workspace,
@@ -288,7 +283,7 @@ def solve_elliptic(a_phys: np.ndarray, F: SpectralVector, guess: np.ndarray | No
         # post-hoc energy bound a_* ||grad Pi|| <= ||F||, with slack for tol;
         # ||grad Pi|| from the band columns of ik x, in grad, free after the loop
         np.multiply(grid.ik[..., :m], x, out=grad)
-        lhs = a_star * _band_norm(grad)
+        lhs = a_star * coeffs_norm(grad)
         rhs = l2_norm(F) * (1.0 + 10.0 * tol) + 1e-14
         if lhs > rhs:
             raise OddflowError(

@@ -28,11 +28,14 @@ A vector field stores its two components' half-spectra stacked, one
 (2, n, n/2+1) array, and a stacked multiplier (Grid.ik) or stacked grid
 samples (2, n, n) carry the same leading axis.  Every operation here that
 takes a field takes either kind through that axis: one transform of a
-stacked array gives each component's bits.  Reductions are np.vdot calls:
-their bits depend on the BLAS thread count past 10,000 elements (README).
-So a vector's norm or inner product stays one np.vdot per component, summed
-in component order: one vdot over both components of a full-width
-half-spectrum would pass that threshold at n = 100 instead of n = 142.
+stacked array gives each component's bits.  Every dot product of the
+program (the norms, inner products and Sobolev sums, the CG's and the
+warm-start scores) is a sum of vdot calls, the one caller of np.vdot.
+OpenBLAS splits a complex dot product of more than 10,000 elements across
+its threads, and the split changes the bits, so vdot sums chunks of at most
+10,000 elements in order: the bits do not depend on the BLAS thread count
+(README).  half_vdot makes one vdot per component of a stacked array,
+summed in component order.
 """
 
 from __future__ import annotations
@@ -402,31 +405,49 @@ def dealias_columns(c: np.ndarray) -> np.ndarray:
     return _truncate(_hermitian_column(c))
 
 
+_VDOT_CHUNK = 10_000  # OpenBLAS threads a complex dot product past this many elements
+
+
+def vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """np.vdot(x, y), the sum of conj(x) * y: one call on arrays of at most
+    _VDOT_CHUNK elements, passed as they are (a strided array and its
+    contiguous copy give different bits), and otherwise the calls on their
+    flattened chunks of _VDOT_CHUNK elements, summed in order."""
+    if x.size <= _VDOT_CHUNK:
+        return np.vdot(x, y)
+    x, y = x.reshape(-1), y.reshape(-1)
+    total = np.vdot(x[:_VDOT_CHUNK], y[:_VDOT_CHUNK])
+    for start in range(_VDOT_CHUNK, x.size, _VDOT_CHUNK):
+        total += np.vdot(x[start:start + _VDOT_CHUNK], y[start:start + _VDOT_CHUNK])
+    return total
+
+
 def half_vdot(x: np.ndarray, y: np.ndarray) -> float:
     """Re sum over the full spectrum of x * conj(y), from the columns
-    k2 = 0..m-1 (m <= n/2+1) of half-spectra with n rows (stacked along
-    leading axes or not): every column counts twice except k2 = 0 and,
-    when present, k2 = n/2."""
+    k2 = 0..m-1 (m <= n/2+1) of half-spectra with n rows: every column
+    counts twice except k2 = 0 and, when present, k2 = n/2.  Arrays stacked
+    along a leading axis give the sum of their components' values, in
+    component order."""
     n, m = x.shape[-2:]
-    total = 2.0 * np.vdot(y, x).real - np.vdot(y[..., 0], x[..., 0]).real
-    if m == n // 2 + 1:
-        total -= np.vdot(y[..., -1], x[..., -1]).real
+    total = None
+    for a, b in zip(x, y, strict=True) if x.ndim == 3 else [(x, y)]:
+        part = 2.0 * vdot(b, a).real - vdot(b[:, 0], a[:, 0]).real
+        if m == n // 2 + 1:
+            part -= vdot(b[:, -1], a[:, -1]).real
+        total = part if total is None else total + part
     return float(total)
 
 
-def _sum_over_components(reduce, f, g) -> float:
-    """reduce(a, b) of each pair of component half-spectra of two fields of
-    one kind, summed in component order (module docstring)."""
-    check_same_grid(f, g)
-    shape = (-1,) + f.grid.shape
-    first, *rest = (reduce(a, b) for a, b in
-                    zip(f.coeffs.reshape(shape), g.coeffs.reshape(shape), strict=True))
-    return sum(rest, first)
+def coeffs_norm(c: np.ndarray) -> float:
+    """Physical L2 norm of the field whose half-spectrum, stacked or not, or
+    whose first columns (zero past them), are c: (2*pi) * sqrt(half_vdot)
+    by Plancherel."""
+    return 2.0 * np.pi * float(np.sqrt(half_vdot(c, c)))
 
 
 def l2_norm(f) -> float:
-    """Physical L2 norm; Plancherel gives (2*pi) * sqrt(sum |fhat|^2)."""
-    return 2.0 * np.pi * float(np.sqrt(_sum_over_components(half_vdot, f, f)))
+    """Physical L2 norm of a scalar or vector field."""
+    return coeffs_norm(f.coeffs)
 
 
 def mismatch(a, b) -> float:
@@ -435,7 +456,13 @@ def mismatch(a, b) -> float:
 
 
 def inner_product(f, g) -> float:
-    return _sum_over_components(lambda a, b: (2.0 * np.pi) ** 2 * half_vdot(a, b), f, g)
+    """Physical L2 inner product: (2*pi)^2 half_vdot of each pair of
+    components, summed in component order."""
+    check_same_grid(f, g)
+    shape = (-1,) + f.grid.shape
+    first, *rest = ((2.0 * np.pi) ** 2 * half_vdot(a, b)
+                    for a, b in zip(f.coeffs.reshape(shape), g.coeffs.reshape(shape), strict=True))
+    return sum(rest, first)
 
 
 def sup_magnitude(*samples: np.ndarray) -> float:

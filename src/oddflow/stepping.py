@@ -21,6 +21,7 @@ diagnostics.twin_run_stability a pair.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from . import fft
 from .dynamics import FlowState, check_vacuum, density_rhs, momentum_rhs
 from .errors import RuntimeAbort, ValidationError
 from .pressure import solve_pressure
-from .spectral import dealias, leray_project, sup_magnitude
+from .spectral import dealias, leray_project, sup_magnitude, vdot
 
 CFL_CAP = 1e6
 
@@ -48,6 +49,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        if self.dt is not None and self.dt * self.dt < sys.float_info.min:
+            raise ValidationError(f"dt = {self.dt} is too small: its square underflows")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValidationError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (0 < self.cfl_safety <= 1):
@@ -160,7 +163,7 @@ class StageGuess:
 
         def score(depth, error, scale=1.0):
             np.multiply(self.weight, error, out=weighted)
-            value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(np.vdot(error, weighted).real)
+            value = scale * _NOISE_GAIN[depth - 1] * math.sqrt(vdot(error, weighted).real)
             if depth > len(scores):
                 scores.append(value)
             else:
@@ -229,6 +232,8 @@ def step(state: FlowState, config: StepperConfig, dt: float | None = None) -> Fl
     h = config.dt if dt is None else dt
     if h is None or not (math.isfinite(h) and h > 0):
         raise ValidationError(f"step needs a positive finite dt, got {h}")
+    if h * h < sys.float_info.min:  # the warm starts divide by h^2
+        raise ValidationError(f"step size {h:.3e} is too small: its square underflows")
 
     g = state.grid
     eps = state.epsilon

@@ -598,3 +598,46 @@ def test_detector_flags_vector_twins():
 def test_no_vector_twins():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert vector_twins(sources) == ["littlewood_paley.py: sobolev_norm_vector"]
+
+
+# One owner for every reduction's bits: np.vdot is called only in spectral.vdot,
+# which keeps each call within OpenBLAS's single-thread size, so no output
+# depends on the BLAS thread count.
+VDOT_ALLOWED = {("spectral.py", "vdot")}
+
+
+def vdot_references(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each reference to numpy.vdot, by any
+    alias or import."""
+    tree = ast.parse(source)
+    alias = import_aliases(tree)
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)) and dotted(node, alias) == "numpy.vdot":
+            found.append((func, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend((func, node.lineno) for a in node.names if a.name == "vdot")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_detector_flags_vdot_references():
+    source = ("import numpy as np\nimport numpy\nfrom numpy import vdot as dot, linalg\n"
+              "def vdot(x, y):\n    return np.vdot(x, y)\n"
+              "def score(e, w):\n    return numpy.vdot(e, w).real + dot(e, w).real\n"
+              "def other(a):\n    f = np.vdot\n    return np.dot(a, a), linalg.norm(a), vdot(a, a)\n")
+    assert vdot_references(source) == [("<module>", 3), ("vdot", 5), ("score", 7),
+                                       ("score", 7), ("other", 9)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_vdot_only_in_spectral_vdot(path):
+    found = vdot_references(path.read_text(encoding="utf-8"))
+    assert [f for f in found if (path.name, f[0]) not in VDOT_ALLOWED] == []
+    assert bool(found) == (path.name == "spectral.py")

@@ -541,6 +541,37 @@ class TestCli:
         assert cli(["run", "--config", write_json(tmp_path, data)]) == 1
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("key, value", [("dt", 1e-300), ("cfl_safety", 1e-300),
+                                            ("cfl_safety", 1e-160)])
+    def test_run_step_whose_square_underflows(self, tmp_path, key, value):
+        """A fixed dt, or a CFL step, whose square underflows ends in one error
+        line and exit 1, not in a traceback or a misleading CG abort."""
+        data = minimal_config(grid_n=16, t_end=0.01, output_dir=str(tmp_path / "out"),
+                              scenario={"name": "density_wave", "a": 0.5}, **{key: value})
+        code, err = cli_process(["run", "--config", write_json(tmp_path, data)])
+        assert code == 1 and "Traceback" not in err, err
+        self._assert_one_line_error_text(err)
+        assert "is too small: its square underflows" in err, err
+
+    def test_run_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """At n = 192 the CG's band columns (12,480 elements) and the
+        diagnostics' half-spectra (18,624) pass the 10,000 elements from which
+        OpenBLAS splits a complex dot product across threads: one step, with
+        a row and a checkpoint, writes the same bytes under 1 and 2 threads."""
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            data = minimal_config(grid_n=192, t_end=0.003, observe_every=1, checkpoint_every=1,
+                                  output_dir=str(out),
+                                  scenario={"name": "density_wave", "a": 0.5})
+            code, err = cli_process(["run", "--config", write_json(tmp_path, data)],
+                                    OPENBLAS_NUM_THREADS=threads)
+            assert code == 0, err
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(written[0]) == ["checkpoint_000001.bin", "checkpoint_final.bin",
+                                      "diagnostics.csv"]
+        assert written[0] == written[1]
+
     def test_norms_nan_checkpoint(self, tmp_path, grid64, capsys):
         path = str(tmp_path / "state.bin")
         app_io.write_checkpoint(make_state(grid64, 8, "half_band"), path)
@@ -726,10 +757,13 @@ class TestCli:
         (["twin", "--config", "CFG", "--amplitude", "1e-3"], {"seed": -1}, "got -1"),
         (["twin", "--config", "CFG", "--amplitude", "5"], {},
          "perturbed state below the vacuum floor"),
+        (["twin", "--config", "CFG", "--amplitude", "1e-3", "--band", "0"], {},
+         "--band must lie in the dealiased band [1, 5], got 0"),
     ], ids=["config-dir", "config-latin1", "run-output-file", "twin-output-file",
             "sweep-output-file", "sweep-one-eps", "verify-seed-negative", "verify-seed-2**64",
             "verify-seed-2**64-9",
-            "run-seed-negative", "twin-seed-negative", "twin-below-vacuum-floor"])
+            "run-seed-negative", "twin-seed-negative", "twin-below-vacuum-floor",
+            "twin-band-zero"])
     def test_rejected_before_the_first_step(self, tmp_path, monkeypatch, capsys,
                                             argv, extra, match):
         """A config, output directory, seed or eps list that cannot work ends

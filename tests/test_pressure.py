@@ -209,7 +209,7 @@ class TestSolvePressure:
         the potential on the band columns), and the energy bound's
         band-column norm is its L2 norm to 1e-15 relative."""
         stages, bound_norms = [], []
-        unpatched = pressure._band_norm
+        unpatched = pressure.coeffs_norm
 
         def recorded(state, **kwargs):
             stages.append(solve_pressure(state, **kwargs))
@@ -224,7 +224,7 @@ class TestSolvePressure:
         assert len(stages) >= 8
         assert all("grad_pi" not in vars(solution) for solution in stages)
 
-        monkeypatch.setattr(pressure, "_band_norm", band_norm)
+        monkeypatch.setattr(pressure, "coeffs_norm", band_norm)
         observe(final, 2.5)
         solution = final.pressure
         assert "grad_pi" in vars(solution)

@@ -21,6 +21,7 @@ from oddflow.spectral import (
     expand,
     fold,
     gradient,
+    half_vdot,
     inner_product,
     inverse_laplacian,
     inverse_transform,
@@ -30,6 +31,7 @@ from oddflow.spectral import (
     mismatch,
     perp,
     product_physical,
+    vdot,
     zero_scalar,
 )
 
@@ -393,6 +395,39 @@ def with_signed_zeros(rng, c):
     zeros = rng.random(parts.shape) < 0.25
     parts[zeros] = np.copysign(0.0, rng.standard_normal(parts.shape))[zeros]
     return c
+
+
+class TestVdot:
+    """OpenBLAS splits a complex dot product of more than 10,000 elements
+    across its threads, and the split changes the bits: vdot makes np.vdot's
+    call up to that size and sums 10,000-element chunks past it."""
+
+    @staticmethod
+    def pair(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+
+    def test_one_call_up_to_the_chunk(self):
+        """Arrays are passed as they are: a strided one keeps its bits."""
+        x, y = self.pair((100, 200))
+        for a, b in [(x[:50], y[:50]), (x[:, 0], y[:, 0]), (x[:, :97], y[:, :97]), (x[7], y[7])]:
+            assert vdot(a, b).tobytes() == np.vdot(a, b).tobytes()
+
+    def test_chunks_summed_in_order(self):
+        x, y = self.pair((2, 192, 65))  # the stacked band columns at n = 192
+        a, b = x.reshape(-1), y.reshape(-1)
+        chunks = (np.vdot(a[:10_000], b[:10_000]) + np.vdot(a[10_000:20_000], b[10_000:20_000])
+                  + np.vdot(a[20_000:], b[20_000:]))
+        assert vdot(x, y).tobytes() == chunks.tobytes()
+        assert vdot(a[:10_001], b[:10_001]).tobytes() == (
+            np.vdot(a[:10_000], b[:10_000]) + np.vdot(a[10_000:10_001], b[10_000:10_001])).tobytes()
+
+    @pytest.mark.parametrize("m", [65, 97])
+    def test_half_vdot_sums_components_in_order(self, m):
+        """A stacked pair's value is its components' values summed in order,
+        on band columns and on full-width half-spectra."""
+        x, y = self.pair((2, 192, m))
+        assert half_vdot(x, y) == half_vdot(x[0], y[0]) + half_vdot(x[1], y[1])
 
 
 LAYOUT = settings(max_examples=40, deadline=None, database=None)

@@ -10,7 +10,7 @@ from oddflow import dynamics, fft, pressure, stepping
 from oddflow.app_io import RunConfig, init_scenario
 from oddflow.diagnostics import observe
 from oddflow.dynamics import FlowState
-from oddflow.errors import RuntimeAbort
+from oddflow.errors import RuntimeAbort, ValidationError
 from oddflow.pressure import solve_pressure
 from oddflow.spectral import (
     Grid,
@@ -400,6 +400,13 @@ class TestStep:
         with pytest.raises(ValueError, match="positive finite dt"):
             step(shear(grid32), StepperConfig(), dt)
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-160, 1e-154])
+    def test_step_rejects_dt_whose_square_underflows(self, grid32, dt):
+        """The warm starts divide by h^2: below the smallest normal float it
+        is 0 or loses its digits, so the step is refused before it starts."""
+        with pytest.raises(ValidationError, match="its square underflows"):
+            step(shear(grid32), StepperConfig(), dt)
+
 
 def band_weight(shape):
     """|k|^4 on the first m columns of an n-row half-spectrum, shape (n, m)."""
@@ -507,6 +514,12 @@ class TestStepperConfig:
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             StepperConfig(dt=dt)
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-160, 1e-154])
+    def test_rejects_dt_whose_square_underflows(self, dt):
+        with pytest.raises(ValidationError, match=f"dt = {dt} is too small"):
+            StepperConfig(dt=dt)
+        assert StepperConfig(dt=1.5e-154).dt == 1.5e-154  # its square is normal
 
     @pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0])
     def test_rejects_bad_t_end(self, t_end):
